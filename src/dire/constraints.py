@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from dire.profiles import Committee, PreferenceProfile
+from dire.profiles import PreferenceProfile
 from dire.rules import DEFAULT_ORACLE_CAP, Rule, kborda, population_winning_committee
 
 
@@ -336,14 +336,3 @@ def necessary_condition_report(instance: DiReInstance) -> NecessaryConditionRepo
         mu_times_k=instance.mu * instance.k,
     )
 
-
-def example_committee_key(committee: Iterable[int]) -> tuple[int, ...]:
-    """Canonical (sorted) form used for lexicographic committee tie-breaking."""
-    return tuple(sorted(committee))
-
-
-def as_committee(instance: DiReInstance, members: Iterable[int]) -> Committee:
-    committee = Committee(members)
-    if committee.k != instance.k:
-        raise InstanceError(f"committee size {committee.k} != k={instance.k}")
-    return committee

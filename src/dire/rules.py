@@ -99,7 +99,12 @@ def candidate_score(
     return sum(s[profile._positions[v][candidate] - 1] for v in voter_ids)
 
 
-def _all_candidate_scores(profile, scoring, voters=None):
+def candidate_scores(
+    profile: PreferenceProfile,
+    scoring: Sequence[int],
+    voters: Iterable[int] | None = None,
+) -> list[int]:
+    """:func:`candidate_score` of every candidate, validating ``scoring`` once."""
     s = validate_scoring(scoring, profile.m)
     voter_ids = range(profile.n) if voters is None else list(voters)
     totals = [0] * profile.m
@@ -245,7 +250,7 @@ def _exhaustive_max(profile, rule, k, voters=None):
 
 
 def _topk_by_score(profile, vector, k, voters=None):
-    scores = _all_candidate_scores(profile, vector, voters)
+    scores = candidate_scores(profile, vector, voters)
     order = sorted(range(profile.m), key=lambda c: (-scores[c], profile.priority_key(c)))
     return Committee(order[:k])
 

@@ -5,9 +5,15 @@ necessary packing condition and prunes candidate domains that provably
 cannot appear in a feasible committee.  Stage two is depth-first
 backtracking that repeatedly picks the tightest unsatisfied constraint
 (fewest remaining values per missing seat) and tries its candidates in
-order of how many constraints they touch.  Restarting with a rotated root
-ordering harvests multiple feasible committees; a separate exhaustive mode
-enumerates the complete feasible set for oracle-scale instances.
+order of how many constraints they touch.  A failed branch proves that no
+feasible committee extends it, so the search excludes that candidate, and
+every candidate with the same constraint signature, from the sibling
+branches that follow; a seat and availability lookahead fails a node as
+soon as some unmet bound can no longer be reached.  These cuts remove only
+subtrees without a solution, so unseeded runs return exactly the committees
+of plain backtracking.  Restarting with a rotated root ordering harvests
+multiple feasible committees; a separate exhaustive mode enumerates the
+complete feasible set for oracle-scale instances.
 """
 
 from __future__ import annotations
@@ -16,11 +22,12 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from dire.constraints import DiReInstance, satisfies
-from dire.rules import borda_vector, candidate_score
+from dire.rules import borda_vector, candidate_scores
 
 
 class SolverTimeout(Exception):
@@ -49,7 +56,12 @@ class DiReGraph:
     domains: list[frozenset[int]]
     bounds: list[int]
     priority: tuple[int, ...]
-    scores: tuple[int, ...]  # Borda candidate scores, used for solution padding
+    score_fn: Callable[[], Sequence[int]]  # candidate scores for solution padding
+
+    @cached_property
+    def scores(self) -> tuple[int, ...]:
+        """Computed on first use: only padding a short solution needs them."""
+        return tuple(self.score_fn())
 
     def out_degree(self, candidate: int) -> int:
         return sum(1 for domain in self.domains if candidate in domain)
@@ -97,7 +109,6 @@ def build_diregraph(instance: DiReInstance) -> DiReGraph:
         vector = instance.rule.vector(instance.m)
     else:
         vector = borda_vector(instance.m)
-    scores = tuple(candidate_score(instance.profile, vector, c) for c in range(instance.m))
     return DiReGraph(
         k=instance.k,
         m=instance.m,
@@ -105,7 +116,7 @@ def build_diregraph(instance: DiReInstance) -> DiReGraph:
         domains=[frozenset(c.domain) for c in constraints],
         bounds=[c.bound for c in constraints],
         priority=instance.profile.priority,
-        scores=scores,
+        score_fn=partial(candidate_scores, instance.profile, vector),
     )
 
 
@@ -309,8 +320,24 @@ def heuristic_backtrack(
     corners.  A partial solution is accepted once every constraint's
     in-flow meets its bound, then padded to exactly k members.
 
-    Infeasibility is returned only after the reduced search space is
-    exhausted; hitting the deadline raises :class:`SolverTimeout` instead.
+    The search never re-enters a subtree it has proven empty:
+
+    - *sibling exclusion*: once the branch "add c" fails at a node, no
+      feasible committee contains the node's members plus c, so c is
+      excluded from the later sibling branches and their subtrees, and
+      restored when the node returns;
+    - *signature symmetry*: candidates lying in exactly the same constraint
+      domains are interchangeable (swapping one for another keeps every
+      in-flow), so when one fails at a node its twins are excluded too;
+    - *lookahead*: a node fails at once when an unmet constraint needs more
+      members than there are seats left, or than its domain still offers
+      outside the chosen and excluded candidates.
+
+    Only subtrees without a solution are cut, and variable choice and value
+    order are those of the plain search, so unseeded runs return the same
+    committee as plain backtracking.  Infeasibility is returned
+    only after the search space is exhausted; hitting the deadline raises
+    :class:`SolverTimeout` instead.
     """
     config = config or SolverConfig()
     if deadline is None:
@@ -320,12 +347,35 @@ def heuristic_backtrack(
     rank_of = {c: idx for idx, c in enumerate(base_order)}
     n_constraints = len(graph.domains)
     inflow = [0] * n_constraints
+    available = [len(domain) for domain in graph.domains]  # neither chosen nor excluded
     member_of = [
-        [idx for idx in range(n_constraints) if cand in graph.domains[idx]]
+        tuple(idx for idx in range(n_constraints) if cand in graph.domains[idx])
         for cand in range(graph.m)
     ]
+    by_signature: dict[tuple[int, ...], list[int]] = {}
+    for cand in range(graph.m):
+        by_signature.setdefault(member_of[cand], []).append(cand)
+    ordered = [sorted(domain, key=rank_of.__getitem__) for domain in graph.domains]
     solution: list[int] = []
-    in_solution = set()
+    blocked = [False] * graph.m  # chosen or excluded
+
+    def block(cand: int) -> None:
+        blocked[cand] = True
+        for idx in member_of[cand]:
+            available[idx] -= 1
+
+    def unblock(cand: int) -> None:
+        blocked[cand] = False
+        for idx in member_of[cand]:
+            available[idx] += 1
+
+    def dead_end() -> bool:
+        seats = graph.k - len(solution)
+        for idx in range(n_constraints):
+            missing = graph.bounds[idx] - inflow[idx]
+            if missing > 0 and (missing > seats or missing > available[idx]):
+                return True
+        return False
 
     def select_variable() -> int | None:
         best, best_ratio = None, None
@@ -347,34 +397,42 @@ def heuristic_backtrack(
         return best
 
     def ordered_domain(idx: int, at_root: bool) -> list[int]:
-        cands = sorted(graph.domains[idx], key=lambda c: rank_of[c])
-        if at_root and rotation:
-            r = rotation % len(cands) if cands else 0
+        cands = ordered[idx]
+        if at_root and rotation and cands:
+            r = rotation % len(cands)
             cands = cands[r:] + cands[:r]
         return cands
 
     def search(at_root: bool) -> list[int] | None:
         if time.monotonic() > deadline:
             raise SolverTimeout("backtracking timed out")
+        if dead_end():
+            return None
         variable = select_variable()
         if variable is None:
             return list(solution)  # every bound met, |solution| <= k by construction
+        excluded: list[int] = []
         for cand in ordered_domain(variable, at_root):
-            if cand in in_solution:
-                continue
-            if len(solution) + 1 > graph.k:
+            if blocked[cand]:
                 continue
             solution.append(cand)
-            in_solution.add(cand)
+            block(cand)
             for idx in member_of[cand]:
                 inflow[idx] += 1
             found = search(False)
             if found is not None:
                 return found
             solution.pop()
-            in_solution.discard(cand)
             for idx in member_of[cand]:
                 inflow[idx] -= 1
+            # cand stays blocked: excluded, together with its free twins
+            excluded.append(cand)
+            for twin in by_signature[member_of[cand]]:
+                if not blocked[twin]:
+                    block(twin)
+                    excluded.append(twin)
+        for cand in excluded:
+            unblock(cand)
         return None
 
     found = search(True)
@@ -405,33 +463,34 @@ def _enumerate_exhaustive(
     truncated = False
 
     def dfs(pos: int) -> None:
+        # recurse on the include branch only and loop over the exclude
+        # branch, so the depth is at most k + 1 whatever m is
         nonlocal truncated
-        if truncated:
-            return
-        if time.monotonic() > deadline:
-            raise SolverTimeout("exhaustive enumeration timed out")
-        if len(chosen) == graph.k:
-            if all(inflow[i] >= graph.bounds[i] for i in range(n_constraints)):
-                if len(results) >= config.max_committees:
-                    truncated = True
-                    return
-                results.append(tuple(sorted(chosen)))
-            return
-        if len(chosen) + (graph.m - pos) < graph.k:
-            return
-        for i in range(n_constraints):
-            if inflow[i] + suffix_counts[i][pos] < graph.bounds[i]:
+        while not truncated:
+            if time.monotonic() > deadline:
+                raise SolverTimeout("exhaustive enumeration timed out")
+            if len(chosen) == graph.k:
+                if all(inflow[i] >= graph.bounds[i] for i in range(n_constraints)):
+                    if len(results) >= config.max_committees:
+                        truncated = True
+                        return
+                    results.append(tuple(sorted(chosen)))
                 return
-        cand = order[pos]
-        chosen.append(cand)
-        touched = [i for i in range(n_constraints) if cand in graph.domains[i]]
-        for i in touched:
-            inflow[i] += 1
-        dfs(pos + 1)
-        chosen.pop()
-        for i in touched:
-            inflow[i] -= 1
-        dfs(pos + 1)
+            if len(chosen) + (graph.m - pos) < graph.k:
+                return
+            for i in range(n_constraints):
+                if inflow[i] + suffix_counts[i][pos] < graph.bounds[i]:
+                    return
+            cand = order[pos]
+            chosen.append(cand)
+            touched = [i for i in range(n_constraints) if cand in graph.domains[i]]
+            for i in touched:
+                inflow[i] += 1
+            dfs(pos + 1)
+            chosen.pop()
+            for i in touched:
+                inflow[i] -= 1
+            pos += 1
 
     try:
         dfs(0)

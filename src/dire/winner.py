@@ -17,7 +17,14 @@ from math import comb
 
 from dire.constraints import DiReInstance, InstanceError, satisfies
 from dire.profiles import Committee
-from dire.rules import DEFAULT_ORACLE_CAP, borda_vector, candidate_score, score_committee, unconstrained_winner
+from dire.rules import (
+    DEFAULT_ORACLE_CAP,
+    borda_vector,
+    candidate_score,
+    candidate_scores,
+    score_committee,
+    unconstrained_winner,
+)
 from dire.solver import SolverConfig, solve_feasibility
 
 STATUS_OPTIMAL = "optimal"
@@ -200,34 +207,41 @@ def _population_covers(instance: DiReInstance) -> list[frozenset[int]]:
              for label, _ in attr.groups)]
 
 
-def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
-    """Drop candidates whose covered populations are a subset of another's.
+def _padding_scores(instance: DiReInstance) -> list[int]:
+    """The rule's own candidate scores when separable, Borda scores otherwise."""
+    vector = instance.rule.vector(instance.m) if instance.rule.separable else borda_vector(instance.m)
+    return candidate_scores(instance.profile, vector)
 
-    Candidate y is dominated by x when every winning committee containing y
-    also contains x; among candidates covering identical population sets,
-    only the earliest in the tie-break order survives.  Pruning preserves
-    the feasibility verdict.
+
+def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
+    """Drop candidates that another candidate beats on cover and on score.
+
+    Candidate x dominates y when the populations whose winning committees
+    contain y are a subset of those containing x and score(x) >= score(y);
+    candidates equal on both count x as dominating y when x comes first in
+    the tie-break order.  Candidates that cover no population never enter
+    a hitting set and are dropped too.  Swapping a dominated member for an
+    undominated dominator keeps every population hit and never lowers a
+    separable score, so pruning preserves the feasibility verdict and the
+    optimum of :func:`fpt_report`.
     """
     populations = _population_covers(instance)
     cover = {
         c: frozenset(i for i, wc in enumerate(populations) if c in wc)
         for c in range(instance.m)
     }
-    survivors = []
-    for y in range(instance.m):
-        dominated = False
-        for x in range(instance.m):
-            if x == y:
-                continue
-            if cover[y] < cover[x]:
-                dominated = True
-                break
-            if cover[y] == cover[x] and instance.profile.priority_key(x) < instance.profile.priority_key(y):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(y)
-    return survivors
+    scores = _padding_scores(instance)
+    key = instance.profile.priority_key
+
+    def dominates(x: int, y: int) -> bool:
+        if not (cover[y] <= cover[x] and scores[x] >= scores[y]):
+            return False
+        return cover[y] < cover[x] or scores[x] > scores[y] or key(x) < key(y)
+
+    return [
+        y for y in range(instance.m)
+        if cover[y] and not any(dominates(x, y) for x in range(instance.m) if x != y)
+    ]
 
 
 def fpt_rep_solver(
@@ -266,9 +280,7 @@ def fpt_rep_solver(
 
     branch(frozenset())
 
-    # pad by the rule's own vector when separable, Borda satisfaction otherwise
-    vector = instance.rule.vector(instance.m) if instance.rule.separable else borda_vector(instance.m)
-    scores = [candidate_score(instance.profile, vector, c) for c in range(instance.m)]
+    scores = _padding_scores(instance)
     committees: set[tuple[int, ...]] = set()
     for hit in hitting_sets:
         rest = sorted(

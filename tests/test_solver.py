@@ -1,9 +1,13 @@
 import itertools
+import random
+import time
 
 import pytest
 
+from dire import solver
 from dire.constraints import Attribute, AttributeScheme, make_instance, satisfies
 from dire.profiles import make_profile
+from dire.reductions import InputGraph, min_vertex_cover_size, reduce_vc_representation
 from dire.solver import (
     DiReGraph,
     SolverConfig,
@@ -16,8 +20,11 @@ from dire.solver import (
     pairwise_feasible,
     preprocess,
     solve_feasibility,
+    SolverTimeout,
     _mfc_order,
+    _pad_solution,
 )
+from dire.synth import gen_syndata
 from conftest import random_instance
 
 
@@ -40,7 +47,7 @@ def graph_from_spec(k, m, domains, bounds):
         domains=[frozenset(d) for d in domains],
         bounds=list(bounds),
         priority=tuple(range(m)),
-        scores=tuple(0 for _ in range(m)),
+        score_fn=lambda: [0] * m,
     )
 
 
@@ -285,3 +292,175 @@ def test_config_validation():
         SolverConfig(timeout=0)
     with pytest.raises(SolverError):
         SolverConfig(max_committees=0)
+
+
+# --- reference search: plain backtracking and recursive enumeration, kept
+# --- test-only so the pruned search can be checked against them
+
+def reference_backtrack(graph, config=None, rotation=0, deadline=None):
+    """Backtracking without sibling exclusion, symmetry or lookahead."""
+    config = config or SolverConfig()
+    if deadline is None:
+        deadline = time.monotonic() + config.timeout
+    rng = random.Random(config.seed) if config.seed is not None else None
+    rank_of = {c: idx for idx, c in enumerate(_mfc_order(graph, rng))}
+    n_constraints = len(graph.domains)
+    inflow = [0] * n_constraints
+    member_of = [[i for i in range(n_constraints) if c in graph.domains[i]] for c in range(graph.m)]
+    solution = []
+
+    def select_variable():
+        best, best_ratio, ties = None, None, []
+        for idx in range(n_constraints):
+            missing = graph.bounds[idx] - inflow[idx]
+            if missing <= 0:
+                continue
+            value = len(graph.domains[idx]) / missing
+            if best_ratio is None or value < best_ratio:
+                best_ratio, best, ties = value, idx, [idx]
+            elif value == best_ratio:
+                ties.append(idx)
+        if rng is not None and len(ties) > 1:
+            return rng.choice(ties)
+        return best
+
+    def search(at_root):
+        if time.monotonic() > deadline:
+            raise SolverTimeout("backtracking timed out")
+        variable = select_variable()
+        if variable is None:
+            return list(solution)
+        cands = sorted(graph.domains[variable], key=lambda c: rank_of[c])
+        if at_root and rotation and cands:
+            r = rotation % len(cands)
+            cands = cands[r:] + cands[:r]
+        for cand in cands:
+            if cand in solution or len(solution) + 1 > graph.k:
+                continue
+            solution.append(cand)
+            for idx in member_of[cand]:
+                inflow[idx] += 1
+            found = search(False)
+            if found is not None:
+                return found
+            solution.pop()
+            for idx in member_of[cand]:
+                inflow[idx] -= 1
+        return None
+
+    found = search(True)
+    return None if found is None else _pad_solution(graph, found)
+
+
+def reference_exhaustive(graph, config, deadline):
+    """Include/exclude DFS recursing on both branches (depth up to m)."""
+    order = _mfc_order(graph, None)
+    n_constraints = len(graph.domains)
+    results, inflow, chosen = [], [0] * n_constraints, []
+
+    def dfs(pos):
+        if len(chosen) == graph.k:
+            if all(inflow[i] >= graph.bounds[i] for i in range(n_constraints)):
+                results.append(tuple(sorted(chosen)))
+            return
+        if len(chosen) + (graph.m - pos) < graph.k:
+            return
+        rest = order[pos:]
+        for i in range(n_constraints):
+            if inflow[i] + sum(1 for c in rest if c in graph.domains[i]) < graph.bounds[i]:
+                return
+        cand = order[pos]
+        touched = [i for i in range(n_constraints) if cand in graph.domains[i]]
+        chosen.append(cand)
+        for i in touched:
+            inflow[i] += 1
+        dfs(pos + 1)
+        chosen.pop()
+        for i in touched:
+            inflow[i] -= 1
+        dfs(pos + 1)
+
+    dfs(0)
+    assert len(results) <= config.max_committees
+    return results, False, False
+
+
+def random_cubic_graph(vertices, seed):
+    """Seeded simple 3-regular graph from the pairing model (stdlib only)."""
+    rng = random.Random(seed)
+    points = [v for v in range(vertices) for _ in range(3)]
+    while True:
+        rng.shuffle(points)
+        edges = {tuple(sorted(pair)) for pair in zip(points[::2], points[1::2])}
+        if len(edges) == len(points) // 2 and all(u != v for u, v in edges):
+            return InputGraph(vertices, sorted(edges))
+
+
+def equivalence_instances():
+    """(instance, whether to compare exhaustive mode too) pairs."""
+    for seed in range(60):
+        yield random_instance(seed), True
+    for seed in range(12):
+        rng = random.Random(seed)
+        yield gen_syndata("syn1", mu=rng.randint(0, 3), pi=rng.randint(0, 3), seed=seed,
+                          m=14, n=12, k=rng.randint(3, 5)), True
+    for vertices, seed in ((6, 0), (6, 1), (8, 0), (8, 1)):
+        graph = random_cubic_graph(vertices, seed)
+        cover = min_vertex_cover_size(graph)
+        for k in (cover - 1, cover, cover + 1):
+            # the feasible sets of the V=8 reductions are too large to enumerate here
+            yield reduce_vc_representation(graph, 1, k).instance, vertices == 6
+
+
+def outcome(result):
+    return result.committees, result.proven_infeasible, result.complete, result.timed_out
+
+
+def test_pruned_search_matches_reference_search(monkeypatch):
+    cases = list(equivalence_instances())
+    modes = [(SolverConfig(timeout=60, max_committees=1), False),
+             (SolverConfig(timeout=60), False),
+             (SolverConfig(timeout=60), True)]
+
+    def outcomes(instance, with_exhaustive):
+        return [outcome(solve_feasibility(instance, config, exhaustive=ex))
+                for config, ex in modes if with_exhaustive or not ex]
+
+    pruned = [outcomes(*case) for case in cases]
+    monkeypatch.setattr(solver, "heuristic_backtrack", reference_backtrack)
+    monkeypatch.setattr(solver, "_enumerate_exhaustive", reference_exhaustive)
+    verdicts = set()
+    for case, got in zip(cases, pruned):
+        expected = outcomes(*case)
+        assert got == expected
+        verdicts.add(expected[0][1])
+    assert verdicts == {False, True}  # both feasible and infeasible instances covered
+
+
+def test_vc_rep_infeasibility_proof_is_fast():
+    # the plain search needs about 11 s on this instance
+    graph = random_cubic_graph(14, 0)
+    cover = min_vertex_cover_size(graph)
+    instance = reduce_vc_representation(graph, 1, cover - 1).instance
+    result = solve_feasibility(instance, SolverConfig(timeout=5, max_committees=1))
+    assert result.proven_infeasible
+    assert not result.timed_out
+
+
+def test_seeded_search_is_sound_and_deterministic():
+    for seed in range(30):
+        instance = random_instance(seed)
+        expected = set(brute_force_feasible_set(instance))
+        for rng_seed in (1, 7):
+            config = SolverConfig(timeout=30, seed=rng_seed)
+            first = solve_feasibility(instance, config)
+            assert outcome(first) == outcome(solve_feasibility(instance, config))
+            assert set(first.committees) <= expected
+            assert first.proven_infeasible == (not expected)
+
+
+def test_exhaustive_depth_does_not_grow_with_m():
+    instance = gen_syndata("syn1", mu=0, pi=0, m=1500, n=5, k=1)
+    result = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
+    assert result.committees == tuple((c,) for c in range(1500))
+    assert result.complete

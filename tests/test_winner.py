@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dire.constraints import Attribute, AttributeScheme, make_instance, satisfies
@@ -235,6 +237,31 @@ def test_fpt_report_best_committee():
     assert report.status == "optimal"  # kborda is separable
     oracle = brute_force_oracle(instance)
     assert report.score == oracle.score
+
+
+def test_fpt_report_score_matches_oracle():
+    # two populations of four voters; equal-cover candidates differ in score
+    scheme = AttributeScheme(voter_attributes=(Attribute("B", {"p0": [0, 1, 2, 3], "p1": [4, 5, 6, 7]}),))
+    for seed in range(300):
+        rng = random.Random(seed)
+        profile = make_profile(6, [rng.sample(range(6), 6) for _ in range(8)])
+        instance = make_instance(profile, scheme, k=2, rule=kborda(),
+                                 representation_bounds={("B", "p0"): 1, ("B", "p1"): 1})
+        report, oracle = fpt_report(instance), brute_force_oracle(instance)
+        assert report.status == oracle.status, f"seed {seed}"
+        assert report.score == oracle.score, f"seed {seed}"
+
+
+def test_dominance_prefers_the_higher_score():
+    # 1 and 3 cover the same population; 3 outscores 1 but comes later in priority
+    profile = make_profile(4, [[3, 1, 0, 2], [3, 1, 2, 0]], priority=[1, 3, 0, 2])
+    instance = make_instance(
+        profile,
+        AttributeScheme(voter_attributes=(Attribute("B", {"p0": [0, 1]}),)),
+        k=2,
+        representation_bounds={("B", "p0"): 1},
+    )
+    assert dominated_candidate_pruning(instance) == [3]
 
 
 def test_best_committee_tie_breaks_lexicographically():
