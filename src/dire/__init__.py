@@ -37,7 +37,6 @@ from dire.solver import (
     DiReGraph,
     SolverConfig,
     build_diregraph,
-    components,
     domain_reduce,
     enumerate_feasible,
     heuristic_backtrack,
@@ -64,7 +63,6 @@ __all__ = [
     "brute_force_oracle",
     "build_diregraph",
     "candidate_score",
-    "components",
     "domain_reduce",
     "enumerate_feasible",
     "fpt_rep_solver",

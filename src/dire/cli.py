@@ -190,6 +190,9 @@ def _cmd_feasible(args) -> int:
     result = solve_feasibility(instance, _solver_config(args), exhaustive=args.exhaustive)
     if result.proven_infeasible:
         print("INFEASIBLE")
+        prep = result.preprocessing
+        reason = prep.reason if not prep.feasible else "search space exhausted"
+        print(f"reason: {reason}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if result.timed_out and not result.committees:
         print("TIMEOUT")

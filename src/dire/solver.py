@@ -1,19 +1,20 @@
 """Two-stage feasibility solver over the four-level constraint graph.
 
-Stage one (preprocessing) checks every pair of unary constraints with a
-necessary packing condition and prunes candidate domains that provably
-cannot appear in a feasible committee.  Stage two is depth-first
-backtracking that repeatedly picks the tightest unsatisfied constraint
-(fewest remaining values per missing seat) and tries its candidates in
-order of how many constraints they touch.  A failed branch proves that no
-feasible committee extends it, so the search excludes that candidate, and
-every candidate with the same constraint signature, from the sibling
-branches that follow; a seat and availability lookahead fails a node as
-soon as some unmet bound can no longer be reached.  These cuts remove only
-subtrees without a solution, so unseeded runs return exactly the committees
-of plain backtracking.  Restarting with a rotated root ordering harvests
-multiple feasible committees; a separate exhaustive mode enumerates the
-complete feasible set for oracle-scale instances.
+Stage one (preprocessing) checks every ordered pair of unary constraints
+with a necessary packing condition and prunes the candidates of each domain
+that cannot appear in a committee meeting both bounds, to a fixpoint.  The
+pruning is a closed form, exact for every pair and never skipped.  Stage two
+is depth-first backtracking that repeatedly picks the tightest unsatisfied
+constraint (fewest remaining values per missing seat) and tries its
+candidates in order of how many constraints they touch.  A failed branch
+proves that no feasible committee extends it, so the search excludes that
+candidate, and every candidate with the same constraint signature, from the
+sibling branches that follow; a seat and availability lookahead fails a node
+as soon as some unmet bound can no longer be reached.  These cuts remove
+only subtrees without a solution, so unseeded runs return exactly the
+committees of plain backtracking.  Restarting with a rotated root ordering
+harvests multiple feasible committees; a separate exhaustive mode
+enumerates the complete feasible set for oracle-scale instances.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from math import comb
 from typing import Callable, Iterable, Sequence
 
 from dire.constraints import DiReInstance, satisfies
@@ -81,23 +82,28 @@ class SolverConfig:
     """Knobs for one solver run.
 
     ``timeout`` is wall-clock seconds (the experiments' default budget).
-    ``domain_reduce_combo_cap`` bounds the subset pairs examined per
-    (candidate, constraint-pair) during domain reduction; over the cap the
-    reduction for that candidate is skipped, which is sound because
-    reduction only accelerates the search.  ``seed`` switches heuristic
-    tie-breaking from deterministic order to seeded randomization.
+    ``max_committees`` caps the committees one enumeration collects.
+    ``seed`` switches heuristic tie-breaking from deterministic order to
+    seeded randomization.
     """
 
     timeout: float = 2000.0
     max_committees: int = 100_000
-    domain_reduce_combo_cap: int = 100_000
     seed: int | None = None
 
     def __post_init__(self):
         if self.timeout <= 0:
             raise SolverError("timeout must be positive")
-        if self.max_committees < 1 or self.domain_reduce_combo_cap < 1:
-            raise SolverError("caps must be >= 1")
+        if self.max_committees < 1:
+            raise SolverError("max_committees must be >= 1")
+
+
+def padding_vector(instance: DiReInstance) -> tuple[int, ...]:
+    """The scoring vector that ranks candidates for padding and picking:
+    the rule's own when it is separable, Borda otherwise."""
+    if instance.rule.separable:
+        return instance.rule.vector(instance.m)
+    return borda_vector(instance.m)
 
 
 def build_diregraph(instance: DiReInstance) -> DiReGraph:
@@ -105,10 +111,6 @@ def build_diregraph(instance: DiReInstance) -> DiReGraph:
     and per population (domain = winning committee, bound = representation
     bound)."""
     constraints = instance.constraints()
-    if instance.rule.separable:
-        vector = instance.rule.vector(instance.m)
-    else:
-        vector = borda_vector(instance.m)
     return DiReGraph(
         k=instance.k,
         m=instance.m,
@@ -116,37 +118,8 @@ def build_diregraph(instance: DiReInstance) -> DiReGraph:
         domains=[frozenset(c.domain) for c in constraints],
         bounds=[c.bound for c in constraints],
         priority=instance.profile.priority,
-        score_fn=partial(candidate_scores, instance.profile, vector),
+        score_fn=partial(candidate_scores, instance.profile, padding_vector(instance)),
     )
-
-
-Node = tuple[str, int]  # ("B", candidate id) or ("C", constraint index)
-
-
-def components(graph: DiReGraph) -> list[frozenset[Node]]:
-    """Connected components of the undirected bipartite subgraph on levels B and C."""
-    adjacency: dict[Node, set[Node]] = {("B", c): set() for c in range(graph.m)}
-    for idx, domain in enumerate(graph.domains):
-        node = ("C", idx)
-        adjacency[node] = set()
-        for cand in domain:
-            adjacency[node].add(("B", cand))
-            adjacency[("B", cand)].add(node)
-    seen: set[Node] = set()
-    result = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(adjacency[node] - comp)
-        seen |= comp
-        result.append(frozenset(comp))
-    return result
 
 
 def pairwise_feasible(graph: DiReGraph, i: int, j: int) -> bool:
@@ -162,51 +135,40 @@ def pairwise_feasible(graph: DiReGraph, i: int, j: int) -> bool:
     return overlap >= graph.bounds[i] + graph.bounds[j] - graph.k
 
 
-def domain_reduce(
-    graph: DiReGraph, i: int, j: int, config: SolverConfig
-) -> tuple[bool, list[tuple[str, int]]]:
+def domain_reduce(graph: DiReGraph, i: int, j: int) -> bool:
     """Drop candidates of D_i that cannot co-exist with constraint j.
 
-    A candidate d survives iff some S_i-sized subset of D_i containing d and
-    some S_j-sized subset of D_j jointly fit in k seats.  Candidates whose
-    combination count exceeds the config cap are skipped (recorded, not
-    reduced).  Returns (domain changed, skip events).
+    A candidate d survives iff some S_i-subset A of D_i containing d and
+    some S_j-subset B of D_j fit in k seats together.  As
+    |A | B| = S_i + S_j - |A & B|, that holds iff S_i + S_j - t <= k, where
+    t is the largest overlap possible once d is in A: min(S_i, S_j, |I|)
+    for d in I = D_i & D_j and min(S_i - 1, S_j, |I|) otherwise.  The test
+    is exact for every pair and costs O(|D_i|); it keeps all of D_i, keeps
+    I, or keeps nothing.  A domain too small for its own bound, or a D_j
+    too small for S_j, empties D_i.  Returns whether D_i was changed.
     """
     d_i, d_j = graph.domains[i], graph.domains[j]
     s_i, s_j = graph.bounds[i], graph.bounds[j]
-    skips: list[tuple[str, int]] = []
     if s_i > len(d_i) or s_j > len(d_j):
         # The domain cannot meet its own bound; empty it to signal infeasibility.
         graph.domains[i] = frozenset()
-        return True, skips
+        return True
 
-    survivors = set()
-    members_i = sorted(d_i)
-    subsets_j = None
-    for d in members_i:
-        combos = comb(len(d_i) - 1, s_i - 1) * comb(len(d_j), s_j)
-        if combos > config.domain_reduce_combo_cap:
-            skips.append((graph.keys[i], d))
-            survivors.add(d)
-            continue
-        if subsets_j is None:
-            subsets_j = [frozenset(b) for b in itertools.combinations(sorted(d_j), s_j)]
-        rest = [c for c in members_i if c != d]
-        found = False
-        for a_rest in itertools.combinations(rest, s_i - 1):
-            a = frozenset(a_rest) | {d}
-            for b in subsets_j:
-                if len(a | b) <= graph.k:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            survivors.add(d)
-    changed = len(survivors) != len(d_i)
-    if changed:
-        graph.domains[i] = frozenset(survivors)
-    return changed, skips
+    shared = d_i & d_j
+
+    def fits(overlap_cap: int) -> bool:
+        return s_i + s_j - min(overlap_cap, s_j, len(shared)) <= graph.k
+
+    if fits(s_i - 1):
+        survivors = d_i
+    elif fits(s_i):
+        survivors = shared
+    else:
+        survivors = frozenset()
+    if len(survivors) == len(d_i):
+        return False
+    graph.domains[i] = survivors
+    return True
 
 
 @dataclass
@@ -216,65 +178,44 @@ class PreprocessResult:
     pruned_pairs: list[tuple[str, str]] = field(default_factory=list)
     emptied_domains: list[str] = field(default_factory=list)
     reductions: list[tuple[str, int]] = field(default_factory=list)  # (key, removed count)
-    skips: list[tuple[str, int]] = field(default_factory=list)
 
 
-def preprocess(graph: DiReGraph, config: SolverConfig | None = None,
-               deadline: float | None = None) -> PreprocessResult:
-    """Run inter-component pairwise checks, then the intra-component
-    reduction queue, mutating the graph's domains in place."""
-    config = config or SolverConfig()
+def preprocess(graph: DiReGraph, deadline: float | None = None) -> PreprocessResult:
+    """Run the pairwise check and domain reduction over every ordered pair
+    of constraints to a fixpoint, mutating the graph's domains in place.
+
+    A pair first gets :func:`pairwise_feasible`, so an infeasibility verdict
+    names the conflicting pair, then :func:`domain_reduce`.  When D_i
+    shrinks against j, every pair (x, i) with x != j is queued again; a
+    narrowed D_i keeps all of D_i & D_j, so (j, i) cannot change.
+    Reduction is exact per pair, never skipped, and monotone, so the
+    domains a feasible run ends with do not depend on the pair order.
+    """
     result = PreprocessResult(feasible=True)
-    n_constraints = len(graph.domains)
-    if n_constraints == 0:
-        return result
-
-    comp_of = {}
-    for comp_idx, comp in enumerate(components(graph)):
-        for kind, ident in comp:
-            if kind == "C":
-                comp_of[ident] = comp_idx
-
-    for i, j in itertools.combinations(range(n_constraints), 2):
-        if comp_of[i] != comp_of[j] and not pairwise_feasible(graph, i, j):
+    queue = deque(itertools.permutations(range(len(graph.domains)), 2))
+    queued = set(queue)
+    while queue:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout("preprocessing timed out")
+        i, j = queue.popleft()
+        queued.discard((i, j))
+        if not pairwise_feasible(graph, i, j):
             result.feasible = False
             result.reason = f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
             result.pruned_pairs.append((graph.keys[i], graph.keys[j]))
             return result
-
-    by_component: dict[int, list[int]] = {}
-    for idx in range(n_constraints):
-        by_component.setdefault(comp_of[idx], []).append(idx)
-
-    for members in by_component.values():
-        if len(members) < 2:
-            continue
-        queue = list(itertools.permutations(members, 2))
-        queued = set(queue)
-        while queue:
-            if deadline is not None and time.monotonic() > deadline:
-                raise SolverTimeout("preprocessing timed out")
-            i, j = queue.pop(0)
-            queued.discard((i, j))
-            if not pairwise_feasible(graph, i, j):
+        before = len(graph.domains[i])
+        if domain_reduce(graph, i, j):
+            result.reductions.append((graph.keys[i], before - len(graph.domains[i])))
+            if not graph.domains[i]:
                 result.feasible = False
-                result.reason = f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
-                result.pruned_pairs.append((graph.keys[i], graph.keys[j]))
+                result.reason = f"domain emptied: {graph.keys[i]}"
+                result.emptied_domains.append(graph.keys[i])
                 return result
-            before = len(graph.domains[i])
-            changed, skips = domain_reduce(graph, i, j, config)
-            result.skips.extend(skips)
-            if changed:
-                result.reductions.append((graph.keys[i], before - len(graph.domains[i])))
-                if not graph.domains[i]:
-                    result.feasible = False
-                    result.reason = f"domain emptied: {graph.keys[i]}"
-                    result.emptied_domains.append(graph.keys[i])
-                    return result
-                for x in members:
-                    if x not in (i, j) and (x, i) not in queued:
-                        queue.append((x, i))
-                        queued.add((x, i))
+            for x in range(len(graph.domains)):
+                if x not in (i, j) and (x, i) not in queued:
+                    queue.append((x, i))
+                    queued.add((x, i))
     return result
 
 
@@ -573,7 +514,7 @@ def solve_feasibility(
     deadline = start + config.timeout
     graph = build_diregraph(instance)
     try:
-        prep = preprocess(graph, config, deadline)
+        prep = preprocess(graph, deadline)
     except SolverTimeout:
         return FeasibilityResult((), False, True, False,
                                  PreprocessResult(feasible=True, reason="timeout"),

@@ -17,15 +17,8 @@ from math import comb
 
 from dire.constraints import DiReInstance, InstanceError, satisfies
 from dire.profiles import Committee
-from dire.rules import (
-    DEFAULT_ORACLE_CAP,
-    borda_vector,
-    candidate_score,
-    candidate_scores,
-    score_committee,
-    unconstrained_winner,
-)
-from dire.solver import SolverConfig, solve_feasibility
+from dire.rules import DEFAULT_ORACLE_CAP, candidate_scores, score_committee, unconstrained_winner
+from dire.solver import SolverConfig, padding_vector, solve_feasibility
 
 STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "feasible-heuristic"
@@ -173,8 +166,7 @@ def mu1_fast_path(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) 
         raise PreconditionError(f"fast path needs mu=1, pi=0; got mu={instance.mu}, pi={instance.pi}")
     if not instance.rule.separable:
         raise PreconditionError(f"fast path needs a separable rule, got {instance.rule.kind}")
-    vector = instance.rule.vector(instance.m)
-    scores = [candidate_score(instance.profile, vector, c) for c in range(instance.m)]
+    scores = candidate_scores(instance.profile, padding_vector(instance))
     by_desirability = lambda c: (-scores[c], instance.profile.priority_key(c))
 
     attr = instance.scheme.candidate_attributes[0]
@@ -207,12 +199,6 @@ def _population_covers(instance: DiReInstance) -> list[frozenset[int]]:
              for label, _ in attr.groups)]
 
 
-def _padding_scores(instance: DiReInstance) -> list[int]:
-    """The rule's own candidate scores when separable, Borda scores otherwise."""
-    vector = instance.rule.vector(instance.m) if instance.rule.separable else borda_vector(instance.m)
-    return candidate_scores(instance.profile, vector)
-
-
 def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
     """Drop candidates that another candidate beats on cover and on score.
 
@@ -230,7 +216,7 @@ def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
         c: frozenset(i for i, wc in enumerate(populations) if c in wc)
         for c in range(instance.m)
     }
-    scores = _padding_scores(instance)
+    scores = candidate_scores(instance.profile, padding_vector(instance))
     key = instance.profile.priority_key
 
     def dominates(x: int, y: int) -> bool:
@@ -280,7 +266,7 @@ def fpt_rep_solver(
 
     branch(frozenset())
 
-    scores = _padding_scores(instance)
+    scores = candidate_scores(instance.profile, padding_vector(instance))
     committees: set[tuple[int, ...]] = set()
     for hit in hitting_sets:
         rest = sorted(

@@ -116,7 +116,7 @@ def test_criterion_4_pruning_and_reduction_soundness():
         instance = random_instance(seed=40_000 + i)
         expected = _brute_feasible_set(instance)
         graph = build_diregraph(instance)
-        prep = preprocess(graph, SolverConfig(timeout=60))
+        prep = preprocess(graph)
         if not prep.feasible:
             prunes += 1
             assert expected == [], f"seed {40_000 + i}: prune on feasible instance"

@@ -168,8 +168,22 @@ def test_cli_infeasible_exit_code(tmp_path, capsys):
     path = tmp_path / "packed.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["feasible", str(path)]) == 2
-    assert "INFEASIBLE" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == "INFEASIBLE\n"
+    assert captured.err == "reason: pairwise infeasible: D:gender:male vs D:gender:female\n"
     assert main(["solve", str(path)]) == 2
+
+
+def test_cli_infeasible_by_search_names_no_pair(tmp_path, capsys):
+    # K4 needs a cover of 3; every pair of edges passes preprocessing at k=2
+    k4 = InputGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    path = tmp_path / "k4.json"
+    path.write_text(fileio.dumps_instance(reduce_vc_representation(k4, 1, 2).instance),
+                    encoding="utf-8")
+    assert main(["feasible", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "INFEASIBLE\n"
+    assert captured.err == "reason: search space exhausted\n"
 
 
 def test_cli_timeout_exit_code(example1_path, capsys):

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import random
 import time
 
 import pytest
 
+import dire
 from dire import solver
 from dire.constraints import Attribute, AttributeScheme, make_instance, satisfies
 from dire.profiles import make_profile
@@ -13,7 +15,6 @@ from dire.solver import (
     SolverConfig,
     SolverError,
     build_diregraph,
-    components,
     domain_reduce,
     enumerate_feasible,
     heuristic_backtrack,
@@ -64,26 +65,6 @@ def test_build_diregraph_no_constraints():
     instance = make_instance(profile, AttributeScheme(), k=2)
     graph = build_diregraph(instance)
     assert graph.domains == []
-    assert len(components(graph)) == 3  # each candidate is its own component
-
-
-def test_components_single_component(example1):
-    comps = components(build_diregraph(example1))
-    assert len(comps) == 1
-    assert len(comps[0]) == 8  # 4 candidates + 4 constraints
-
-
-def test_components_disjoint_halves():
-    profile = make_profile(4, [[0, 1, 2, 3]])
-    scheme = AttributeScheme(
-        candidate_attributes=(Attribute("A", {"low": [0, 1], "high": [2, 3]}),)
-    )
-    instance = make_instance(
-        profile, scheme, k=2, diversity_bounds={("A", "low"): 1, ("A", "high"): 1}
-    )
-    comps = components(build_diregraph(instance))
-    assert len(comps) == 2
-    assert sorted(len(c) for c in comps) == [3, 3]
 
 
 def test_pairwise_feasible_formula():
@@ -103,17 +84,16 @@ def test_pairwise_feasible_needs_distinct_constraints():
 
 def test_domain_reduce_noop_on_example1(example1):
     graph = build_diregraph(example1)
-    config = SolverConfig()
     before = [set(d) for d in graph.domains]
     for i, j in itertools.permutations(range(4), 2):
-        domain_reduce(graph, i, j, config)
+        domain_reduce(graph, i, j)
     assert [set(d) for d in graph.domains] == before
 
 
 def test_domain_reduce_empties_overpacked_domain():
     # any 2-subset of D_0 plus {2} needs 3 seats but k=2
     graph = graph_from_spec(2, 3, [{0, 1}, {2}], [2, 1])
-    changed, _ = domain_reduce(graph, 0, 1, SolverConfig())
+    changed = domain_reduce(graph, 0, 1)
     assert changed
     assert graph.domains[0] == frozenset()
 
@@ -122,19 +102,19 @@ def test_domain_reduce_unit_bound_specialization():
     # d=0 can only pair with {3}; {0, 3} needs 2 seats and k=2, so 0 stays;
     # with k=1 nothing coexists and the domain empties
     graph = graph_from_spec(2, 4, [{0, 1}, {3}], [1, 1])
-    changed, _ = domain_reduce(graph, 0, 1, SolverConfig())
+    changed = domain_reduce(graph, 0, 1)
     assert not changed
     graph = graph_from_spec(1, 4, [{0, 1}, {3}], [1, 1])
-    changed, _ = domain_reduce(graph, 0, 1, SolverConfig())
+    changed = domain_reduce(graph, 0, 1)
     assert changed and graph.domains[0] == frozenset()
 
 
-def test_domain_reduce_combo_cap_skips():
-    graph = graph_from_spec(2, 8, [set(range(6)), {6, 7}], [2, 1])
-    config = SolverConfig(domain_reduce_combo_cap=1)
-    changed, skips = domain_reduce(graph, 0, 1, config)
-    assert not changed  # every candidate skipped, nothing removed
-    assert len(skips) == 6
+def test_domain_reduce_is_never_skipped_on_large_domains():
+    # C(29, 5) * C(16, 6) subset pairs per candidate: over the old
+    # enumeration cap, which kept all 30 candidates; only 0..5 fit
+    graph = graph_from_spec(6, 40, [set(range(30)), set(range(6)) | set(range(30, 40))], [6, 6])
+    assert domain_reduce(graph, 0, 1)
+    assert graph.domains[0] == frozenset(range(6))
 
 
 def test_mfc_order_example1(example1):
@@ -213,14 +193,14 @@ def test_preprocess_prunes_cross_component_conflict():
         profile, scheme, k=3, diversity_bounds={("A", "g1"): 2, ("A", "g2"): 2}
     )
     graph = build_diregraph(instance)
-    result = preprocess(graph, SolverConfig(timeout=10))
+    result = preprocess(graph)
     assert not result.feasible
     assert result.pruned_pairs
 
 
 def test_preprocess_example1_no_changes(example1):
     graph = build_diregraph(example1)
-    result = preprocess(graph, SolverConfig(timeout=10))
+    result = preprocess(graph)
     assert result.feasible
     assert result.reductions == []
 
@@ -251,7 +231,7 @@ def test_pruning_soundness_on_random_instances():
     for seed in range(120):
         instance = random_instance(seed)
         graph = build_diregraph(instance)
-        result = preprocess(graph, SolverConfig(timeout=30))
+        result = preprocess(graph)
         if not result.feasible:
             pruned += 1
             assert brute_force_feasible_set(instance) == []
@@ -263,7 +243,7 @@ def test_domain_reduction_preserves_feasible_set():
         instance = random_instance(seed)
         expected = brute_force_feasible_set(instance)
         graph = build_diregraph(instance)
-        prep = preprocess(graph, SolverConfig(timeout=30))
+        prep = preprocess(graph)
         if not prep.feasible:
             assert expected == []
             continue
@@ -292,6 +272,13 @@ def test_config_validation():
         SolverConfig(timeout=0)
     with pytest.raises(SolverError):
         SolverConfig(max_committees=0)
+
+
+def test_public_surface_resolves():
+    for name in dire.__all__:
+        assert getattr(dire, name, None) is not None, name
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert fields == ["timeout", "max_committees", "seed"]
 
 
 # --- reference search: plain backtracking and recursive enumeration, kept
@@ -464,3 +451,161 @@ def test_exhaustive_depth_does_not_grow_with_m():
     result = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
     assert result.committees == tuple((c,) for c in range(1500))
     assert result.complete
+
+
+# --- reference preprocessing: the enumerating domain reduction (uncapped)
+# --- and the component-split fixpoint, kept test-only so the closed form
+# --- and the all-pairs queue can be checked against them
+
+def reference_domain_reduce(graph, i, j):
+    """Keep d in D_i iff some S_i-subset of D_i with d and some S_j-subset of
+    D_j fit in k seats together, found by enumerating the subset pairs."""
+    d_i, d_j = graph.domains[i], graph.domains[j]
+    s_i, s_j = graph.bounds[i], graph.bounds[j]
+    if s_i > len(d_i) or s_j > len(d_j):
+        graph.domains[i] = frozenset()
+        return True
+    subsets_j = [frozenset(b) for b in itertools.combinations(sorted(d_j), s_j)]
+    survivors = set()
+    for d in sorted(d_i):
+        rest = [c for c in sorted(d_i) if c != d]
+        if any(len(frozenset(a) | {d} | b) <= graph.k
+               for a in itertools.combinations(rest, s_i - 1) for b in subsets_j):
+            survivors.add(d)
+    changed = len(survivors) != len(d_i)
+    if changed:
+        graph.domains[i] = frozenset(survivors)
+    return changed
+
+
+def reference_components(graph):
+    """Connected components of the bipartite candidate-constraint graph, as
+    sets of constraint indices."""
+    parent = list(range(graph.m + len(graph.domains)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for idx, domain in enumerate(graph.domains):
+        for cand in domain:
+            parent[find(graph.m + idx)] = find(cand)
+    groups = {}
+    for idx in range(len(graph.domains)):
+        groups.setdefault(find(graph.m + idx), []).append(idx)
+    return list(groups.values())
+
+
+def reference_preprocess(graph, deadline=None):
+    """Pairwise checks across components, then a reduction queue inside each."""
+    result = solver.PreprocessResult(feasible=True)
+    comps = reference_components(graph)
+    comp_of = {idx: n for n, members in enumerate(comps) for idx in members}
+
+    def conflict(i, j):
+        result.feasible = False
+        result.reason = f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
+        result.pruned_pairs.append((graph.keys[i], graph.keys[j]))
+        return result
+
+    for i, j in itertools.combinations(range(len(graph.domains)), 2):
+        if comp_of[i] != comp_of[j] and not pairwise_feasible(graph, i, j):
+            return conflict(i, j)
+    for members in comps:
+        queue = list(itertools.permutations(members, 2))
+        queued = set(queue)
+        while queue:
+            i, j = queue.pop(0)
+            queued.discard((i, j))
+            if not pairwise_feasible(graph, i, j):
+                return conflict(i, j)
+            before = len(graph.domains[i])
+            if reference_domain_reduce(graph, i, j):
+                result.reductions.append((graph.keys[i], before - len(graph.domains[i])))
+                if not graph.domains[i]:
+                    result.feasible = False
+                    result.reason = f"domain emptied: {graph.keys[i]}"
+                    result.emptied_domains.append(graph.keys[i])
+                    return result
+                for x in members:
+                    if x not in (i, j) and (x, i) not in queued:
+                        queue.append((x, i))
+                        queued.add((x, i))
+    return result
+
+
+def random_pair_graph(rng):
+    """Two constraints over at most 12 candidates.  Bounds may exceed the
+    domain or k, S_j is k in a third of the pairs (the case that narrows
+    D_i), and a quarter of the pairs have disjoint domains."""
+    m, k = rng.randint(4, 12), rng.randint(1, 6)
+    d_i = rng.sample(range(m), rng.randint(0, min(m, 7)))
+    pool = [c for c in range(m) if c not in d_i] if rng.random() < 0.25 else range(m)
+    d_j = rng.sample(pool, rng.randint(0, min(len(pool), 7)))
+    s_j = k if rng.random() < 1 / 3 else rng.randint(1, k + 1)
+    return graph_from_spec(k, m, [d_i, d_j], [rng.randint(1, k + 1), s_j])
+
+
+def test_closed_form_matches_enumeration_on_random_pairs():
+    rng = random.Random(2024)
+    kinds = {"kept": 0, "narrowed": 0, "emptied": 0, "overpacked": 0, "disjoint": 0}
+    for _ in range(3000):
+        graph = random_pair_graph(rng)
+        twin = dataclasses.replace(graph, domains=list(graph.domains))
+        d_i, d_j = graph.domains
+        kinds["overpacked"] += graph.bounds[0] > len(d_i) or graph.bounds[1] > len(d_j)
+        kinds["disjoint"] += not (d_i & d_j)
+        changed = domain_reduce(graph, 0, 1)
+        assert changed == reference_domain_reduce(twin, 0, 1)
+        assert graph.domains == twin.domains
+        if not changed:
+            kinds["kept"] += 1
+        else:
+            kinds["narrowed" if graph.domains[0] else "emptied"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def preprocess_instances():
+    for seed in range(300):
+        yield random_instance(10_000 + seed)
+    for seed in range(40):
+        rng = random.Random(seed)
+        yield gen_syndata("syn1", mu=rng.randint(1, 3), pi=rng.randint(0, 3), seed=seed,
+                          m=14, n=12, k=rng.randint(3, 6))
+    for vertices, seed in ((6, 0), (6, 1), (8, 0), (8, 1), (10, 0)):
+        graph = random_cubic_graph(vertices, seed)
+        cover = min_vertex_cover_size(graph)
+        for pi in (1, 2):
+            for k in (cover - 1, cover, cover + 1):
+                yield reduce_vc_representation(graph, pi, k).instance
+
+
+def test_preprocess_matches_component_split_reference():
+    verdicts = {True: 0, False: 0}
+    reduced = 0
+    for instance in preprocess_instances():
+        graph, twin = build_diregraph(instance), build_diregraph(instance)
+        got, expected = preprocess(graph), reference_preprocess(twin)
+        assert got.feasible == expected.feasible
+        verdicts[got.feasible] += 1
+        if got.feasible:
+            assert graph.domains == twin.domains
+            reduced += graph.domains != build_diregraph(instance).domains
+    assert min(verdicts.values()) > 20 and reduced > 5, (verdicts, reduced)
+
+
+def test_solve_feasibility_matches_reference_preprocessing(monkeypatch):
+    cases = list(equivalence_instances())
+    modes = [(SolverConfig(timeout=60, max_committees=1), False),
+             (SolverConfig(timeout=60), False),
+             (SolverConfig(timeout=60), True)]
+
+    def outcomes(instance, with_exhaustive):
+        return [outcome(solve_feasibility(instance, config, exhaustive=ex))
+                for config, ex in modes if with_exhaustive or not ex]
+
+    closed_form = [outcomes(*case) for case in cases]
+    monkeypatch.setattr(solver, "preprocess", reference_preprocess)
+    for case, got in zip(cases, closed_form):
+        assert got == outcomes(*case)
