@@ -190,9 +190,7 @@ def _cmd_feasible(args) -> int:
     result = solve_feasibility(instance, _solver_config(args), exhaustive=args.exhaustive)
     if result.proven_infeasible:
         print("INFEASIBLE")
-        prep = result.preprocessing
-        reason = prep.reason if not prep.feasible else "search space exhausted"
-        print(f"reason: {reason}", file=sys.stderr)
+        print(f"reason: {result.reason}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if result.timed_out and not result.committees:
         print("TIMEOUT")
@@ -209,6 +207,7 @@ def _cmd_solve(args) -> int:
     report = solve_drcwd(instance, _solver_config(args), exhaustive=args.exhaustive)
     if report.status == STATUS_INFEASIBLE:
         print("INFEASIBLE")
+        print(f"reason: {report.reason}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if report.status == STATUS_TIMEOUT:
         print("TIMEOUT")

@@ -9,6 +9,7 @@ falls back to greedy marginal-gain selection above it.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
@@ -26,6 +27,15 @@ DEFAULT_ORACLE_CAP = 2_000_000
 
 class RuleError(ValueError):
     pass
+
+
+class SolverTimeout(Exception):
+    """A search ran past its deadline (a ``time.monotonic()`` value)."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverTimeout("winner search timed out")
 
 
 def borda_vector(m: int) -> tuple[int, ...]:
@@ -222,7 +232,7 @@ def monroe_assign(
     return best, best_total
 
 
-def _greedy_max(profile, rule, k, voters=None):
+def _greedy_max(profile, rule, k, voters=None, deadline=None):
     """Greedy marginal-gain committee for submodular rules, ties by priority."""
     chosen: list[int] = []
     for _ in range(k):
@@ -231,6 +241,7 @@ def _greedy_max(profile, rule, k, voters=None):
         for c in range(profile.m):
             if c in chosen:
                 continue
+            _check_deadline(deadline)
             gain = score_committee(profile, rule, chosen + [c], voters) - current
             if best_gain is None or gain > best_gain:
                 best_gain, best_cands = gain, [c]
@@ -240,9 +251,10 @@ def _greedy_max(profile, rule, k, voters=None):
     return Committee(chosen)
 
 
-def _exhaustive_max(profile, rule, k, voters=None):
+def _exhaustive_max(profile, rule, k, voters=None, deadline=None):
     best_score, best = None, None
     for combo in itertools.combinations(range(profile.m), k):
+        _check_deadline(deadline)
         score = score_committee(profile, rule, combo, voters)
         if best_score is None or score > best_score:
             best_score, best = score, combo
@@ -294,12 +306,14 @@ def unconstrained_winner(
     rule: Rule,
     k: int,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
+    deadline: float | None = None,
 ) -> WinnerResult:
     """Score-maximizing k-committee with no constraints.
 
     Exact for k-Borda (top-k by score).  For Borda-CC and Monroe the search
     is exhaustive up to the cap, greedy beyond it; the mode used is
-    recorded in the result.
+    recorded in the result.  Either search raises :class:`SolverTimeout`
+    once ``deadline`` (a ``time.monotonic()`` value) has passed.
     """
     if not 1 <= k <= profile.m:
         raise RuleError(f"committee size {k} out of range [1, {profile.m}]")
@@ -308,7 +322,7 @@ def unconstrained_winner(
         committee = _topk_by_score(profile, vector, k)
         return WinnerResult(committee, score_committee(profile, rule, committee), "topk")
     if comb(profile.m, k) <= oracle_cap:
-        committee, score = _exhaustive_max(profile, rule, k)
+        committee, score = _exhaustive_max(profile, rule, k, deadline=deadline)
         return WinnerResult(committee, score, "exhaustive")
-    committee = _greedy_max(profile, rule, k)
+    committee = _greedy_max(profile, rule, k, deadline=deadline)
     return WinnerResult(committee, score_committee(profile, rule, committee), "greedy")

@@ -12,9 +12,11 @@ candidate, and every candidate with the same constraint signature, from the
 sibling branches that follow; a seat and availability lookahead fails a node
 as soon as some unmet bound can no longer be reached.  These cuts remove
 only subtrees without a solution, so unseeded runs return exactly the
-committees of plain backtracking.  Restarting with a rotated root ordering
-harvests multiple feasible committees; a separate exhaustive mode
-enumerates the complete feasible set for oracle-scale instances.
+committees of plain backtracking.  One search harvests several feasible
+committees: below the root it stops at the first solution, while the root
+keeps the first solution of each of its branches and goes on to the next.
+A separate exhaustive mode enumerates the complete feasible set for
+oracle-scale instances.
 """
 
 from __future__ import annotations
@@ -28,11 +30,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from dire.constraints import DiReInstance, satisfies
-from dire.rules import borda_vector, candidate_scores
-
-
-class SolverTimeout(Exception):
-    pass
+from dire.rules import SolverTimeout, borda_vector, candidate_scores
 
 
 class SolverError(ValueError):
@@ -246,20 +244,33 @@ def _pad_solution(graph: DiReGraph, solution: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
+@dataclass(frozen=True)
+class EnumerationResult:
+    committees: tuple[tuple[int, ...], ...]
+    complete: bool  # True when the output provably equals the full feasible set,
+    # or when infeasibility was proven by exhausting the search space
+    timed_out: bool
+
+
 def heuristic_backtrack(
     graph: DiReGraph,
     config: SolverConfig | None = None,
-    rotation: int = 0,
     deadline: float | None = None,
-) -> tuple[int, ...] | None:
-    """Depth-first search for one feasible committee, or None if none exists.
+) -> EnumerationResult:
+    """Depth-first search that harvests feasible committees at its root.
 
     Variable choice: the constraint minimizing |D_i| / max(S_i - inflow, 1)
     among unsatisfied constraints (ties by constraint order, or seeded
-    random).  Value order: candidates by descending out-degree; the root
-    ordering is rotated left by ``rotation`` so restarts explore different
-    corners.  A partial solution is accepted once every constraint's
-    in-flow meets its bound, then padded to exactly k members.
+    random).  Value order: candidates by descending out-degree.  A partial
+    solution is accepted once every constraint's in-flow meets its bound,
+    then padded to exactly k members.
+
+    Below the root the search stops at its first solution.  The root keeps
+    the padded first solution of each of its branches, restores the branch
+    value and goes on to the next branch, until it holds
+    ``config.max_committees`` distinct committees.  The harvest is thus the
+    committees of the successful root branches in root order; with
+    ``max_committees=1`` the search stops at the first committee.
 
     The search never re-enters a subtree it has proven empty:
 
@@ -276,9 +287,10 @@ def heuristic_backtrack(
 
     Only subtrees without a solution are cut, and variable choice and value
     order are those of the plain search, so unseeded runs return the same
-    committee as plain backtracking.  Infeasibility is returned
-    only after the search space is exhausted; hitting the deadline raises
-    :class:`SolverTimeout` instead.
+    committees as plain backtracking.  No committees with ``complete=True``
+    means the search space was exhausted, proving infeasibility; when the
+    deadline passes, the committees found so far come back with
+    ``timed_out=True``.
     """
     config = config or SolverConfig()
     if deadline is None:
@@ -299,6 +311,7 @@ def heuristic_backtrack(
     ordered = [sorted(domain, key=rank_of.__getitem__) for domain in graph.domains]
     solution: list[int] = []
     blocked = [False] * graph.m  # chosen or excluded
+    committees: list[tuple[int, ...]] = []
 
     def block(cand: int) -> None:
         blocked[cand] = True
@@ -337,35 +350,38 @@ def heuristic_backtrack(
             return rng.choice(ties)
         return best
 
-    def ordered_domain(idx: int, at_root: bool) -> list[int]:
-        cands = ordered[idx]
-        if at_root and rotation and cands:
-            r = rotation % len(cands)
-            cands = cands[r:] + cands[:r]
-        return cands
-
-    def search(at_root: bool) -> list[int] | None:
+    def search(at_root: bool) -> bool:
+        """Whether the subtree holds a solution; leaves the state as it found it."""
         if time.monotonic() > deadline:
             raise SolverTimeout("backtracking timed out")
         if dead_end():
-            return None
+            return False
         variable = select_variable()
         if variable is None:
-            return list(solution)  # every bound met, |solution| <= k by construction
+            # every bound met, |solution| <= k by construction
+            committee = _pad_solution(graph, solution)
+            if committee not in committees:  # two root branches can pad to one committee
+                committees.append(committee)
+            return True
+        found = False
         excluded: list[int] = []
-        for cand in ordered_domain(variable, at_root):
+        for cand in ordered[variable]:
             if blocked[cand]:
                 continue
             solution.append(cand)
             block(cand)
             for idx in member_of[cand]:
                 inflow[idx] += 1
-            found = search(False)
-            if found is not None:
-                return found
+            branch_found = search(False)
             solution.pop()
             for idx in member_of[cand]:
                 inflow[idx] -= 1
+            if branch_found:
+                found = True
+                unblock(cand)  # cand is in a committee, so later root branches may use it
+                if at_root and len(committees) < config.max_committees:
+                    continue
+                break
             # cand stays blocked: excluded, together with its free twins
             excluded.append(cand)
             for twin in by_signature[member_of[cand]]:
@@ -374,20 +390,21 @@ def heuristic_backtrack(
                     excluded.append(twin)
         for cand in excluded:
             unblock(cand)
-        return None
+        return found
 
-    found = search(True)
-    if found is None:
-        return None
-    return _pad_solution(graph, found)
+    try:
+        search(True)
+    except SolverTimeout:
+        return EnumerationResult(tuple(committees), complete=False, timed_out=True)
+    return EnumerationResult(tuple(committees), complete=not committees, timed_out=False)
 
 
 def _enumerate_exhaustive(
     graph: DiReGraph, config: SolverConfig, deadline: float
-) -> tuple[list[tuple[int, ...]], bool, bool]:
+) -> EnumerationResult:
     """Complete include/exclude DFS over candidates; returns every feasible
-    k-committee (up to the enumeration cap) plus (truncated, timed_out)
-    flags.  On timeout the committees found so far are still returned."""
+    k-committee, ``complete`` unless the enumeration cap or the deadline cut
+    it short.  On timeout the committees found so far are still returned."""
     order = _mfc_order(graph, None)
     n_constraints = len(graph.domains)
     # suffix_counts[i][pos]: members of D_i at position >= pos in the order
@@ -436,16 +453,8 @@ def _enumerate_exhaustive(
     try:
         dfs(0)
     except SolverTimeout:
-        return results, truncated, True
-    return results, truncated, False
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    committees: tuple[tuple[int, ...], ...]
-    complete: bool  # True when the output provably equals the full feasible set,
-    # or when infeasibility was proven by exhausting the search space
-    timed_out: bool
+        return EnumerationResult(tuple(results), complete=False, timed_out=True)
+    return EnumerationResult(tuple(results), complete=not truncated, timed_out=False)
 
 
 def enumerate_feasible(
@@ -456,37 +465,17 @@ def enumerate_feasible(
 ) -> EnumerationResult:
     """Collect feasible committees from a preprocessed graph.
 
-    The default mode reruns :func:`heuristic_backtrack` with the root value
-    ordering rotated left once per restart, keeping distinct committees (no
-    completeness guarantee).  ``exhaustive=True`` switches to a complete
-    DFS that provably returns the full feasible set; use it at oracle
-    scale.
+    The default mode is the root harvest of :func:`heuristic_backtrack`: at
+    most one committee per root branch, with no completeness guarantee
+    beyond the feasibility verdict.  ``exhaustive=True`` switches to a
+    complete DFS that provably returns the full feasible set; use it at
+    oracle scale.
     """
     config = config or SolverConfig()
     if deadline is None:
         deadline = time.monotonic() + config.timeout
-    if exhaustive:
-        committees, truncated, timed_out = _enumerate_exhaustive(graph, config, deadline)
-        return EnumerationResult(
-            tuple(committees), complete=not truncated and not timed_out, timed_out=timed_out
-        )
-
-    committees: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    try:
-        for rotation in range(max(graph.m, 1)):
-            found = heuristic_backtrack(graph, config, rotation=rotation, deadline=deadline)
-            if found is None:
-                # the backtracking search is complete for the feasibility verdict
-                return EnumerationResult(tuple(committees), complete=True, timed_out=False)
-            if found not in seen:
-                seen.add(found)
-                committees.append(found)
-                if len(committees) >= config.max_committees:
-                    break
-    except SolverTimeout:
-        return EnumerationResult(tuple(committees), complete=False, timed_out=True)
-    return EnumerationResult(tuple(committees), complete=False, timed_out=False)
+    search = _enumerate_exhaustive if exhaustive else heuristic_backtrack
+    return search(graph, config, deadline)
 
 
 @dataclass(frozen=True)
@@ -497,6 +486,13 @@ class FeasibilityResult:
     complete: bool
     preprocessing: PreprocessResult
     elapsed: float
+
+    @property
+    def reason(self) -> str | None:
+        """What proved the instance infeasible, or None if nothing did."""
+        if not self.proven_infeasible:
+            return None
+        return self.preprocessing.reason if not self.preprocessing.feasible else "search space exhausted"
 
 
 def solve_feasibility(

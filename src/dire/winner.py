@@ -17,7 +17,13 @@ from math import comb
 
 from dire.constraints import DiReInstance, InstanceError, satisfies
 from dire.profiles import Committee
-from dire.rules import DEFAULT_ORACLE_CAP, candidate_scores, score_committee, unconstrained_winner
+from dire.rules import (
+    DEFAULT_ORACLE_CAP,
+    SolverTimeout,
+    candidate_scores,
+    score_committee,
+    unconstrained_winner,
+)
 from dire.solver import SolverConfig, padding_vector, solve_feasibility
 
 STATUS_OPTIMAL = "optimal"
@@ -41,7 +47,8 @@ class SolveReport:
     ``committee`` is present exactly for optimal / feasible-heuristic
     statuses.  ``utility_ratio`` is constrained score over unconstrained
     score under the same rule (None when the unconstrained score is zero or
-    the solve failed).
+    the solve failed or the deadline cut the unconstrained search).
+    ``reason`` says what proved an infeasible verdict.
     """
 
     status: str
@@ -51,8 +58,9 @@ class SolveReport:
     elapsed: float
     committees_examined: int
     mode: str  # oracle | two-stage | mu1-fast | fpt
-    timed_out: bool = False  # True also when a timeout cut enumeration short
-    # but a feasible committee had already been found
+    timed_out: bool = False  # True also when a timeout cut enumeration, scoring
+    # or the unconstrained search short but a feasible committee had been found
+    reason: str | None = None
 
 
 def _best_lex(scored: list[tuple[tuple[int, ...], int]]) -> tuple[tuple[int, ...], int]:
@@ -66,10 +74,12 @@ def _best_lex(scored: list[tuple[tuple[int, ...], int]]) -> tuple[tuple[int, ...
     return best_committee, best_score
 
 
-def _utility_ratio(instance: DiReInstance, score: int | None, oracle_cap: int) -> Fraction | None:
+def _utility_ratio(
+    instance: DiReInstance, score: int | None, oracle_cap: int, deadline: float | None = None
+) -> Fraction | None:
     if score is None:
         return None
-    unconstrained = unconstrained_winner(instance.profile, instance.rule, instance.k, oracle_cap)
+    unconstrained = unconstrained_winner(instance.profile, instance.rule, instance.k, oracle_cap, deadline)
     # above the cap the unconstrained score is a greedy lower bound; the
     # constrained score is a lower bound too, so take the tighter of the two
     # to keep the ratio within (0, 1]
@@ -103,7 +113,8 @@ def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_
             best_committee, best_score = combo, score
     elapsed = time.monotonic() - start
     if best_committee is None:
-        return SolveReport(STATUS_INFEASIBLE, None, None, None, elapsed, examined, "oracle")
+        return SolveReport(STATUS_INFEASIBLE, None, None, None, elapsed, examined, "oracle",
+                           reason=f"none of the {total} {instance.k}-committees meets every bound")
     return SolveReport(
         STATUS_OPTIMAL,
         Committee(best_committee),
@@ -123,34 +134,46 @@ def solve_drcwd(
 ) -> SolveReport:
     """Two-stage solve: enumerate feasible committees, then maximize the rule.
 
-    Exhaustive enumeration yields a certified optimum; the default
-    restart-based enumeration yields the best committee it found
-    (feasible-heuristic).  Timeouts with nothing found report as timeouts.
+    Exhaustive enumeration yields a certified optimum; the default root
+    harvest yields the best committee it found (feasible-heuristic).
+    Timeouts with nothing found report as timeouts.  ``config.timeout``
+    bounds the whole solve: once it passes, scoring stops at the best
+    committee scored so far (at least one), the utility ratio is dropped if
+    the unconstrained search is unfinished, and the report is
+    ``timed_out``; it stays ``optimal`` only if every committee was scored.
     """
+    config = config or SolverConfig()
     start = time.monotonic()
+    deadline = start + config.timeout
     feas = solve_feasibility(instance, config, exhaustive=exhaustive)
     if feas.proven_infeasible:
         return SolveReport(STATUS_INFEASIBLE, None, None, None,
-                           time.monotonic() - start, 0, "two-stage")
+                           time.monotonic() - start, 0, "two-stage", reason=feas.reason)
     if not feas.committees:
         return SolveReport(STATUS_TIMEOUT, None, None, None,
                            time.monotonic() - start, 0, "two-stage", timed_out=True)
-    scored = [
-        (committee, score_committee(instance.profile, instance.rule, committee))
-        for committee in feas.committees
-    ]
+    scored = []
+    for committee in feas.committees:
+        if scored and time.monotonic() > deadline:
+            break
+        scored.append((committee, score_committee(instance.profile, instance.rule, committee)))
     best_committee, best_score = _best_lex(scored)
-    certified = exhaustive and feas.complete and not feas.timed_out
+    timed_out = feas.timed_out or len(scored) < len(feas.committees)
+    certified = exhaustive and feas.complete and not timed_out
     status = STATUS_OPTIMAL if certified else STATUS_HEURISTIC
+    try:
+        ratio = _utility_ratio(instance, best_score, oracle_cap, deadline)
+    except SolverTimeout:
+        ratio, timed_out = None, True
     return SolveReport(
         status,
         Committee(best_committee),
         best_score,
-        _utility_ratio(instance, best_score, oracle_cap),
+        ratio,
         time.monotonic() - start,
         len(scored),
         "two-stage",
-        timed_out=feas.timed_out,
+        timed_out=timed_out,
     )
 
 
@@ -176,7 +199,8 @@ def mu1_fast_path(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) 
         chosen.extend(sorted(members, key=by_desirability)[:bound])
     if len(chosen) > instance.k:
         return SolveReport(STATUS_INFEASIBLE, None, None, None,
-                           time.monotonic() - start, 0, "mu1-fast")
+                           time.monotonic() - start, 0, "mu1-fast",
+                           reason=f"diversity bounds need {len(chosen)} seats, k = {instance.k}")
     spare = sorted((c for c in range(instance.m) if c not in set(chosen)), key=by_desirability)
     chosen.extend(spare[: instance.k - len(chosen)])
     committee = Committee(chosen)
@@ -294,7 +318,8 @@ def fpt_report(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) -> 
     committees = fpt_rep_solver(instance)
     if not committees:
         return SolveReport(STATUS_INFEASIBLE, None, None, None,
-                           time.monotonic() - start, 0, "fpt")
+                           time.monotonic() - start, 0, "fpt",
+                           reason=f"no {instance.k} candidates hit every population's winning committee")
     scored = [
         (committee.members, score_committee(instance.profile, instance.rule, committee.members))
         for committee in committees

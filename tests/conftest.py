@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -96,6 +97,17 @@ def random_instance(seed, m=None, n=None, k=None, mu=None, pi=None, rule=None,
         diversity_bounds=diversity,
         representation_bounds=representation,
     )
+
+
+def brute_force_feasible_set(instance):
+    """Independent enumeration straight from the constraint definitions."""
+    feasible = []
+    constraints = [(set(c.domain), c.bound) for c in instance.constraints()]
+    for combo in itertools.combinations(range(instance.m), instance.k):
+        members = set(combo)
+        if all(len(members & domain) >= bound for domain, bound in constraints):
+            feasible.append(combo)
+    return feasible
 
 
 @pytest.fixture

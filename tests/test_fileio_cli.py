@@ -186,6 +186,25 @@ def test_cli_infeasible_by_search_names_no_pair(tmp_path, capsys):
     assert captured.err == "reason: search space exhausted\n"
 
 
+def test_cli_solve_explains_infeasible(tmp_path, capsys):
+    instance = build_example1()
+    data = json.loads(fileio.dumps_instance(instance))
+    data["diversity_bounds"]["gender"]["male"] = 2
+    data["diversity_bounds"]["gender"]["female"] = 2
+    packed = tmp_path / "packed.json"
+    packed.write_text(json.dumps(data), encoding="utf-8")
+    k4 = InputGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    uncovered = tmp_path / "k4.json"
+    uncovered.write_text(fileio.dumps_instance(reduce_vc_representation(k4, 1, 2).instance),
+                         encoding="utf-8")
+    for path, reason in ((packed, "pairwise infeasible: D:gender:male vs D:gender:female"),
+                         (uncovered, "search space exhausted")):
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "INFEASIBLE\n"
+        assert captured.err == f"reason: {reason}\n"
+
+
 def test_cli_timeout_exit_code(example1_path, capsys):
     assert main(["solve", str(example1_path), "--timeout", "1e-12"]) == 3
     assert "TIMEOUT" in capsys.readouterr().out

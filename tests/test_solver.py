@@ -26,18 +26,7 @@ from dire.solver import (
     _pad_solution,
 )
 from dire.synth import gen_syndata
-from conftest import random_instance
-
-
-def brute_force_feasible_set(instance):
-    """Independent enumeration straight from the constraint definitions."""
-    feasible = []
-    constraints = [(set(c.domain), c.bound) for c in instance.constraints()]
-    for combo in itertools.combinations(range(instance.m), instance.k):
-        members = set(combo)
-        if all(len(members & domain) >= bound for domain, bound in constraints):
-            feasible.append(combo)
-    return feasible
+from conftest import brute_force_feasible_set, random_instance
 
 
 def graph_from_spec(k, m, domains, bounds):
@@ -125,8 +114,9 @@ def test_mfc_order_example1(example1):
 
 
 def test_heuristic_backtrack_example1(example1):
-    committee = heuristic_backtrack(build_diregraph(example1), SolverConfig(timeout=10))
-    assert committee in {(0, 3), (1, 2), (1, 3)}
+    result = heuristic_backtrack(build_diregraph(example1), SolverConfig(timeout=10))
+    assert result.committees
+    assert set(result.committees) <= {(0, 3), (1, 2), (1, 3)}
 
 
 def test_heuristic_backtrack_infeasible_bounds():
@@ -137,7 +127,8 @@ def test_heuristic_backtrack_infeasible_bounds():
     instance = make_instance(
         profile, scheme, k=2, diversity_bounds={("A", "g1"): 2, ("A", "g2"): 1}
     )
-    assert heuristic_backtrack(build_diregraph(instance), SolverConfig(timeout=10)) is None
+    result = heuristic_backtrack(build_diregraph(instance), SolverConfig(timeout=10))
+    assert result.committees == () and result.complete
 
 
 def test_solution_padded_to_k():
@@ -148,8 +139,8 @@ def test_solution_padded_to_k():
         profile, scheme, k=3,
         diversity_bounds={("A", "g1"): 1, ("A", "g2"): 1},
     )
-    committee = heuristic_backtrack(build_diregraph(instance), SolverConfig(timeout=10))
-    assert committee is not None and len(committee) == 3
+    committee = heuristic_backtrack(build_diregraph(instance), SolverConfig(timeout=10)).committees[0]
+    assert len(committee) == 3
     assert satisfies(instance, committee).ok
     assert 4 in committee  # padding prefers the top scorer
 
@@ -180,7 +171,8 @@ def test_enumerate_single_committee_cap(example1):
     config = SolverConfig(timeout=10, max_committees=1)
     result = enumerate_feasible(graph, config)
     single = heuristic_backtrack(build_diregraph(example1), config)
-    assert result.committees == (single,)
+    assert len(result.committees) == 1
+    assert result == single
 
 
 def test_preprocess_prunes_cross_component_conflict():
@@ -281,8 +273,9 @@ def test_public_surface_resolves():
     assert fields == ["timeout", "max_committees", "seed"]
 
 
-# --- reference search: plain backtracking and recursive enumeration, kept
-# --- test-only so the pruned search can be checked against them
+# --- reference search: plain backtracking restarted once per rotation of the
+# --- root value order, and recursive enumeration, kept test-only so the
+# --- pruned search and its root harvest can be checked against them
 
 def reference_backtrack(graph, config=None, rotation=0, deadline=None):
     """Backtracking without sibling exclusion, symmetry or lookahead."""
@@ -369,7 +362,31 @@ def reference_exhaustive(graph, config, deadline):
 
     dfs(0)
     assert len(results) <= config.max_committees
-    return results, False, False
+    return solver.EnumerationResult(tuple(results), complete=True, timed_out=False)
+
+
+def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
+    """The restart harvest: one plain search per left rotation of the root
+    value order, up to m of them, keeping the distinct committees."""
+    config = config or SolverConfig()
+    if deadline is None:
+        deadline = time.monotonic() + config.timeout
+    if exhaustive:
+        return reference_exhaustive(graph, config, deadline)
+    committees, seen = [], set()
+    try:
+        for rotation in range(max(graph.m, 1)):
+            found = reference_backtrack(graph, config, rotation=rotation, deadline=deadline)
+            if found is None:
+                return solver.EnumerationResult(tuple(committees), complete=True, timed_out=False)
+            if found not in seen:
+                seen.add(found)
+                committees.append(found)
+                if len(committees) >= config.max_committees:
+                    break
+    except SolverTimeout:
+        return solver.EnumerationResult(tuple(committees), complete=False, timed_out=True)
+    return solver.EnumerationResult(tuple(committees), complete=False, timed_out=False)
 
 
 def random_cubic_graph(vertices, seed):
@@ -406,6 +423,7 @@ def outcome(result):
 def test_pruned_search_matches_reference_search(monkeypatch):
     cases = list(equivalence_instances())
     modes = [(SolverConfig(timeout=60, max_committees=1), False),
+             (SolverConfig(timeout=60, max_committees=3), False),
              (SolverConfig(timeout=60), False),
              (SolverConfig(timeout=60), True)]
 
@@ -414,14 +432,24 @@ def test_pruned_search_matches_reference_search(monkeypatch):
                 for config, ex in modes if with_exhaustive or not ex]
 
     pruned = [outcomes(*case) for case in cases]
-    monkeypatch.setattr(solver, "heuristic_backtrack", reference_backtrack)
-    monkeypatch.setattr(solver, "_enumerate_exhaustive", reference_exhaustive)
-    verdicts = set()
+    monkeypatch.setattr(solver, "enumerate_feasible", reference_enumerate)
+    verdicts, harvests = set(), 0
     for case, got in zip(cases, pruned):
         expected = outcomes(*case)
         assert got == expected
         verdicts.add(expected[0][1])
+        harvests += len(expected[2][0]) >= 2
     assert verdicts == {False, True}  # both feasible and infeasible instances covered
+    assert harvests >= 5  # and root harvests of several committees
+
+
+def test_default_harvest_stops_early_on_vc_rep():
+    # the restart harvest needs about 2.4 s for this single committee
+    graph = random_cubic_graph(14, 0)
+    instance = reduce_vc_representation(graph, 1, min_vertex_cover_size(graph)).instance
+    result = solve_feasibility(instance, SolverConfig(timeout=1))
+    assert len(result.committees) == 1
+    assert not result.timed_out
 
 
 def test_vc_rep_infeasibility_proof_is_fast():

@@ -1,11 +1,14 @@
 import random
+import time
 
 import pytest
 
+from dire import winner
 from dire.constraints import Attribute, AttributeScheme, make_instance, satisfies
 from dire.profiles import make_profile
-from dire.rules import betacc, kborda, unconstrained_winner
+from dire.rules import betacc, kborda, monroe, score_committee, unconstrained_winner
 from dire.solver import SolverConfig
+from dire.synth import gen_syndata
 from dire.winner import (
     OracleCapExceeded,
     PreconditionError,
@@ -77,6 +80,44 @@ def test_solve_drcwd_timeout_status(example1):
     assert report.status == "timeout"
     assert report.committee is None
     assert report.timed_out
+
+
+def test_timeout_bounds_the_whole_solve():
+    # the exhaustive unconstrained Monroe search alone takes about 0.5 s here
+    instance = gen_syndata("syn1", mu=1, pi=1, seed=0, m=18, n=60, k=4, rule=monroe())
+    start = time.monotonic()
+    report = solve_drcwd(instance, SolverConfig(timeout=0.05))
+    assert time.monotonic() - start < 0.3
+    assert report.timed_out
+    assert report.status == "feasible-heuristic"
+    assert satisfies(instance, report.committee.members).ok
+    assert report.utility_ratio is None
+
+
+def test_scoring_cut_by_the_deadline_is_not_certified(example1, monkeypatch):
+    def slow_score(*args):
+        time.sleep(0.1)
+        return score_committee(*args)
+
+    monkeypatch.setattr(winner, "score_committee", slow_score)
+    report = solve_drcwd(example1, SolverConfig(timeout=0.05), exhaustive=True)
+    assert report.committees_examined == 1  # of the three feasible committees
+    assert report.timed_out
+    assert report.status == "feasible-heuristic"
+    assert satisfies(example1, report.committee.members).ok
+
+
+def test_every_route_names_why_it_is_infeasible():
+    packed = _mu1_instance((2, 1), k=2)
+    assert mu1_fast_path(packed).reason == "diversity bounds need 3 seats, k = 2"
+    assert brute_force_oracle(packed).reason == "none of the 6 2-committees meets every bound"
+    assert solve_drcwd(packed).reason == "pairwise infeasible: D:A:g1 vs D:A:g2"
+    disjoint = _rep_instance([(0, 1), (2, 3), (4, 5)], k=2, n=3)
+    assert fpt_report(disjoint).reason == "no 2 candidates hit every population's winning committee"
+    assert solve_drcwd(disjoint).reason == "search space exhausted"
+    feasible = _mu1_instance((1, 1), k=2)
+    for report in (mu1_fast_path(feasible), brute_force_oracle(feasible), solve_drcwd(feasible)):
+        assert report.committee is not None and report.reason is None
 
 
 def test_heuristic_score_never_beats_oracle():
