@@ -261,15 +261,22 @@ def satisfies(instance: DiReInstance, committee: Iterable[int]) -> SatisfactionR
     Returns the verdict together with each unmet constraint's key and its
     shortfall (bound minus achieved intersection).
     """
+    violations = _violations(instance, instance.constraints(), committee)
+    return SatisfactionResult(not violations, violations)
+
+
+def _violations(
+    instance: DiReInstance, constraints: list[UnaryConstraint], committee: Iterable[int]
+) -> tuple[tuple[str, int], ...]:
     members = set(committee)
     if len(members) != instance.k:
         raise InstanceError(f"committee size {len(members)} != k={instance.k}")
     violations = []
-    for constraint in instance.constraints():
+    for constraint in constraints:
         have = len(members & constraint.domain)
         if have < constraint.bound:
             violations.append((constraint.key, constraint.bound - have))
-    return SatisfactionResult(not violations, tuple(violations))
+    return tuple(violations)
 
 
 def unsatisfied_fraction(instance: DiReInstance, committee: Iterable[int]) -> Fraction:
@@ -277,8 +284,7 @@ def unsatisfied_fraction(instance: DiReInstance, committee: Iterable[int]) -> Fr
     constraints = instance.constraints()
     if not constraints:
         return Fraction(0)
-    result = satisfies(instance, committee)
-    return Fraction(len(result.violations), len(constraints))
+    return Fraction(len(_violations(instance, constraints, committee)), len(constraints))
 
 
 def apportionment_bounds(instance: DiReInstance, attribute: str) -> dict[str, int]:

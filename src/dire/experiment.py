@@ -19,7 +19,7 @@ from pathlib import Path
 
 from dire.constraints import DiReInstance, unsatisfied_fraction
 from dire.fileio import parse_instance
-from dire.rules import RULE_KINDS, Rule, unconstrained_winner
+from dire.rules import RULE_KINDS, Rule, SolverTimeout, unconstrained_winner
 from dire.solver import SolverConfig
 from dire.synth import SYN1, SYN2, gen_syndata
 from dire.winner import solve_drcwd
@@ -114,20 +114,31 @@ def _syn_builder(kind, mu, pi, phi, seed, config):
 def best_unsatisfied_fraction(instance: DiReInstance, found) -> tuple[Fraction, bool]:
     """Smallest fraction of constraints any committee must leave unmet.
 
-    Exact (enumerating every committee) below the metric cap; otherwise a
-    greedy shortfall-reducing committee approximates it and the value is
-    flagged approximate.
+    Exact below the metric cap: every committee is enumerated and its
+    violated (domain, bound) pairs are counted, up to the fewest seen so
+    far.  Otherwise a greedy shortfall-reducing committee approximates it
+    and the value is flagged approximate.
     """
     if found:
         return Fraction(0), False
-    if comb(instance.m, instance.k) <= METRIC_ORACLE_CAP:
-        best = min(
-            unsatisfied_fraction(instance, combo)
-            for combo in itertools.combinations(range(instance.m), instance.k)
-        )
-        return best, False
-
     constraints = instance.constraints()
+    if comb(instance.m, instance.k) <= METRIC_ORACLE_CAP:
+        pairs = [(con.domain, con.bound) for con in constraints]
+        fewest = len(pairs)
+        for combo in itertools.combinations(range(instance.m), instance.k):
+            violated = 0
+            for domain, bound in pairs:
+                if len(domain.intersection(combo)) < bound:
+                    violated += 1
+                    if violated == fewest:
+                        break
+            else:
+                fewest = violated
+                if not fewest:
+                    break
+        # with no constraints every committee violates none of them
+        return Fraction(fewest, len(pairs) or 1), False
+
     chosen: set[int] = set()
     while len(chosen) < instance.k:
         def deficit_after(c):
@@ -141,7 +152,12 @@ def best_unsatisfied_fraction(instance: DiReInstance, found) -> tuple[Fraction, 
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
-    """One CSV row per (instance, rule), sorted for deterministic output."""
+    """One CSV row per (instance, rule), sorted for deterministic output.
+
+    The row's timeout also bounds the unconstrained search that is run
+    again when the solve gave no utility ratio; when it runs out, the row
+    has an empty ``unconstrained_score`` and ``timed_out`` is true.
+    """
     rows = []
     for ident, mu, pi, phi, builder in _instance_jobs(config):
         for rule_kind in config.rules:
@@ -153,10 +169,15 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
             elapsed = time.monotonic() - start
             found = report.committee is not None
             unsat, approx = best_unsatisfied_fraction(instance, found)
+            timed_out = report.timed_out
             if report.utility_ratio is not None and report.score is not None:
-                unconstrained = int(Fraction(report.score) / report.utility_ratio)
+                unconstrained = str(int(Fraction(report.score) / report.utility_ratio))
             else:
-                unconstrained = unconstrained_winner(instance.profile, rule, instance.k).score
+                try:
+                    unconstrained = str(unconstrained_winner(
+                        instance.profile, rule, instance.k, deadline=start + config.timeout).score)
+                except SolverTimeout:
+                    unconstrained, timed_out = "", True
             rows.append(
                 {
                     "instance_id": ident,
@@ -167,11 +188,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
                     "status": report.status,
                     "elapsed_s": str(int(elapsed)),
                     "score": "" if report.score is None else str(report.score),
-                    "unconstrained_score": str(unconstrained),
+                    "unconstrained_score": unconstrained,
                     "utility_ratio": "" if report.utility_ratio is None else f"{float(report.utility_ratio):.6f}",
                     "max_unsat_fraction": f"{float(unsat):.6f}",
                     "max_unsat_approx": "true" if approx else "false",
-                    "timed_out": "true" if report.timed_out else "false",
+                    "timed_out": "true" if timed_out else "false",
                 }
             )
     rows.sort(key=lambda row: (row["instance_id"], row["rule"]))

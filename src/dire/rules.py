@@ -4,6 +4,15 @@ All scores are exact integers.  k-Borda is separable (committee score =
 sum of member scores); the CC and Monroe variants are submodular, so their
 winner determination is exact only below the exhaustive-search cap and
 falls back to greedy marginal-gain selection above it.
+
+Every score is read off a :class:`SatisfactionTable`, built once per
+(profile, rule vector, voter list): one row per candidate holding
+``vector[pos_v(c) - 1]`` for each voter, the row totals (a candidate's
+positional score, which is all k-Borda needs) and, for Monroe, each
+candidate's voters presorted by (satisfaction descending, voter id).  A
+winner search or a scoring loop builds one table and scores every
+committee it tries through it; :func:`score_committee` and
+:func:`monroe_assign` build a table for their one committee.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from dire.profiles import Committee, PreferenceProfile, break_tie
 
@@ -93,6 +102,79 @@ def monroe(scoring: Sequence[int] | None = None) -> Rule:
     return Rule(MONROE, tuple(scoring) if scoring else None)
 
 
+class SatisfactionTable:
+    """Per-candidate satisfaction of one (profile, rule vector, voter list).
+
+    ``voters`` defaults to every voter and is kept sorted.  ``rows[c][i]``
+    is the vector entry at candidate c's position for the i-th voter and
+    ``totals[c]`` the row sum.  The rule's vector is validated once, here.
+    ``score`` takes distinct candidate ids in any order and trusts them to
+    be in range.
+    """
+
+    def __init__(self, profile: PreferenceProfile, rule: Rule, voters: Iterable[int] | None = None):
+        shifted = (0, *rule.vector(profile.m))  # shifted[r]: the entry for rank r
+        self.profile = profile
+        self.kind = rule.kind
+        self.voters = list(range(profile.n)) if voters is None else sorted(voters)
+        ranks = [profile._positions[v] for v in self.voters]
+        self.rows = [[shifted[voter_ranks[c]] for voter_ranks in ranks] for c in range(profile.m)]
+        self.totals = list(map(sum, self.rows))
+        self._prefix: Sequence[int] = ()
+        if self.kind == MONROE:
+            # a repeated voter id is one voter; the sorted list keeps repeats adjacent
+            voters = self.voters
+            self.unique = [i for i in range(len(voters)) if not i or voters[i] != voters[i - 1]]
+            self.orders: list[list[int] | None] = [None] * profile.m  # sorted on first use
+
+    def score(self, members: Sequence[int]) -> int:
+        """The rule's score of a committee; the empty committee scores 0."""
+        if self.kind == MONROE:
+            return self.assign(members)[1] if members else 0
+        if self.kind == KBORDA or len(members) < 2:
+            return sum(map(self.totals.__getitem__, members))
+        # A voter's best-ranked member has the highest entry, as the vector
+        # is nonincreasing.  Winner searches score runs of committees that
+        # share all but the last member, so the per-voter best of that prefix
+        # is kept from one call to the next.
+        rows, prefix = self.rows, members[:-1]
+        if prefix != self._prefix:
+            self._prefix = prefix
+            self._prefix_best = list(map(max, *map(rows.__getitem__, prefix))) if len(prefix) > 1 \
+                else rows[prefix[0]]
+        return sum([a if a > b else b for a, b in zip(self._prefix_best, rows[members[-1]])])
+
+    def assign(self, members: Sequence[int]) -> tuple[list[int | None], int]:
+        """Greedy balanced Monroe assignment (see :func:`monroe_assign`):
+        the member of each voter in ``voters`` (None if unassigned) and the
+        total satisfaction."""
+        members = sorted(members, key=self.profile._priority_rank.__getitem__)
+        rows, orders = self.rows, self.orders
+        owner: list[int | None] = [None] * len(self.voters)
+        total = 0
+        for member, load in zip(members, _monroe_loads(len(owner), len(members))):
+            if not load:
+                break  # loads never increase
+            row, order = rows[member], orders[member]
+            if order is None:
+                # stable sort: equal satisfaction keeps ascending voter order
+                order = orders[member] = sorted(self.unique, key=row.__getitem__, reverse=True)
+            for i in order:
+                if owner[i] is None:
+                    owner[i] = member
+                    total += row[i]
+                    load -= 1
+                    if not load:
+                        break
+        return owner, total
+
+
+def _monroe_loads(n: int, k: int) -> Iterator[int]:
+    """floor(n/k) or ceil(n/k) voters per member, the larger loads first."""
+    base, extra = divmod(n, k)
+    return itertools.chain(itertools.repeat(base + 1, extra), itertools.repeat(base, k - extra))
+
+
 def candidate_score(
     profile: PreferenceProfile,
     scoring: Sequence[int],
@@ -104,9 +186,7 @@ def candidate_score(
     ``voters`` restricts the sum to a sub-election (used for population
     winning committees); None means all voters.
     """
-    s = validate_scoring(scoring, profile.m)
-    voter_ids = range(profile.n) if voters is None else voters
-    return sum(s[profile._positions[v][candidate] - 1] for v in voter_ids)
+    return SatisfactionTable(profile, Rule(KBORDA, scoring), voters).totals[candidate]
 
 
 def candidate_scores(
@@ -115,23 +195,7 @@ def candidate_scores(
     voters: Iterable[int] | None = None,
 ) -> list[int]:
     """:func:`candidate_score` of every candidate, validating ``scoring`` once."""
-    s = validate_scoring(scoring, profile.m)
-    voter_ids = range(profile.n) if voters is None else list(voters)
-    totals = [0] * profile.m
-    for v in voter_ids:
-        row = profile._positions[v]
-        for c in range(profile.m):
-            totals[c] += s[row[c] - 1]
-    return totals
-
-
-def _cc_score(profile, vector, members, voters=None):
-    voter_ids = range(profile.n) if voters is None else voters
-    total = 0
-    for v in voter_ids:
-        row = profile._positions[v]
-        total += vector[min(row[c] for c in members) - 1]
-    return total
+    return SatisfactionTable(profile, Rule(KBORDA, scoring), voters).totals
 
 
 def score_committee(
@@ -155,14 +219,7 @@ def score_committee(
         return 0
     if any(not 0 <= c < profile.m for c in members):
         raise RuleError(f"committee {members} contains out-of-range candidate ids")
-    vector = rule.vector(profile.m)
-    if rule.kind == KBORDA:
-        voter_ids = None if voters is None else list(voters)
-        return sum(candidate_score(profile, vector, c, voter_ids) for c in members)
-    if rule.kind == BETACC:
-        return _cc_score(profile, vector, members, voters)
-    _, total = monroe_assign(profile, members, scoring=vector, voters=voters)
-    return total
+    return SatisfactionTable(profile, rule, voters).score(members)
 
 
 def monroe_assign(
@@ -185,29 +242,16 @@ def monroe_assign(
     members = sorted(set(committee), key=profile.priority_key)
     if not members:
         raise RuleError("cannot assign voters to an empty committee")
-    vector = borda_vector(profile.m) if scoring is None else validate_scoring(scoring, profile.m)
-    voter_ids = list(range(profile.n)) if voters is None else sorted(voters)
-    n, k = len(voter_ids), len(members)
-    base, extra = divmod(n, k)
-    loads = [base + 1 if i < extra else base for i in range(k)]
-
-    sat = {
-        (v, c): vector[profile._positions[v][c] - 1] for v in voter_ids for c in members
-    }
-
+    table = SatisfactionTable(profile, Rule(MONROE, scoring), voters)
     if not exact:
-        assignment: dict[int, int] = {}
-        unassigned = set(voter_ids)
-        for member, load in zip(members, loads):
-            # most-satisfied first; voter index breaks score ties deterministically
-            chosen = sorted(unassigned, key=lambda v: (-sat[(v, member)], v))[:load]
-            for v in chosen:
-                assignment[v] = member
-            unassigned -= set(chosen)
-        return assignment, sum(sat[(v, c)] for v, c in assignment.items())
+        owner, total = table.assign(members)
+        return {v: c for v, c in zip(table.voters, owner) if c is not None}, total
 
+    n, k = len(table.voters), len(members)
     if n > 12:
         raise RuleError(f"exact Monroe assignment is limited to n <= 12, got n={n}")
+    loads = list(_monroe_loads(n, k))
+    sat = {(v, c): table.rows[c][i] for i, v in enumerate(table.voters) for c in members}
 
     best_total = -1
     best: dict[int, int] = {}
@@ -228,42 +272,45 @@ def monroe_assign(
             for v in subset:
                 del current[v]
 
-    recurse(0, set(voter_ids), {}, 0)
+    recurse(0, set(table.voters), {}, 0)
+    del recurse  # the recursive closure holds itself; free it without a cycle collection
     return best, best_total
 
 
-def _greedy_max(profile, rule, k, voters=None, deadline=None):
+def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None) -> Committee:
     """Greedy marginal-gain committee for submodular rules, ties by priority."""
     chosen: list[int] = []
     for _ in range(k):
         best_gain, best_cands = None, []
-        current = score_committee(profile, rule, chosen, voters) if chosen else 0
-        for c in range(profile.m):
+        current = table.score(chosen)
+        for c in range(table.profile.m):
             if c in chosen:
                 continue
             _check_deadline(deadline)
-            gain = score_committee(profile, rule, chosen + [c], voters) - current
+            gain = table.score(chosen + [c]) - current
             if best_gain is None or gain > best_gain:
                 best_gain, best_cands = gain, [c]
             elif gain == best_gain:
                 best_cands.append(c)
-        chosen.append(break_tie(best_cands, profile.priority))
+        chosen.append(break_tie(best_cands, table.profile.priority))
     return Committee(chosen)
 
 
-def _exhaustive_max(profile, rule, k, voters=None, deadline=None):
+def _exhaustive_max(
+    table: SatisfactionTable, k: int, deadline: float | None = None
+) -> tuple[Committee, int]:
     best_score, best = None, None
-    for combo in itertools.combinations(range(profile.m), k):
+    for combo in itertools.combinations(range(table.profile.m), k):
         _check_deadline(deadline)
-        score = score_committee(profile, rule, combo, voters)
+        score = table.score(combo)
         if best_score is None or score > best_score:
             best_score, best = score, combo
     return Committee(best), best_score
 
 
-def _topk_by_score(profile, vector, k, voters=None):
-    scores = candidate_scores(profile, vector, voters)
-    order = sorted(range(profile.m), key=lambda c: (-scores[c], profile.priority_key(c)))
+def _topk_by_score(table: SatisfactionTable, k: int) -> Committee:
+    totals, key = table.totals, table.profile.priority_key
+    order = sorted(range(len(totals)), key=lambda c: (-totals[c], key(c)))
     return Committee(order[:k])
 
 
@@ -292,13 +339,13 @@ def population_winning_committee(
         raise RuleError("population is empty")
     if any(not 0 <= v < profile.n for v in voter_ids):
         raise RuleError("population contains out-of-range voter indices")
-    vector = rule.vector(profile.m)
+    table = SatisfactionTable(profile, rule, voter_ids)
     if rule.kind == KBORDA:
-        return _topk_by_score(profile, vector, k, voter_ids)
+        return _topk_by_score(table, k)
     if comb(profile.m, k) <= oracle_cap:
-        committee, _ = _exhaustive_max(profile, rule, k, voter_ids)
+        committee, _ = _exhaustive_max(table, k)
         return committee
-    return _greedy_max(profile, rule, k, voter_ids)
+    return _greedy_max(table, k)
 
 
 def unconstrained_winner(
@@ -317,12 +364,12 @@ def unconstrained_winner(
     """
     if not 1 <= k <= profile.m:
         raise RuleError(f"committee size {k} out of range [1, {profile.m}]")
-    vector = rule.vector(profile.m)
+    # each search's table is freed when it returns
     if rule.kind == KBORDA:
-        committee = _topk_by_score(profile, vector, k)
+        committee = _topk_by_score(SatisfactionTable(profile, rule), k)
         return WinnerResult(committee, score_committee(profile, rule, committee), "topk")
     if comb(profile.m, k) <= oracle_cap:
-        committee, score = _exhaustive_max(profile, rule, k, deadline=deadline)
+        committee, score = _exhaustive_max(SatisfactionTable(profile, rule), k, deadline)
         return WinnerResult(committee, score, "exhaustive")
-    committee = _greedy_max(profile, rule, k, deadline=deadline)
+    committee = _greedy_max(SatisfactionTable(profile, rule), k, deadline)
     return WinnerResult(committee, score_committee(profile, rule, committee), "greedy")

@@ -396,6 +396,10 @@ def heuristic_backtrack(
         search(True)
     except SolverTimeout:
         return EnumerationResult(tuple(committees), complete=False, timed_out=True)
+    finally:
+        # the recursive closure holds itself through its cell; clearing the
+        # cell frees the search state now instead of at a cycle collection
+        del search
     return EnumerationResult(tuple(committees), complete=not committees, timed_out=False)
 
 
@@ -454,6 +458,8 @@ def _enumerate_exhaustive(
         dfs(0)
     except SolverTimeout:
         return EnumerationResult(tuple(results), complete=False, timed_out=True)
+    finally:
+        del dfs  # as in heuristic_backtrack: break the closure's self-reference
     return EnumerationResult(tuple(results), complete=not truncated, timed_out=False)
 
 

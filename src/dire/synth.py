@@ -10,7 +10,9 @@ deterministic given the seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from dire.constraints import Attribute, AttributeScheme, DiReInstance, make_instance
@@ -54,11 +56,13 @@ def kendall_tau(left: Sequence[int], right: Sequence[int]) -> int:
     )
 
 
-def _sample_one(rng: random.Random, phi: float, sigma: Sequence[int]) -> tuple[int, ...]:
+def _sample_one(
+    rng: random.Random, cumulative: Sequence[list[float]], sigma: Sequence[int]
+) -> tuple[int, ...]:
     ranking = [sigma[0]]
-    for j in range(2, len(sigma) + 1):
-        weights = [phi ** (j - 1 - pos) for pos in range(j)]
-        pos = rng.choices(range(j), weights=weights)[0]
+    for j, cum in enumerate(cumulative, start=2):
+        # the draw random.choices(range(j), weights) makes, on the same random stream
+        pos = bisect(cum, rng.random() * (cum[-1] + 0.0), 0, j - 1)
         ranking.insert(pos, sigma[j - 1])
     return tuple(ranking)
 
@@ -69,7 +73,10 @@ def sample_mallows(params: MallowsParams, n: int) -> PreferenceProfile:
         raise GenerationError("need at least one voter")
     rng = random.Random(params.seed)
     m = len(params.sigma)
-    rankings = tuple(_sample_one(rng, params.phi, params.sigma) for _ in range(n))
+    # cumulative insertion weights phi^(j-1-pos), pos < j, for j = 2..m
+    cumulative = [list(accumulate(params.phi ** (j - 1 - pos) for pos in range(j)))
+                  for j in range(2, m + 1)]
+    rankings = tuple(_sample_one(rng, cumulative, params.sigma) for _ in range(n))
     return PreferenceProfile(m=m, rankings=rankings)
 
 

@@ -19,6 +19,7 @@ from dire.constraints import DiReInstance, InstanceError, satisfies
 from dire.profiles import Committee
 from dire.rules import (
     DEFAULT_ORACLE_CAP,
+    SatisfactionTable,
     SolverTimeout,
     candidate_scores,
     score_committee,
@@ -101,6 +102,7 @@ def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_
     constraints = instance.constraints()
     domains = [set(c.domain) for c in constraints]
     bounds = [c.bound for c in constraints]
+    table = SatisfactionTable(instance.profile, instance.rule)
     best_committee, best_score = None, None
     examined = 0
     for combo in itertools.combinations(range(instance.m), instance.k):
@@ -108,7 +110,7 @@ def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_
         members = set(combo)
         if any(len(members & domain) < bound for domain, bound in zip(domains, bounds)):
             continue
-        score = score_committee(instance.profile, instance.rule, combo)
+        score = table.score(combo)
         if best_score is None or score > best_score:
             best_committee, best_score = combo, score
     elapsed = time.monotonic() - start
@@ -124,6 +126,19 @@ def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_
         examined,
         "oracle",
     )
+
+
+def _score_until(
+    instance: DiReInstance, committees: tuple[tuple[int, ...], ...], deadline: float
+) -> list[tuple[tuple[int, ...], int]]:
+    """Score committees in order until the deadline passes, at least one."""
+    table = SatisfactionTable(instance.profile, instance.rule)
+    scored: list[tuple[tuple[int, ...], int]] = []
+    for committee in committees:
+        if scored and time.monotonic() > deadline:
+            break
+        scored.append((committee, table.score(committee)))
+    return scored
 
 
 def solve_drcwd(
@@ -152,11 +167,7 @@ def solve_drcwd(
     if not feas.committees:
         return SolveReport(STATUS_TIMEOUT, None, None, None,
                            time.monotonic() - start, 0, "two-stage", timed_out=True)
-    scored = []
-    for committee in feas.committees:
-        if scored and time.monotonic() > deadline:
-            break
-        scored.append((committee, score_committee(instance.profile, instance.rule, committee)))
+    scored = _score_until(instance, feas.committees, deadline)
     best_committee, best_score = _best_lex(scored)
     timed_out = feas.timed_out or len(scored) < len(feas.committees)
     certified = exhaustive and feas.complete and not timed_out
@@ -320,10 +331,8 @@ def fpt_report(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) -> 
         return SolveReport(STATUS_INFEASIBLE, None, None, None,
                            time.monotonic() - start, 0, "fpt",
                            reason=f"no {instance.k} candidates hit every population's winning committee")
-    scored = [
-        (committee.members, score_committee(instance.profile, instance.rule, committee.members))
-        for committee in committees
-    ]
+    table = SatisfactionTable(instance.profile, instance.rule)
+    scored = [(committee.members, table.score(committee.members)) for committee in committees]
     best_committee, best_score = _best_lex(scored)
     status = STATUS_OPTIMAL if instance.rule.separable else STATUS_HEURISTIC
     return SolveReport(

@@ -7,6 +7,7 @@ import pytest
 from dire.constraints import (
     Attribute,
     AttributeScheme,
+    DiReInstance,
     InstanceError,
     apportionment_bounds,
     make_instance,
@@ -36,6 +37,16 @@ def test_satisfies_rejects_wrong_size(example1):
 def test_unsatisfied_fraction_examples(example1):
     assert unsatisfied_fraction(example1, (1, 2)) == 0
     assert unsatisfied_fraction(example1, (0, 1)) == Fraction(1, 4)
+
+
+def test_unsatisfied_fraction_builds_the_constraints_once(example1, monkeypatch):
+    calls = []
+    constraints = DiReInstance.constraints
+    monkeypatch.setattr(DiReInstance, "constraints", lambda self: calls.append(1) or constraints(self))
+    assert unsatisfied_fraction(example1, (0, 1)) == Fraction(1, 4)
+    assert len(calls) == 1
+    with pytest.raises(InstanceError):
+        unsatisfied_fraction(example1, (0, 1, 2))
 
 
 def test_unsatisfied_fraction_vacuous():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,21 @@ def test_config_validation():
         ExperimentConfig(dataset="files")
     with pytest.raises(ExperimentError):
         ExperimentConfig(dataset="syn1", timeout=0)
+
+
+def test_unconstrained_recomputation_keeps_to_the_timeout():
+    # No constraints: the solve finds a committee at once, and then the
+    # exhaustive unconstrained Monroe search over C(26, 5) committees, which
+    # takes more than ten times the budget, is cut.  The row must not start
+    # that search again without a deadline.
+    config = desk_config(seeds=(0,), rules=("monroe",), m=26, n=60, k=5, timeout=0.05, exhaustive=False)
+    start = time.monotonic()
+    (row,) = run_experiment(config)
+    assert time.monotonic() - start < 0.3
+    assert row["status"] == "feasible-heuristic"
+    assert row["utility_ratio"] == ""
+    assert row["unconstrained_score"] == ""
+    assert row["timed_out"] == "true"
 
 
 def test_best_unsatisfied_fraction_exact():

@@ -1,4 +1,5 @@
-"""Property tests: the feasibility search against the brute-force feasible set.
+"""Property tests: the feasibility search against the brute-force feasible
+set, and the scoring kernel against the rescoring reference.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -8,10 +9,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import scoring_reference as ref
 from conftest import brute_force_feasible_set
 from dire.constraints import Attribute, AttributeScheme, make_instance
 from dire.profiles import make_profile
-from dire.rules import RULE_KINDS, Rule
+from dire.rules import RULE_KINDS, Rule, population_winning_committee, score_committee, unconstrained_winner
 from dire.solver import SolverConfig, solve_feasibility
 
 
@@ -75,3 +77,33 @@ def test_exhaustive_mode_returns_the_brute_force_set(instance):
     assert sorted(result.committees) == expected
     assert result.complete
     assert result.proven_infeasible == (not expected)
+
+
+@st.composite
+def elections(draw):
+    """A profile (m <= 8, n <= 6) with a tie-break order, a rule with the
+    Borda or a drawn nonincreasing vector (all-zero and flat ones included),
+    a voter subset, a committee of any size and a committee size k."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    profile = make_profile(m, draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n)),
+                           priority=draw(st.permutations(range(m))))
+    entries = draw(st.none() | st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    rule = Rule(draw(st.sampled_from(RULE_KINDS)), None if entries is None else sorted(entries, reverse=True))
+    voters = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    committee = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+    return profile, rule, voters, committee, draw(st.integers(1, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elections())
+def test_scoring_kernel_matches_the_reference(election):
+    profile, rule, voters, committee, k = election
+    for subset in (None, voters):
+        assert score_committee(profile, rule, committee, subset) == ref.score_committee(
+            profile, rule, committee, subset)
+    for cap in (0, 10**6):
+        assert (population_winning_committee(profile, voters, rule, k, cap)
+                == ref.population_winning_committee(profile, voters, rule, k, cap))
+        got = unconstrained_winner(profile, rule, k, cap)
+        assert (got.committee, got.score, got.mode) == ref.unconstrained_winner(profile, rule, k, cap)

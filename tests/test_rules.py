@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -112,6 +113,18 @@ def test_monroe_greedy_at_most_exact():
         _, greedy = monroe_assign(profile, committee)
         _, exact = monroe_assign(profile, committee, exact=True)
         assert greedy <= exact
+
+
+def test_exact_monroe_assignment_leaves_no_reference_cycles():
+    profile = make_profile(4, [[0, 1, 2, 3], [1, 0, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]])
+    monroe_assign(profile, (0, 1, 2), exact=True)
+    gc.collect()
+    gc.disable()
+    try:
+        assert monroe_assign(profile, (0, 1, 2), exact=True)[1] > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_monroe_exact_rejects_large_elections():

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import random
 import time
@@ -257,6 +258,20 @@ def test_timeout_is_flagged(example1):
     result = solve_feasibility(example1, SolverConfig(timeout=1e-9))
     assert result.timed_out
     assert not result.proven_infeasible
+
+
+def test_solves_leave_no_reference_cycles(example1):
+    # a cycle would keep each solve's search state alive until a collection
+    solve_feasibility(example1, SolverConfig(timeout=10))
+    gc.collect()
+    gc.disable()
+    try:
+        for exhaustive in (False, True):
+            result = solve_feasibility(example1, SolverConfig(timeout=10), exhaustive=exhaustive)
+            assert len(result.committees) >= 2
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_config_validation():

@@ -44,6 +44,26 @@ def test_sample_mallows_deterministic_and_valid():
     assert validate_profile(first).ok
 
 
+def reference_sample_one(rng, phi, sigma):
+    """Repeated insertion drawing each position with ``rng.choices``."""
+    ranking = [sigma[0]]
+    for j in range(2, len(sigma) + 1):
+        weights = [phi ** (j - 1 - pos) for pos in range(j)]
+        pos = rng.choices(range(j), weights=weights)[0]
+        ranking.insert(pos, sigma[j - 1])
+    return tuple(ranking)
+
+
+@pytest.mark.parametrize("phi", [1e-9, 0.1, 0.37, 0.5, 0.9, 1.0])
+def test_sample_mallows_matches_the_choices_sampler(phi):
+    for m, n, seed in [(1, 3, 0), (2, 9, 1), (6, 40, 2), (17, 25, 3), (50, 12, 4)]:
+        sigma = list(range(m))
+        random.Random(seed).shuffle(sigma)
+        profile = sample_mallows(MallowsParams(phi=phi, sigma=tuple(sigma), seed=seed), n)
+        rng = random.Random(seed)
+        assert profile.rankings == tuple(reference_sample_one(rng, phi, sigma) for _ in range(n))
+
+
 def test_mallows_phi_to_zero_concentrates_on_sigma():
     sigma = (2, 0, 3, 1)
     profile = sample_mallows(MallowsParams(phi=1e-9, sigma=sigma, seed=3), 40)

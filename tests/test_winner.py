@@ -3,10 +3,9 @@ import time
 
 import pytest
 
-from dire import winner
 from dire.constraints import Attribute, AttributeScheme, make_instance, satisfies
 from dire.profiles import make_profile
-from dire.rules import betacc, kborda, monroe, score_committee, unconstrained_winner
+from dire.rules import SatisfactionTable, betacc, kborda, monroe, unconstrained_winner
 from dire.solver import SolverConfig
 from dire.synth import gen_syndata
 from dire.winner import (
@@ -83,8 +82,9 @@ def test_solve_drcwd_timeout_status(example1):
 
 
 def test_timeout_bounds_the_whole_solve():
-    # the exhaustive unconstrained Monroe search alone takes about 0.5 s here
-    instance = gen_syndata("syn1", mu=1, pi=1, seed=0, m=18, n=60, k=4, rule=monroe())
+    # the exhaustive unconstrained Monroe search over C(26, 5) committees
+    # alone takes more than ten times the budget here
+    instance = gen_syndata("syn1", mu=0, pi=0, seed=0, m=26, n=60, k=5, rule=monroe())
     start = time.monotonic()
     report = solve_drcwd(instance, SolverConfig(timeout=0.05))
     assert time.monotonic() - start < 0.3
@@ -95,11 +95,13 @@ def test_timeout_bounds_the_whole_solve():
 
 
 def test_scoring_cut_by_the_deadline_is_not_certified(example1, monkeypatch):
+    score = SatisfactionTable.score
+
     def slow_score(*args):
         time.sleep(0.1)
-        return score_committee(*args)
+        return score(*args)
 
-    monkeypatch.setattr(winner, "score_committee", slow_score)
+    monkeypatch.setattr(SatisfactionTable, "score", slow_score)
     report = solve_drcwd(example1, SolverConfig(timeout=0.05), exhaustive=True)
     assert report.committees_examined == 1  # of the three feasible committees
     assert report.timed_out
