@@ -33,24 +33,13 @@ from dire.constraints import (
     satisfies,
     unsatisfied_fraction,
 )
-from dire.solver import (
-    DiReGraph,
-    SolverConfig,
-    build_diregraph,
-    domain_reduce,
-    enumerate_feasible,
-    heuristic_backtrack,
-    pairwise_feasible,
-    preprocess,
-    solve_feasibility,
-)
+from dire.solver import SolverConfig, solve_feasibility
 from dire.winner import SolveReport, brute_force_oracle, fpt_rep_solver, mu1_fast_path, solve_drcwd
 
 __all__ = [
     "Attribute",
     "AttributeScheme",
     "Committee",
-    "DiReGraph",
     "DiReInstance",
     "PreferenceProfile",
     "Rule",
@@ -61,12 +50,8 @@ __all__ = [
     "borda_vector",
     "break_tie",
     "brute_force_oracle",
-    "build_diregraph",
     "candidate_score",
-    "domain_reduce",
-    "enumerate_feasible",
     "fpt_rep_solver",
-    "heuristic_backtrack",
     "kborda",
     "make_instance",
     "make_profile",
@@ -74,10 +59,8 @@ __all__ = [
     "monroe_assign",
     "mu1_fast_path",
     "necessary_condition_report",
-    "pairwise_feasible",
     "population_winning_committee",
     "position",
-    "preprocess",
     "satisfies",
     "score_committee",
     "solve_drcwd",

@@ -43,6 +43,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_TIMEOUT = 3
 
+# stderr note when the budget ran out after a result was found (exit code stays 0)
+TIMED_OUT_NOTE = "timeout: the budget ran out; the result is the best found in time"
+
 
 class UsageError(Exception):
     pass
@@ -197,6 +200,8 @@ def _cmd_feasible(args) -> int:
         return EXIT_TIMEOUT
     for committee in result.committees:
         print(" ".join(str(c) for c in committee))
+    if result.timed_out:
+        print(TIMED_OUT_NOTE, file=sys.stderr)
     print(f"elapsed: {result.elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -218,6 +223,8 @@ def _cmd_solve(args) -> int:
     print(f"utility_ratio: {ratio}")
     print(f"status: {report.status}")
     print(f"mode: {report.mode}")
+    if report.timed_out:
+        print(TIMED_OUT_NOTE, file=sys.stderr)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from dire.profiles import PreferenceProfile
-from dire.rules import DEFAULT_ORACLE_CAP, Rule, kborda, population_winning_committee
+from dire.rules import Rule, kborda, population_winning_committee
 
 
 class InstanceError(ValueError):
@@ -214,7 +214,6 @@ def make_instance(
     representation_bounds: Mapping[tuple[str, str], int] | None = None,
     winning_committees: Mapping[tuple[str, str], Sequence[int]] | None = None,
     allow_zero_bounds: bool = False,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> DiReInstance:
     """Build and validate an instance, computing missing winning committees.
 
@@ -230,7 +229,7 @@ def make_instance(
             if key in supplied:
                 computed[key] = supplied[key]
             else:
-                wc = population_winning_committee(profile, voters, rule, k, oracle_cap)
+                wc = population_winning_committee(profile, voters, rule, k)
                 computed[key] = wc.members
     instance = DiReInstance(
         profile=profile,

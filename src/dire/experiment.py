@@ -68,7 +68,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds or not self.rules:
             raise ExperimentError("seeds and rules must be nonempty")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN
             raise ExperimentError("timeout must be positive")
         unknown = [r for r in self.rules if r not in RULE_KINDS]
         if unknown:
@@ -170,7 +170,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
             found = report.committee is not None
             unsat, approx = best_unsatisfied_fraction(instance, found)
             timed_out = report.timed_out
-            if report.utility_ratio is not None and report.score is not None:
+            if report.utility_ratio:  # a zero ratio cannot be inverted
                 unconstrained = str(int(Fraction(report.score) / report.utility_ratio))
             else:
                 try:

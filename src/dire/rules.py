@@ -21,7 +21,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from dire.profiles import Committee, PreferenceProfile, break_tie
 
@@ -40,11 +40,6 @@ class RuleError(ValueError):
 
 class SolverTimeout(Exception):
     """A search ran past its deadline (a ``time.monotonic()`` value)."""
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolverTimeout("winner search timed out")
 
 
 def borda_vector(m: int) -> tuple[int, ...]:
@@ -286,7 +281,8 @@ def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None)
         for c in range(table.profile.m):
             if c in chosen:
                 continue
-            _check_deadline(deadline)
+            if deadline is not None and time.monotonic() > deadline:
+                raise SolverTimeout("winner search timed out")
             gain = table.score(chosen + [c]) - current
             if best_gain is None or gain > best_gain:
                 best_gain, best_cands = gain, [c]
@@ -296,22 +292,30 @@ def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None)
     return Committee(chosen)
 
 
-def _exhaustive_max(
-    table: SatisfactionTable, k: int, deadline: float | None = None
-) -> tuple[Committee, int]:
-    best_score, best = None, None
-    for combo in itertools.combinations(range(table.profile.m), k):
-        _check_deadline(deadline)
-        score = table.score(combo)
-        if best_score is None or score > best_score:
-            best_score, best = score, combo
-    return Committee(best), best_score
+def _ranked(scores: Sequence[int], priority_key: Callable[[int], int]) -> list[int]:
+    """Every candidate, best first: descending score, ties by priority."""
+    return sorted(range(len(scores)), key=lambda c: (-scores[c], priority_key(c)))
 
 
-def _topk_by_score(table: SatisfactionTable, k: int) -> Committee:
-    totals, key = table.totals, table.profile.priority_key
-    order = sorted(range(len(totals)), key=lambda c: (-totals[c], key(c)))
-    return Committee(order[:k])
+def _best_of(
+    table: SatisfactionTable, committees: Iterable[tuple[int, ...]], deadline: float | None = None
+) -> tuple[tuple[int, ...] | None, int | None, int, bool]:
+    """The highest-scoring committee, ties to the lexicographically least
+    member tuple.
+
+    Once ``deadline`` has passed, stops after at least one committee.
+    Returns (members, score, committees scored, whether all were scored);
+    members and score are None when there is no committee.
+    """
+    best, best_score, scored = None, None, 0
+    for members in committees:
+        if scored and deadline is not None and time.monotonic() > deadline:
+            return best, best_score, scored, False
+        score = table.score(members)
+        scored += 1
+        if best_score is None or score > best_score or (score == best_score and members < best):
+            best, best_score = members, score
+    return best, best_score, scored, True
 
 
 @dataclass(frozen=True)
@@ -319,6 +323,24 @@ class WinnerResult:
     committee: Committee
     score: int
     mode: str  # "topk" | "exhaustive" | "greedy"
+
+
+def _winner(
+    table: SatisfactionTable, k: int, deadline: float | None, oracle_cap: int
+) -> tuple[Committee, int | None, str]:
+    """The rule's winning k-committee on one table, its score when the
+    search computed it, and the mode: top-k by score for k-Borda, else
+    exhaustive while C(m, k) <= oracle_cap, else greedy.  The exhaustive
+    and greedy searches raise :class:`SolverTimeout` past ``deadline``."""
+    m = table.profile.m
+    if table.kind == KBORDA:
+        return Committee(_ranked(table.totals, table.profile.priority_key)[:k]), None, "topk"
+    if comb(m, k) <= oracle_cap:
+        members, score, _, finished = _best_of(table, itertools.combinations(range(m), k), deadline)
+        if not finished:
+            raise SolverTimeout("winner search timed out")
+        return Committee(members), score, "exhaustive"
+    return _greedy_max(table, k, deadline), None, "greedy"
 
 
 def population_winning_committee(
@@ -339,13 +361,7 @@ def population_winning_committee(
         raise RuleError("population is empty")
     if any(not 0 <= v < profile.n for v in voter_ids):
         raise RuleError("population contains out-of-range voter indices")
-    table = SatisfactionTable(profile, rule, voter_ids)
-    if rule.kind == KBORDA:
-        return _topk_by_score(table, k)
-    if comb(profile.m, k) <= oracle_cap:
-        committee, _ = _exhaustive_max(table, k)
-        return committee
-    return _greedy_max(table, k)
+    return _winner(SatisfactionTable(profile, rule, voter_ids), k, None, oracle_cap)[0]
 
 
 def unconstrained_winner(
@@ -364,12 +380,8 @@ def unconstrained_winner(
     """
     if not 1 <= k <= profile.m:
         raise RuleError(f"committee size {k} out of range [1, {profile.m}]")
-    # each search's table is freed when it returns
-    if rule.kind == KBORDA:
-        committee = _topk_by_score(SatisfactionTable(profile, rule), k)
-        return WinnerResult(committee, score_committee(profile, rule, committee), "topk")
-    if comb(profile.m, k) <= oracle_cap:
-        committee, score = _exhaustive_max(SatisfactionTable(profile, rule), k, deadline)
-        return WinnerResult(committee, score, "exhaustive")
-    committee = _greedy_max(SatisfactionTable(profile, rule), k, deadline)
-    return WinnerResult(committee, score_committee(profile, rule, committee), "greedy")
+    # the search's table is freed when it returns
+    committee, score, mode = _winner(SatisfactionTable(profile, rule), k, deadline, oracle_cap)
+    if score is None:
+        score = score_committee(profile, rule, committee)
+    return WinnerResult(committee, score, mode)

@@ -30,7 +30,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from dire.constraints import DiReInstance, satisfies
-from dire.rules import SolverTimeout, borda_vector, candidate_scores
+from dire.rules import SolverTimeout, _ranked, borda_vector, candidate_scores
 
 
 class SolverError(ValueError):
@@ -90,7 +90,7 @@ class SolverConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN, which no deadline would ever pass
             raise SolverError("timeout must be positive")
         if self.max_committees < 1:
             raise SolverError("max_committees must be >= 1")
@@ -236,10 +236,7 @@ def _pad_solution(graph: DiReGraph, solution: Iterable[int]) -> tuple[int, ...]:
     """Fill a partial solution up to k with the best-scoring unused candidates."""
     chosen = set(solution)
     if len(chosen) < graph.k:
-        spare = sorted(
-            (c for c in range(graph.m) if c not in chosen),
-            key=lambda c: (-graph.scores[c], graph.priority_rank(c)),
-        )
+        spare = [c for c in _ranked(graph.scores, graph.priority_rank) if c not in chosen]
         chosen.update(spare[: graph.k - len(chosen)])
     return tuple(sorted(chosen))
 

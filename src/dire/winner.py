@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from dire.constraints import DiReInstance, InstanceError, satisfies
 from dire.profiles import Committee
@@ -21,6 +22,8 @@ from dire.rules import (
     DEFAULT_ORACLE_CAP,
     SatisfactionTable,
     SolverTimeout,
+    _best_of,
+    _ranked,
     candidate_scores,
     score_committee,
     unconstrained_winner,
@@ -64,30 +67,42 @@ class SolveReport:
     reason: str | None = None
 
 
-def _best_lex(scored: list[tuple[tuple[int, ...], int]]) -> tuple[tuple[int, ...], int]:
-    """Max score; ties go to the lexicographically least sorted member tuple."""
-    best_committee, best_score = None, None
-    for committee, score in scored:
-        if best_score is None or score > best_score or (
-            score == best_score and committee < best_committee
-        ):
-            best_committee, best_score = committee, score
-    return best_committee, best_score
+def _report(
+    instance: DiReInstance,
+    mode: str,
+    start: float,
+    status: str,
+    members: Sequence[int] | None = None,
+    score: int | None = None,
+    examined: int = 0,
+    deadline: float | None = None,
+    timed_out: bool = False,
+    reason: str | None = None,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+) -> SolveReport:
+    """The report of a route that started at ``start``, with its utility ratio.
 
-
-def _utility_ratio(
-    instance: DiReInstance, score: int | None, oracle_cap: int, deadline: float | None = None
-) -> Fraction | None:
-    if score is None:
-        return None
-    unconstrained = unconstrained_winner(instance.profile, instance.rule, instance.k, oracle_cap, deadline)
-    # above the cap the unconstrained score is a greedy lower bound; the
-    # constrained score is a lower bound too, so take the tighter of the two
-    # to keep the ratio within (0, 1]
-    denominator = max(unconstrained.score, score)
-    if denominator <= 0:
-        return None
-    return Fraction(score, denominator)
+    The ratio divides by the unconstrained winner's score; when ``deadline``
+    cuts that search short, the ratio is dropped and the report is
+    ``timed_out``.
+    """
+    ratio = None
+    if score is not None:
+        try:
+            unconstrained = unconstrained_winner(instance.profile, instance.rule, instance.k,
+                                                 oracle_cap, deadline)
+        except SolverTimeout:
+            timed_out = True
+        else:
+            # above the cap the unconstrained score is a greedy lower bound; the
+            # constrained score is a lower bound too, so take the tighter of the
+            # two to keep the ratio within (0, 1]
+            denominator = max(unconstrained.score, score)
+            if denominator > 0:
+                ratio = Fraction(score, denominator)
+    committee = None if members is None else Committee(members)
+    return SolveReport(status, committee, score, ratio, time.monotonic() - start, examined, mode,
+                       timed_out, reason)
 
 
 def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
@@ -99,53 +114,21 @@ def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_
     total = comb(instance.m, instance.k)
     if total > oracle_cap:
         raise OracleCapExceeded(f"C({instance.m}, {instance.k}) = {total} exceeds cap {oracle_cap}")
-    constraints = instance.constraints()
-    domains = [set(c.domain) for c in constraints]
-    bounds = [c.bound for c in constraints]
-    table = SatisfactionTable(instance.profile, instance.rule)
-    best_committee, best_score = None, None
-    examined = 0
-    for combo in itertools.combinations(range(instance.m), instance.k):
-        examined += 1
-        members = set(combo)
-        if any(len(members & domain) < bound for domain, bound in zip(domains, bounds)):
-            continue
-        score = table.score(combo)
-        if best_score is None or score > best_score:
-            best_committee, best_score = combo, score
-    elapsed = time.monotonic() - start
-    if best_committee is None:
-        return SolveReport(STATUS_INFEASIBLE, None, None, None, elapsed, examined, "oracle",
-                           reason=f"none of the {total} {instance.k}-committees meets every bound")
-    return SolveReport(
-        STATUS_OPTIMAL,
-        Committee(best_committee),
-        best_score,
-        _utility_ratio(instance, best_score, oracle_cap),
-        elapsed,
-        examined,
-        "oracle",
-    )
-
-
-def _score_until(
-    instance: DiReInstance, committees: tuple[tuple[int, ...], ...], deadline: float
-) -> list[tuple[tuple[int, ...], int]]:
-    """Score committees in order until the deadline passes, at least one."""
-    table = SatisfactionTable(instance.profile, instance.rule)
-    scored: list[tuple[tuple[int, ...], int]] = []
-    for committee in committees:
-        if scored and time.monotonic() > deadline:
-            break
-        scored.append((committee, table.score(committee)))
-    return scored
+    pairs = [(set(c.domain), c.bound) for c in instance.constraints()]
+    feasible = (combo for combo in itertools.combinations(range(instance.m), instance.k)
+                if all(len(domain.intersection(combo)) >= bound for domain, bound in pairs))
+    members, score, _, _ = _best_of(SatisfactionTable(instance.profile, instance.rule), feasible)
+    if members is None:
+        return _report(instance, "oracle", start, STATUS_INFEASIBLE, examined=total,
+                       reason=f"none of the {total} {instance.k}-committees meets every bound")
+    return _report(instance, "oracle", start, STATUS_OPTIMAL, members, score, total,
+                   oracle_cap=oracle_cap)
 
 
 def solve_drcwd(
     instance: DiReInstance,
     config: SolverConfig | None = None,
     exhaustive: bool = False,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> SolveReport:
     """Two-stage solve: enumerate feasible committees, then maximize the rule.
 
@@ -162,33 +145,18 @@ def solve_drcwd(
     deadline = start + config.timeout
     feas = solve_feasibility(instance, config, exhaustive=exhaustive)
     if feas.proven_infeasible:
-        return SolveReport(STATUS_INFEASIBLE, None, None, None,
-                           time.monotonic() - start, 0, "two-stage", reason=feas.reason)
+        return _report(instance, "two-stage", start, STATUS_INFEASIBLE, reason=feas.reason)
     if not feas.committees:
-        return SolveReport(STATUS_TIMEOUT, None, None, None,
-                           time.monotonic() - start, 0, "two-stage", timed_out=True)
-    scored = _score_until(instance, feas.committees, deadline)
-    best_committee, best_score = _best_lex(scored)
-    timed_out = feas.timed_out or len(scored) < len(feas.committees)
+        return _report(instance, "two-stage", start, STATUS_TIMEOUT, timed_out=True)
+    members, score, scored, finished = _best_of(
+        SatisfactionTable(instance.profile, instance.rule), feas.committees, deadline)
+    timed_out = feas.timed_out or not finished
     certified = exhaustive and feas.complete and not timed_out
     status = STATUS_OPTIMAL if certified else STATUS_HEURISTIC
-    try:
-        ratio = _utility_ratio(instance, best_score, oracle_cap, deadline)
-    except SolverTimeout:
-        ratio, timed_out = None, True
-    return SolveReport(
-        status,
-        Committee(best_committee),
-        best_score,
-        ratio,
-        time.monotonic() - start,
-        len(scored),
-        "two-stage",
-        timed_out=timed_out,
-    )
+    return _report(instance, "two-stage", start, status, members, score, scored, deadline, timed_out)
 
 
-def mu1_fast_path(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
+def mu1_fast_path(instance: DiReInstance) -> SolveReport:
     """Optimal solve for one candidate attribute, no voter attributes, separable rule.
 
     Takes the top-scoring candidates of each group up to its bound, then
@@ -200,31 +168,20 @@ def mu1_fast_path(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) 
         raise PreconditionError(f"fast path needs mu=1, pi=0; got mu={instance.mu}, pi={instance.pi}")
     if not instance.rule.separable:
         raise PreconditionError(f"fast path needs a separable rule, got {instance.rule.kind}")
-    scores = candidate_scores(instance.profile, padding_vector(instance))
-    by_desirability = lambda c: (-scores[c], instance.profile.priority_key(c))
+    ranked = _ranked(candidate_scores(instance.profile, padding_vector(instance)),
+                     instance.profile.priority_key)
 
     attr = instance.scheme.candidate_attributes[0]
     chosen: list[int] = []
     for label, members in attr.groups:
         bound = instance.diversity_bounds[(attr.name, label)]
-        chosen.extend(sorted(members, key=by_desirability)[:bound])
+        chosen.extend([c for c in ranked if c in members][:bound])
     if len(chosen) > instance.k:
-        return SolveReport(STATUS_INFEASIBLE, None, None, None,
-                           time.monotonic() - start, 0, "mu1-fast",
-                           reason=f"diversity bounds need {len(chosen)} seats, k = {instance.k}")
-    spare = sorted((c for c in range(instance.m) if c not in set(chosen)), key=by_desirability)
-    chosen.extend(spare[: instance.k - len(chosen)])
-    committee = Committee(chosen)
-    score = score_committee(instance.profile, instance.rule, committee)
-    return SolveReport(
-        STATUS_OPTIMAL,
-        committee,
-        score,
-        _utility_ratio(instance, score, oracle_cap),
-        time.monotonic() - start,
-        1,
-        "mu1-fast",
-    )
+        return _report(instance, "mu1-fast", start, STATUS_INFEASIBLE,
+                       reason=f"diversity bounds need {len(chosen)} seats, k = {instance.k}")
+    chosen.extend([c for c in ranked if c not in chosen][: instance.k - len(chosen)])
+    score = score_committee(instance.profile, instance.rule, chosen)
+    return _report(instance, "mu1-fast", start, STATUS_OPTIMAL, chosen, score, 1)
 
 
 def _population_covers(instance: DiReInstance) -> list[frozenset[int]]:
@@ -265,18 +222,13 @@ def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
     ]
 
 
-def fpt_rep_solver(
-    instance: DiReInstance,
-    config: SolverConfig | None = None,
-    prune: bool = True,
-) -> list[Committee]:
+def fpt_rep_solver(instance: DiReInstance) -> list[Committee]:
     """All feasible committees for representation-only instances with unit bounds.
 
-    After dominated-candidate pruning (skipped with ``prune=False``, kept
-    switchable so the pruning step can be audited), branches on each member
-    of the first population whose winning committee is not yet hit,
-    collecting every minimal hitting set of size <= k; each is padded to
-    exactly k with the best-scoring unused candidates.
+    After dominated-candidate pruning, branches on each member of the first
+    population whose winning committee is not yet hit, collecting every
+    minimal hitting set of size <= k; each is padded to exactly k with the
+    best-scoring unused candidates.
     """
     if instance.mu != 0 or instance.pi < 1:
         raise PreconditionError(f"fpt solver needs mu=0, pi>=1; got mu={instance.mu}, pi={instance.pi}")
@@ -284,7 +236,7 @@ def fpt_rep_solver(
     if bad:
         raise PreconditionError(f"fpt solver needs every representation bound to be 1, got {bad}")
 
-    survivors = set(dominated_candidate_pruning(instance)) if prune else set(range(instance.m))
+    survivors = set(dominated_candidate_pruning(instance))
     populations = [wc & survivors for wc in _population_covers(instance)]
 
     hitting_sets: set[frozenset[int]] = set()
@@ -301,15 +253,12 @@ def fpt_rep_solver(
 
     branch(frozenset())
 
-    scores = candidate_scores(instance.profile, padding_vector(instance))
-    committees: set[tuple[int, ...]] = set()
-    for hit in hitting_sets:
-        rest = sorted(
-            (c for c in range(instance.m) if c not in hit),
-            key=lambda c: (-scores[c], instance.profile.priority_key(c)),
-        )
-        members = tuple(sorted(hit | set(rest[: instance.k - len(hit)])))
-        committees.add(members)
+    ranked = _ranked(candidate_scores(instance.profile, padding_vector(instance)),
+                     instance.profile.priority_key)
+    committees = {
+        tuple(sorted(hit.union([c for c in ranked if c not in hit][: instance.k - len(hit)])))
+        for hit in hitting_sets
+    }
     result = [Committee(members) for members in sorted(committees)]
     for committee in result:
         check = satisfies(instance, committee.members)
@@ -318,7 +267,7 @@ def fpt_rep_solver(
     return result
 
 
-def fpt_report(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
+def fpt_report(instance: DiReInstance) -> SolveReport:
     """Wrap :func:`fpt_rep_solver` in a standard report (best-scoring committee).
 
     For a separable rule the best greedy completion of a minimal hitting
@@ -328,19 +277,9 @@ def fpt_report(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) -> 
     start = time.monotonic()
     committees = fpt_rep_solver(instance)
     if not committees:
-        return SolveReport(STATUS_INFEASIBLE, None, None, None,
-                           time.monotonic() - start, 0, "fpt",
-                           reason=f"no {instance.k} candidates hit every population's winning committee")
-    table = SatisfactionTable(instance.profile, instance.rule)
-    scored = [(committee.members, table.score(committee.members)) for committee in committees]
-    best_committee, best_score = _best_lex(scored)
+        return _report(instance, "fpt", start, STATUS_INFEASIBLE,
+                       reason=f"no {instance.k} candidates hit every population's winning committee")
+    members, score, scored, _ = _best_of(SatisfactionTable(instance.profile, instance.rule),
+                                         (committee.members for committee in committees))
     status = STATUS_OPTIMAL if instance.rule.separable else STATUS_HEURISTIC
-    return SolveReport(
-        status,
-        Committee(best_committee),
-        best_score,
-        _utility_ratio(instance, best_score, oracle_cap),
-        time.monotonic() - start,
-        len(scored),
-        "fpt",
-    )
+    return _report(instance, "fpt", start, status, members, score, scored)

@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 
@@ -76,6 +77,22 @@ def test_files_dataset(tmp_path):
     assert row["mu"] == "1" and row["pi"] == "1"
 
 
+def test_zero_best_score_row(tmp_path):
+    # the only feasible committee is the voter's last choice, which k-Borda
+    # scores 0, so the utility ratio is 0 and cannot give back the denominator
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "m": 2, "n": 1, "k": 1, "rule": "kborda", "rankings": [[0, 1]],
+        "voter_attributes": [{"name": "B", "groups": {"p": [0]}}],
+        "representation_bounds": {"B": {"p": 1}}, "winning_committees": {"B": {"p": [1]}},
+    }), encoding="utf-8")
+    (row,) = run_experiment(ExperimentConfig(dataset="files", files=(str(path),), timeout=60))
+    assert row["score"] == "0"
+    assert row["unconstrained_score"] == "1"
+    assert row["utility_ratio"] == "0.000000"
+    assert row["timed_out"] == "false"
+
+
 def test_repetitions_multiply_rows():
     rows = run_experiment(desk_config(seeds=(7,), repetitions=3))
     assert len(rows) == 3
@@ -91,6 +108,9 @@ def test_config_validation():
         ExperimentConfig(dataset="files")
     with pytest.raises(ExperimentError):
         ExperimentConfig(dataset="syn1", timeout=0)
+    with pytest.raises(ExperimentError):
+        ExperimentConfig(dataset="syn1", timeout=float("nan"))
+    assert ExperimentConfig(dataset="syn1", timeout=float("inf")).timeout == float("inf")
 
 
 def test_unconstrained_recomputation_keeps_to_the_timeout():

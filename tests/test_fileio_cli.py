@@ -1,12 +1,14 @@
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
-from dire import fileio
-from dire.cli import main
+from dire import fileio, solver
+from dire.cli import TIMED_OUT_NOTE, main
 from dire.constraints import InstanceError
 from dire.reductions import reduce_vc_representation, InputGraph
-from dire.rules import betacc, unconstrained_winner
+from dire.rules import SatisfactionTable, betacc, unconstrained_winner
 from dire.synth import gen_syndata
 from conftest import build_example1, random_instance
 
@@ -208,6 +210,44 @@ def test_cli_solve_explains_infeasible(tmp_path, capsys):
 def test_cli_timeout_exit_code(example1_path, capsys):
     assert main(["solve", str(example1_path), "--timeout", "1e-12"]) == 3
     assert "TIMEOUT" in capsys.readouterr().out
+
+
+def test_cli_solve_notes_a_timeout_after_a_committee(example1_path, monkeypatch, capsys):
+    score = SatisfactionTable.score
+
+    def slow_score(*args):
+        time.sleep(0.1)
+        return score(*args)
+
+    monkeypatch.setattr(SatisfactionTable, "score", slow_score)
+    assert main(["solve", str(example1_path), "--exhaustive", "--timeout", "0.05"]) == 0
+    captured = capsys.readouterr()
+    assert "status: feasible-heuristic" in captured.out
+    assert TIMED_OUT_NOTE in captured.err.splitlines()
+
+
+def test_cli_feasible_notes_a_timeout_after_a_committee(example1_path, monkeypatch, capsys):
+    assert main(["feasible", str(example1_path)]) == 0
+    assert TIMED_OUT_NOTE not in capsys.readouterr().err
+    # the clock jumps past the budget as soon as the first committee is found
+    now = [0.0]
+    pad = solver._pad_solution
+
+    def pad_then_jump(*args):
+        now[0] = 1e9
+        return pad(*args)
+
+    monkeypatch.setattr(solver, "_pad_solution", pad_then_jump)
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    assert main(["feasible", str(example1_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1 3\n"
+    assert TIMED_OUT_NOTE in captured.err.splitlines()
+
+
+def test_cli_rejects_a_nan_timeout(example1_path, capsys):
+    assert main(["solve", str(example1_path), "--timeout", "nan"]) == 1
+    assert "timeout must be positive" in capsys.readouterr().err
 
 
 def test_cli_usage_error(capsys):

@@ -278,12 +278,29 @@ def test_config_validation():
     with pytest.raises(SolverError):
         SolverConfig(timeout=0)
     with pytest.raises(SolverError):
+        SolverConfig(timeout=float("nan"))  # a NaN deadline would never pass
+    with pytest.raises(SolverError):
         SolverConfig(max_committees=0)
 
 
 def test_public_surface_resolves():
+    assert sorted(dire.__all__) == [
+        "Attribute", "AttributeScheme", "Committee", "DiReInstance", "PreferenceProfile",
+        "Rule", "SolveReport", "SolverConfig", "apportionment_bounds", "betacc",
+        "borda_vector", "break_tie", "brute_force_oracle", "candidate_score",
+        "fpt_rep_solver", "kborda", "make_instance", "make_profile", "monroe",
+        "monroe_assign", "mu1_fast_path", "necessary_condition_report",
+        "population_winning_committee", "position", "satisfies", "score_committee",
+        "solve_drcwd", "solve_feasibility", "unconstrained_winner",
+        "unsatisfied_fraction", "validate_profile",
+    ]
     for name in dire.__all__:
         assert getattr(dire, name, None) is not None, name
+    # the solver internals stay importable from their module
+    for name in ("DiReGraph", "build_diregraph", "pairwise_feasible", "domain_reduce",
+                 "preprocess", "heuristic_backtrack", "enumerate_feasible"):
+        assert name not in dire.__all__
+        assert callable(getattr(solver, name)), name
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
     assert fields == ["timeout", "max_committees", "seed"]
 
