@@ -139,15 +139,22 @@ def best_unsatisfied_fraction(instance: DiReInstance, found) -> tuple[Fraction, 
         # with no constraints every committee violates none of them
         return Fraction(fewest, len(pairs) or 1), False
 
+    # Adding c lowers the total shortfall by the number of constraints that
+    # hold c and are still short, so each step takes the candidate that
+    # helps the most of them, ties by priority.
+    short = [con.bound for con in constraints]
+    holds: list[list[int]] = [[] for _ in range(instance.m)]
+    for i, con in enumerate(constraints):
+        for c in con.domain:
+            holds[c].append(i)
     chosen: set[int] = set()
     while len(chosen) < instance.k:
-        def deficit_after(c):
-            trial = chosen | {c}
-            return sum(
-                max(0, con.bound - len(trial & con.domain)) for con in constraints
-            )
-        candidates = [c for c in range(instance.m) if c not in chosen]
-        chosen.add(min(candidates, key=lambda c: (deficit_after(c), instance.profile.priority_key(c))))
+        pick = min((c for c in range(instance.m) if c not in chosen),
+                   key=lambda c: (-sum(short[i] > 0 for i in holds[c]), instance.profile.priority_key(c)))
+        chosen.add(pick)
+        for i in holds[pick]:
+            if short[i]:
+                short[i] -= 1
     return unsatisfied_fraction(instance, chosen), True
 
 

@@ -1,9 +1,12 @@
 """Committee scoring rules: k-Borda, Borda-CC, Monroe.
 
 All scores are exact integers.  k-Borda is separable (committee score =
-sum of member scores); the CC and Monroe variants are submodular, so their
-winner determination is exact only below the exhaustive-search cap and
-falls back to greedy marginal-gain selection above it.
+sum of member scores).  Borda-CC is monotone submodular; the greedy
+balanced-assignment Monroe score is not submodular in the committee, as
+every member's load shrinks when the committee grows.  Winner
+determination for both is exact only below the exhaustive-search cap and
+greedy marginal-gain selection above it: lazy for Borda-CC, every candidate
+at every step for Monroe (see :func:`_greedy_max`).
 
 Every score is read off a :class:`SatisfactionTable`, built once per
 (profile, rule vector, voter list): one row per candidate holding
@@ -17,13 +20,15 @@ committee it tries through it; :func:`score_committee` and
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from dire.profiles import Committee, PreferenceProfile, break_tie
+from dire.profiles import Committee, PreferenceProfile
 
 KBORDA = "kborda"
 BETACC = "betacc"
@@ -144,10 +149,16 @@ class SatisfactionTable:
         the member of each voter in ``voters`` (None if unassigned) and the
         total satisfaction."""
         members = sorted(members, key=self.profile._priority_rank.__getitem__)
-        rows, orders = self.rows, self.orders
         owner: list[int | None] = [None] * len(self.voters)
-        total = 0
-        for member, load in zip(members, _monroe_loads(len(owner), len(members))):
+        return owner, self._claim(owner, 0, members, _monroe_loads(len(owner), len(members)))
+
+    def _claim(self, owner: list[int | None], total: int, members: Iterable[int], loads: Iterable[int]) -> int:
+        """Let each member in turn claim its load of the most satisfied
+        voters that ``owner`` leaves unassigned; returns ``total`` plus
+        their satisfaction.  ``assign`` runs it from the empty assignment,
+        greedy Monroe from the assignment of a committee's first members."""
+        rows, orders = self.rows, self.orders
+        for member, load in zip(members, loads):
             if not load:
                 break  # loads never increase
             row, order = rows[member], orders[member]
@@ -161,7 +172,7 @@ class SatisfactionTable:
                     load -= 1
                     if not load:
                         break
-        return owner, total
+        return total
 
 
 def _monroe_loads(n: int, k: int) -> Iterator[int]:
@@ -273,23 +284,62 @@ def monroe_assign(
 
 
 def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None) -> Committee:
-    """Greedy marginal-gain committee for submodular rules, ties by priority."""
-    chosen: list[int] = []
+    """Greedy Borda-CC or Monroe committee: k times, add the candidate of
+    largest marginal gain, ties to the earliest in priority order.  Raises
+    :class:`SolverTimeout` once ``deadline`` has passed.
+
+    Each step evaluates only what it changes.  Borda-CC is monotone
+    submodular, so a gain found at an earlier step bounds the gain now:
+    candidates wait in a heap under their last gain, and only the top is
+    recomputed, against each voter's best entry so far, until a fresh gain
+    stays on top (lazy greedy; Minoux 1978).  The greedy balanced Monroe
+    score is not submodular, because the loads shrink as the committee
+    grows, so every step scores every candidate.  It walks the candidates
+    in priority order, keeping the assignment of the members passed so far
+    at that step's loads; each candidate resumes from it and assigns only
+    itself and the members after it.
+    """
+    rank, n = table.profile._priority_rank, len(table.voters)
+
+    def check_deadline():
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout("winner search timed out")
+
+    def monroe_trials(members):
+        """(-score, priority rank, c) of members + [c] for every candidate c
+        outside ``members``, which are in priority order."""
+        loads = list(_monroe_loads(n, len(members) + 1))
+        prefix: list[int | None] = [None] * n  # the assignment of members[:t]
+        trial, total, t = prefix[:], 0, 0
+        for c in table.profile.priority:
+            if t < len(members) and c == members[t]:
+                total = table._claim(prefix, total, (c,), loads[t:t + 1])
+                t += 1
+            else:
+                check_deadline()
+                trial[:] = prefix
+                yield -table._claim(trial, total, (c, *members[t:]), loads[t:]), rank[c], c
+
+    members: list[int] = []  # the committee so far, in priority order
+    if table.kind != MONROE:
+        heap = [(-gain, rank[c], c) for c, gain in enumerate(table.totals)]  # the gains of step 1
+        heapq.heapify(heap)
+        best = [0] * n  # each voter's best entry among the members
     for _ in range(k):
-        best_gain, best_cands = None, []
-        current = table.score(chosen)
-        for c in range(table.profile.m):
-            if c in chosen:
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                raise SolverTimeout("winner search timed out")
-            gain = table.score(chosen + [c]) - current
-            if best_gain is None or gain > best_gain:
-                best_gain, best_cands = gain, [c]
-            elif gain == best_gain:
-                best_cands.append(c)
-        chosen.append(break_tie(best_cands, table.profile.priority))
-    return Committee(chosen)
+        if table.kind == MONROE:
+            pick = min(monroe_trials(members))[2]
+        else:
+            while True:
+                check_deadline()
+                _, r, pick = heapq.heappop(heap)
+                row = table.rows[pick]
+                fresh = (-sum([a - b for a, b in zip(row, best) if a > b]), r, pick)
+                if not heap or fresh <= heap[0]:
+                    break
+                heapq.heappush(heap, fresh)
+            best = [a if a > b else b for a, b in zip(row, best)]
+        bisect.insort(members, pick, key=rank.__getitem__)
+    return Committee(members)
 
 
 def _ranked(scores: Sequence[int], priority_key: Callable[[int], int]) -> list[int]:

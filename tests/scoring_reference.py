@@ -123,12 +123,23 @@ def unconstrained_winner(profile, rule, k, oracle_cap=DEFAULT_ORACLE_CAP):
 
 
 def best_unsatisfied_fraction(instance, found):
-    """The exact minimum by one ``unsatisfied_fraction`` call per committee."""
+    """The exact minimum by one ``unsatisfied_fraction`` call per committee
+    below the metric cap; above it, the greedy committee that recounts the
+    total shortfall of every trial set."""
     if found:
         return Fraction(0), False
-    assert comb(instance.m, instance.k) <= METRIC_ORACLE_CAP, "the reference covers the exact search only"
-    best = min(
-        unsatisfied_fraction(instance, combo)
-        for combo in itertools.combinations(range(instance.m), instance.k)
-    )
-    return best, False
+    if comb(instance.m, instance.k) <= METRIC_ORACLE_CAP:
+        best = min(
+            unsatisfied_fraction(instance, combo)
+            for combo in itertools.combinations(range(instance.m), instance.k)
+        )
+        return best, False
+    constraints = instance.constraints()
+    chosen = set()
+    while len(chosen) < instance.k:
+        def deficit_after(c):
+            trial = chosen | {c}
+            return sum(max(0, con.bound - len(trial & con.domain)) for con in constraints)
+        candidates = [c for c in range(instance.m) if c not in chosen]
+        chosen.add(min(candidates, key=lambda c: (deficit_after(c), instance.profile.priority_key(c))))
+    return unsatisfied_fraction(instance, chosen), True

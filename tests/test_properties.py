@@ -13,7 +13,15 @@ import scoring_reference as ref
 from conftest import brute_force_feasible_set
 from dire.constraints import Attribute, AttributeScheme, make_instance
 from dire.profiles import make_profile
-from dire.rules import RULE_KINDS, Rule, population_winning_committee, score_committee, unconstrained_winner
+from dire.rules import (
+    RULE_KINDS,
+    Rule,
+    SatisfactionTable,
+    _greedy_max,
+    population_winning_committee,
+    score_committee,
+    unconstrained_winner,
+)
 from dire.solver import SolverConfig, solve_feasibility
 
 
@@ -107,3 +115,26 @@ def test_scoring_kernel_matches_the_reference(election):
                 == ref.population_winning_committee(profile, voters, rule, k, cap))
         got = unconstrained_winner(profile, rule, k, cap)
         assert (got.committee, got.score, got.mode) == ref.unconstrained_winner(profile, rule, k, cap)
+
+
+@st.composite
+def greedy_elections(draw):
+    """A profile (m <= 9, n <= 7) with a tie-break order, a Borda-CC or
+    Monroe rule with an all-zero, flat, 1-0-...-0, Borda or drawn vector,
+    voter ids that may repeat, and any committee size up to m."""
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 7))
+    profile = make_profile(m, draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n)),
+                           priority=draw(st.permutations(range(m))))
+    vector = draw(st.sampled_from([(0,) * m, (2,) * m, (1,) + (0,) * (m - 1), None])
+                  | st.lists(st.integers(0, 4), min_size=m, max_size=m).map(lambda v: sorted(v, reverse=True)))
+    voters = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    return profile, Rule(draw(st.sampled_from(["betacc", "monroe"])), vector), voters, draw(st.integers(1, m))
+
+
+@settings(max_examples=400, deadline=None)
+@given(greedy_elections())
+def test_greedy_search_matches_the_reference(election):
+    profile, rule, voters, k = election
+    got = _greedy_max(SatisfactionTable(profile, rule, voters), k)
+    assert got == ref.greedy_max(profile, rule, k, voters)

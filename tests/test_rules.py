@@ -1,11 +1,16 @@
 import gc
 import random
+import types
 
 import pytest
 
+from dire import rules
 from dire.profiles import make_profile
 from dire.rules import (
     RuleError,
+    SatisfactionTable,
+    SolverTimeout,
+    _greedy_max,
     betacc,
     borda_vector,
     candidate_score,
@@ -177,6 +182,34 @@ def test_unconstrained_greedy_above_cap():
     assert result.mode == "greedy"
     exact = unconstrained_winner(profile, betacc(), 3)
     assert result.score <= exact.score
+
+
+@pytest.mark.parametrize("rule", [betacc(), monroe()], ids=["betacc", "monroe"])
+@pytest.mark.parametrize("clock_reads", [1, 3, 12])
+def test_greedy_search_times_out(rule, clock_reads, monkeypatch):
+    # a clock that passes the deadline at its clock_reads-th reading: before
+    # the first evaluation, or later in the search (reading 12 falls after
+    # step 1 under both rules)
+    rng = random.Random(7)
+    profile = make_profile(8, [rng.sample(range(8), 8) for _ in range(6)])
+    ticks = iter(range(1, 100))
+    monkeypatch.setattr(rules, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(SolverTimeout):
+        _greedy_max(SatisfactionTable(profile, rule), 4, deadline=clock_reads - 0.5)
+    ticks = iter(range(1, 100))
+    with pytest.raises(SolverTimeout):
+        unconstrained_winner(profile, rule, 4, oracle_cap=1, deadline=clock_reads - 0.5)
+
+
+def test_greedy_monroe_rescores_every_candidate():
+    # The greedy Monroe score is not submodular: candidate 2 gains -1 next to
+    # {0} and 0 next to {0, 1}, as the loads drop from n/2 to a 1-1-0 split.
+    # A lazy heap would keep 2 under its stale gain of -1 and take 3 at the
+    # last step (gain 0, later in priority); the greedy takes 2.
+    profile = make_profile(4, [[0, 1, 2, 3], [1, 0, 2, 3]])
+    gain = lambda base, c: score_committee(profile, monroe(), base + [c]) - score_committee(profile, monroe(), base)
+    assert (gain([0], 2), gain([0, 1], 2), gain([0, 1], 3)) == (-1, 0, 0)
+    assert _greedy_max(SatisfactionTable(profile, monroe()), 3).members == (0, 1, 2)
 
 
 def test_separable_additivity():

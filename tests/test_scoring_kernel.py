@@ -100,3 +100,11 @@ def test_solves_and_unsatisfied_fractions_match_the_reference():
             denominator = max(ref.unconstrained_winner(profile, rule, instance.k)[1], score)
             assert report.utility_ratio == (Fraction(score, denominator) if denominator else None)
         assert best_unsatisfied_fraction(instance, False) == ref.best_unsatisfied_fraction(instance, False)
+
+
+def test_greedy_unsatisfied_fractions_match_the_reference():
+    # C(30, 6) = 593,775 is above the metric cap, so both take the greedy branch;
+    # k-Borda keeps the population winning committees cheap at this size
+    for seed in range(40):
+        instance = random_instance(seed, m=30, n=12, k=6, rule=Rule("kborda"))
+        assert best_unsatisfied_fraction(instance, False) == ref.best_unsatisfied_fraction(instance, False)
