@@ -27,7 +27,7 @@ from dire.reductions import (
     reduce_vc_diversity,
     reduce_vc_representation,
 )
-from dire.rules import Rule, RuleError, RULE_KINDS
+from dire.rules import DEFAULT_ORACLE_CAP, Rule, RuleError, RULE_KINDS
 from dire.solver import SolverConfig, SolverError, solve_feasibility
 from dire.synth import SYN1, SYN2, GenerationError, gen_syndata
 from dire.winner import (
@@ -103,7 +103,7 @@ def build_parser() -> _Parser:
 
     oracle = sub.add_parser("oracle", help="brute-force optimum (small instances)")
     oracle.add_argument("instance")
-    oracle.add_argument("--cap", type=int, default=2_000_000)
+    oracle.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
 
     score = sub.add_parser("score", help="evaluate a given committee")
     score.add_argument("instance")

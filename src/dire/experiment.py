@@ -17,11 +17,11 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from dire.constraints import DiReInstance, unsatisfied_fraction
+from dire.constraints import DiReInstance, make_instance, unsatisfied_fraction
 from dire.fileio import parse_instance
 from dire.rules import RULE_KINDS, Rule, SolverTimeout, unconstrained_winner
 from dire.solver import SolverConfig
-from dire.synth import SYN1, SYN2, gen_syndata
+from dire.synth import SYN1, SYN2, draw_syndata
 from dire.winner import solve_drcwd
 
 CSV_COLUMNS = [
@@ -104,9 +104,11 @@ def _instance_jobs(config: ExperimentConfig):
 
 
 def _syn_builder(kind, mu, pi, phi, seed, config):
+    # the profile, scheme and bounds do not depend on the rule: draw them once
+    drawn = draw_syndata(kind, mu=mu, pi=pi, phi=phi, seed=seed, m=config.m, n=config.n, k=config.k)
+
     def builder(rule: Rule):
-        return gen_syndata(kind, mu=mu, pi=pi, phi=phi, seed=seed,
-                           m=config.m, n=config.n, k=config.k, rule=rule)
+        return make_instance(**drawn, rule=rule)
 
     return builder
 

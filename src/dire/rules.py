@@ -4,9 +4,12 @@ All scores are exact integers.  k-Borda is separable (committee score =
 sum of member scores).  Borda-CC is monotone submodular; the greedy
 balanced-assignment Monroe score is not submodular in the committee, as
 every member's load shrinks when the committee grows.  Winner
-determination for both is exact only below the exhaustive-search cap and
-greedy marginal-gain selection above it: lazy for Borda-CC, every candidate
-at every step for Monroe (see :func:`_greedy_max`).
+determination for both is certified optimal up to the exhaustive-search
+cap, by a branch-and-bound that returns what scoring every committee
+would, ties included (see :func:`_certified_max` for its three bounds and
+why they keep the tie-break).  Above the cap it is greedy marginal-gain
+selection: lazy for Borda-CC, every candidate at every step for Monroe
+(see :func:`_greedy_max`).
 
 Every score is read off a :class:`SatisfactionTable`, built once per
 (profile, rule vector, voter list): one row per candidate holding
@@ -35,7 +38,8 @@ BETACC = "betacc"
 MONROE = "monroe"
 RULE_KINDS = (KBORDA, BETACC, MONROE)
 
-# Exhaustive winner determination is used while C(m, k) stays below this.
+# Borda-CC and Monroe winners are certified by branch-and-bound while C(m, k)
+# is at most this, and greedy above it; the brute-force oracle refuses more.
 DEFAULT_ORACLE_CAP = 2_000_000
 
 
@@ -283,6 +287,11 @@ def monroe_assign(
     return best, best_total
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverTimeout("winner search timed out")
+
+
 def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None) -> Committee:
     """Greedy Borda-CC or Monroe committee: k times, add the candidate of
     largest marginal gain, ties to the earliest in priority order.  Raises
@@ -301,10 +310,6 @@ def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None)
     """
     rank, n = table.profile._priority_rank, len(table.voters)
 
-    def check_deadline():
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverTimeout("winner search timed out")
-
     def monroe_trials(members):
         """(-score, priority rank, c) of members + [c] for every candidate c
         outside ``members``, which are in priority order."""
@@ -316,7 +321,7 @@ def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None)
                 total = table._claim(prefix, total, (c,), loads[t:t + 1])
                 t += 1
             else:
-                check_deadline()
+                _check_deadline(deadline)
                 trial[:] = prefix
                 yield -table._claim(trial, total, (c, *members[t:]), loads[t:]), rank[c], c
 
@@ -330,7 +335,7 @@ def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None)
             pick = min(monroe_trials(members))[2]
         else:
             while True:
-                check_deadline()
+                _check_deadline(deadline)
                 _, r, pick = heapq.heappop(heap)
                 row = table.rows[pick]
                 fresh = (-sum([a - b for a, b in zip(row, best) if a > b]), r, pick)
@@ -368,6 +373,108 @@ def _best_of(
     return best, best_score, scored, True
 
 
+def _top_sums(values: Sequence[int], r: int) -> list[int]:
+    """``sums[j]``: the sum of the r largest of ``values[j + 1:]``."""
+    sums, heap, total = [0] * len(values), [], 0
+    for j in range(len(values) - 1, 0, -1):
+        value = values[j]
+        if len(heap) < r:
+            heapq.heappush(heap, value)
+            total += value
+        elif r and value > heap[0]:
+            total += value - heapq.heapreplace(heap, value)
+        sums[j - 1] = total
+    return sums
+
+
+def _certified_max(
+    table: SatisfactionTable, k: int, deadline: float | None = None
+) -> tuple[tuple[int, ...], int]:
+    """The highest-scoring k-committee and its score, ties to the
+    lexicographically least member tuple (the first best of
+    ``itertools.combinations(range(m), k)``), certified by a depth-first
+    branch-and-bound.  Raises :class:`SolverTimeout` once ``deadline`` has
+    passed.
+
+    A node is a prefix P of ascending ids; its children add each later id c
+    in ascending order, so every leaf not reached yet is lexicographically
+    greater than the incumbent, and a child is cut when an upper bound on
+    every completion of P + c is ``<= best``: no such leaf can take the
+    incumbent's place.  The incumbent starts as a threshold only, one below
+    the greedy committee's score (which the optimum reaches), so the
+    tie-break is unchanged.  The bounds,
+    with R the ids after c, r the seats left after c and gains taken
+    against P:
+
+    (a) score(P) + gain(c) + the r largest gains over R.  Gains against P
+        bound gains against any superset, as k-Borda is modular and
+        Borda-CC monotone submodular.
+    (b) Borda-CC and Monroe: the sum over voters of the best entry among P,
+        c and R, read off suffix maxima.  No completion gives a voter more.
+    (c) Monroe: the sum over the committee of each member's ceil(n/k) best
+        entries.  A member serves at most ceil(n/k) voters, none worth more
+        to it than its own entry.
+
+    A greedy balanced assignment gives each voter at most its best member's
+    entry, so Monroe scores are bounded by Borda-CC ones and (a) and (b)
+    hold for Monroe too.  Leaves cost no table call under k-Borda and
+    Borda-CC (their score is the bound (a) with r = 0); Monroe leaves are
+    scored only when every bound passes.
+    """
+    rows, totals, m, kind = table.rows, table.totals, table.profile.m, table.kind
+    if not k:
+        return (), 0
+    n = len(table.voters)
+    suffix = [[0] * n] * (m + 1)  # suffix[c][i]: the best entry of voter i among ids >= c
+    for c in range(m - 1, -1, -1):
+        suffix[c] = [a if a > b else b for a, b in zip(rows[c], suffix[c + 1])]
+    if kind == MONROE:
+        load = -(-n // k)
+        caps = [sum(sorted(map(row.__getitem__, table.unique), reverse=True)[:load]) for row in rows]
+        caps_after = [_top_sums(caps, r) for r in range(k)]
+    best_score = table.score(_greedy_max(table, k, deadline).members) - 1
+    best_members: tuple[int, ...] = ()
+    members: list[int] = []
+
+    def search(start, seats, best, score, cap):
+        """Children of the prefix ``members``, whose per-voter best entries,
+        score and (c) sum are given, with ``seats`` seats left to fill from
+        ids >= ``start``."""
+        nonlocal best_score, best_members
+        _check_deadline(deadline)
+        gains = totals[start:] if kind == KBORDA else \
+            [sum([a - b for a, b in zip(rows[c], best) if a > b]) for c in range(start, m)]
+        after = _top_sums(gains, seats - 1)
+        for c in range(start, m - seats + 1):
+            gain = gains[c - start]
+            if score + gain + after[c - start] <= best_score:  # (a)
+                continue
+            if kind == MONROE and cap + caps[c] + caps_after[seats - 1][c] <= best_score:  # (c)
+                continue
+            if seats > 1:
+                # (b) for c bounds every later child too: their pools lie inside c's
+                if kind != KBORDA and sum([a if a > b else b for a, b in zip(best, suffix[c])]) <= best_score:
+                    break
+                members.append(c)
+                search(c + 1, seats - 1, [a if a > b else b for a, b in zip(rows[c], best)],
+                       score + gain, cap + caps[c] if kind == MONROE else 0)
+                members.pop()
+                continue
+            if kind == MONROE:
+                _check_deadline(deadline)
+                leaf = table.score((*members, c))
+            else:
+                leaf = score + gain
+            if leaf > best_score:
+                best_members, best_score = (*members, c), leaf
+
+    try:
+        search(0, k, [0] * n, 0, 0)
+    finally:
+        del search  # the recursive closure holds itself; free it without a cycle collection
+    return best_members, best_score
+
+
 @dataclass(frozen=True)
 class WinnerResult:
     committee: Committee
@@ -380,15 +487,15 @@ def _winner(
 ) -> tuple[Committee, int | None, str]:
     """The rule's winning k-committee on one table, its score when the
     search computed it, and the mode: top-k by score for k-Borda, else
-    exhaustive while C(m, k) <= oracle_cap, else greedy.  The exhaustive
-    and greedy searches raise :class:`SolverTimeout` past ``deadline``."""
+    "exhaustive" while C(m, k) <= oracle_cap, where the branch-and-bound of
+    :func:`_certified_max` returns what scoring all C(m, k) committees
+    would, else greedy.  Both searches raise :class:`SolverTimeout` past
+    ``deadline``."""
     m = table.profile.m
     if table.kind == KBORDA:
         return Committee(_ranked(table.totals, table.profile.priority_key)[:k]), None, "topk"
     if comb(m, k) <= oracle_cap:
-        members, score, _, finished = _best_of(table, itertools.combinations(range(m), k), deadline)
-        if not finished:
-            raise SolverTimeout("winner search timed out")
+        members, score = _certified_max(table, k, deadline)
         return Committee(members), score, "exhaustive"
     return _greedy_max(table, k, deadline), None, "greedy"
 
@@ -403,8 +510,10 @@ def population_winning_committee(
     """The rule's winning k-committee on the sub-election of one voter population.
 
     k-Borda takes the top-k candidates by restricted score (candidate ties
-    broken by the profile's priority order).  Borda-CC and Monroe maximize
-    exhaustively while C(m, k) <= oracle_cap, else greedily.
+    broken by the profile's priority order).  Borda-CC and Monroe winners
+    are certified optimal by branch-and-bound while C(m, k) <= oracle_cap
+    (the highest score, ties to the lexicographically least member tuple),
+    else greedy.
     """
     voter_ids = sorted(set(population))
     if not voter_ids:
@@ -423,10 +532,13 @@ def unconstrained_winner(
 ) -> WinnerResult:
     """Score-maximizing k-committee with no constraints.
 
-    Exact for k-Borda (top-k by score).  For Borda-CC and Monroe the search
-    is exhaustive up to the cap, greedy beyond it; the mode used is
-    recorded in the result.  Either search raises :class:`SolverTimeout`
-    once ``deadline`` (a ``time.monotonic()`` value) has passed.
+    Exact for k-Borda (top-k by score).  For Borda-CC and Monroe the winner
+    is certified optimal by branch-and-bound up to the cap (mode
+    "exhaustive": the committee and score of scoring every committee, ties
+    to the lexicographically least member tuple) and greedy beyond it; the
+    mode used is recorded in the result.  Either search raises
+    :class:`SolverTimeout` once ``deadline`` (a ``time.monotonic()`` value)
+    has passed.
     """
     if not 1 <= k <= profile.m:
         raise RuleError(f"committee size {k} out of range [1, {profile.m}]")

@@ -151,6 +151,21 @@ def gen_syndata(
     Groups and populations per attribute are capped at k; bounds are
     sampled uniformly; winning committees are computed under ``rule``.
     """
+    return make_instance(**draw_syndata(kind, mu, pi, phi, seed, m, n, k), rule=rule or kborda())
+
+
+def draw_syndata(
+    kind: str,
+    mu: int | None = None,
+    pi: int | None = None,
+    phi: float | None = None,
+    seed: int = 0,
+    m: int = DEFAULT_M,
+    n: int = DEFAULT_N,
+    k: int = DEFAULT_K,
+) -> dict:
+    """Everything :func:`gen_syndata` draws, none of which depends on the
+    rule: the ``make_instance`` arguments other than ``rule``."""
     if kind == SYN1:
         if phi is None:
             phi = 0.5
@@ -182,14 +197,8 @@ def gen_syndata(
         voter_attributes=_build_attributes("B", "p", pi, n, k, rng),
     )
     diversity, representation = sample_bounds(scheme, k, rng)
-    return make_instance(
-        profile=profile,
-        scheme=scheme,
-        k=k,
-        rule=rule or kborda(),
-        diversity_bounds=diversity,
-        representation_bounds=representation,
-    )
+    return dict(profile=profile, scheme=scheme, k=k,
+                diversity_bounds=diversity, representation_bounds=representation)
 
 
 def syn2_sweep(seed: int = 0, **kwargs) -> list[DiReInstance]:

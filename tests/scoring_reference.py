@@ -95,6 +95,17 @@ def exhaustive_max(profile, rule, k, voters=None):
     return Committee(best), best_score
 
 
+def table_max(table, k):
+    """The full enumeration the branch-and-bound replaced: every k-committee
+    scored through the table in ``combinations`` order, the first best kept."""
+    best, best_score = None, None
+    for members in itertools.combinations(range(table.profile.m), k):
+        score = table.score(members)
+        if best_score is None or score > best_score:
+            best, best_score = members, score
+    return best, best_score
+
+
 def topk_by_score(profile, vector, k, voters=None):
     scores = candidate_scores(profile, vector, voters)
     order = sorted(range(profile.m), key=lambda c: (-scores[c], profile.priority_key(c)))

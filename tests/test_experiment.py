@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dire.experiment as experiment
+import dire.synth as synth
 from dire.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -14,6 +15,7 @@ from dire.experiment import (
     write_csv,
 )
 from dire.fileio import write_instance
+from dire.rules import SatisfactionTable
 from conftest import build_example1, random_instance
 
 
@@ -93,6 +95,20 @@ def test_zero_best_score_row(tmp_path):
     assert row["timed_out"] == "false"
 
 
+def test_each_instance_is_sampled_once_for_every_rule(monkeypatch):
+    sample, calls = synth.sample_mallows, []
+
+    def counted(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(synth, "sample_mallows", counted)
+    rows = run_experiment(desk_config(seeds=(0,), mu_values=(0, 1), pi_values=(0, 2),
+                                      rules=("kborda", "betacc", "monroe")))
+    assert len(rows) == 12
+    assert len(calls) == 4
+
+
 def test_repetitions_multiply_rows():
     rows = run_experiment(desk_config(seeds=(7,), repetitions=3))
     assert len(rows) == 3
@@ -113,11 +129,19 @@ def test_config_validation():
     assert ExperimentConfig(dataset="syn1", timeout=float("inf")).timeout == float("inf")
 
 
-def test_unconstrained_recomputation_keeps_to_the_timeout():
+def test_unconstrained_recomputation_keeps_to_the_timeout(monkeypatch):
     # No constraints: the solve finds a committee at once, and then the
-    # exhaustive unconstrained Monroe search over C(26, 5) committees, which
-    # takes more than ten times the budget, is cut.  The row must not start
-    # that search again without a deadline.
+    # unconstrained Monroe search over C(26, 5) committees is cut, as every
+    # table score sleeps 0.04 s and the search would score 5 committees here
+    # (0.2 s, four times the budget).  The row must not start that search
+    # again without a deadline.
+    score = SatisfactionTable.score
+
+    def slow_score(*args):
+        time.sleep(0.04)
+        return score(*args)
+
+    monkeypatch.setattr(SatisfactionTable, "score", slow_score)
     config = desk_config(seeds=(0,), rules=("monroe",), m=26, n=60, k=5, timeout=0.05, exhaustive=False)
     start = time.monotonic()
     (row,) = run_experiment(config)

@@ -5,10 +5,10 @@ from types import SimpleNamespace
 import pytest
 
 from dire import fileio, solver
-from dire.cli import TIMED_OUT_NOTE, main
+from dire.cli import TIMED_OUT_NOTE, build_parser, main
 from dire.constraints import InstanceError
 from dire.reductions import reduce_vc_representation, InputGraph
-from dire.rules import SatisfactionTable, betacc, unconstrained_winner
+from dire.rules import DEFAULT_ORACLE_CAP, SatisfactionTable, betacc, unconstrained_winner
 from dire.synth import gen_syndata
 from conftest import build_example1, random_instance
 
@@ -144,6 +144,10 @@ def test_cli_oracle(example1_path, capsys):
     assert code == 0
     assert "committees_examined: 6" in out
     assert "score: 12" in out
+
+
+def test_cli_oracle_cap_defaults_to_the_library_cap():
+    assert build_parser().parse_args(["oracle", "x.json"]).cap == DEFAULT_ORACLE_CAP
 
 
 def test_cli_feasible_lists_committees(example1_path, capsys):

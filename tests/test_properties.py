@@ -17,6 +17,7 @@ from dire.rules import (
     RULE_KINDS,
     Rule,
     SatisfactionTable,
+    _certified_max,
     _greedy_max,
     population_winning_committee,
     score_committee,
@@ -118,9 +119,9 @@ def test_scoring_kernel_matches_the_reference(election):
 
 
 @st.composite
-def greedy_elections(draw):
-    """A profile (m <= 9, n <= 7) with a tie-break order, a Borda-CC or
-    Monroe rule with an all-zero, flat, 1-0-...-0, Borda or drawn vector,
+def table_elections(draw, kinds):
+    """A profile (m <= 9, n <= 7) with a tie-break order, a rule of one of
+    ``kinds`` with an all-zero, flat, 1-0-...-0, Borda or drawn vector,
     voter ids that may repeat, and any committee size up to m."""
     m = draw(st.integers(1, 9))
     n = draw(st.integers(1, 7))
@@ -129,12 +130,20 @@ def greedy_elections(draw):
     vector = draw(st.sampled_from([(0,) * m, (2,) * m, (1,) + (0,) * (m - 1), None])
                   | st.lists(st.integers(0, 4), min_size=m, max_size=m).map(lambda v: sorted(v, reverse=True)))
     voters = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
-    return profile, Rule(draw(st.sampled_from(["betacc", "monroe"])), vector), voters, draw(st.integers(1, m))
+    return profile, Rule(draw(st.sampled_from(kinds)), vector), voters, draw(st.integers(1, m))
 
 
 @settings(max_examples=400, deadline=None)
-@given(greedy_elections())
+@given(table_elections(["betacc", "monroe"]))
 def test_greedy_search_matches_the_reference(election):
     profile, rule, voters, k = election
     got = _greedy_max(SatisfactionTable(profile, rule, voters), k)
     assert got == ref.greedy_max(profile, rule, k, voters)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_elections(RULE_KINDS))
+def test_branch_and_bound_matches_full_enumeration(election):
+    profile, rule, voters, k = election
+    got = _certified_max(SatisfactionTable(profile, rule, voters), k)
+    assert got == ref.table_max(SatisfactionTable(profile, rule, voters), k)

@@ -1,15 +1,20 @@
 import gc
+import itertools
+import math
 import random
 import types
+from math import comb
 
 import pytest
 
+import scoring_reference as ref
 from dire import rules
 from dire.profiles import make_profile
 from dire.rules import (
     RuleError,
     SatisfactionTable,
     SolverTimeout,
+    _certified_max,
     _greedy_max,
     betacc,
     borda_vector,
@@ -150,6 +155,13 @@ def test_population_single_voter_top_two():
     assert committee.members == (0, 2)
 
 
+def test_population_committee_of_size_zero():
+    # make_instance computes winning committees before it rejects k = 0
+    profile = make_profile(3, [[2, 0, 1], [1, 2, 0]])
+    for rule in (kborda(), betacc(), monroe()):
+        assert population_winning_committee(profile, [0, 1], rule, 0).members == ()
+
+
 def test_population_empty_rejected(example1):
     with pytest.raises(RuleError):
         population_winning_committee(example1.profile, [], kborda(), 2)
@@ -199,6 +211,126 @@ def test_greedy_search_times_out(rule, clock_reads, monkeypatch):
     ticks = iter(range(1, 100))
     with pytest.raises(SolverTimeout):
         unconstrained_winner(profile, rule, 4, oracle_cap=1, deadline=clock_reads - 0.5)
+
+
+@pytest.mark.parametrize("rule", [betacc(), monroe()], ids=["betacc", "monroe"])
+def test_ties_at_the_optimum_go_to_the_least_member_tuple(rule):
+    # four committees share the optimum under both rules; the greedy seed is
+    # the third of them and the priority order is reversed, so neither may
+    # decide the tie
+    profile = make_profile(5, [[1, 0, 2, 3, 4], [3, 0, 1, 4, 2], [4, 3, 1, 2, 0], [2, 4, 1, 0, 3]],
+                           priority=[4, 3, 2, 1, 0])
+    table = SatisfactionTable(profile, rule)
+    scores = {members: table.score(members) for members in itertools.combinations(range(5), 2)}
+    assert max(scores.values()) == 13
+    assert [members for members, score in scores.items() if score == 13] == [(0, 4), (1, 3), (1, 4), (2, 3)]
+    assert _greedy_max(table, 2).members == (1, 4)
+    assert _certified_max(table, 2) == ((0, 4), 13)
+    result = unconstrained_winner(profile, rule, 2)
+    assert (result.committee.members, result.score, result.mode) == ((0, 4), 13, "exhaustive")
+    assert population_winning_committee(profile, range(4), rule, 2).members == (0, 4)
+
+
+def _search_election():
+    rng = random.Random(7)
+    return make_profile(10, [rng.sample(range(10), 10) for _ in range(8)])
+
+
+class _CountingClock:
+    """A stand-in for ``rules.time`` whose n-th reading is n."""
+
+    def __init__(self, monkeypatch):
+        self.reads = 0
+        monkeypatch.setattr(rules, "time", self)
+
+    def monotonic(self):
+        self.reads += 1
+        return self.reads
+
+    def seed_reads(self, profile, rule):
+        """The readings the greedy seed of a 4-committee takes; restarts the count."""
+        _greedy_max(SatisfactionTable(profile, rule), 4, deadline=math.inf)
+        reads, self.reads = self.reads, 0
+        return reads
+
+
+@pytest.mark.parametrize("rule", [betacc(), monroe()], ids=["betacc", "monroe"])
+@pytest.mark.parametrize("clock_reads", [1, 3, 12])
+def test_branch_and_bound_times_out(rule, clock_reads, monkeypatch):
+    # a clock that passes the deadline at the search's clock_reads-th reading
+    # after those of the greedy seed: at the root, or later in the search
+    profile = _search_election()
+    clock = _CountingClock(monkeypatch)
+    seed_reads = clock.seed_reads(profile, rule)
+    _certified_max(SatisfactionTable(profile, rule), 4, deadline=math.inf)
+    assert clock.reads > seed_reads + 12  # reading 12 falls inside the search
+    clock.reads = 0
+    with pytest.raises(SolverTimeout):
+        _certified_max(SatisfactionTable(profile, rule), 4, deadline=seed_reads + clock_reads - 0.5)
+    clock.reads = 0
+    with pytest.raises(SolverTimeout):
+        unconstrained_winner(profile, rule, 4, deadline=seed_reads + clock_reads - 0.5)
+
+
+@pytest.mark.parametrize("rule", [betacc(), monroe()], ids=["betacc", "monroe"])
+def test_branch_and_bound_leaves_no_reference_cycles(rule, monkeypatch):
+    profile = _search_election()
+    _certified_max(SatisfactionTable(profile, rule), 4)
+    gc.collect()
+    gc.disable()
+    try:
+        _certified_max(SatisfactionTable(profile, rule), 4)
+        assert gc.collect() == 0
+        # a clock that passes the deadline inside the search, not in the seed
+        seed_reads = _CountingClock(monkeypatch).seed_reads(profile, rule)
+        try:
+            _certified_max(SatisfactionTable(profile, rule), 4, deadline=seed_reads + 2.5)
+        except SolverTimeout:
+            pass
+        else:
+            pytest.fail("the search was not cut")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _desk_election():
+    # uniform rankings at desk scale; full enumeration scores all C(16, 4) = 1820
+    rng = random.Random(0)
+    return make_profile(16, [rng.sample(range(16), 16) for _ in range(20)])
+
+
+def _count_scores(monkeypatch):
+    score, calls = SatisfactionTable.score, []
+
+    def counted(table, members):
+        calls.append(members)
+        return score(table, members)
+
+    monkeypatch.setattr(SatisfactionTable, "score", counted)
+    return calls
+
+
+def test_branch_and_bound_prunes_monroe_leaves(monkeypatch):
+    profile = _desk_election()
+    expected = ref.table_max(SatisfactionTable(profile, monroe()), 4)
+    calls = _count_scores(monkeypatch)
+    assert _certified_max(SatisfactionTable(profile, monroe()), 4) == expected
+    assert len(calls) < comb(16, 4) / 4
+
+
+def test_monroe_leaves_keep_to_the_deadline(monkeypatch):
+    # A clock that ticks once per table score passes the deadline at the 9th
+    # score: the greedy seed's, 6 leaves, then (0, 1, 5, 9) and
+    # (0, 1, 5, 11), the first two of the 5 leaves of (0, 1, 5) that are
+    # scored.  No further leaf may be scored.
+    profile = _desk_election()
+    calls = _count_scores(monkeypatch)
+    monkeypatch.setattr(rules, "time", types.SimpleNamespace(monotonic=lambda: len(calls)))
+    with pytest.raises(SolverTimeout):
+        _certified_max(SatisfactionTable(profile, monroe()), 4, deadline=8.5)
+    assert calls[-1] == (0, 1, 5, 11)
+    assert len(calls) == 9
 
 
 def test_greedy_monroe_rescores_every_candidate():

@@ -81,10 +81,19 @@ def test_solve_drcwd_timeout_status(example1):
     assert report.timed_out
 
 
-def test_timeout_bounds_the_whole_solve():
-    # the exhaustive unconstrained Monroe search over C(26, 5) committees
-    # alone takes more than ten times the budget here
+def test_timeout_bounds_the_whole_solve(monkeypatch):
+    # Every table score sleeps 0.04 s.  The solve scores its one harvested
+    # committee inside the budget; the unconstrained Monroe search over
+    # C(26, 5) committees, which would score 5 of them here (0.2 s, four
+    # times the budget), must stop as soon as it sees the budget spent.
     instance = gen_syndata("syn1", mu=0, pi=0, seed=0, m=26, n=60, k=5, rule=monroe())
+    score = SatisfactionTable.score
+
+    def slow_score(*args):
+        time.sleep(0.04)
+        return score(*args)
+
+    monkeypatch.setattr(SatisfactionTable, "score", slow_score)
     start = time.monotonic()
     report = solve_drcwd(instance, SolverConfig(timeout=0.05))
     assert time.monotonic() - start < 0.3
