@@ -267,7 +267,6 @@ def _cmd_experiment(args) -> int:
         rules=tuple(r.strip() for r in args.rules.split(",") if r.strip()),
         timeout=args.timeout,
         repetitions=args.repetitions,
-        output=args.out,
         m=args.m,
         n=args.n,
         k=args.k,

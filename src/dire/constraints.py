@@ -221,6 +221,10 @@ def make_instance(
     the instance rule, so constraint checking never recomputes them.
     """
     rule = rule or kborda()
+    # checked before the winner searches below, which assume both
+    if not 1 <= k <= profile.m:
+        raise InstanceError(f"committee size {k} out of range [1, {profile.m}]")
+    scheme.validate(profile.m, profile.n)
     supplied = {key: tuple(val) for key, val in (winning_committees or {}).items()}
     computed: dict[tuple[str, str], tuple[int, ...]] = {}
     for attr in scheme.voter_attributes:

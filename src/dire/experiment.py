@@ -55,7 +55,6 @@ class ExperimentConfig:
     rules: tuple[str, ...] = ("kborda",)
     timeout: float = 2000.0
     repetitions: int = 1
-    output: str | None = None
     mu_values: tuple[int, ...] = (0, 1, 2, 3, 4)
     pi_values: tuple[int, ...] = (0, 1, 2, 3, 4)
     phi_values: tuple[float, ...] = tuple(round(x / 10, 1) for x in range(1, 11))

@@ -505,22 +505,21 @@ def population_winning_committee(
     population: Iterable[int],
     rule: Rule,
     k: int,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> Committee:
     """The rule's winning k-committee on the sub-election of one voter population.
 
     k-Borda takes the top-k candidates by restricted score (candidate ties
     broken by the profile's priority order).  Borda-CC and Monroe winners
-    are certified optimal by branch-and-bound while C(m, k) <= oracle_cap
-    (the highest score, ties to the lexicographically least member tuple),
-    else greedy.
+    are certified optimal by branch-and-bound while C(m, k) <=
+    ``DEFAULT_ORACLE_CAP`` (the highest score, ties to the lexicographically
+    least member tuple), else greedy.
     """
     voter_ids = sorted(set(population))
     if not voter_ids:
         raise RuleError("population is empty")
     if any(not 0 <= v < profile.n for v in voter_ids):
         raise RuleError("population contains out-of-range voter indices")
-    return _winner(SatisfactionTable(profile, rule, voter_ids), k, None, oracle_cap)[0]
+    return _winner(SatisfactionTable(profile, rule, voter_ids), k, None, DEFAULT_ORACLE_CAP)[0]
 
 
 def unconstrained_winner(

@@ -1,21 +1,21 @@
 """Two-stage feasibility solver over the four-level constraint graph.
 
-Stage one (preprocessing) checks every ordered pair of unary constraints
-with a necessary packing condition and prunes the candidates of each domain
-that cannot appear in a committee meeting both bounds, to a fixpoint.  The
-pruning is a closed form, exact for every pair and never skipped.  Stage two
-is depth-first backtracking that repeatedly picks the tightest unsatisfied
-constraint (fewest remaining values per missing seat) and tries its
-candidates in order of how many constraints they touch.  A failed branch
-proves that no feasible committee extends it, so the search excludes that
-candidate, and every candidate with the same constraint signature, from the
-sibling branches that follow; a seat and availability lookahead fails a node
-as soon as some unmet bound can no longer be reached.  These cuts remove
-only subtrees without a solution, so unseeded runs return exactly the
-committees of plain backtracking.  One search harvests several feasible
-committees: below the root it stops at the first solution, while the root
-keeps the first solution of each of its branches and goes on to the next.
-A separate exhaustive mode enumerates the complete feasible set for
+Stage one (preprocessing) prunes the candidates that cannot appear in any
+committee meeting two bounds at once, in closed form: every domain is
+narrowed to the intersection of the domains whose bound is k, and then each
+unordered pair of unary constraints is checked once with a necessary packing
+condition.  Stage two is depth-first backtracking that repeatedly picks the
+tightest unsatisfied constraint (fewest remaining values per missing seat)
+and tries its candidates in order of how many constraints they touch.  A
+failed branch proves that no feasible committee extends it, so the search
+excludes that candidate, and every candidate with the same constraint
+signature, from the sibling branches that follow; a seat and availability
+lookahead fails a node as soon as some unmet bound can no longer be reached.
+These cuts remove only subtrees without a solution, so unseeded runs return
+exactly the committees of plain backtracking.  One search harvests several
+feasible committees: below the root it stops at the first solution, while
+the root keeps the first solution of each of its branches and goes on to the
+next.  A separate exhaustive mode enumerates the complete feasible set for
 oracle-scale instances.
 """
 
@@ -24,8 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
@@ -140,81 +139,60 @@ def domain_reduce(graph: DiReGraph, i: int, j: int) -> bool:
     some S_j-subset B of D_j fit in k seats together.  As
     |A | B| = S_i + S_j - |A & B|, that holds iff S_i + S_j - t <= k, where
     t is the largest overlap possible once d is in A: min(S_i, S_j, |I|)
-    for d in I = D_i & D_j and min(S_i - 1, S_j, |I|) otherwise.  The test
-    is exact for every pair and costs O(|D_i|); it keeps all of D_i, keeps
-    I, or keeps nothing.  A domain too small for its own bound, or a D_j
-    too small for S_j, empties D_i.  Returns whether D_i was changed.
+    for d in I = D_i & D_j and min(S_i - 1, S_j, |I|) otherwise.  Unfolded,
+    the test reads max(S_i, S_j, S_i + S_j - |I|) <= k for d in I and
+    max(S_i, S_j + 1, S_i + S_j - |I|) <= k otherwise, so two cases are live:
+
+    - D_i empties when either constraint cannot meet its bound on its own
+      (S > min(|D|, k)) or the pair fails :func:`pairwise_feasible`;
+    - otherwise D_i narrows to I when S_j = k, and is kept whole when
+      S_j < k.
+
+    Returns whether D_i was changed.
     """
     d_i, d_j = graph.domains[i], graph.domains[j]
     s_i, s_j = graph.bounds[i], graph.bounds[j]
     if s_i > len(d_i) or s_j > len(d_j):
-        # The domain cannot meet its own bound; empty it to signal infeasibility.
         graph.domains[i] = frozenset()
         return True
-
-    shared = d_i & d_j
-
-    def fits(overlap_cap: int) -> bool:
-        return s_i + s_j - min(overlap_cap, s_j, len(shared)) <= graph.k
-
-    if fits(s_i - 1):
-        survivors = d_i
-    elif fits(s_i):
-        survivors = shared
-    else:
+    if max(s_i, s_j) > graph.k or len(d_i & d_j) < s_i + s_j - graph.k:
         survivors = frozenset()
+    elif s_j == graph.k:
+        survivors = d_i & d_j
+    else:
+        return False
     if len(survivors) == len(d_i):
         return False
     graph.domains[i] = survivors
     return True
 
 
-@dataclass
-class PreprocessResult:
-    feasible: bool  # False means provable infeasibility
-    reason: str | None = None
-    pruned_pairs: list[tuple[str, str]] = field(default_factory=list)
-    emptied_domains: list[str] = field(default_factory=list)
-    reductions: list[tuple[str, int]] = field(default_factory=list)  # (key, removed count)
+def preprocess(graph: DiReGraph, deadline: float | None = None) -> str | None:
+    """Stage one: narrow every domain to F, then check each pair once.
 
-
-def preprocess(graph: DiReGraph, deadline: float | None = None) -> PreprocessResult:
-    """Run the pairwise check and domain reduction over every ordered pair
-    of constraints to a fixpoint, mutating the graph's domains in place.
-
-    A pair first gets :func:`pairwise_feasible`, so an infeasibility verdict
-    names the conflicting pair, then :func:`domain_reduce`.  When D_i
-    shrinks against j, every pair (x, i) with x != j is queued again; a
-    narrowed D_i keeps all of D_i & D_j, so (j, i) cannot change.
-    Reduction is exact per pair, never skipped, and monotone, so the
-    domains a feasible run ends with do not depend on the pair order.
+    A constraint whose bound is k puts the whole committee inside its
+    domain, so every domain is first intersected with F, the intersection
+    of those domains.  That is the fixpoint of :func:`domain_reduce` over
+    all ordered pairs: a passing pair only ever narrows D_i to D_i & D_j
+    with S_j = k.  Then each unordered pair gets :func:`pairwise_feasible`
+    and one :func:`domain_reduce`, which with D_i already inside F can only
+    empty D_i, when i or j cannot meet its bound alone.  Mutates the
+    graph's domains and returns the reason that proves the instance
+    infeasible, or None.
     """
-    result = PreprocessResult(feasible=True)
-    queue = deque(itertools.permutations(range(len(graph.domains)), 2))
-    queued = set(queue)
-    while queue:
+    full = [domain for domain, bound in zip(graph.domains, graph.bounds) if bound == graph.k]
+    if full:
+        inside = frozenset.intersection(*full)
+        graph.domains[:] = [domain & inside for domain in graph.domains]
+    for i, j in itertools.combinations(range(len(graph.domains)), 2):
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("preprocessing timed out")
-        i, j = queue.popleft()
-        queued.discard((i, j))
         if not pairwise_feasible(graph, i, j):
-            result.feasible = False
-            result.reason = f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
-            result.pruned_pairs.append((graph.keys[i], graph.keys[j]))
-            return result
-        before = len(graph.domains[i])
-        if domain_reduce(graph, i, j):
-            result.reductions.append((graph.keys[i], before - len(graph.domains[i])))
-            if not graph.domains[i]:
-                result.feasible = False
-                result.reason = f"domain emptied: {graph.keys[i]}"
-                result.emptied_domains.append(graph.keys[i])
-                return result
-            for x in range(len(graph.domains)):
-                if x not in (i, j) and (x, i) not in queued:
-                    queue.append((x, i))
-                    queued.add((x, i))
-    return result
+            return f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
+        if domain_reduce(graph, i, j):  # name the constraint that cannot meet its bound
+            short = j if graph.bounds[j] > min(len(graph.domains[j]), graph.k) else i
+            return f"domain emptied: {graph.keys[short]}"
+    return None
 
 
 def _mfc_order(graph: DiReGraph, rng: random.Random | None) -> list[int]:
@@ -487,15 +465,8 @@ class FeasibilityResult:
     proven_infeasible: bool
     timed_out: bool
     complete: bool
-    preprocessing: PreprocessResult
+    reason: str | None  # what proved the instance infeasible, or None if nothing did
     elapsed: float
-
-    @property
-    def reason(self) -> str | None:
-        """What proved the instance infeasible, or None if nothing did."""
-        if not self.proven_infeasible:
-            return None
-        return self.preprocessing.reason if not self.preprocessing.feasible else "search space exhausted"
 
 
 def solve_feasibility(
@@ -513,13 +484,11 @@ def solve_feasibility(
     deadline = start + config.timeout
     graph = build_diregraph(instance)
     try:
-        prep = preprocess(graph, deadline)
+        reason = preprocess(graph, deadline)
     except SolverTimeout:
-        return FeasibilityResult((), False, True, False,
-                                 PreprocessResult(feasible=True, reason="timeout"),
-                                 time.monotonic() - start)
-    if not prep.feasible:
-        return FeasibilityResult((), True, False, True, prep, time.monotonic() - start)
+        return FeasibilityResult((), False, True, False, None, time.monotonic() - start)
+    if reason is not None:
+        return FeasibilityResult((), True, False, True, reason, time.monotonic() - start)
     enum = enumerate_feasible(graph, config, exhaustive=exhaustive, deadline=deadline)
     for committee in enum.committees:
         check = satisfies(instance, committee)
@@ -531,6 +500,6 @@ def solve_feasibility(
         proven_infeasible=proven_infeasible,
         timed_out=enum.timed_out,
         complete=enum.complete,
-        preprocessing=prep,
+        reason="search space exhausted" if proven_infeasible else None,
         elapsed=time.monotonic() - start,
     )

@@ -16,6 +16,7 @@ from dire.constraints import (
     unsatisfied_fraction,
 )
 from dire.profiles import make_profile
+from dire.rules import betacc, kborda, monroe
 from conftest import random_instance
 
 
@@ -173,6 +174,18 @@ def test_representation_bound_above_k_rejected():
     with pytest.raises(InstanceError):
         make_instance(profile, scheme, k=2,
                       representation_bounds={("B", "p1"): 3, ("B", "p2"): 1})
+
+
+@pytest.mark.parametrize("rule", [kborda(), betacc(), monroe()], ids=lambda r: r.kind)
+def test_bad_committee_size_or_scheme_rejected_before_the_winner_search(rule):
+    profile = make_profile(3, [[0, 1, 2], [2, 1, 0]])
+    scheme = AttributeScheme(voter_attributes=(Attribute("B", {"p1": [0, 1]}),))
+    for k in (0, 4):
+        with pytest.raises(InstanceError, match="committee size"):
+            make_instance(profile, scheme, k=k, rule=rule, representation_bounds={("B", "p1"): 1})
+    stray = AttributeScheme(voter_attributes=(Attribute("B", {"p1": [0, 1, 2]}),))
+    with pytest.raises(InstanceError, match="out-of-range"):
+        make_instance(profile, stray, k=2, rule=rule, representation_bounds={("B", "p1"): 1})
 
 
 def test_overlapping_groups_within_attribute_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -127,6 +128,13 @@ def test_config_validation():
     with pytest.raises(ExperimentError):
         ExperimentConfig(dataset="syn1", timeout=float("nan"))
     assert ExperimentConfig(dataset="syn1", timeout=float("inf")).timeout == float("inf")
+
+
+def test_config_fields():
+    # the CSV path is the CLI's business (write_csv), not a config field
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert fields == ["dataset", "seeds", "rules", "timeout", "repetitions", "mu_values",
+                      "pi_values", "phi_values", "m", "n", "k", "files", "exhaustive"]
 
 
 def test_unconstrained_recomputation_keeps_to_the_timeout(monkeypatch):

@@ -1,8 +1,11 @@
 """Property tests: the feasibility search against the brute-force feasible
-set, and the scoring kernel against the rescoring reference.
+set, closed-form preprocessing against the reference fixpoint, and the
+scoring kernel against the rescoring reference.
 
 They need hypothesis and are skipped where it is not installed.
 """
+
+import dataclasses
 
 import pytest
 
@@ -19,11 +22,13 @@ from dire.rules import (
     SatisfactionTable,
     _certified_max,
     _greedy_max,
+    _winner,
     population_winning_committee,
     score_committee,
     unconstrained_winner,
 )
-from dire.solver import SolverConfig, solve_feasibility
+from dire.solver import SolverConfig, preprocess, solve_feasibility
+from test_solver import graph_from_spec, proves_infeasible, reference_preprocess
 
 
 @st.composite
@@ -89,6 +94,35 @@ def test_exhaustive_mode_returns_the_brute_force_set(instance):
 
 
 @st.composite
+def constraint_graphs(draw):
+    """Constraint graphs over m <= 10 candidates with up to six constraints
+    of at most six candidates each.  Every bound lies in [1, min(|D|, k)],
+    as instance validation guarantees, and is k in about half of the
+    constraints whose domain allows it."""
+    m = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(4, m)))
+    domains, bounds = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        domain = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=6))
+        top = min(k, len(domain))
+        domains.append(domain)
+        bounds.append(k if top == k and draw(st.booleans()) else draw(st.integers(1, top)))
+    return graph_from_spec(k, m, domains, bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_graphs())
+def test_preprocess_matches_the_reference_fixpoint(graph):
+    original, twin = (dataclasses.replace(graph, domains=list(graph.domains)) for _ in range(2))
+    reason = preprocess(graph)
+    assert (reason is None) == (reference_preprocess(twin) is None)
+    if reason is None:
+        assert graph.domains == twin.domains
+    else:
+        assert proves_infeasible(original, reason)
+
+
+@st.composite
 def elections(draw):
     """A profile (m <= 8, n <= 6) with a tie-break order, a rule with the
     Borda or a drawn nonincreasing vector (all-zero and flat ones included),
@@ -111,9 +145,11 @@ def test_scoring_kernel_matches_the_reference(election):
     for subset in (None, voters):
         assert score_committee(profile, rule, committee, subset) == ref.score_committee(
             profile, rule, committee, subset)
-    for cap in (0, 10**6):
-        assert (population_winning_committee(profile, voters, rule, k, cap)
-                == ref.population_winning_committee(profile, voters, rule, k, cap))
+    assert (population_winning_committee(profile, voters, rule, k)
+            == ref.population_winning_committee(profile, voters, rule, k))
+    table = SatisfactionTable(profile, rule, sorted(set(voters)))
+    for cap in (0, 10**6):  # greedy, then exhaustive below the cap
+        assert _winner(table, k, None, cap)[0] == ref.population_winning_committee(profile, voters, rule, k, cap)
         got = unconstrained_winner(profile, rule, k, cap)
         assert (got.committee, got.score, got.mode) == ref.unconstrained_winner(profile, rule, k, cap)
 

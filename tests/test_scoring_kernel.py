@@ -15,6 +15,8 @@ from dire.profiles import make_profile
 from dire.rules import (
     RULE_KINDS,
     Rule,
+    SatisfactionTable,
+    _winner,
     candidate_score,
     candidate_scores,
     monroe_assign,
@@ -75,8 +77,11 @@ def test_winner_searches_match_the_reference():
             for kind in RULE_KINDS:
                 rule = Rule(kind, vector)
                 k = rng.randint(1, profile.m)
+                assert (population_winning_committee(profile, voters, rule, k)
+                        == ref.population_winning_committee(profile, voters, rule, k)), (seed, kind)
+                table = SatisfactionTable(profile, rule, sorted(set(voters)))
                 for cap in (0, 10**6):  # greedy, then exhaustive below the cap
-                    assert (population_winning_committee(profile, voters, rule, k, cap)
+                    assert (_winner(table, k, None, cap)[0]
                             == ref.population_winning_committee(profile, voters, rule, k, cap)), (seed, kind)
                     got = unconstrained_winner(profile, rule, k, cap)
                     assert (got.committee, got.score, got.mode) == ref.unconstrained_winner(profile, rule, k, cap)

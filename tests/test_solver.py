@@ -186,16 +186,14 @@ def test_preprocess_prunes_cross_component_conflict():
         profile, scheme, k=3, diversity_bounds={("A", "g1"): 2, ("A", "g2"): 2}
     )
     graph = build_diregraph(instance)
-    result = preprocess(graph)
-    assert not result.feasible
-    assert result.pruned_pairs
+    assert preprocess(graph) == "pairwise infeasible: D:A:g1 vs D:A:g2"
 
 
 def test_preprocess_example1_no_changes(example1):
     graph = build_diregraph(example1)
-    result = preprocess(graph)
-    assert result.feasible
-    assert result.reductions == []
+    before = list(graph.domains)
+    assert preprocess(graph) is None
+    assert graph.domains == before
 
 
 def test_exhaustive_matches_brute_force_on_random_instances():
@@ -224,8 +222,7 @@ def test_pruning_soundness_on_random_instances():
     for seed in range(120):
         instance = random_instance(seed)
         graph = build_diregraph(instance)
-        result = preprocess(graph)
-        if not result.feasible:
+        if preprocess(graph) is not None:
             pruned += 1
             assert brute_force_feasible_set(instance) == []
     assert pruned > 0  # the suite must actually exercise the prune path
@@ -236,8 +233,7 @@ def test_domain_reduction_preserves_feasible_set():
         instance = random_instance(seed)
         expected = brute_force_feasible_set(instance)
         graph = build_diregraph(instance)
-        prep = preprocess(graph)
-        if not prep.feasible:
+        if preprocess(graph) is not None:
             assert expected == []
             continue
         # enumerate on the reduced graph: still exactly the brute-force set
@@ -558,16 +554,13 @@ def reference_components(graph):
 
 
 def reference_preprocess(graph, deadline=None):
-    """Pairwise checks across components, then a reduction queue inside each."""
-    result = solver.PreprocessResult(feasible=True)
+    """Pairwise checks across components, then a reduction queue inside each;
+    returns the reason for an infeasibility verdict, or None."""
     comps = reference_components(graph)
     comp_of = {idx: n for n, members in enumerate(comps) for idx in members}
 
     def conflict(i, j):
-        result.feasible = False
-        result.reason = f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
-        result.pruned_pairs.append((graph.keys[i], graph.keys[j]))
-        return result
+        return f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
 
     for i, j in itertools.combinations(range(len(graph.domains)), 2):
         if comp_of[i] != comp_of[j] and not pairwise_feasible(graph, i, j):
@@ -580,19 +573,14 @@ def reference_preprocess(graph, deadline=None):
             queued.discard((i, j))
             if not pairwise_feasible(graph, i, j):
                 return conflict(i, j)
-            before = len(graph.domains[i])
             if reference_domain_reduce(graph, i, j):
-                result.reductions.append((graph.keys[i], before - len(graph.domains[i])))
                 if not graph.domains[i]:
-                    result.feasible = False
-                    result.reason = f"domain emptied: {graph.keys[i]}"
-                    result.emptied_domains.append(graph.keys[i])
-                    return result
+                    return f"domain emptied: {graph.keys[i]}"
                 for x in members:
                     if x not in (i, j) and (x, i) not in queued:
                         queue.append((x, i))
                         queued.add((x, i))
-    return result
+    return None
 
 
 def random_pair_graph(rng):
@@ -646,13 +634,63 @@ def test_preprocess_matches_component_split_reference():
     reduced = 0
     for instance in preprocess_instances():
         graph, twin = build_diregraph(instance), build_diregraph(instance)
-        got, expected = preprocess(graph), reference_preprocess(twin)
-        assert got.feasible == expected.feasible
-        verdicts[got.feasible] += 1
-        if got.feasible:
+        feasible = preprocess(graph) is None
+        assert feasible == (reference_preprocess(twin) is None)
+        verdicts[feasible] += 1
+        if feasible:
             assert graph.domains == twin.domains
             reduced += graph.domains != build_diregraph(instance).domains
     assert min(verdicts.values()) > 20 and reduced > 5, (verdicts, reduced)
+
+
+def narrowed(graph):
+    """A copy of the graph with every domain intersected with F, the
+    intersection of the domains whose bound is k."""
+    full = [d for d, bound in zip(graph.domains, graph.bounds) if bound == graph.k]
+    inside = frozenset.intersection(*full) if full else frozenset(range(graph.m))
+    return dataclasses.replace(graph, domains=[d & inside for d in graph.domains])
+
+
+def proves_infeasible(graph, reason):
+    """Whether a preprocessing reason holds on the narrowed domains: the
+    named pair fails the packing check, or the named domain cannot meet its
+    bound alone."""
+    graph = narrowed(graph)
+    kind, _, keys = reason.partition(": ")
+    if kind == "pairwise infeasible":
+        a, b = keys.split(" vs ")
+        return not pairwise_feasible(graph, graph.keys.index(a), graph.keys.index(b))
+    assert kind == "domain emptied", reason
+    x = graph.keys.index(keys)
+    return graph.bounds[x] > min(len(graph.domains[x]), graph.k)
+
+
+def test_preprocess_reasons_are_proofs():
+    kinds = {"pairwise infeasible": 0, "domain emptied": 0}
+    for instance in preprocess_instances():
+        reason = preprocess(build_diregraph(instance))
+        if reason is not None:
+            assert proves_infeasible(build_diregraph(instance), reason), reason
+            kinds[reason.partition(":")[0]] += 1
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_preprocess_finds_a_conflict_inside_a_bound_k_domain():
+    # k=3 seats all in G; X and Y need 2 each, and they share only
+    # candidate 5, outside G, so the pair fails only once narrowed to G
+    profile = make_profile(7, [list(range(7))])
+    scheme = AttributeScheme(candidate_attributes=(
+        Attribute("A", {"G": [0, 1, 2, 3, 4], "rest": [5, 6]}),
+        Attribute("B", {"X": [0, 1, 5], "rest": [2, 3, 4, 6]}),
+        Attribute("C", {"Y": [2, 3, 5], "rest": [0, 1, 4, 6]}),
+    ))
+    bounds = {("A", "G"): 3, ("B", "X"): 2, ("C", "Y"): 2,
+              ("A", "rest"): 0, ("B", "rest"): 0, ("C", "rest"): 0}
+    instance = make_instance(profile, scheme, k=3, diversity_bounds=bounds, allow_zero_bounds=True)
+    graph = build_diregraph(instance)
+    assert all(pairwise_feasible(graph, i, j) for i, j in itertools.combinations(range(3), 2))
+    assert preprocess(graph) == "pairwise infeasible: D:B:X vs D:C:Y"
+    assert brute_force_feasible_set(instance) == []
 
 
 def test_solve_feasibility_matches_reference_preprocessing(monkeypatch):
