@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from dire import fileio
-from dire.constraints import InstanceError, satisfies, unsatisfied_fraction
+from dire.constraints import AttributeScheme, InstanceError, make_instance, satisfies, unsatisfied_fraction
 from dire.experiment import ExperimentConfig, run_experiment, write_csv
 from dire.profiles import ProfileError
 from dire.reductions import (
@@ -27,7 +27,7 @@ from dire.reductions import (
     reduce_vc_diversity,
     reduce_vc_representation,
 )
-from dire.rules import DEFAULT_ORACLE_CAP, Rule, RuleError, RULE_KINDS
+from dire.rules import DEFAULT_ORACLE_CAP, Rule, RuleError, RULE_KINDS, score_committee
 from dire.solver import SolverConfig, SolverError, solve_feasibility
 from dire.synth import SYN1, SYN2, GenerationError, gen_syndata
 from dire.winner import (
@@ -86,20 +86,18 @@ def build_parser() -> _Parser:
     gen.add_argument("--rule", choices=RULE_KINDS, default="kborda")
     gen.add_argument("--out", required=True)
 
-    feas = sub.add_parser("feasible", help="enumerate feasible committees")
-    feas.add_argument("instance")
-    feas.add_argument("--exhaustive", action="store_true")
-    feas.add_argument("--max-committees", type=int, default=100_000)
-    feas.add_argument("--timeout", type=float, default=2000.0)
-    feas.add_argument("--seed", type=int)
+    solver_flags = argparse.ArgumentParser(add_help=False)  # shared by feasible and solve
+    solver_flags.add_argument("--exhaustive", action="store_true")
+    solver_flags.add_argument("--max-committees", type=int, default=100_000)
+    solver_flags.add_argument("--timeout", type=float, default=2000.0)
+    solver_flags.add_argument("--seed", type=int)
 
-    solve = sub.add_parser("solve", help="find the best feasible committee")
+    feas = sub.add_parser("feasible", parents=[solver_flags], help="enumerate feasible committees")
+    feas.add_argument("instance")
+
+    solve = sub.add_parser("solve", parents=[solver_flags], help="find the best feasible committee")
     solve.add_argument("instance")
     solve.add_argument("--rule", choices=RULE_KINDS)
-    solve.add_argument("--exhaustive", action="store_true")
-    solve.add_argument("--max-committees", type=int, default=100_000)
-    solve.add_argument("--timeout", type=float, default=2000.0)
-    solve.add_argument("--seed", type=int)
 
     oracle = sub.add_parser("oracle", help="brute-force optimum (small instances)")
     oracle.add_argument("instance")
@@ -247,8 +245,6 @@ def _cmd_score(args) -> int:
     members = _int_list(args.committee)
     if len(set(members)) != instance.k:
         raise UsageError(f"committee size {len(set(members))} does not match k={instance.k}")
-    from dire.rules import score_committee
-
     value = score_committee(instance.profile, instance.rule, members)
     print(f"score: {value}")
     check = satisfies(instance, members)
@@ -288,8 +284,6 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_convert(args) -> int:
     profile, names = fileio.read_soc(args.soc)
-    from dire.constraints import AttributeScheme, make_instance
-
     instance = make_instance(
         profile=profile,
         scheme=AttributeScheme(),

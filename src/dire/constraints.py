@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from dire.profiles import PreferenceProfile
@@ -183,8 +184,13 @@ class DiReInstance:
                 if any(not 0 <= c < self.m for c in wc):
                     raise InstanceError(f"winning committee for {attr.name}:{label} has bad candidate ids")
 
-    def constraints(self) -> list[UnaryConstraint]:
-        """All active (bound >= 1) unary constraints, diversity first."""
+    def constraints(self) -> tuple[UnaryConstraint, ...]:
+        """All active (bound >= 1) unary constraints, diversity first, built
+        on the first call: every solve, check and metric reads one tuple."""
+        return self._constraints
+
+    @cached_property
+    def _constraints(self) -> tuple[UnaryConstraint, ...]:
         out = []
         for attr in self.scheme.candidate_attributes:
             for label, members in attr.groups:
@@ -202,7 +208,16 @@ class DiReInstance:
                             bound,
                         )
                     )
-        return out
+        return tuple(out)
+
+
+def holders(domains: Sequence[Iterable[int]], m: int) -> list[tuple[int, ...]]:
+    """For each candidate 0..m-1, the ascending indices of the domains holding it."""
+    held: list[list[int]] = [[] for _ in range(m)]
+    for idx, domain in enumerate(domains):
+        for cand in domain:
+            held[cand].append(idx)
+    return [tuple(indices) for indices in held]
 
 
 def make_instance(
@@ -269,7 +284,7 @@ def satisfies(instance: DiReInstance, committee: Iterable[int]) -> SatisfactionR
 
 
 def _violations(
-    instance: DiReInstance, constraints: list[UnaryConstraint], committee: Iterable[int]
+    instance: DiReInstance, constraints: Sequence[UnaryConstraint], committee: Iterable[int]
 ) -> tuple[tuple[str, int], ...]:
     members = set(committee)
     if len(members) != instance.k:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from dire.constraints import DiReInstance, make_instance, unsatisfied_fraction
+from dire.constraints import DiReInstance, holders, make_instance, unsatisfied_fraction
 from dire.fileio import parse_instance
 from dire.rules import RULE_KINDS, Rule, SolverTimeout, unconstrained_winner
 from dire.solver import SolverConfig
@@ -144,10 +144,7 @@ def best_unsatisfied_fraction(instance: DiReInstance, found) -> tuple[Fraction, 
     # hold c and are still short, so each step takes the candidate that
     # helps the most of them, ties by priority.
     short = [con.bound for con in constraints]
-    holds: list[list[int]] = [[] for _ in range(instance.m)]
-    for i, con in enumerate(constraints):
-        for c in con.domain:
-            holds[c].append(i)
+    holds = holders([con.domain for con in constraints], instance.m)
     chosen: set[int] = set()
     while len(chosen) < instance.k:
         pick = min((c for c in range(instance.m) if c not in chosen),

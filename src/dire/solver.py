@@ -16,7 +16,8 @@ exactly the committees of plain backtracking.  One search harvests several
 feasible committees: below the root it stops at the first solution, while
 the root keeps the first solution of each of its branches and goes on to the
 next.  A separate exhaustive mode enumerates the complete feasible set for
-oracle-scale instances.
+oracle-scale instances under the same lookahead, which again cuts only
+subtrees without a committee, so the output is that of the uncut DFS.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
-from dire.constraints import DiReInstance, satisfies
+from dire.constraints import DiReInstance, holders, satisfies
 from dire.rules import SolverTimeout, _ranked, borda_vector, candidate_scores
 
 
@@ -44,8 +45,8 @@ class DiReGraph:
     level C one node per unary constraint with a candidate domain and a
     lower bound.  An edge (candidate, constraint) exists iff the candidate
     is in the constraint's domain.  Domains shrink during preprocessing;
-    in-flow counters live inside each search run, so a preprocessed graph
-    can back concurrent searches.
+    the candidate index (``holders``) and the counters live inside each
+    search run, so a preprocessed graph can back concurrent searches.
     """
 
     k: int
@@ -60,9 +61,6 @@ class DiReGraph:
     def scores(self) -> tuple[int, ...]:
         """Computed on first use: only padding a short solution needs them."""
         return tuple(self.score_fn())
-
-    def out_degree(self, candidate: int) -> int:
-        return sum(1 for domain in self.domains if candidate in domain)
 
     def priority_rank(self, candidate: int) -> int:
         return self._priority_rank[candidate]
@@ -195,14 +193,13 @@ def preprocess(graph: DiReGraph, deadline: float | None = None) -> str | None:
     return None
 
 
-def _mfc_order(graph: DiReGraph, rng: random.Random | None) -> list[int]:
+def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]], rng: random.Random | None) -> list[int]:
     """Candidates by descending constraint out-degree (most-favorite first)."""
-    degree = {c: graph.out_degree(c) for c in range(graph.m)}
-    order = sorted(range(graph.m), key=lambda c: (-degree[c], graph.priority_rank(c)))
+    order = sorted(range(graph.m), key=lambda c: (-len(held[c]), graph.priority_rank(c)))
     if rng is not None:
         # shuffle within exact-degree ties only
         shuffled: list[int] = []
-        for _, group in itertools.groupby(order, key=lambda c: degree[c]):
+        for _, group in itertools.groupby(order, key=lambda c: len(held[c])):
             block = list(group)
             rng.shuffle(block)
             shuffled.extend(block)
@@ -227,6 +224,62 @@ class EnumerationResult:
     timed_out: bool
 
 
+class _SearchState:
+    """One search's counters, kept through the holders table: ``inflow[i]``
+    counts the chosen members of D_i and ``free[i]`` those neither chosen
+    nor excluded (blocked).  :meth:`scan` is the lookahead of both searches."""
+
+    def __init__(self, graph: DiReGraph, held: Sequence[tuple[int, ...]]):
+        self.k, self.bounds, self.held = graph.k, graph.bounds, held
+        self.sizes = [len(domain) for domain in graph.domains]
+        self.inflow, self.free = [0] * len(self.sizes), list(self.sizes)
+        self.blocked = [False] * graph.m
+        self.chosen: list[int] = []
+
+    def add(self, cand: int) -> None:
+        """Choose a free candidate; :meth:`remove` leaves it blocked (excluded)."""
+        self.chosen.append(cand)
+        self.block(cand)
+        for idx in self.held[cand]:
+            self.inflow[idx] += 1
+
+    def remove(self) -> None:
+        for idx in self.held[self.chosen.pop()]:
+            self.inflow[idx] -= 1
+
+    def block(self, cand: int) -> None:
+        self.blocked[cand] = True
+        for idx in self.held[cand]:
+            self.free[idx] -= 1
+
+    def unblock(self, cand: int) -> None:
+        self.blocked[cand] = False
+        for idx in self.held[cand]:
+            self.free[idx] += 1
+
+    def scan(self) -> list[int] | None:
+        """None when an unmet constraint needs more members than there are
+        seats left or than its domain has free; otherwise the unmet
+        constraints tied for the least |D_i| per missing member, in
+        constraint order (none once every bound is met)."""
+        seats = self.k - len(self.chosen)
+        inflow, free, sizes = self.inflow, self.free, self.sizes
+        ties: list[int] = []
+        best_size = best_missing = 0
+        for idx, bound in enumerate(self.bounds):
+            missing = bound - inflow[idx]
+            if missing <= 0:
+                continue
+            if missing > seats or missing > free[idx]:
+                return None
+            size = sizes[idx]  # size / missing compared exactly, by cross-multiplication
+            if not ties or size * best_missing < best_size * missing:
+                best_size, best_missing, ties = size, missing, [idx]
+            elif size * best_missing == best_size * missing:
+                ties.append(idx)
+        return ties
+
+
 def heuristic_backtrack(
     graph: DiReGraph,
     config: SolverConfig | None = None,
@@ -234,11 +287,11 @@ def heuristic_backtrack(
 ) -> EnumerationResult:
     """Depth-first search that harvests feasible committees at its root.
 
-    Variable choice: the constraint minimizing |D_i| / max(S_i - inflow, 1)
-    among unsatisfied constraints (ties by constraint order, or seeded
-    random).  Value order: candidates by descending out-degree.  A partial
-    solution is accepted once every constraint's in-flow meets its bound,
-    then padded to exactly k members.
+    Variable choice: the unsatisfied constraint minimizing
+    |D_i| / (S_i - inflow) (ties by constraint order, or seeded random).
+    Value order: candidates by descending out-degree.  A partial solution
+    is accepted once every constraint's in-flow meets its bound, then
+    padded to exactly k members.
 
     Below the root the search stops at its first solution.  The root keeps
     the padded first solution of each of its branches, restores the branch
@@ -271,100 +324,51 @@ def heuristic_backtrack(
     if deadline is None:
         deadline = time.monotonic() + config.timeout
     rng = random.Random(config.seed) if config.seed is not None else None
-    base_order = _mfc_order(graph, rng)
-    rank_of = {c: idx for idx, c in enumerate(base_order)}
-    n_constraints = len(graph.domains)
-    inflow = [0] * n_constraints
-    available = [len(domain) for domain in graph.domains]  # neither chosen nor excluded
-    member_of = [
-        tuple(idx for idx in range(n_constraints) if cand in graph.domains[idx])
-        for cand in range(graph.m)
-    ]
+    held = holders(graph.domains, graph.m)
+    rank_of = {c: idx for idx, c in enumerate(_mfc_order(graph, held, rng))}
     by_signature: dict[tuple[int, ...], list[int]] = {}
     for cand in range(graph.m):
-        by_signature.setdefault(member_of[cand], []).append(cand)
+        by_signature.setdefault(held[cand], []).append(cand)
     ordered = [sorted(domain, key=rank_of.__getitem__) for domain in graph.domains]
-    solution: list[int] = []
-    blocked = [False] * graph.m  # chosen or excluded
+    state = _SearchState(graph, held)
     committees: list[tuple[int, ...]] = []
-
-    def block(cand: int) -> None:
-        blocked[cand] = True
-        for idx in member_of[cand]:
-            available[idx] -= 1
-
-    def unblock(cand: int) -> None:
-        blocked[cand] = False
-        for idx in member_of[cand]:
-            available[idx] += 1
-
-    def dead_end() -> bool:
-        seats = graph.k - len(solution)
-        for idx in range(n_constraints):
-            missing = graph.bounds[idx] - inflow[idx]
-            if missing > 0 and (missing > seats or missing > available[idx]):
-                return True
-        return False
-
-    def select_variable() -> int | None:
-        best, best_ratio = None, None
-        ties: list[int] = []
-        for idx in range(n_constraints):
-            missing = graph.bounds[idx] - inflow[idx]
-            if missing <= 0:
-                continue
-            ratio = (len(graph.domains[idx]), max(missing, 1))
-            value = ratio[0] / ratio[1]
-            if best_ratio is None or value < best_ratio:
-                best_ratio, best, ties = value, idx, [idx]
-            elif value == best_ratio:
-                ties.append(idx)
-        if best is None:
-            return None
-        if rng is not None and len(ties) > 1:
-            return rng.choice(ties)
-        return best
 
     def search(at_root: bool) -> bool:
         """Whether the subtree holds a solution; leaves the state as it found it."""
         if time.monotonic() > deadline:
             raise SolverTimeout("backtracking timed out")
-        if dead_end():
+        ties = state.scan()
+        if ties is None:
             return False
-        variable = select_variable()
-        if variable is None:
-            # every bound met, |solution| <= k by construction
-            committee = _pad_solution(graph, solution)
+        if not ties:
+            # every bound met, |chosen| <= k by construction
+            committee = _pad_solution(graph, state.chosen)
             if committee not in committees:  # two root branches can pad to one committee
                 committees.append(committee)
             return True
+        variable = rng.choice(ties) if rng is not None and len(ties) > 1 else ties[0]
         found = False
         excluded: list[int] = []
         for cand in ordered[variable]:
-            if blocked[cand]:
+            if state.blocked[cand]:
                 continue
-            solution.append(cand)
-            block(cand)
-            for idx in member_of[cand]:
-                inflow[idx] += 1
+            state.add(cand)
             branch_found = search(False)
-            solution.pop()
-            for idx in member_of[cand]:
-                inflow[idx] -= 1
+            state.remove()
             if branch_found:
                 found = True
-                unblock(cand)  # cand is in a committee, so later root branches may use it
+                state.unblock(cand)  # cand is in a committee, so later root branches may use it
                 if at_root and len(committees) < config.max_committees:
                     continue
                 break
             # cand stays blocked: excluded, together with its free twins
             excluded.append(cand)
-            for twin in by_signature[member_of[cand]]:
-                if not blocked[twin]:
-                    block(twin)
+            for twin in by_signature[held[cand]]:
+                if not state.blocked[twin]:
+                    state.block(twin)
                     excluded.append(twin)
         for cand in excluded:
-            unblock(cand)
+            state.unblock(cand)
         return found
 
     try:
@@ -383,51 +387,43 @@ def _enumerate_exhaustive(
 ) -> EnumerationResult:
     """Complete include/exclude DFS over candidates; returns every feasible
     k-committee, ``complete`` unless the enumeration cap or the deadline cut
-    it short.  On timeout the committees found so far are still returned."""
-    order = _mfc_order(graph, None)
-    n_constraints = len(graph.domains)
-    # suffix_counts[i][pos]: members of D_i at position >= pos in the order
-    suffix_counts = []
-    for domain in graph.domains:
-        counts = [0] * (graph.m + 1)
-        for pos in range(graph.m - 1, -1, -1):
-            counts[pos] = counts[pos + 1] + (1 if order[pos] in domain else 0)
-        suffix_counts.append(counts)
+    it short.  On timeout the committees found so far are still returned.
 
+    Candidates passed in the order stay blocked, so ``free`` counts the
+    undecided members of each domain, and the lookahead of
+    :func:`heuristic_backtrack` cuts only subtrees without a committee: the
+    output, its order and its truncation are those of the uncut DFS.
+    """
+    held = holders(graph.domains, graph.m)
+    order = _mfc_order(graph, held, None)
+    state = _SearchState(graph, held)
     results: list[tuple[int, ...]] = []
-    inflow = [0] * n_constraints
-    chosen: list[int] = []
     truncated = False
 
     def dfs(pos: int) -> None:
         # recurse on the include branch only and loop over the exclude
         # branch, so the depth is at most k + 1 whatever m is
         nonlocal truncated
+        start = pos
         while not truncated:
             if time.monotonic() > deadline:
                 raise SolverTimeout("exhaustive enumeration timed out")
-            if len(chosen) == graph.k:
-                if all(inflow[i] >= graph.bounds[i] for i in range(n_constraints)):
-                    if len(results) >= config.max_committees:
-                        truncated = True
-                        return
-                    results.append(tuple(sorted(chosen)))
-                return
-            if len(chosen) + (graph.m - pos) < graph.k:
-                return
-            for i in range(n_constraints):
-                if inflow[i] + suffix_counts[i][pos] < graph.bounds[i]:
-                    return
+            if state.scan() is None:  # dead; at k members this means a bound is unmet
+                break
+            if len(state.chosen) == graph.k:
+                truncated = len(results) >= config.max_committees
+                if not truncated:
+                    results.append(tuple(sorted(state.chosen)))
+                break
+            if len(state.chosen) + (graph.m - pos) < graph.k:
+                break
             cand = order[pos]
-            chosen.append(cand)
-            touched = [i for i in range(n_constraints) if cand in graph.domains[i]]
-            for i in touched:
-                inflow[i] += 1
+            state.add(cand)
             dfs(pos + 1)
-            chosen.pop()
-            for i in touched:
-                inflow[i] -= 1
+            state.remove()  # cand stays blocked: excluded for the rest of the loop
             pos += 1
+        for cand in order[start:pos]:
+            state.unblock(cand)
 
     try:
         dfs(0)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from dire.constraints import DiReInstance, InstanceError, satisfies
+from dire.constraints import DiReInstance, InstanceError, holders, satisfies
 from dire.profiles import Committee
 from dire.rules import (
     DEFAULT_ORACLE_CAP,
@@ -204,10 +204,7 @@ def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
     optimum of :func:`fpt_report`.
     """
     populations = _population_covers(instance)
-    cover = {
-        c: frozenset(i for i, wc in enumerate(populations) if c in wc)
-        for c in range(instance.m)
-    }
+    cover = [frozenset(indices) for indices in holders(populations, instance.m)]
     scores = candidate_scores(instance.profile, padding_vector(instance))
     key = instance.profile.priority_key
 

@@ -10,6 +10,7 @@ from dire.constraints import (
     DiReInstance,
     InstanceError,
     apportionment_bounds,
+    holders,
     make_instance,
     necessary_condition_report,
     satisfies,
@@ -239,3 +240,17 @@ def test_constraint_keys_are_stable(example1):
         "R:state:CA",
         "R:state:IL",
     ]
+
+
+def test_constraints_are_built_once_per_instance(example1):
+    assert example1.constraints() is example1.constraints()
+
+
+def test_holders_match_a_membership_scan():
+    rng = random.Random(11)
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        domains = [frozenset(rng.sample(range(m), rng.randint(0, m)))
+                   for _ in range(rng.randint(0, 6))]
+        expected = [tuple(i for i, domain in enumerate(domains) if c in domain) for c in range(m)]
+        assert holders(domains, m) == expected

@@ -150,6 +150,18 @@ def test_cli_oracle_cap_defaults_to_the_library_cap():
     assert build_parser().parse_args(["oracle", "x.json"]).cap == DEFAULT_ORACLE_CAP
 
 
+def test_cli_feasible_and_solve_share_the_solver_flags():
+    parser = build_parser()
+    flags = ("exhaustive", "max_committees", "timeout", "seed")
+    for argv, expected in (
+        ([], (False, 100_000, 2000.0, None)),
+        (["--exhaustive", "--max-committees", "7", "--timeout", "3", "--seed", "5"], (True, 7, 3.0, 5)),
+    ):
+        for command in ("feasible", "solve"):
+            args = parser.parse_args([command, "x.json", *argv])
+            assert tuple(getattr(args, flag) for flag in flags) == expected, command
+
+
 def test_cli_feasible_lists_committees(example1_path, capsys):
     code = main(["feasible", str(example1_path), "--exhaustive"])
     out = capsys.readouterr().out

@@ -7,8 +7,8 @@ import time
 import pytest
 
 import dire
-from dire import solver
-from dire.constraints import Attribute, AttributeScheme, make_instance, satisfies
+from dire import constraints, solver
+from dire.constraints import Attribute, AttributeScheme, holders, make_instance, satisfies
 from dire.profiles import make_profile
 from dire.reductions import InputGraph, min_vertex_cover_size, reduce_vc_representation
 from dire.solver import (
@@ -47,7 +47,7 @@ def test_build_diregraph_example1(example1):
     assert graph.keys == ["D:gender:male", "D:gender:female", "R:state:CA", "R:state:IL"]
     assert [sorted(d) for d in graph.domains] == [[0, 1], [2, 3], [0, 1], [1, 3]]
     assert graph.bounds == [1, 1, 1, 1]
-    assert graph.out_degree(1) == 3  # c2 belongs to male, CA, IL
+    assert holders(graph.domains, graph.m)[1] == (0, 2, 3)  # c2 belongs to male, CA, IL
 
 
 def test_build_diregraph_no_constraints():
@@ -109,9 +109,36 @@ def test_domain_reduce_is_never_skipped_on_large_domains():
 
 def test_mfc_order_example1(example1):
     graph = build_diregraph(example1)
-    order = _mfc_order(graph, None)
+    order = _mfc_order(graph, holders(graph.domains, graph.m), None)
     assert order[0] == 1  # c2 has the highest out-degree
     assert order[-1] == 2  # c3 touches only one constraint
+
+
+def test_exact_ratio_tie_branches_on_the_earlier_constraint():
+    # X0 needs 2 of 4 members and X1 needs 1 of 2: both offer exactly two
+    # members per missing member, so X0 is the root variable and the harvest
+    # holds one committee per member of X0 (X1 at the root would give
+    # (0, 1, 4), (0, 1, 5))
+    graph = graph_from_spec(3, 6, [{0, 1, 2, 3}, {4, 5}], [2, 1])
+    result = heuristic_backtrack(graph, SolverConfig(timeout=10))
+    assert result.committees == ((0, 1, 4), (0, 2, 4), (0, 3, 4))
+
+
+def test_solve_feasibility_builds_the_constraints_once(monkeypatch):
+    # the soundness re-check reads the instance's one constraint list for
+    # every committee instead of building its own
+    instance = random_instance(20, m=10, k=4)  # 6 constraints, 37 committees
+    built = []
+    real = constraints.UnaryConstraint
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constraints, "UnaryConstraint", spy)
+    result = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
+    assert len(result.committees) == 37
+    assert len(built) == len(instance.constraints()) == 6
 
 
 def test_heuristic_backtrack_example1(example1):
@@ -311,7 +338,7 @@ def reference_backtrack(graph, config=None, rotation=0, deadline=None):
     if deadline is None:
         deadline = time.monotonic() + config.timeout
     rng = random.Random(config.seed) if config.seed is not None else None
-    rank_of = {c: idx for idx, c in enumerate(_mfc_order(graph, rng))}
+    rank_of = {c: idx for idx, c in enumerate(_mfc_order(graph, holders(graph.domains, graph.m), rng))}
     n_constraints = len(graph.domains)
     inflow = [0] * n_constraints
     member_of = [[i for i in range(n_constraints) if c in graph.domains[i]] for c in range(graph.m)]
@@ -361,14 +388,20 @@ def reference_backtrack(graph, config=None, rotation=0, deadline=None):
 
 
 def reference_exhaustive(graph, config, deadline):
-    """Include/exclude DFS recursing on both branches (depth up to m)."""
-    order = _mfc_order(graph, None)
+    """Include/exclude DFS recursing on both branches (depth up to m),
+    stopped when it finds one committee past ``config.max_committees``."""
+    order = _mfc_order(graph, holders(graph.domains, graph.m), None)
     n_constraints = len(graph.domains)
     results, inflow, chosen = [], [0] * n_constraints, []
+
+    class Truncated(Exception):
+        pass
 
     def dfs(pos):
         if len(chosen) == graph.k:
             if all(inflow[i] >= graph.bounds[i] for i in range(n_constraints)):
+                if len(results) >= config.max_committees:
+                    raise Truncated
                 results.append(tuple(sorted(chosen)))
             return
         if len(chosen) + (graph.m - pos) < graph.k:
@@ -388,8 +421,10 @@ def reference_exhaustive(graph, config, deadline):
             inflow[i] -= 1
         dfs(pos + 1)
 
-    dfs(0)
-    assert len(results) <= config.max_committees
+    try:
+        dfs(0)
+    except Truncated:
+        return solver.EnumerationResult(tuple(results), complete=False, timed_out=False)
     return solver.EnumerationResult(tuple(results), complete=True, timed_out=False)
 
 
@@ -453,7 +488,9 @@ def test_pruned_search_matches_reference_search(monkeypatch):
     modes = [(SolverConfig(timeout=60, max_committees=1), False),
              (SolverConfig(timeout=60, max_committees=3), False),
              (SolverConfig(timeout=60), False),
-             (SolverConfig(timeout=60), True)]
+             (SolverConfig(timeout=60), True),
+             (SolverConfig(timeout=60, max_committees=1), True),
+             (SolverConfig(timeout=60, max_committees=3), True)]
 
     def outcomes(instance, with_exhaustive):
         return [outcome(solve_feasibility(instance, config, exhaustive=ex))
@@ -461,14 +498,16 @@ def test_pruned_search_matches_reference_search(monkeypatch):
 
     pruned = [outcomes(*case) for case in cases]
     monkeypatch.setattr(solver, "enumerate_feasible", reference_enumerate)
-    verdicts, harvests = set(), 0
+    verdicts, harvests, truncations = set(), 0, 0
     for case, got in zip(cases, pruned):
         expected = outcomes(*case)
         assert got == expected
         verdicts.add(expected[0][1])
         harvests += len(expected[2][0]) >= 2
+        truncations += case[1] and not expected[4][2]  # exhaustive, max_committees=1
     assert verdicts == {False, True}  # both feasible and infeasible instances covered
     assert harvests >= 5  # and root harvests of several committees
+    assert truncations >= 5  # and exhaustive runs cut at max_committees
 
 
 def test_default_harvest_stops_early_on_vc_rep():
