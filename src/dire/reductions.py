@@ -80,23 +80,25 @@ def write_graph(graph: InputGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def has_vertex_cover(graph: InputGraph, k: int) -> bool:
-    """Exhaustively test for a vertex cover of size <= k (small graphs only)."""
-    if k >= graph.vertices:
-        return True
-    for size in range(min(k, graph.vertices) + 1):
+def _smallest_cover(graph: InputGraph, limit: int) -> int:
+    """The size of a minimum vertex cover, or ``limit + 1`` when that is
+    above ``limit``: one walk over the subsets in increasing size (small
+    graphs only)."""
+    for size in range(min(limit, graph.vertices) + 1):
         for subset in itertools.combinations(range(graph.vertices), size):
             chosen = set(subset)
             if all(u in chosen or v in chosen for u, v in graph.edges):
-                return True
-    return False
+                return size
+    return limit + 1
+
+
+def has_vertex_cover(graph: InputGraph, k: int) -> bool:
+    """Exhaustively test for a vertex cover of size <= k (small graphs only)."""
+    return k >= graph.vertices or _smallest_cover(graph, k) <= k
 
 
 def min_vertex_cover_size(graph: InputGraph) -> int:
-    for size in range(graph.vertices + 1):
-        if has_vertex_cover(graph, size):
-            return size
-    return graph.vertices
+    return _smallest_cover(graph, graph.vertices)
 
 
 def _cyclic_profile(m: int) -> PreferenceProfile:

@@ -10,7 +10,9 @@ and tries its candidates in order of how many constraints they touch.  A
 failed branch proves that no feasible committee extends it, so the search
 excludes that candidate, and every candidate with the same constraint
 signature, from the sibling branches that follow; a seat and availability
-lookahead fails a node as soon as some unmet bound can no longer be reached.
+lookahead fails a node as soon as some unmet bound can no longer be reached,
+and a packing bound fails it when unmet constraints with pairwise disjoint
+free domains need more members together than there are seats left.
 These cuts remove only subtrees without a solution, so unseeded runs return
 exactly the committees of plain backtracking.  One search harvests several
 feasible committees: below the root it stops at the first solution, while
@@ -226,13 +228,15 @@ class EnumerationResult:
 
 class _SearchState:
     """One search's counters, kept through the holders table: ``inflow[i]``
-    counts the chosen members of D_i and ``free[i]`` those neither chosen
-    nor excluded (blocked).  :meth:`scan` is the lookahead of both searches."""
+    counts the chosen members of D_i, ``free_sets[i]`` holds those neither
+    chosen nor excluded (blocked) and ``free[i]`` is its size, read by the
+    scan of every node.  :meth:`scan` is the lookahead of both searches."""
 
     def __init__(self, graph: DiReGraph, held: Sequence[tuple[int, ...]]):
         self.k, self.bounds, self.held = graph.k, graph.bounds, held
         self.sizes = [len(domain) for domain in graph.domains]
         self.inflow, self.free = [0] * len(self.sizes), list(self.sizes)
+        self.free_sets = [set(domain) for domain in graph.domains]
         self.blocked = [False] * graph.m
         self.chosen: list[int] = []
 
@@ -249,35 +253,65 @@ class _SearchState:
 
     def block(self, cand: int) -> None:
         self.blocked[cand] = True
+        free, free_sets = self.free, self.free_sets
         for idx in self.held[cand]:
-            self.free[idx] -= 1
+            free[idx] -= 1
+            free_sets[idx].discard(cand)
 
     def unblock(self, cand: int) -> None:
         self.blocked[cand] = False
+        free, free_sets = self.free, self.free_sets
         for idx in self.held[cand]:
-            self.free[idx] += 1
+            free[idx] += 1
+            free_sets[idx].add(cand)
 
     def scan(self) -> list[int] | None:
         """None when an unmet constraint needs more members than there are
-        seats left or than its domain has free; otherwise the unmet
-        constraints tied for the least |D_i| per missing member, in
-        constraint order (none once every bound is met)."""
+        seats left or than its domain has free, or when the packing bound
+        of :meth:`packs` fails; otherwise the unmet constraints tied for the
+        least |D_i| per missing member, in constraint order (none once every
+        bound is met)."""
         seats = self.k - len(self.chosen)
         inflow, free, sizes = self.inflow, self.free, self.sizes
         ties: list[int] = []
-        best_size = best_missing = 0
+        best_size = best_missing = shortfall = 0
         for idx, bound in enumerate(self.bounds):
             missing = bound - inflow[idx]
             if missing <= 0:
                 continue
             if missing > seats or missing > free[idx]:
                 return None
+            shortfall += missing
             size = sizes[idx]  # size / missing compared exactly, by cross-multiplication
             if not ties or size * best_missing < best_size * missing:
                 best_size, best_missing, ties = size, missing, [idx]
             elif size * best_missing == best_size * missing:
                 ties.append(idx)
+        # packing can only fail once the shortfalls together exceed the seats
+        if shortfall > seats and not self.packs(seats):
+            return None
         return ties
+
+    def packs(self, seats: int) -> bool:
+        """The packing bound: False when unmet constraints with pairwise
+        disjoint free domains need more than ``seats`` members together,
+        as disjoint domains need distinct new members.  Unmet constraints
+        are taken in ascending order of free count (ties by constraint
+        order), and each one whose free domain misses those already taken
+        is kept.  On a vertex-cover reduction this is the matching lower
+        bound: uncovered edges with no free endpoint in common."""
+        inflow, free, free_sets, bounds = self.inflow, self.free, self.free_sets, self.bounds
+        unmet = sorted((free[idx], idx) for idx, bound in enumerate(bounds) if bound > inflow[idx])
+        claimed: set[int] = set()
+        need = 0
+        for _, idx in unmet:
+            members = free_sets[idx]
+            if claimed.isdisjoint(members):
+                need += bounds[idx] - inflow[idx]
+                if need > seats:
+                    return False
+                claimed |= members
+        return True
 
 
 def heuristic_backtrack(
@@ -311,7 +345,10 @@ def heuristic_backtrack(
       in-flow), so when one fails at a node its twins are excluded too;
     - *lookahead*: a node fails at once when an unmet constraint needs more
       members than there are seats left, or than its domain still offers
-      outside the chosen and excluded candidates.
+      outside the chosen and excluded candidates;
+    - *packing bound*: a node fails when unmet constraints whose free
+      domains are pairwise disjoint need more members together than there
+      are seats left, as each needs its own (:meth:`_SearchState.packs`).
 
     Only subtrees without a solution are cut, and variable choice and value
     order are those of the plain search, so unseeded runs return the same
@@ -390,9 +427,9 @@ def _enumerate_exhaustive(
     it short.  On timeout the committees found so far are still returned.
 
     Candidates passed in the order stay blocked, so ``free`` counts the
-    undecided members of each domain, and the lookahead of
-    :func:`heuristic_backtrack` cuts only subtrees without a committee: the
-    output, its order and its truncation are those of the uncut DFS.
+    undecided members of each domain, and the lookahead and packing bound
+    of :func:`heuristic_backtrack` cut only subtrees without a committee:
+    the output, its order and its truncation are those of the uncut DFS.
     """
     held = holders(graph.domains, graph.m)
     order = _mfc_order(graph, held, None)

@@ -1,11 +1,13 @@
 """Property tests: the feasibility search against the brute-force feasible
-set, closed-form preprocessing against the reference fixpoint, and the
-scoring kernel against the rescoring reference.
+set, its node lookahead against brute force below the node, closed-form
+preprocessing against the reference fixpoint, and the scoring kernel against
+the rescoring reference.
 
 They need hypothesis and are skipped where it is not installed.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import scoring_reference as ref
 from conftest import brute_force_feasible_set
-from dire.constraints import Attribute, AttributeScheme, make_instance
+from dire.constraints import Attribute, AttributeScheme, holders, make_instance
 from dire.profiles import make_profile
 from dire.rules import (
     RULE_KINDS,
@@ -27,8 +29,8 @@ from dire.rules import (
     score_committee,
     unconstrained_winner,
 )
-from dire.solver import SolverConfig, preprocess, solve_feasibility
-from test_solver import graph_from_spec, proves_infeasible, reference_preprocess
+from dire.solver import SolverConfig, _SearchState, build_diregraph, preprocess, solve_feasibility
+from test_solver import graph_from_spec, proves_infeasible, reference_preprocess, reference_scan
 
 
 @st.composite
@@ -91,6 +93,38 @@ def test_exhaustive_mode_returns_the_brute_force_set(instance):
     assert sorted(result.committees) == expected
     assert result.complete
     assert result.proven_infeasible == (not expected)
+
+
+@st.composite
+def search_nodes(draw):
+    """An instance from :func:`instances` and a search node on its graph:
+    at most k chosen members and a disjoint set of blocked ones."""
+    instance = draw(instances())
+    candidates = range(instance.m)
+    chosen = draw(st.lists(st.sampled_from(candidates), max_size=instance.k, unique=True))
+    rest = [c for c in candidates if c not in chosen]
+    blocked = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    return instance, chosen, blocked
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_nodes())
+def test_lookahead_fails_only_nodes_without_a_committee(node):
+    instance, chosen, blocked = node
+    graph = build_diregraph(instance)
+    state = _SearchState(graph, holders(graph.domains, graph.m))
+    for cand in chosen:
+        state.add(cand)
+    for cand in blocked:
+        state.block(cand)
+    ties = state.scan()
+    if ties is None:
+        free = [c for c in range(graph.m) if c not in chosen and c not in blocked]
+        for extra in itertools.combinations(free, graph.k - len(chosen)):
+            members = set(chosen) | set(extra)
+            assert any(len(members & domain) < bound for domain, bound in zip(graph.domains, graph.bounds))
+    else:
+        assert ties == reference_scan(state)
 
 
 @st.composite

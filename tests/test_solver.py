@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -332,6 +333,11 @@ def test_public_surface_resolves():
 # --- root value order, and recursive enumeration, kept test-only so the
 # --- pruned search and its root harvest can be checked against them
 
+class RotationRepeats(Exception):
+    """A root rotation at or past the root's value count: it would repeat
+    the search of the rotation it equals modulo that count."""
+
+
 def reference_backtrack(graph, config=None, rotation=0, deadline=None):
     """Backtracking without sibling exclusion, symmetry or lookahead."""
     config = config or SolverConfig()
@@ -367,8 +373,9 @@ def reference_backtrack(graph, config=None, rotation=0, deadline=None):
             return list(solution)
         cands = sorted(graph.domains[variable], key=lambda c: rank_of[c])
         if at_root and rotation and cands:
-            r = rotation % len(cands)
-            cands = cands[r:] + cands[:r]
+            if rotation >= len(cands):
+                raise RotationRepeats
+            cands = cands[rotation:] + cands[:rotation]
         for cand in cands:
             if cand in solution or len(solution) + 1 > graph.k:
                 continue
@@ -429,8 +436,8 @@ def reference_exhaustive(graph, config, deadline):
 
 
 def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
-    """The restart harvest: one plain search per left rotation of the root
-    value order, up to m of them, keeping the distinct committees."""
+    """The restart harvest: one plain search per distinct left rotation of
+    the root value order, keeping the distinct committees."""
     config = config or SolverConfig()
     if deadline is None:
         deadline = time.monotonic() + config.timeout
@@ -439,7 +446,10 @@ def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
     committees, seen = [], set()
     try:
         for rotation in range(max(graph.m, 1)):
-            found = reference_backtrack(graph, config, rotation=rotation, deadline=deadline)
+            try:
+                found = reference_backtrack(graph, config, rotation=rotation, deadline=deadline)
+            except RotationRepeats:  # and so does every later rotation
+                break
             if found is None:
                 return solver.EnumerationResult(tuple(committees), complete=True, timed_out=False)
             if found not in seen:
@@ -450,6 +460,23 @@ def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
     except SolverTimeout:
         return solver.EnumerationResult(tuple(committees), complete=False, timed_out=True)
     return solver.EnumerationResult(tuple(committees), complete=False, timed_out=False)
+
+
+def reference_scan(state):
+    """The node lookahead without its packing pass: None when one unmet
+    constraint needs more members than there are seats left or free in its
+    domain, else the unmet constraints tied for the least |D_i| per missing
+    member, in constraint order."""
+    seats = state.k - len(state.chosen)
+    ratios = {}
+    for idx, bound in enumerate(state.bounds):
+        missing = bound - state.inflow[idx]
+        if missing <= 0:
+            continue
+        if missing > seats or missing > state.free[idx]:
+            return None
+        ratios[idx] = Fraction(state.sizes[idx], missing)
+    return [idx for idx, ratio in ratios.items() if ratio == min(ratios.values())]
 
 
 def random_cubic_graph(vertices, seed):
@@ -477,6 +504,11 @@ def equivalence_instances():
         for k in (cover - 1, cover, cover + 1):
             # the feasible sets of the V=8 reductions are too large to enumerate here
             yield reduce_vc_representation(graph, 1, k).instance, vertices == 6
+    for seed in (0, 1):  # bench-size reductions, where the packing bound cuts most
+        graph = random_cubic_graph(10, seed)
+        cover = min_vertex_cover_size(graph)
+        for k in (cover - 1, cover):
+            yield reduce_vc_representation(graph, 1, k).instance, False
 
 
 def outcome(result):
@@ -527,6 +559,51 @@ def test_vc_rep_infeasibility_proof_is_fast():
     result = solve_feasibility(instance, SolverConfig(timeout=5, max_committees=1))
     assert result.proven_infeasible
     assert not result.timed_out
+
+
+def test_packing_bound_fails_disjoint_unit_bounds_at_the_root(monkeypatch):
+    # three disjoint groups each need one of the k=2 seats: every pair passes
+    # the pairwise check and no single group is short, but together they need
+    # three distinct members, so the root fails before any candidate is added
+    profile = make_profile(6, [list(range(6))])
+    scheme = AttributeScheme(candidate_attributes=(
+        Attribute("A", {"X": [0, 1], "Y": [2, 3], "Z": [4, 5]}),))
+    bounds = {("A", "X"): 1, ("A", "Y"): 1, ("A", "Z"): 1}
+    instance = make_instance(profile, scheme, k=2, diversity_bounds=bounds)
+    graph = build_diregraph(instance)
+    assert all(pairwise_feasible(graph, i, j) for i, j in itertools.combinations(range(3), 2))
+    added = []
+    real_add = solver._SearchState.add
+
+    def spy(state, cand):
+        added.append(cand)
+        real_add(state, cand)
+
+    monkeypatch.setattr(solver._SearchState, "add", spy)
+    for exhaustive in (False, True):
+        result = solve_feasibility(instance, SolverConfig(timeout=10), exhaustive=exhaustive)
+        assert result.proven_infeasible
+        assert result.reason == "search space exhausted"
+        assert added == []
+
+
+def test_packing_bound_settles_the_v32_cover_frontier():
+    # the minimum vertex cover of this graph has 18 vertices; without the
+    # packing bound either verdict takes the search tens of seconds
+    graph = random_cubic_graph(32, 0)
+    config = SolverConfig(timeout=5, max_committees=1)
+    below = solve_feasibility(reduce_vc_representation(graph, 1, 17).instance, config)
+    assert below.proven_infeasible
+    assert not below.timed_out
+    instance = reduce_vc_representation(graph, 1, 18).instance
+    at_cover = solve_feasibility(instance, config)
+    assert len(at_cover.committees) == 1
+    assert not at_cover.timed_out
+    committee = set(at_cover.committees[0])
+    assert len(committee) == 18
+    populations = [c for c in instance.constraints() if c.key.startswith("R:")]
+    assert len(populations) == len(graph.edges)
+    assert all(committee & set(c.domain) for c in populations)
 
 
 def test_seeded_search_is_sound_and_deterministic():
