@@ -4,8 +4,8 @@ Subcommands: generate / feasible / solve / oracle / score / experiment /
 convert.  Exit codes: 0 success, 1 usage or parse error, 2 infeasible
 instance, 3 timeout.  Diagnostics and timings go to stderr so stdout and
 output files stay byte-identical across reruns with the same flags and
-seeds (the default seed can be set with the DIRE_SEED environment
-variable).
+seeds (the DIRE_SEED environment variable sets the default seed of
+``generate``; ``experiment`` defaults to ``--seeds 0``).
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def build_parser() -> _Parser:
 
     solver_flags = argparse.ArgumentParser(add_help=False)  # shared by feasible and solve
     solver_flags.add_argument("--exhaustive", action="store_true")
-    solver_flags.add_argument("--max-committees", type=int, default=100_000)
-    solver_flags.add_argument("--timeout", type=float, default=2000.0)
+    solver_flags.add_argument("--max-committees", type=int, default=SolverConfig.max_committees)
+    solver_flags.add_argument("--timeout", type=float, default=SolverConfig.timeout)
     solver_flags.add_argument("--seed", type=int)
 
     feas = sub.add_parser("feasible", parents=[solver_flags], help="enumerate feasible committees")
@@ -112,7 +112,7 @@ def build_parser() -> _Parser:
     exp.add_argument("--dataset", required=True, choices=[SYN1, SYN2, "files"])
     exp.add_argument("--seeds", type=_int_list, default=[0])
     exp.add_argument("--rules", default="kborda", help="comma-separated rule kinds")
-    exp.add_argument("--timeout", type=float, default=2000.0)
+    exp.add_argument("--timeout", type=float, default=SolverConfig.timeout)
     exp.add_argument("--repetitions", type=int, default=1)
     exp.add_argument("--mu-values", type=_int_list)
     exp.add_argument("--pi-values", type=_int_list)

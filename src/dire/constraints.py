@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from dire.profiles import PreferenceProfile
-from dire.rules import Rule, kborda, population_winning_committee
+from dire.rules import Rule, _ranked, borda_vector, candidate_scores, kborda, population_winning_committee
 
 
 class InstanceError(ValueError):
@@ -210,6 +210,22 @@ class DiReInstance:
                     )
         return tuple(out)
 
+    def padding_scores(self) -> tuple[int, ...]:
+        """Each candidate's score under the vector that ranks candidates for
+        padding and picking: the rule's own when it is separable, Borda
+        otherwise.  Computed on the first call, as most solves never pad."""
+        return self._padding[0]
+
+    def padding_order(self) -> tuple[int, ...]:
+        """Every candidate by descending padding score, ties by priority."""
+        return self._padding[1]
+
+    @cached_property
+    def _padding(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        vector = self.rule.vector(self.m) if self.rule.separable else borda_vector(self.m)
+        scores = tuple(candidate_scores(self.profile, vector))
+        return scores, tuple(_ranked(scores, self.profile.priority_key))
+
 
 def holders(domains: Sequence[Iterable[int]], m: int) -> list[tuple[int, ...]]:
     """For each candidate 0..m-1, the ascending indices of the domains holding it."""
@@ -218,6 +234,16 @@ def holders(domains: Sequence[Iterable[int]], m: int) -> list[tuple[int, ...]]:
         for cand in domain:
             held[cand].append(idx)
     return [tuple(indices) for indices in held]
+
+
+def fill_seats(members: Iterable[int], order: Callable[[], Sequence[int]], k: int) -> tuple[int, ...]:
+    """The sorted ``members`` with every free seat up to k given to the
+    first unused candidate of ``order()``, which is called only when a seat
+    is free."""
+    chosen = set(members)
+    if len(chosen) < k:
+        chosen.update([c for c in order() if c not in chosen][: k - len(chosen)])
+    return tuple(sorted(chosen))
 
 
 def make_instance(

@@ -53,7 +53,7 @@ class ExperimentConfig:
     dataset: str  # syn1 | syn2 | files
     seeds: tuple[int, ...] = (0,)
     rules: tuple[str, ...] = ("kborda",)
-    timeout: float = 2000.0
+    timeout: float = SolverConfig.timeout
     repetitions: int = 1
     mu_values: tuple[int, ...] = (0, 1, 2, 3, 4)
     pi_values: tuple[int, ...] = (0, 1, 2, 3, 4)

@@ -13,7 +13,7 @@ from typing import Any
 
 from dire.constraints import Attribute, AttributeScheme, DiReInstance, make_instance
 from dire.profiles import PreferenceProfile, make_profile
-from dire.rules import Rule, RULE_KINDS
+from dire.rules import Rule, RuleError, RULE_KINDS, validate_scoring
 
 
 class ParseError(ValueError):
@@ -95,8 +95,11 @@ def instance_from_dict(data: dict, rule_override: Rule | None = None) -> DiReIns
         raise ParseError(f"{path}.rule", f"unknown rule {rule_kind!r}, expected one of {RULE_KINDS}")
     scoring = data.get("scoring")
     if scoring is not None:
-        scoring = _int_list(scoring, f"{path}.scoring")
-    rule = rule_override or Rule(rule_kind, tuple(scoring) if scoring else None)
+        try:
+            scoring = validate_scoring(_int_list(scoring, f"{path}.scoring"), m)
+        except RuleError as exc:
+            raise ParseError(f"{path}.scoring", str(exc)) from None
+    rule = rule_override or Rule(rule_kind, scoring)
 
     rankings_raw = _expect(data, "rankings", list, path)
     if len(rankings_raw) != n:
@@ -124,7 +127,9 @@ def instance_from_dict(data: dict, rule_override: Rule | None = None) -> DiReIns
                 winning[(attr_name, label)] = tuple(
                     _int_list(members, f"{path}.winning_committees.{attr_name}.{label}")
                 )
-    allow_zero = bool(data.get("allow_zero_bounds", False))
+    allow_zero = data.get("allow_zero_bounds", False)
+    if not isinstance(allow_zero, bool):
+        raise ParseError(f"{path}.allow_zero_bounds", "expected a boolean")
     return make_instance(
         profile=profile,
         scheme=scheme,

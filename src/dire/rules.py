@@ -111,9 +111,10 @@ class SatisfactionTable:
 
     ``voters`` defaults to every voter and is kept sorted.  ``rows[c][i]``
     is the vector entry at candidate c's position for the i-th voter and
-    ``totals[c]`` the row sum.  The rule's vector is validated once, here.
-    ``score`` takes distinct candidate ids in any order and trusts them to
-    be in range.
+    ``totals[c]`` the row sum.  The rule's vector and the voter ids are
+    validated once, here, for every entry point that scores.  ``score``
+    takes distinct candidate ids in any order and trusts them to be in
+    range.
     """
 
     def __init__(self, profile: PreferenceProfile, rule: Rule, voters: Iterable[int] | None = None):
@@ -121,6 +122,8 @@ class SatisfactionTable:
         self.profile = profile
         self.kind = rule.kind
         self.voters = list(range(profile.n)) if voters is None else sorted(voters)
+        if self.voters and not (0 <= self.voters[0] and self.voters[-1] < profile.n):
+            raise RuleError("voter list contains out-of-range voter indices")
         ranks = [profile._positions[v] for v in self.voters]
         self.rows = [[shifted[voter_ranks[c]] for voter_ranks in ranks] for c in range(profile.m)]
         self.totals = list(map(sum, self.rows))
@@ -517,8 +520,6 @@ def population_winning_committee(
     voter_ids = sorted(set(population))
     if not voter_ids:
         raise RuleError("population is empty")
-    if any(not 0 <= v < profile.n for v in voter_ids):
-        raise RuleError("population contains out-of-range voter indices")
     return _winner(SatisfactionTable(profile, rule, voter_ids), k, None, DEFAULT_ORACLE_CAP)[0]
 
 

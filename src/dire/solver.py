@@ -13,11 +13,13 @@ signature, from the sibling branches that follow; a seat and availability
 lookahead fails a node as soon as some unmet bound can no longer be reached,
 and a packing bound fails it when unmet constraints with pairwise disjoint
 free domains need more members together than there are seats left.
-These cuts remove only subtrees without a solution, so unseeded runs return
-exactly the committees of plain backtracking.  One search harvests several
-feasible committees: below the root it stops at the first solution, while
-the root keeps the first solution of each of its branches and goes on to the
-next.  A separate exhaustive mode enumerates the complete feasible set for
+A constraint's free domain (its members neither chosen nor excluded) is
+the one record of the search state that the lookahead, the packing bound
+and the value loop all read.  These cuts remove only subtrees without a
+solution, so unseeded runs return exactly the committees of plain
+backtracking.  One search harvests several feasible committees: below the
+root it stops at the first solution, while the root keeps the first
+solution of each of its branches and goes on to the next.  A separate exhaustive mode enumerates the complete feasible set for
 oracle-scale instances under the same lookahead, which again cuts only
 subtrees without a committee, so the output is that of the uncut DFS.
 """
@@ -27,12 +29,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from dire.constraints import DiReInstance, holders, satisfies
-from dire.rules import SolverTimeout, _ranked, borda_vector, candidate_scores
+from dire.constraints import DiReInstance, fill_seats, holders, satisfies
+from dire.rules import SolverTimeout
 
 
 class SolverError(ValueError):
@@ -47,8 +48,11 @@ class DiReGraph:
     level C one node per unary constraint with a candidate domain and a
     lower bound.  An edge (candidate, constraint) exists iff the candidate
     is in the constraint's domain.  Domains shrink during preprocessing;
-    the candidate index (``holders``) and the counters live inside each
+    the candidate index (``holders``) and the free domains live inside each
     search run, so a preprocessed graph can back concurrent searches.
+    ``rank[c]`` is candidate c's place in the tie-break order, and
+    ``padding_order`` returns the order that fills the free seats of a
+    short solution, computed on the first call.
     """
 
     k: int
@@ -56,22 +60,8 @@ class DiReGraph:
     keys: list[str]
     domains: list[frozenset[int]]
     bounds: list[int]
-    priority: tuple[int, ...]
-    score_fn: Callable[[], Sequence[int]]  # candidate scores for solution padding
-
-    @cached_property
-    def scores(self) -> tuple[int, ...]:
-        """Computed on first use: only padding a short solution needs them."""
-        return tuple(self.score_fn())
-
-    def priority_rank(self, candidate: int) -> int:
-        return self._priority_rank[candidate]
-
-    def __post_init__(self):
-        rank = [0] * self.m
-        for idx, cand in enumerate(self.priority):
-            rank[cand] = idx
-        self._priority_rank = rank
+    rank: Sequence[int]
+    padding_order: Callable[[], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -95,14 +85,6 @@ class SolverConfig:
             raise SolverError("max_committees must be >= 1")
 
 
-def padding_vector(instance: DiReInstance) -> tuple[int, ...]:
-    """The scoring vector that ranks candidates for padding and picking:
-    the rule's own when it is separable, Borda otherwise."""
-    if instance.rule.separable:
-        return instance.rule.vector(instance.m)
-    return borda_vector(instance.m)
-
-
 def build_diregraph(instance: DiReInstance) -> DiReGraph:
     """One level-C node per group (domain = members, bound = diversity bound)
     and per population (domain = winning committee, bound = representation
@@ -114,8 +96,8 @@ def build_diregraph(instance: DiReInstance) -> DiReGraph:
         keys=[c.key for c in constraints],
         domains=[frozenset(c.domain) for c in constraints],
         bounds=[c.bound for c in constraints],
-        priority=instance.profile.priority,
-        score_fn=partial(candidate_scores, instance.profile, padding_vector(instance)),
+        rank=instance.profile._priority_rank,
+        padding_order=instance.padding_order,
     )
 
 
@@ -197,7 +179,8 @@ def preprocess(graph: DiReGraph, deadline: float | None = None) -> str | None:
 
 def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]], rng: random.Random | None) -> list[int]:
     """Candidates by descending constraint out-degree (most-favorite first)."""
-    order = sorted(range(graph.m), key=lambda c: (-len(held[c]), graph.priority_rank(c)))
+    rank = graph.rank
+    order = sorted(range(graph.m), key=lambda c: (-len(held[c]), rank[c]))
     if rng is not None:
         # shuffle within exact-degree ties only
         shuffled: list[int] = []
@@ -210,34 +193,42 @@ def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]], rng: random.Ra
 
 
 def _pad_solution(graph: DiReGraph, solution: Iterable[int]) -> tuple[int, ...]:
-    """Fill a partial solution up to k with the best-scoring unused candidates."""
-    chosen = set(solution)
-    if len(chosen) < graph.k:
-        spare = [c for c in _ranked(graph.scores, graph.priority_rank) if c not in chosen]
-        chosen.update(spare[: graph.k - len(chosen)])
-    return tuple(sorted(chosen))
+    """Fill a partial solution up to k with the best-ranked unused candidates."""
+    return fill_seats(solution, graph.padding_order, graph.k)
 
 
 @dataclass(frozen=True)
-class EnumerationResult:
+class FeasibilityResult:
+    """The committees a search found and what they prove.
+
+    ``complete`` is True when the committees provably equal the full
+    feasible set, which with no committees proves infeasibility.  The
+    searches leave ``reason`` and ``elapsed`` to :func:`solve_feasibility`.
+    """
+
     committees: tuple[tuple[int, ...], ...]
-    complete: bool  # True when the output provably equals the full feasible set,
-    # or when infeasibility was proven by exhausting the search space
+    complete: bool
     timed_out: bool
+    reason: str | None = None  # what proved the instance infeasible, or None if nothing did
+    elapsed: float = 0.0
+
+    @property
+    def proven_infeasible(self) -> bool:
+        return self.complete and not self.committees and not self.timed_out
 
 
 class _SearchState:
     """One search's counters, kept through the holders table: ``inflow[i]``
-    counts the chosen members of D_i, ``free_sets[i]`` holds those neither
-    chosen nor excluded (blocked) and ``free[i]`` is its size, read by the
-    scan of every node.  :meth:`scan` is the lookahead of both searches."""
+    counts the chosen members of D_i and ``free_sets[i]`` holds those
+    neither chosen nor excluded, so a candidate c of D_i is blocked exactly
+    when it is missing from ``free_sets[i]``.  :meth:`scan` is the
+    lookahead of both searches."""
 
     def __init__(self, graph: DiReGraph, held: Sequence[tuple[int, ...]]):
         self.k, self.bounds, self.held = graph.k, graph.bounds, held
         self.sizes = [len(domain) for domain in graph.domains]
-        self.inflow, self.free = [0] * len(self.sizes), list(self.sizes)
+        self.inflow = [0] * len(self.sizes)
         self.free_sets = [set(domain) for domain in graph.domains]
-        self.blocked = [False] * graph.m
         self.chosen: list[int] = []
 
     def add(self, cand: int) -> None:
@@ -252,17 +243,13 @@ class _SearchState:
             self.inflow[idx] -= 1
 
     def block(self, cand: int) -> None:
-        self.blocked[cand] = True
-        free, free_sets = self.free, self.free_sets
+        free_sets = self.free_sets
         for idx in self.held[cand]:
-            free[idx] -= 1
             free_sets[idx].discard(cand)
 
     def unblock(self, cand: int) -> None:
-        self.blocked[cand] = False
-        free, free_sets = self.free, self.free_sets
+        free_sets = self.free_sets
         for idx in self.held[cand]:
-            free[idx] += 1
             free_sets[idx].add(cand)
 
     def scan(self) -> list[int] | None:
@@ -272,14 +259,14 @@ class _SearchState:
         least |D_i| per missing member, in constraint order (none once every
         bound is met)."""
         seats = self.k - len(self.chosen)
-        inflow, free, sizes = self.inflow, self.free, self.sizes
+        inflow, free_sets, sizes = self.inflow, self.free_sets, self.sizes
         ties: list[int] = []
         best_size = best_missing = shortfall = 0
         for idx, bound in enumerate(self.bounds):
             missing = bound - inflow[idx]
             if missing <= 0:
                 continue
-            if missing > seats or missing > free[idx]:
+            if missing > seats or missing > len(free_sets[idx]):
                 return None
             shortfall += missing
             size = sizes[idx]  # size / missing compared exactly, by cross-multiplication
@@ -296,12 +283,13 @@ class _SearchState:
         """The packing bound: False when unmet constraints with pairwise
         disjoint free domains need more than ``seats`` members together,
         as disjoint domains need distinct new members.  Unmet constraints
-        are taken in ascending order of free count (ties by constraint
-        order), and each one whose free domain misses those already taken
-        is kept.  On a vertex-cover reduction this is the matching lower
-        bound: uncovered edges with no free endpoint in common."""
-        inflow, free, free_sets, bounds = self.inflow, self.free, self.free_sets, self.bounds
-        unmet = sorted((free[idx], idx) for idx, bound in enumerate(bounds) if bound > inflow[idx])
+        are taken in ascending order of free domain size (ties by
+        constraint order), and each one whose free domain misses those
+        already taken is kept.  On a vertex-cover reduction this is the
+        matching lower bound: uncovered edges with no free endpoint in
+        common."""
+        inflow, free_sets, bounds = self.inflow, self.free_sets, self.bounds
+        unmet = sorted((len(free_sets[idx]), idx) for idx, bound in enumerate(bounds) if bound > inflow[idx])
         claimed: set[int] = set()
         need = 0
         for _, idx in unmet:
@@ -318,7 +306,7 @@ def heuristic_backtrack(
     graph: DiReGraph,
     config: SolverConfig | None = None,
     deadline: float | None = None,
-) -> EnumerationResult:
+) -> FeasibilityResult:
     """Depth-first search that harvests feasible committees at its root.
 
     Variable choice: the unsatisfied constraint minimizing
@@ -338,14 +326,14 @@ def heuristic_backtrack(
 
     - *sibling exclusion*: once the branch "add c" fails at a node, no
       feasible committee contains the node's members plus c, so c is
-      excluded from the later sibling branches and their subtrees, and
-      restored when the node returns;
+      excluded (dropped from the free domains) from the later sibling
+      branches and their subtrees, and restored when the node returns;
     - *signature symmetry*: candidates lying in exactly the same constraint
       domains are interchangeable (swapping one for another keeps every
       in-flow), so when one fails at a node its twins are excluded too;
     - *lookahead*: a node fails at once when an unmet constraint needs more
-      members than there are seats left, or than its domain still offers
-      outside the chosen and excluded candidates;
+      members than there are seats left, or than its free domain (neither
+      chosen nor excluded) still holds;
     - *packing bound*: a node fails when unmet constraints whose free
       domains are pairwise disjoint need more members together than there
       are seats left, as each needs its own (:meth:`_SearchState.packs`).
@@ -384,10 +372,11 @@ def heuristic_backtrack(
                 committees.append(committee)
             return True
         variable = rng.choice(ties) if rng is not None and len(ties) > 1 else ties[0]
+        free = state.free_sets[variable]  # every value and its twins lie in D_variable
         found = False
         excluded: list[int] = []
         for cand in ordered[variable]:
-            if state.blocked[cand]:
+            if cand not in free:
                 continue
             state.add(cand)
             branch_found = search(False)
@@ -401,7 +390,7 @@ def heuristic_backtrack(
             # cand stays blocked: excluded, together with its free twins
             excluded.append(cand)
             for twin in by_signature[held[cand]]:
-                if not state.blocked[twin]:
+                if twin in free:
                     state.block(twin)
                     excluded.append(twin)
         for cand in excluded:
@@ -411,22 +400,22 @@ def heuristic_backtrack(
     try:
         search(True)
     except SolverTimeout:
-        return EnumerationResult(tuple(committees), complete=False, timed_out=True)
+        return FeasibilityResult(tuple(committees), complete=False, timed_out=True)
     finally:
         # the recursive closure holds itself through its cell; clearing the
         # cell frees the search state now instead of at a cycle collection
         del search
-    return EnumerationResult(tuple(committees), complete=not committees, timed_out=False)
+    return FeasibilityResult(tuple(committees), complete=not committees, timed_out=False)
 
 
 def _enumerate_exhaustive(
     graph: DiReGraph, config: SolverConfig, deadline: float
-) -> EnumerationResult:
+) -> FeasibilityResult:
     """Complete include/exclude DFS over candidates; returns every feasible
     k-committee, ``complete`` unless the enumeration cap or the deadline cut
     it short.  On timeout the committees found so far are still returned.
 
-    Candidates passed in the order stay blocked, so ``free`` counts the
+    Candidates passed in the order stay blocked, so ``free_sets`` holds the
     undecided members of each domain, and the lookahead and packing bound
     of :func:`heuristic_backtrack` cut only subtrees without a committee:
     the output, its order and its truncation are those of the uncut DFS.
@@ -465,10 +454,10 @@ def _enumerate_exhaustive(
     try:
         dfs(0)
     except SolverTimeout:
-        return EnumerationResult(tuple(results), complete=False, timed_out=True)
+        return FeasibilityResult(tuple(results), complete=False, timed_out=True)
     finally:
         del dfs  # as in heuristic_backtrack: break the closure's self-reference
-    return EnumerationResult(tuple(results), complete=not truncated, timed_out=False)
+    return FeasibilityResult(tuple(results), complete=not truncated, timed_out=False)
 
 
 def enumerate_feasible(
@@ -476,7 +465,7 @@ def enumerate_feasible(
     config: SolverConfig | None = None,
     exhaustive: bool = False,
     deadline: float | None = None,
-) -> EnumerationResult:
+) -> FeasibilityResult:
     """Collect feasible committees from a preprocessed graph.
 
     The default mode is the root harvest of :func:`heuristic_backtrack`: at
@@ -490,16 +479,6 @@ def enumerate_feasible(
         deadline = time.monotonic() + config.timeout
     search = _enumerate_exhaustive if exhaustive else heuristic_backtrack
     return search(graph, config, deadline)
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    committees: tuple[tuple[int, ...], ...]
-    proven_infeasible: bool
-    timed_out: bool
-    complete: bool
-    reason: str | None  # what proved the instance infeasible, or None if nothing did
-    elapsed: float
 
 
 def solve_feasibility(
@@ -519,20 +498,13 @@ def solve_feasibility(
     try:
         reason = preprocess(graph, deadline)
     except SolverTimeout:
-        return FeasibilityResult((), False, True, False, None, time.monotonic() - start)
+        return FeasibilityResult((), False, True, None, time.monotonic() - start)
     if reason is not None:
-        return FeasibilityResult((), True, False, True, reason, time.monotonic() - start)
+        return FeasibilityResult((), True, False, reason, time.monotonic() - start)
     enum = enumerate_feasible(graph, config, exhaustive=exhaustive, deadline=deadline)
     for committee in enum.committees:
         check = satisfies(instance, committee)
         if not check.ok:  # pragma: no cover - guards solver soundness
             raise SolverError(f"solver produced an unsatisfying committee {committee}: {check.violations}")
-    proven_infeasible = enum.complete and not enum.committees and not enum.timed_out
-    return FeasibilityResult(
-        committees=enum.committees,
-        proven_infeasible=proven_infeasible,
-        timed_out=enum.timed_out,
-        complete=enum.complete,
-        reason="search space exhausted" if proven_infeasible else None,
-        elapsed=time.monotonic() - start,
-    )
+    reason = "search space exhausted" if enum.proven_infeasible else None
+    return replace(enum, reason=reason, elapsed=time.monotonic() - start)

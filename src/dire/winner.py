@@ -16,19 +16,17 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from dire.constraints import DiReInstance, InstanceError, holders, satisfies
+from dire.constraints import DiReInstance, InstanceError, fill_seats, holders, satisfies
 from dire.profiles import Committee
 from dire.rules import (
     DEFAULT_ORACLE_CAP,
     SatisfactionTable,
     SolverTimeout,
     _best_of,
-    _ranked,
-    candidate_scores,
     score_committee,
     unconstrained_winner,
 )
-from dire.solver import SolverConfig, padding_vector, solve_feasibility
+from dire.solver import SolverConfig, solve_feasibility
 
 STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "feasible-heuristic"
@@ -168,8 +166,7 @@ def mu1_fast_path(instance: DiReInstance) -> SolveReport:
         raise PreconditionError(f"fast path needs mu=1, pi=0; got mu={instance.mu}, pi={instance.pi}")
     if not instance.rule.separable:
         raise PreconditionError(f"fast path needs a separable rule, got {instance.rule.kind}")
-    ranked = _ranked(candidate_scores(instance.profile, padding_vector(instance)),
-                     instance.profile.priority_key)
+    ranked = instance.padding_order()
 
     attr = instance.scheme.candidate_attributes[0]
     chosen: list[int] = []
@@ -179,7 +176,7 @@ def mu1_fast_path(instance: DiReInstance) -> SolveReport:
     if len(chosen) > instance.k:
         return _report(instance, "mu1-fast", start, STATUS_INFEASIBLE,
                        reason=f"diversity bounds need {len(chosen)} seats, k = {instance.k}")
-    chosen.extend([c for c in ranked if c not in chosen][: instance.k - len(chosen)])
+    chosen = fill_seats(chosen, instance.padding_order, instance.k)
     score = score_committee(instance.profile, instance.rule, chosen)
     return _report(instance, "mu1-fast", start, STATUS_OPTIMAL, chosen, score, 1)
 
@@ -205,7 +202,7 @@ def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
     """
     populations = _population_covers(instance)
     cover = [frozenset(indices) for indices in holders(populations, instance.m)]
-    scores = candidate_scores(instance.profile, padding_vector(instance))
+    scores = instance.padding_scores()
     key = instance.profile.priority_key
 
     def dominates(x: int, y: int) -> bool:
@@ -220,12 +217,15 @@ def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
 
 
 def fpt_rep_solver(instance: DiReInstance) -> list[Committee]:
-    """All feasible committees for representation-only instances with unit bounds.
+    """Padded hitting sets for representation-only instances with unit bounds.
 
     After dominated-candidate pruning, branches on each member of the first
-    population whose winning committee is not yet hit, collecting every
-    minimal hitting set of size <= k; each is padded to exactly k with the
-    best-scoring unused candidates.
+    population whose winning committee is not yet hit, and collects every
+    hitting set of size <= k that the branching reaches (it reaches every
+    minimal one).  Each is padded to exactly k with the best-ranked unused
+    candidates.  Returns the distinct padded committees in ascending member
+    order: feasible committees, not all of them, but under a separable rule
+    they include an optimal one (see :func:`dominated_candidate_pruning`).
     """
     if instance.mu != 0 or instance.pi < 1:
         raise PreconditionError(f"fpt solver needs mu=0, pi>=1; got mu={instance.mu}, pi={instance.pi}")
@@ -250,12 +250,7 @@ def fpt_rep_solver(instance: DiReInstance) -> list[Committee]:
 
     branch(frozenset())
 
-    ranked = _ranked(candidate_scores(instance.profile, padding_vector(instance)),
-                     instance.profile.priority_key)
-    committees = {
-        tuple(sorted(hit.union([c for c in ranked if c not in hit][: instance.k - len(hit)])))
-        for hit in hitting_sets
-    }
+    committees = {fill_seats(hit, instance.padding_order, instance.k) for hit in hitting_sets}
     result = [Committee(members) for members in sorted(committees)]
     for committee in result:
         check = satisfies(instance, committee.members)

@@ -1,0 +1,31 @@
+"""The README's runnable claims: its library quick start and its install line."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_quick_start_prints_what_it_says():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == ["(0, 3) 12", "12"]
+    # and the comments beside the prints say the same
+    assert re.findall(r"# (.+)", code)[-2:] == ["(0, 3) 12", "12"]
+
+
+def test_test_extra_installs_what_the_suite_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    assert {"pytest", "hypothesis"} <= set(extra)
+    assert "pip install -e .[test]    # with pytest and hypothesis" in (ROOT / "README.md").read_text(
+        encoding="utf-8")

@@ -7,6 +7,7 @@ import pytest
 from dire import fileio, solver
 from dire.cli import TIMED_OUT_NOTE, build_parser, main
 from dire.constraints import InstanceError
+from dire.experiment import ExperimentConfig
 from dire.reductions import reduce_vc_representation, InputGraph
 from dire.rules import DEFAULT_ORACLE_CAP, SatisfactionTable, betacc, unconstrained_winner
 from dire.synth import gen_syndata
@@ -78,6 +79,29 @@ def test_parse_error_paths(example1):
     data["m"] = True
     with pytest.raises(fileio.ParseError, match="boolean"):
         fileio.instance_from_dict(data)
+
+
+def test_allow_zero_bounds_must_be_a_json_boolean(example1):
+    data = json.loads(fileio.dumps_instance(example1))
+    for value in ("false", 0, 1, None):  # "false" once turned zero bounds on
+        data["allow_zero_bounds"] = value
+        with pytest.raises(fileio.ParseError, match=r"^\$\.allow_zero_bounds: expected a boolean"):
+            fileio.instance_from_dict(data)
+    for value in (False, True):
+        data["allow_zero_bounds"] = value
+        assert fileio.instance_from_dict(data).allow_zero_bounds is value
+
+
+def test_scoring_is_checked_against_m_at_parse_time(example1):
+    data = json.loads(fileio.dumps_instance(example1))
+    for scoring in ([], [3, 2, 1], [3, 2, 1, 0, 0], [0, 1, 2, 3], [3, 2, 1, -1], "3,2,1,0"):
+        data["scoring"] = scoring  # [] once fell back to the Borda vector
+        with pytest.raises(fileio.ParseError, match=r"^\$\.scoring: "):
+            fileio.instance_from_dict(data)
+        with pytest.raises(fileio.ParseError, match=r"^\$\.scoring: "):
+            fileio.instance_from_dict(data, rule_override=betacc())
+    data["scoring"] = [5, 5, 1, 0]
+    assert fileio.instance_from_dict(data).rule.scoring == (5, 5, 1, 0)
 
 
 def test_winning_committees_computed_when_absent(example1):
@@ -160,6 +184,14 @@ def test_cli_feasible_and_solve_share_the_solver_flags():
         for command in ("feasible", "solve"):
             args = parser.parse_args([command, "x.json", *argv])
             assert tuple(getattr(args, flag) for flag in flags) == expected, command
+    # the defaults are the solver's own, and so is the experiment timeout
+    defaults = solver.SolverConfig()
+    for command in ("feasible", "solve"):
+        args = parser.parse_args([command, "x.json"])
+        assert (args.max_committees, args.timeout, args.seed) == (
+            defaults.max_committees, defaults.timeout, defaults.seed), command
+    args = parser.parse_args(["experiment", "--dataset", "syn1", "--out", "x.csv"])
+    assert args.timeout == defaults.timeout == ExperimentConfig("syn1").timeout
 
 
 def test_cli_feasible_lists_committees(example1_path, capsys):

@@ -167,6 +167,23 @@ def test_population_empty_rejected(example1):
         population_winning_committee(example1.profile, [], kborda(), 2)
 
 
+@pytest.mark.parametrize("voter", [-1, -4, 4, 9])
+def test_every_entry_point_rejects_out_of_range_voters(example1, voter):
+    # -1 once scored voter n-1 and n raised a bare IndexError
+    profile, vector = example1.profile, borda_vector(example1.m)
+    calls = [
+        lambda voters: score_committee(profile, kborda(), [0], voters=voters),
+        lambda voters: candidate_score(profile, vector, 0, voters),
+        lambda voters: rules.candidate_scores(profile, vector, voters),
+        lambda voters: monroe_assign(profile, [0, 1], vector, voters),
+        lambda voters: population_winning_committee(profile, voters, kborda(), 2),
+    ]
+    for call in calls:
+        with pytest.raises(RuleError, match="out-of-range voter"):
+            call([0, voter])
+        call([0, 3])  # the ids 0..n-1 are all accepted
+
+
 def test_unconstrained_winner_example1(example1):
     result = unconstrained_winner(example1.profile, kborda(), 2)
     assert result.committee.members == (0, 1)

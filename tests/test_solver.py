@@ -38,8 +38,8 @@ def graph_from_spec(k, m, domains, bounds):
         keys=[f"X{i}" for i in range(len(domains))],
         domains=[frozenset(d) for d in domains],
         bounds=list(bounds),
-        priority=tuple(range(m)),
-        score_fn=lambda: [0] * m,
+        rank=tuple(range(m)),
+        padding_order=lambda: tuple(range(m)),
     )
 
 
@@ -327,6 +327,14 @@ def test_public_surface_resolves():
         assert callable(getattr(solver, name)), name
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
     assert fields == ["timeout", "max_committees", "seed"]
+    fields = [f.name for f in dataclasses.fields(DiReGraph)]
+    assert fields == ["k", "m", "keys", "domains", "bounds", "rank", "padding_order"]
+    fields = [f.name for f in dataclasses.fields(solver.FeasibilityResult)]
+    assert fields == ["committees", "complete", "timed_out", "reason", "elapsed"]
+    # derived from the fields, never stored beside them
+    assert isinstance(solver.FeasibilityResult.proven_infeasible, property)
+    for name in ("EnumerationResult", "padding_vector"):
+        assert not hasattr(solver, name), name
 
 
 # --- reference search: plain backtracking restarted once per rotation of the
@@ -431,8 +439,8 @@ def reference_exhaustive(graph, config, deadline):
     try:
         dfs(0)
     except Truncated:
-        return solver.EnumerationResult(tuple(results), complete=False, timed_out=False)
-    return solver.EnumerationResult(tuple(results), complete=True, timed_out=False)
+        return solver.FeasibilityResult(tuple(results), complete=False, timed_out=False)
+    return solver.FeasibilityResult(tuple(results), complete=True, timed_out=False)
 
 
 def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
@@ -451,15 +459,15 @@ def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
             except RotationRepeats:  # and so does every later rotation
                 break
             if found is None:
-                return solver.EnumerationResult(tuple(committees), complete=True, timed_out=False)
+                return solver.FeasibilityResult(tuple(committees), complete=True, timed_out=False)
             if found not in seen:
                 seen.add(found)
                 committees.append(found)
                 if len(committees) >= config.max_committees:
                     break
     except SolverTimeout:
-        return solver.EnumerationResult(tuple(committees), complete=False, timed_out=True)
-    return solver.EnumerationResult(tuple(committees), complete=False, timed_out=False)
+        return solver.FeasibilityResult(tuple(committees), complete=False, timed_out=True)
+    return solver.FeasibilityResult(tuple(committees), complete=False, timed_out=False)
 
 
 def reference_scan(state):
@@ -473,7 +481,7 @@ def reference_scan(state):
         missing = bound - state.inflow[idx]
         if missing <= 0:
             continue
-        if missing > seats or missing > state.free[idx]:
+        if missing > seats or missing > len(state.free_sets[idx]):
             return None
         ratios[idx] = Fraction(state.sizes[idx], missing)
     return [idx for idx, ratio in ratios.items() if ratio == min(ratios.values())]

@@ -3,10 +3,11 @@ import time
 
 import pytest
 
+from dire import constraints, rules, solver, winner
 from dire.constraints import Attribute, AttributeScheme, make_instance, satisfies
 from dire.profiles import make_profile
 from dire.rules import SatisfactionTable, betacc, kborda, monroe, unconstrained_winner
-from dire.solver import SolverConfig
+from dire.solver import SolverConfig, solve_feasibility
 from dire.synth import gen_syndata
 from dire.winner import (
     OracleCapExceeded,
@@ -324,3 +325,28 @@ def test_best_committee_tie_breaks_lexicographically():
     )
     report = brute_force_oracle(instance)
     assert report.committee.members == (0, 1)
+
+
+def test_each_instance_ranks_its_candidates_for_padding_once(example1, monkeypatch):
+    calls = []
+    original = rules.candidate_scores
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (rules, constraints, solver, winner):
+        if getattr(module, "candidate_scores", None) is original:
+            monkeypatch.setattr(module, "candidate_scores", spy)
+    # a solve that pads nothing ranks nothing
+    assert solve_feasibility(example1).committees
+    assert calls == []
+    for instance, route in ((_mu1_instance((1, 1), k=3), mu1_fast_path),
+                            (_rep_instance([(0, 1, 2), (2, 3, 4)], k=3, n=2), fpt_report)):
+        calls.clear()
+        # a solution short of 3 members meets every bound, so the search pads it
+        assert solve_feasibility(instance).committees
+        assert len(calls) == 1
+        assert route(instance).status == "optimal"
+        assert solve_feasibility(instance).committees
+        assert len(calls) == 1, route.__name__
