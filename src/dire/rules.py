@@ -8,17 +8,21 @@ determination for both is certified optimal up to the exhaustive-search
 cap, by a branch-and-bound that returns what scoring every committee
 would, ties included (see :func:`_certified_max` for its three bounds and
 why they keep the tie-break).  Above the cap it is greedy marginal-gain
-selection: lazy for Borda-CC, every candidate at every step for Monroe
-(see :func:`_greedy_max`).
+selection: lazy for Borda-CC; for Monroe each step bounds every
+candidate's trial score from above and scores exactly only the trials
+whose bound can still beat the best found (see :func:`_greedy_max` for
+the bound and why it holds).
 
 Every score is read off a :class:`SatisfactionTable`, built once per
 (profile, rule vector, voter list): one row per candidate holding
 ``vector[pos_v(c) - 1]`` for each voter, the row totals (a candidate's
 positional score, which is all k-Borda needs) and, for Monroe, each
-candidate's voters presorted by (satisfaction descending, voter id).  A
-winner search or a scoring loop builds one table and scores every
-committee it tries through it; :func:`score_committee` and
-:func:`monroe_assign` build a table for their one committee.
+candidate's voters presorted by (satisfaction descending, voter id) and
+the prefix sums of its entries in that order, which bound what it can
+take from a given number of voters.  A winner search or a scoring loop
+builds one table and scores every committee it tries through it;
+:func:`score_committee` and :func:`monroe_assign` build a table for their
+one committee.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from math import comb
+from functools import cached_property
+from math import comb, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from dire.profiles import Committee, PreferenceProfile
@@ -82,7 +87,11 @@ class Rule:
         if self.kind not in RULE_KINDS:
             raise RuleError(f"unknown rule kind {self.kind!r}, expected one of {RULE_KINDS}")
         if self.scoring is not None:
-            object.__setattr__(self, "scoring", tuple(self.scoring))
+            scoring = tuple(self.scoring)
+            if not scoring:
+                raise RuleError("scoring vector is empty")
+            validate_scoring(scoring, len(scoring))  # its entries; vector(m) checks the length
+            object.__setattr__(self, "scoring", scoring)
 
     @property
     def separable(self) -> bool:
@@ -95,15 +104,15 @@ class Rule:
 
 
 def kborda(scoring: Sequence[int] | None = None) -> Rule:
-    return Rule(KBORDA, tuple(scoring) if scoring else None)
+    return Rule(KBORDA, scoring)
 
 
 def betacc(scoring: Sequence[int] | None = None) -> Rule:
-    return Rule(BETACC, tuple(scoring) if scoring else None)
+    return Rule(BETACC, scoring)
 
 
 def monroe(scoring: Sequence[int] | None = None) -> Rule:
-    return Rule(MONROE, tuple(scoring) if scoring else None)
+    return Rule(MONROE, scoring)
 
 
 class SatisfactionTable:
@@ -127,29 +136,58 @@ class SatisfactionTable:
         ranks = [profile._positions[v] for v in self.voters]
         self.rows = [[shifted[voter_ranks[c]] for voter_ranks in ranks] for c in range(profile.m)]
         self.totals = list(map(sum, self.rows))
-        self._prefix: Sequence[int] = ()
+        # Winner searches score runs of committees that share all but the
+        # last member, so what the shared prefix gives is kept from one call
+        # to the next: each voter's best entry (Borda-CC), or the assignment
+        # of the prefix at the committee's loads (Monroe).
+        self._prefix: Sequence[int] | None = None
         if self.kind == MONROE:
             # a repeated voter id is one voter; the sorted list keeps repeats adjacent
             voters = self.voters
             self.unique = [i for i in range(len(voters)) if not i or voters[i] != voters[i - 1]]
             self.orders: list[list[int] | None] = [None] * profile.m  # sorted on first use
 
+    @cached_property
+    def best_sums(self) -> list[list[int]]:
+        """Monroe: ``best_sums[c][l]``, for l in 0..n, is the sum of
+        candidate c's l largest entries over distinct voters, the most a
+        member c serving l voters can take."""
+        repeats = [0] * (len(self.voters) - len(self.unique))
+        return [list(itertools.accumulate(sorted([*map(row.__getitem__, self.unique), *repeats], reverse=True),
+                                          initial=0)) for row in self.rows]
+
     def score(self, members: Sequence[int]) -> int:
         """The rule's score of a committee; the empty committee scores 0."""
+        if not members:
+            return 0
         if self.kind == MONROE:
-            return self.assign(members)[1] if members else 0
+            return self._monroe_score(members)
         if self.kind == KBORDA or len(members) < 2:
             return sum(map(self.totals.__getitem__, members))
         # A voter's best-ranked member has the highest entry, as the vector
-        # is nonincreasing.  Winner searches score runs of committees that
-        # share all but the last member, so the per-voter best of that prefix
-        # is kept from one call to the next.
+        # is nonincreasing.
         rows, prefix = self.rows, members[:-1]
         if prefix != self._prefix:
             self._prefix = prefix
             self._prefix_best = list(map(max, *map(rows.__getitem__, prefix))) if len(prefix) > 1 \
                 else rows[prefix[0]]
         return sum([a if a > b else b for a, b in zip(self._prefix_best, rows[members[-1]])])
+
+    def _monroe_score(self, members: Sequence[int]) -> int:
+        """``assign(members)[1]``, resumed from the kept assignment of
+        ``members[:-1]`` when the last member comes last in priority order
+        too, so it is the one that claims the last load."""
+        rank, prefix, last = self.profile._priority_rank, members[:-1], members[-1]
+        if prefix != self._prefix:
+            self._prefix = prefix
+            ordered = sorted(prefix, key=rank.__getitem__)
+            *loads, self._last_load = _monroe_loads(len(self.voters), len(members))
+            self._prefix_owner: list[int | None] = [None] * len(self.voters)
+            self._prefix_total = self._claim(self._prefix_owner, 0, ordered, loads)
+            self._prefix_rank = rank[ordered[-1]] if ordered else -1
+        if rank[last] < self._prefix_rank:
+            return self.assign(members)[1]
+        return self._claim(self._prefix_owner[:], self._prefix_total, (last,), (self._last_load,))
 
     def assign(self, members: Sequence[int]) -> tuple[list[int | None], int]:
         """Greedy balanced Monroe assignment (see :func:`monroe_assign`):
@@ -295,6 +333,21 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolverTimeout("winner search timed out")
 
 
+def _monroe_baselines(
+    table: SatisfactionTable, members: Sequence[int], loads: Sequence[int]
+) -> list[tuple[list[int | None], int, int]]:
+    """For t in 0..len(members), with ``members`` in priority order and
+    ``loads`` those of one member more: the assignment P_t of members[:t]
+    at loads[:t], its total, and the baseline B_t, that total plus what
+    members[t:] then claim at loads[t + 1:]."""
+    starts, owner, total = [], [None] * len(table.voters), 0
+    for t in range(len(members) + 1):
+        if t:
+            total = table._claim(owner, total, members[t - 1:t], loads[t - 1:t])
+        starts.append((owner[:], total, table._claim(owner[:], total, members[t:], loads[t + 1:])))
+    return starts
+
+
 def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None) -> Committee:
     """Greedy Borda-CC or Monroe committee: k times, add the candidate of
     largest marginal gain, ties to the earliest in priority order.  Raises
@@ -306,27 +359,42 @@ def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None)
     recomputed, against each voter's best entry so far, until a fresh gain
     stays on top (lazy greedy; Minoux 1978).  The greedy balanced Monroe
     score is not submodular, because the loads shrink as the committee
-    grows, so every step scores every candidate.  It walks the candidates
-    in priority order, keeping the assignment of the members passed so far
-    at that step's loads; each candidate resumes from it and assigns only
-    itself and the members after it.
+    grows, so each step bounds every candidate afresh instead.  With M the
+    members so far in priority order, L the loads of |M| + 1 members, and
+    t the number of members before candidate c in priority order, the
+    trial M + c resumes from the assignment P_t of M[:t] at L[:t]: c claims
+    L[t] voters, then M[t:] claim L[t + 1:].  The baseline B_t lets M[t:]
+    claim L[t + 1:] from P_t without c.  c takes at most its L[t] largest
+    entries, and the voters it takes only shrink the free set every later
+    member picks from, so by induction each later member's free set lies
+    inside its baseline one and its i-th pick is worth no more than there.
+    Hence score(M + c) <= B_t + (the sum of c's L[t] largest entries).
+    Candidates are tried exactly in ascending (-bound, priority rank) until
+    that key passes the best (-score, priority rank) found, which then no
+    later candidate can beat: the pick is that of scoring every candidate.
     """
-    rank, n = table.profile._priority_rank, len(table.voters)
+    rank, priority, n = table.profile._priority_rank, table.profile.priority, len(table.voters)
 
-    def monroe_trials(members):
-        """(-score, priority rank, c) of members + [c] for every candidate c
-        outside ``members``, which are in priority order."""
+    def monroe_pick(members):
+        """The candidate c outside ``members`` (in priority order) whose
+        trial members + [c] scores highest, ties to the earliest in
+        priority order."""
         loads = list(_monroe_loads(n, len(members) + 1))
-        prefix: list[int | None] = [None] * n  # the assignment of members[:t]
-        trial, total, t = prefix[:], 0, 0
-        for c in table.profile.priority:
-            if t < len(members) and c == members[t]:
-                total = table._claim(prefix, total, (c,), loads[t:t + 1])
+        starts = _monroe_baselines(table, members, loads)
+        chosen, best_sums, bounds, t = set(members), table.best_sums, [], 0
+        for r, c in enumerate(priority):
+            if c in chosen:
                 t += 1
-            else:
-                _check_deadline(deadline)
-                trial[:] = prefix
-                yield -table._claim(trial, total, (c, *members[t:]), loads[t:]), rank[c], c
+                continue
+            _check_deadline(deadline)
+            bounds.append((-starts[t][2] - best_sums[c][loads[t]], r, c, t))
+        top = (inf,)  # (-score, priority rank, c) of the best trial so far
+        for bound, r, c, t in sorted(bounds):
+            if (bound, r) > top:
+                break
+            owner, total, _ = starts[t]
+            top = min(top, (-table._claim(owner[:], total, (c, *members[t:]), loads[t:]), r, c))
+        return top[2]
 
     members: list[int] = []  # the committee so far, in priority order
     if table.kind != MONROE:
@@ -335,7 +403,7 @@ def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None)
         best = [0] * n  # each voter's best entry among the members
     for _ in range(k):
         if table.kind == MONROE:
-            pick = min(monroe_trials(members))[2]
+            pick = monroe_pick(members)
         else:
             while True:
                 _check_deadline(deadline)
@@ -432,8 +500,7 @@ def _certified_max(
     for c in range(m - 1, -1, -1):
         suffix[c] = [a if a > b else b for a, b in zip(rows[c], suffix[c + 1])]
     if kind == MONROE:
-        load = -(-n // k)
-        caps = [sum(sorted(map(row.__getitem__, table.unique), reverse=True)[:load]) for row in rows]
+        caps = [sums[-(-n // k)] for sums in table.best_sums]
         caps_after = [_top_sums(caps, r) for r in range(k)]
     best_score = table.score(_greedy_max(table, k, deadline).members) - 1
     best_members: tuple[int, ...] = ()

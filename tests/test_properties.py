@@ -24,6 +24,8 @@ from dire.rules import (
     SatisfactionTable,
     _certified_max,
     _greedy_max,
+    _monroe_baselines,
+    _monroe_loads,
     _winner,
     population_winning_committee,
     score_committee,
@@ -209,6 +211,32 @@ def test_greedy_search_matches_the_reference(election):
     profile, rule, voters, k = election
     got = _greedy_max(SatisfactionTable(profile, rule, voters), k)
     assert got == ref.greedy_max(profile, rule, k, voters)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_elections(["monroe"]))
+def test_greedy_monroe_bound_holds_at_every_step(election):
+    # With M the members of the steps so far in priority order, L the loads
+    # of |M| + 1 members and t the members before c: the baseline B_t (M[:t]
+    # claim L[:t], then M[t:] claim L[t + 1:]) plus c's L[t] best entries
+    # over distinct voters bounds the score of M + [c].
+    profile, rule, voters, k = election
+    table = SatisfactionTable(profile, rule, voters)
+    rank, n = profile._priority_rank, len(table.voters)
+    for s in range(k):
+        members = sorted(_greedy_max(table, s).members, key=rank.__getitem__)
+        loads = list(_monroe_loads(n, s + 1))
+        starts = _monroe_baselines(table, members, loads)
+        for t in range(s + 1):
+            owner = [None] * n
+            total = table._claim(owner, 0, members[:t], loads[:t])
+            assert starts[t] == (owner, total, table._claim(owner[:], total, members[t:], loads[t + 1:]))
+        for c in set(range(profile.m)) - set(members):
+            t = sum(rank[member] < rank[c] for member in members)
+            entries = {v: entry for v, entry in zip(table.voters, table.rows[c])}  # one per distinct voter
+            best = sum(sorted(entries.values(), reverse=True)[:loads[t]])
+            assert table.best_sums[c][loads[t]] == best
+            assert ref.score_committee(profile, rule, members + [c], voters) <= starts[t][2] + best
 
 
 @settings(max_examples=400, deadline=None)

@@ -8,9 +8,11 @@ from math import comb
 import pytest
 
 import scoring_reference as ref
-from dire import rules
+from dire import rules, synth
 from dire.profiles import make_profile
 from dire.rules import (
+    RULE_KINDS,
+    Rule,
     RuleError,
     SatisfactionTable,
     SolverTimeout,
@@ -46,6 +48,27 @@ def test_scoring_vector_validation():
         validate_scoring((1, 0), 3)  # wrong length
     with pytest.raises(RuleError):
         validate_scoring((1, -1), 2)
+
+
+@pytest.mark.parametrize("make", [kborda, betacc, monroe])
+def test_empty_scoring_vector_is_not_the_borda_vector(make):
+    with pytest.raises(RuleError, match="empty"):
+        make([])
+    assert make().scoring is None and make((2, 1, 0)).scoring == (2, 1, 0)
+
+
+@pytest.mark.parametrize("scoring", [(), (1, -1), (0, 1), (3, 2, 2, 4)])
+@pytest.mark.parametrize("kind", RULE_KINDS)
+def test_rule_rejects_a_bad_vector_when_built(kind, scoring):
+    with pytest.raises(RuleError):
+        Rule(kind, scoring)
+
+
+def test_rule_vector_length_is_checked_against_m():
+    rule = Rule("monroe", [3, 1, 0])
+    assert rule.vector(3) == (3, 1, 0)
+    with pytest.raises(RuleError, match="length"):
+        rule.vector(4)
 
 
 def test_borda_vector():
@@ -359,6 +382,62 @@ def test_greedy_monroe_rescores_every_candidate():
     gain = lambda base, c: score_committee(profile, monroe(), base + [c]) - score_committee(profile, monroe(), base)
     assert (gain([0], 2), gain([0, 1], 2), gain([0, 1], 3)) == (-1, 0, 0)
     assert _greedy_max(SatisfactionTable(profile, monroe()), 3).members == (0, 1, 2)
+
+
+def test_monroe_score_resumes_only_from_its_own_prefix():
+    # Runs of committees that share all but the last member, broken by a new
+    # prefix, a new size or a last member that is not last in priority order:
+    # every score must be the one assigned from the empty assignment.
+    rng = random.Random(3)
+    for _ in range(60):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        profile = make_profile(m, [rng.sample(range(m), m) for _ in range(n)], priority=rng.sample(range(m), m))
+        voters = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]  # repeats too
+        vector = sorted((rng.randint(0, 4) for _ in range(m)), reverse=True)
+        table, fresh = SatisfactionTable(profile, monroe(vector), voters), SatisfactionTable(profile, monroe(vector), voters)
+        for _ in range(20):
+            prefix = rng.sample(range(m), rng.randint(0, m - 1))
+            for last in rng.sample([c for c in range(m) if c not in prefix], rng.randint(1, m - len(prefix))):
+                members = (*prefix, last)
+                assert table.score(members) == fresh.assign(members)[1], (members, profile.priority)
+
+
+def _exact_trials(profile, voters, k, monkeypatch):
+    """(exact trials, candidate-steps) of a k-step greedy Monroe run.  An
+    exact trial is a claim that involves a candidate outside the committee
+    of the steps before it; the claims of step s are those a run of s + 1
+    steps makes after the first s."""
+    claim, calls = SatisfactionTable._claim, []
+
+    def spy(table, owner, total, members, loads):
+        members = tuple(members)
+        calls.append(members)
+        return claim(table, owner, total, members, loads)
+
+    monkeypatch.setattr(SatisfactionTable, "_claim", spy)
+    ends, committees = [], []
+    for s in range(k + 1):
+        calls.clear()
+        committees.append(set(_greedy_max(SatisfactionTable(profile, monroe(), voters), s).members))
+        ends.append(len(calls))
+    monkeypatch.setattr(SatisfactionTable, "_claim", claim)
+    trials = sum(not set(members) <= committees[s] for s in range(k) for members in calls[ends[s]:ends[s + 1]])
+    return trials, sum(profile.m - s for s in range(k))
+
+
+@pytest.mark.parametrize("kind, mu, pi, phi", [("syn1", 1, 2, 0.5), ("syn1", 2, 3, 0.5), ("syn2", 2, 2, 0.5)])
+def test_greedy_monroe_scores_few_trials_exactly_at_paper_scale(kind, mu, pi, phi, monkeypatch):
+    # m=50, n=100, k=6: the full electorate and the largest population.  On
+    # the uniform profiles of phi = 1.0 the bound cuts far less, so those are
+    # left to the identity checks.
+    drawn = synth.draw_syndata(kind, mu, pi, phi, seed=0)
+    profile = drawn["profile"]
+    populations = [sorted(group) for attribute in drawn["scheme"].voter_attributes for _, group in attribute.groups]
+    for voters in (None, max(populations, key=len)):
+        committee = _greedy_max(SatisfactionTable(profile, monroe(), voters), 6)
+        assert committee == ref.greedy_max(profile, monroe(), 6, voters)
+        trials, steps = _exact_trials(profile, voters, 6, monkeypatch)
+        assert 0 < trials < steps / 5, (trials, steps)
 
 
 def test_separable_additivity():
