@@ -90,8 +90,8 @@ class Rule:
             scoring = tuple(self.scoring)
             if not scoring:
                 raise RuleError("scoring vector is empty")
-            validate_scoring(scoring, len(scoring))  # its entries; vector(m) checks the length
-            object.__setattr__(self, "scoring", scoring)
+            # its entries; vector(m) checks the length
+            object.__setattr__(self, "scoring", validate_scoring(scoring, len(scoring)))
 
     @property
     def separable(self) -> bool:
@@ -100,7 +100,9 @@ class Rule:
     def vector(self, m: int) -> tuple[int, ...]:
         if self.scoring is None:
             return borda_vector(m)
-        return validate_scoring(self.scoring, m)
+        if len(self.scoring) != m:
+            raise RuleError(f"scoring vector length {len(self.scoring)} != m={m}")
+        return self.scoring
 
 
 def kborda(scoring: Sequence[int] | None = None) -> Rule:
@@ -136,16 +138,21 @@ class SatisfactionTable:
         ranks = [profile._positions[v] for v in self.voters]
         self.rows = [[shifted[voter_ranks[c]] for voter_ranks in ranks] for c in range(profile.m)]
         self.totals = list(map(sum, self.rows))
-        # Winner searches score runs of committees that share all but the
-        # last member, so what the shared prefix gives is kept from one call
-        # to the next: each voter's best entry (Borda-CC), or the assignment
-        # of the prefix at the committee's loads (Monroe).
-        self._prefix: Sequence[int] | None = None
+        self._prefix: Sequence[int] = ()
         if self.kind == MONROE:
             # a repeated voter id is one voter; the sorted list keeps repeats adjacent
             voters = self.voters
             self.unique = [i for i in range(len(voters)) if not i or voters[i] != voters[i - 1]]
             self.orders: list[list[int] | None] = [None] * profile.m  # sorted on first use
+
+    def _order(self, c: int) -> list[int]:
+        """Monroe: candidate c's distinct voters by (satisfaction
+        descending, voter id), sorted on first use."""
+        order = self.orders[c]
+        if order is None:
+            # stable sort: equal satisfaction keeps ascending voter order
+            order = self.orders[c] = sorted(self.unique, key=self.rows[c].__getitem__, reverse=True)
+        return order
 
     @cached_property
     def best_sums(self) -> list[list[int]]:
@@ -153,41 +160,25 @@ class SatisfactionTable:
         candidate c's l largest entries over distinct voters, the most a
         member c serving l voters can take."""
         repeats = [0] * (len(self.voters) - len(self.unique))
-        return [list(itertools.accumulate(sorted([*map(row.__getitem__, self.unique), *repeats], reverse=True),
-                                          initial=0)) for row in self.rows]
+        return [list(itertools.accumulate([*map(row.__getitem__, self._order(c)), *repeats], initial=0))
+                for c, row in enumerate(self.rows)]
 
     def score(self, members: Sequence[int]) -> int:
         """The rule's score of a committee; the empty committee scores 0."""
-        if not members:
-            return 0
         if self.kind == MONROE:
-            return self._monroe_score(members)
+            return self.assign(members)[1] if members else 0
         if self.kind == KBORDA or len(members) < 2:
             return sum(map(self.totals.__getitem__, members))
         # A voter's best-ranked member has the highest entry, as the vector
-        # is nonincreasing.
+        # is nonincreasing.  Winner searches score runs of committees that
+        # share all but the last member, so the per-voter best of that prefix
+        # is kept from one call to the next.
         rows, prefix = self.rows, members[:-1]
         if prefix != self._prefix:
             self._prefix = prefix
             self._prefix_best = list(map(max, *map(rows.__getitem__, prefix))) if len(prefix) > 1 \
                 else rows[prefix[0]]
         return sum([a if a > b else b for a, b in zip(self._prefix_best, rows[members[-1]])])
-
-    def _monroe_score(self, members: Sequence[int]) -> int:
-        """``assign(members)[1]``, resumed from the kept assignment of
-        ``members[:-1]`` when the last member comes last in priority order
-        too, so it is the one that claims the last load."""
-        rank, prefix, last = self.profile._priority_rank, members[:-1], members[-1]
-        if prefix != self._prefix:
-            self._prefix = prefix
-            ordered = sorted(prefix, key=rank.__getitem__)
-            *loads, self._last_load = _monroe_loads(len(self.voters), len(members))
-            self._prefix_owner: list[int | None] = [None] * len(self.voters)
-            self._prefix_total = self._claim(self._prefix_owner, 0, ordered, loads)
-            self._prefix_rank = rank[ordered[-1]] if ordered else -1
-        if rank[last] < self._prefix_rank:
-            return self.assign(members)[1]
-        return self._claim(self._prefix_owner[:], self._prefix_total, (last,), (self._last_load,))
 
     def assign(self, members: Sequence[int]) -> tuple[list[int | None], int]:
         """Greedy balanced Monroe assignment (see :func:`monroe_assign`):
@@ -206,10 +197,7 @@ class SatisfactionTable:
         for member, load in zip(members, loads):
             if not load:
                 break  # loads never increase
-            row, order = rows[member], orders[member]
-            if order is None:
-                # stable sort: equal satisfaction keeps ascending voter order
-                order = orders[member] = sorted(self.unique, key=row.__getitem__, reverse=True)
+            row, order = rows[member], orders[member] or self._order(member)
             for i in order:
                 if owner[i] is None:
                     owner[i] = member
@@ -392,6 +380,7 @@ def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None)
         for bound, r, c, t in sorted(bounds):
             if (bound, r) > top:
                 break
+            _check_deadline(deadline)
             owner, total, _ = starts[t]
             top = min(top, (-table._claim(owner[:], total, (c, *members[t:]), loads[t:]), r, c))
         return top[2]

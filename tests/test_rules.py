@@ -384,24 +384,6 @@ def test_greedy_monroe_rescores_every_candidate():
     assert _greedy_max(SatisfactionTable(profile, monroe()), 3).members == (0, 1, 2)
 
 
-def test_monroe_score_resumes_only_from_its_own_prefix():
-    # Runs of committees that share all but the last member, broken by a new
-    # prefix, a new size or a last member that is not last in priority order:
-    # every score must be the one assigned from the empty assignment.
-    rng = random.Random(3)
-    for _ in range(60):
-        m, n = rng.randint(1, 8), rng.randint(1, 8)
-        profile = make_profile(m, [rng.sample(range(m), m) for _ in range(n)], priority=rng.sample(range(m), m))
-        voters = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]  # repeats too
-        vector = sorted((rng.randint(0, 4) for _ in range(m)), reverse=True)
-        table, fresh = SatisfactionTable(profile, monroe(vector), voters), SatisfactionTable(profile, monroe(vector), voters)
-        for _ in range(20):
-            prefix = rng.sample(range(m), rng.randint(0, m - 1))
-            for last in rng.sample([c for c in range(m) if c not in prefix], rng.randint(1, m - len(prefix))):
-                members = (*prefix, last)
-                assert table.score(members) == fresh.assign(members)[1], (members, profile.priority)
-
-
 def _exact_trials(profile, voters, k, monkeypatch):
     """(exact trials, candidate-steps) of a k-step greedy Monroe run.  An
     exact trial is a claim that involves a candidate outside the committee
