@@ -34,7 +34,7 @@ from dire.constraints import (
     unsatisfied_fraction,
 )
 from dire.solver import SolverConfig, solve_feasibility
-from dire.winner import SolveReport, brute_force_oracle, fpt_rep_solver, mu1_fast_path, solve_drcwd
+from dire.winner import SolveReport, brute_force_oracle, solve_drcwd
 
 __all__ = [
     "Attribute",
@@ -51,13 +51,11 @@ __all__ = [
     "break_tie",
     "brute_force_oracle",
     "candidate_score",
-    "fpt_rep_solver",
     "kborda",
     "make_instance",
     "make_profile",
     "monroe",
     "monroe_assign",
-    "mu1_fast_path",
     "necessary_condition_report",
     "population_winning_committee",
     "position",

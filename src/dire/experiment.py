@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ExperimentError("seeds and rules must be nonempty")
         if not self.timeout > 0:  # also rejects NaN
             raise ExperimentError("timeout must be positive")
+        if self.repetitions < 1:
+            raise ExperimentError(f"repetitions must be >= 1, got {self.repetitions}")
         unknown = [r for r in self.rules if r not in RULE_KINDS]
         if unknown:
             raise ExperimentError(f"unknown rules {unknown}")

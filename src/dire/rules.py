@@ -34,9 +34,12 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, inf
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from dire.profiles import Committee, PreferenceProfile
+
+if TYPE_CHECKING:
+    from dire.solver import _SearchState
 
 KBORDA = "kborda"
 BETACC = "betacc"
@@ -53,7 +56,11 @@ class RuleError(ValueError):
 
 
 class SolverTimeout(Exception):
-    """A search ran past its deadline (a ``time.monotonic()`` value)."""
+    """A search ran past its deadline (a ``time.monotonic()`` value).
+
+    :func:`_certified_max` sets ``incumbent`` to the (members, score) it
+    held when the deadline passed.
+    """
 
 
 def borda_vector(m: int) -> tuple[int, ...]:
@@ -448,13 +455,17 @@ def _top_sums(values: Sequence[int], r: int) -> list[int]:
 
 
 def _certified_max(
-    table: SatisfactionTable, k: int, deadline: float | None = None
+    table: SatisfactionTable,
+    k: int,
+    deadline: float | None = None,
+    lookahead: _SearchState | None = None,
+    threshold: int | None = None,
 ) -> tuple[tuple[int, ...], int]:
     """The highest-scoring k-committee and its score, ties to the
     lexicographically least member tuple (the first best of
     ``itertools.combinations(range(m), k)``), certified by a depth-first
     branch-and-bound.  Raises :class:`SolverTimeout` once ``deadline`` has
-    passed.
+    passed, with the best committee found so far as its ``incumbent``.
 
     A node is a prefix P of ascending ids; its children add each later id c
     in ascending order, so every leaf not reached yet is lexicographically
@@ -462,7 +473,9 @@ def _certified_max(
     every completion of P + c is ``<= best``: no such leaf can take the
     incumbent's place.  The incumbent starts as a threshold only, one below
     the greedy committee's score (which the optimum reaches), so the
-    tie-break is unchanged.  The bounds,
+    tie-break is unchanged; a caller's ``threshold`` replaces it and must
+    lie below the optimum for the tie-break to hold (``((), threshold)``
+    comes back when no committee beats it).  The bounds,
     with R the ids after c, r the seats left after c and gains taken
     against P:
 
@@ -480,6 +493,15 @@ def _certified_max(
     hold for Monroe too.  Leaves cost no table call under k-Borda and
     Borda-CC (their score is the bound (a) with r = 0); Monroe leaves are
     scored only when every bound passes.
+
+    ``lookahead`` is the feasibility search's state over the instance's
+    constraint graph, with nothing chosen or blocked; it restricts the
+    search to the committees that meet every bound.  Each node blocks the
+    ids it passes over, as no committee below its later children holds
+    them, and unblocks them on return; a child is cut when
+    :meth:`~dire.solver._SearchState.scan` fails on P + c, which happens
+    only when no completion meets every bound, and at a leaf exactly when
+    the leaf misses one.
     """
     rows, totals, m, kind = table.rows, table.totals, table.profile.m, table.kind
     if not k:
@@ -491,8 +513,9 @@ def _certified_max(
     if kind == MONROE:
         caps = [sums[-(-n // k)] for sums in table.best_sums]
         caps_after = [_top_sums(caps, r) for r in range(k)]
-    best_score = table.score(_greedy_max(table, k, deadline).members) - 1
-    best_members: tuple[int, ...] = ()
+    if threshold is None:
+        threshold = table.score(_greedy_max(table, k, deadline).members) - 1
+    best_score, best_members = threshold, ()
     members: list[int] = []
 
     def search(start, seats, best, score, cap):
@@ -505,30 +528,46 @@ def _certified_max(
             [sum([a - b for a, b in zip(rows[c], best) if a > b]) for c in range(start, m)]
         after = _top_sums(gains, seats - 1)
         for c in range(start, m - seats + 1):
+            if lookahead is not None:
+                lookahead.block(c)  # chosen now, or passed over: no later child's committee holds it
             gain = gains[c - start]
             if score + gain + after[c - start] <= best_score:  # (a)
                 continue
             if kind == MONROE and cap + caps[c] + caps_after[seats - 1][c] <= best_score:  # (c)
                 continue
+            # (b) for c bounds every later child too: their pools lie inside c's
+            if seats > 1 and kind != KBORDA and \
+                    sum([a if a > b else b for a, b in zip(best, suffix[c])]) <= best_score:
+                break
+            if lookahead is not None:
+                lookahead.add(c)
+                if lookahead.scan() is None:  # no completion of P + c meets every bound
+                    lookahead.remove()
+                    continue
             if seats > 1:
-                # (b) for c bounds every later child too: their pools lie inside c's
-                if kind != KBORDA and sum([a if a > b else b for a, b in zip(best, suffix[c])]) <= best_score:
-                    break
                 members.append(c)
                 search(c + 1, seats - 1, [a if a > b else b for a, b in zip(rows[c], best)],
                        score + gain, cap + caps[c] if kind == MONROE else 0)
                 members.pop()
-                continue
-            if kind == MONROE:
-                _check_deadline(deadline)
-                leaf = table.score((*members, c))
             else:
-                leaf = score + gain
-            if leaf > best_score:
-                best_members, best_score = (*members, c), leaf
+                if kind == MONROE:
+                    _check_deadline(deadline)
+                    leaf = table.score((*members, c))
+                else:
+                    leaf = score + gain
+                if leaf > best_score:
+                    best_members, best_score = (*members, c), leaf
+            if lookahead is not None:
+                lookahead.remove()
+        if lookahead is not None:
+            for passed in range(start, c + 1):
+                lookahead.unblock(passed)
 
     try:
         search(0, k, [0] * n, 0, 0)
+    except SolverTimeout as timeout:
+        timeout.incumbent = best_members, best_score
+        raise
     finally:
         del search  # the recursive closure holds itself; free it without a cycle collection
     return best_members, best_score

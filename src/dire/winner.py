@@ -1,10 +1,11 @@
 """Score-maximizing committee selection under constraints.
 
-Four routes: a brute-force oracle for small instances, the two-stage
-solve (feasibility enumeration followed by score maximization), a direct
-optimal construction for single-candidate-attribute separable instances,
-and a bounded-search-tree solver for representation-only instances with
-unit bounds.
+Two routes: a brute-force oracle for small instances, which scores every
+k-committee, and the two-stage solve.  The two-stage solve's feasibility
+search gives the verdict and a harvest of feasible committees, the best
+of which is the heuristic answer; in exhaustive mode a branch-and-bound
+under the search's own lookahead then certifies the optimum at any scale
+the deadline allows.
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from dire.constraints import DiReInstance, InstanceError, fill_seats, holders, satisfies
+from dire.constraints import DiReInstance, holders, satisfies
 from dire.profiles import Committee
 from dire.rules import (
     DEFAULT_ORACLE_CAP,
     SatisfactionTable,
     SolverTimeout,
     _best_of,
-    score_committee,
+    _certified_max,
+    score_committee,  # unused here; kept as dire.winner.score_committee, which bench/test_bench.py reads
     unconstrained_winner,
 )
-from dire.solver import SolverConfig, solve_feasibility
+from dire.solver import SolverConfig, SolverError, _SearchState, build_diregraph, solve_feasibility
 
 STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "feasible-heuristic"
@@ -35,10 +37,6 @@ STATUS_TIMEOUT = "timeout"
 
 
 class OracleCapExceeded(ValueError):
-    pass
-
-
-class PreconditionError(ValueError):
     pass
 
 
@@ -51,6 +49,9 @@ class SolveReport:
     score under the same rule (None when the unconstrained score is zero or
     the solve failed or the deadline cut the unconstrained search).
     ``reason`` says what proved an infeasible verdict.
+    ``committees_examined`` counts the committees scored one by one: all
+    C(m, k) on the oracle route, the feasibility harvest's on the two-stage
+    route (the exhaustive branch-and-bound's nodes are not counted).
     """
 
     status: str
@@ -59,9 +60,10 @@ class SolveReport:
     utility_ratio: Fraction | None
     elapsed: float
     committees_examined: int
-    mode: str  # oracle | two-stage | mu1-fast | fpt
-    timed_out: bool = False  # True also when a timeout cut enumeration, scoring
-    # or the unconstrained search short but a feasible committee had been found
+    mode: str  # oracle | two-stage
+    timed_out: bool = False  # True also when a timeout cut the feasibility search,
+    # scoring, the branch-and-bound or the unconstrained search short but a
+    # feasible committee had been found
     reason: str | None = None
 
 
@@ -128,150 +130,44 @@ def solve_drcwd(
     config: SolverConfig | None = None,
     exhaustive: bool = False,
 ) -> SolveReport:
-    """Two-stage solve: enumerate feasible committees, then maximize the rule.
+    """Two-stage solve: find feasible committees, then maximize the rule.
 
-    Exhaustive enumeration yields a certified optimum; the default root
-    harvest yields the best committee it found (feasible-heuristic).
-    Timeouts with nothing found report as timeouts.  ``config.timeout``
-    bounds the whole solve: once it passes, scoring stops at the best
-    committee scored so far (at least one), the utility ratio is dropped if
-    the unconstrained search is unfinished, and the report is
-    ``timed_out``; it stays ``optimal`` only if every committee was scored.
+    The default feasibility search gives the verdict and its root harvest
+    (at most ``config.max_committees`` committees); the best-scoring one is
+    the feasible-heuristic answer.  ``exhaustive=True`` then runs the
+    branch-and-bound of :func:`~dire.rules._certified_max` under the
+    search's lookahead, from a threshold one below the harvest's best, and
+    reports the optimum it certifies (ties to the lexicographically least
+    member tuple).  Timeouts with nothing found report as timeouts.
+    ``config.timeout`` bounds the whole solve: once it passes, the report
+    keeps the best committee found so far (at least one), drops the utility
+    ratio if the unconstrained search is unfinished, and is ``timed_out``
+    and feasible-heuristic.
     """
     config = config or SolverConfig()
     start = time.monotonic()
     deadline = start + config.timeout
-    feas = solve_feasibility(instance, config, exhaustive=exhaustive)
+    feas = solve_feasibility(instance, config)
     if feas.proven_infeasible:
         return _report(instance, "two-stage", start, STATUS_INFEASIBLE, reason=feas.reason)
     if not feas.committees:
         return _report(instance, "two-stage", start, STATUS_TIMEOUT, timed_out=True)
-    members, score, scored, finished = _best_of(
-        SatisfactionTable(instance.profile, instance.rule), feas.committees, deadline)
+    table = SatisfactionTable(instance.profile, instance.rule)
+    members, score, scored, finished = _best_of(table, feas.committees, deadline)
     timed_out = feas.timed_out or not finished
-    certified = exhaustive and feas.complete and not timed_out
-    status = STATUS_OPTIMAL if certified else STATUS_HEURISTIC
-    return _report(instance, "two-stage", start, status, members, score, scored, deadline, timed_out)
-
-
-def mu1_fast_path(instance: DiReInstance) -> SolveReport:
-    """Optimal solve for one candidate attribute, no voter attributes, separable rule.
-
-    Takes the top-scoring candidates of each group up to its bound, then
-    fills the remaining seats with the best unused candidates.  For a
-    separable rule this is exact.
-    """
-    start = time.monotonic()
-    if instance.mu != 1 or instance.pi != 0:
-        raise PreconditionError(f"fast path needs mu=1, pi=0; got mu={instance.mu}, pi={instance.pi}")
-    if not instance.rule.separable:
-        raise PreconditionError(f"fast path needs a separable rule, got {instance.rule.kind}")
-    ranked = instance.padding_order()
-
-    attr = instance.scheme.candidate_attributes[0]
-    chosen: list[int] = []
-    for label, members in attr.groups:
-        bound = instance.diversity_bounds[(attr.name, label)]
-        chosen.extend([c for c in ranked if c in members][:bound])
-    if len(chosen) > instance.k:
-        return _report(instance, "mu1-fast", start, STATUS_INFEASIBLE,
-                       reason=f"diversity bounds need {len(chosen)} seats, k = {instance.k}")
-    chosen = fill_seats(chosen, instance.padding_order, instance.k)
-    score = score_committee(instance.profile, instance.rule, chosen)
-    return _report(instance, "mu1-fast", start, STATUS_OPTIMAL, chosen, score, 1)
-
-
-def _population_covers(instance: DiReInstance) -> list[frozenset[int]]:
-    return [frozenset(wc) for wc in
-            (instance.winning_committees[(attr.name, label)]
-             for attr in instance.scheme.voter_attributes
-             for label, _ in attr.groups)]
-
-
-def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
-    """Drop candidates that another candidate beats on cover and on score.
-
-    Candidate x dominates y when the populations whose winning committees
-    contain y are a subset of those containing x and score(x) >= score(y);
-    candidates equal on both count x as dominating y when x comes first in
-    the tie-break order.  Candidates that cover no population never enter
-    a hitting set and are dropped too.  Swapping a dominated member for an
-    undominated dominator keeps every population hit and never lowers a
-    separable score, so pruning preserves the feasibility verdict and the
-    optimum of :func:`fpt_report`.
-    """
-    populations = _population_covers(instance)
-    cover = [frozenset(indices) for indices in holders(populations, instance.m)]
-    scores = instance.padding_scores()
-    key = instance.profile.priority_key
-
-    def dominates(x: int, y: int) -> bool:
-        if not (cover[y] <= cover[x] and scores[x] >= scores[y]):
-            return False
-        return cover[y] < cover[x] or scores[x] > scores[y] or key(x) < key(y)
-
-    return [
-        y for y in range(instance.m)
-        if cover[y] and not any(dominates(x, y) for x in range(instance.m) if x != y)
-    ]
-
-
-def fpt_rep_solver(instance: DiReInstance) -> list[Committee]:
-    """Padded hitting sets for representation-only instances with unit bounds.
-
-    After dominated-candidate pruning, branches on each member of the first
-    population whose winning committee is not yet hit, and collects every
-    hitting set of size <= k that the branching reaches (it reaches every
-    minimal one).  Each is padded to exactly k with the best-ranked unused
-    candidates.  Returns the distinct padded committees in ascending member
-    order: feasible committees, not all of them, but under a separable rule
-    they include an optimal one (see :func:`dominated_candidate_pruning`).
-    """
-    if instance.mu != 0 or instance.pi < 1:
-        raise PreconditionError(f"fpt solver needs mu=0, pi>=1; got mu={instance.mu}, pi={instance.pi}")
-    bad = [b for b in instance.representation_bounds.values() if b != 1]
-    if bad:
-        raise PreconditionError(f"fpt solver needs every representation bound to be 1, got {bad}")
-
-    survivors = set(dominated_candidate_pruning(instance))
-    populations = [wc & survivors for wc in _population_covers(instance)]
-
-    hitting_sets: set[frozenset[int]] = set()
-
-    def branch(chosen: frozenset[int]) -> None:
-        unhit = next((wc for wc in populations if not (wc & chosen)), None)
-        if unhit is None:
-            hitting_sets.add(chosen)
-            return
-        if len(chosen) >= instance.k:
-            return
-        for cand in sorted(unhit):
-            branch(chosen | {cand})
-
-    branch(frozenset())
-
-    committees = {fill_seats(hit, instance.padding_order, instance.k) for hit in hitting_sets}
-    result = [Committee(members) for members in sorted(committees)]
-    for committee in result:
-        check = satisfies(instance, committee.members)
+    status = STATUS_HEURISTIC
+    if exhaustive and not timed_out:
+        graph = build_diregraph(instance)
+        lookahead = _SearchState(graph, holders(graph.domains, graph.m))
+        try:
+            members, score = _certified_max(table, instance.k, deadline, lookahead, score - 1)
+            status = STATUS_OPTIMAL
+        except SolverTimeout as timeout:
+            timed_out = True
+            if timeout.incumbent[0]:  # the search found a committee at least as good
+                members, score = timeout.incumbent
+        check = satisfies(instance, members)
         if not check.ok:  # pragma: no cover - guards solver soundness
-            raise InstanceError(f"fpt solver produced unsatisfying committee {committee.members}")
-    return result
-
-
-def fpt_report(instance: DiReInstance) -> SolveReport:
-    """Wrap :func:`fpt_rep_solver` in a standard report (best-scoring committee).
-
-    For a separable rule the best greedy completion of a minimal hitting
-    set is a certified optimum; for submodular rules the result is only
-    known to be feasible.
-    """
-    start = time.monotonic()
-    committees = fpt_rep_solver(instance)
-    if not committees:
-        return _report(instance, "fpt", start, STATUS_INFEASIBLE,
-                       reason=f"no {instance.k} candidates hit every population's winning committee")
-    members, score, scored, _ = _best_of(SatisfactionTable(instance.profile, instance.rule),
-                                         (committee.members for committee in committees))
-    status = STATUS_OPTIMAL if instance.rule.separable else STATUS_HEURISTIC
-    return _report(instance, "fpt", start, status, members, score, scored)
+            raise SolverError(f"branch-and-bound produced an unsatisfying committee {members}: "
+                              f"{check.violations}")
+    return _report(instance, "two-stage", start, status, members, score, scored, deadline, timed_out)

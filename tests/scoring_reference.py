@@ -1,18 +1,36 @@
-"""The scoring code the satisfaction table replaced, kept as a test-only reference.
+"""Code the package replaced, kept as test-only references.
 
-Every function rescores from the rankings on each call, exactly as the
-package did before its winner searches and scoring loops read one
+The scoring functions rescore from the rankings on each call, exactly as
+the package did before its winner searches and scoring loops read one
 ``SatisfactionTable`` per (profile, rule vector, voter list).
+
+The special-case solve routes, :func:`mu1_fast_path` (one candidate
+attribute, no voter attributes, separable rule) and :func:`fpt_report`
+(representation only, unit bounds), are exact on their classes and
+independent of the branch-and-bound that the exhaustive ``solve_drcwd``
+runs, so they serve as its oracles at paper scale, where the brute-force
+oracle cannot go.
 """
 
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
-from dire.constraints import unsatisfied_fraction
+from dire.constraints import DiReInstance, InstanceError, fill_seats, holders, satisfies, unsatisfied_fraction
 from dire.experiment import METRIC_ORACLE_CAP
 from dire.profiles import Committee, break_tie
-from dire.rules import DEFAULT_ORACLE_CAP, KBORDA, MONROE, RuleError, borda_vector, validate_scoring
+from dire.rules import (
+    DEFAULT_ORACLE_CAP,
+    KBORDA,
+    MONROE,
+    RuleError,
+    SatisfactionTable,
+    _best_of,
+    borda_vector,
+    validate_scoring,
+)
+from dire.winner import STATUS_HEURISTIC, STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport, _report
 
 
 def candidate_score(profile, scoring, candidate, voters=None):
@@ -154,3 +172,130 @@ def best_unsatisfied_fraction(instance, found):
         candidates = [c for c in range(instance.m) if c not in chosen]
         chosen.add(min(candidates, key=lambda c: (deficit_after(c), instance.profile.priority_key(c))))
     return unsatisfied_fraction(instance, chosen), True
+
+
+class PreconditionError(ValueError):
+    pass
+
+
+def mu1_fast_path(instance: DiReInstance) -> SolveReport:
+    """Optimal solve for one candidate attribute, no voter attributes, separable rule.
+
+    Takes the top-scoring candidates of each group up to its bound, then
+    fills the remaining seats with the best unused candidates.  For a
+    separable rule this is exact.
+    """
+    start = time.monotonic()
+    if instance.mu != 1 or instance.pi != 0:
+        raise PreconditionError(f"fast path needs mu=1, pi=0; got mu={instance.mu}, pi={instance.pi}")
+    if not instance.rule.separable:
+        raise PreconditionError(f"fast path needs a separable rule, got {instance.rule.kind}")
+    ranked = instance.padding_order()
+
+    attr = instance.scheme.candidate_attributes[0]
+    chosen: list[int] = []
+    for label, members in attr.groups:
+        bound = instance.diversity_bounds[(attr.name, label)]
+        chosen.extend([c for c in ranked if c in members][:bound])
+    if len(chosen) > instance.k:
+        return _report(instance, "mu1-fast", start, STATUS_INFEASIBLE,
+                       reason=f"diversity bounds need {len(chosen)} seats, k = {instance.k}")
+    chosen = fill_seats(chosen, instance.padding_order, instance.k)
+    score = score_committee(instance.profile, instance.rule, chosen)
+    return _report(instance, "mu1-fast", start, STATUS_OPTIMAL, chosen, score, 1)
+
+
+def _population_covers(instance: DiReInstance) -> list[frozenset[int]]:
+    return [frozenset(wc) for wc in
+            (instance.winning_committees[(attr.name, label)]
+             for attr in instance.scheme.voter_attributes
+             for label, _ in attr.groups)]
+
+
+def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
+    """Drop candidates that another candidate beats on cover and on score.
+
+    Candidate x dominates y when the populations whose winning committees
+    contain y are a subset of those containing x and score(x) >= score(y);
+    candidates equal on both count x as dominating y when x comes first in
+    the tie-break order.  Candidates that cover no population never enter
+    a hitting set and are dropped too.  Swapping a dominated member for an
+    undominated dominator keeps every population hit and never lowers a
+    separable score, so pruning preserves the feasibility verdict and the
+    optimum of :func:`fpt_report`.
+    """
+    populations = _population_covers(instance)
+    cover = [frozenset(indices) for indices in holders(populations, instance.m)]
+    scores = instance.padding_scores()
+    key = instance.profile.priority_key
+
+    def dominates(x: int, y: int) -> bool:
+        if not (cover[y] <= cover[x] and scores[x] >= scores[y]):
+            return False
+        return cover[y] < cover[x] or scores[x] > scores[y] or key(x) < key(y)
+
+    return [
+        y for y in range(instance.m)
+        if cover[y] and not any(dominates(x, y) for x in range(instance.m) if x != y)
+    ]
+
+
+def fpt_rep_solver(instance: DiReInstance) -> list[Committee]:
+    """Padded hitting sets for representation-only instances with unit bounds.
+
+    After dominated-candidate pruning, branches on each member of the first
+    population whose winning committee is not yet hit, and collects every
+    hitting set of size <= k that the branching reaches (it reaches every
+    minimal one).  Each is padded to exactly k with the best-ranked unused
+    candidates.  Returns the distinct padded committees in ascending member
+    order: feasible committees, not all of them, but under a separable rule
+    they include an optimal one (see :func:`dominated_candidate_pruning`).
+    """
+    if instance.mu != 0 or instance.pi < 1:
+        raise PreconditionError(f"fpt solver needs mu=0, pi>=1; got mu={instance.mu}, pi={instance.pi}")
+    bad = [b for b in instance.representation_bounds.values() if b != 1]
+    if bad:
+        raise PreconditionError(f"fpt solver needs every representation bound to be 1, got {bad}")
+
+    survivors = set(dominated_candidate_pruning(instance))
+    populations = [wc & survivors for wc in _population_covers(instance)]
+
+    hitting_sets: set[frozenset[int]] = set()
+
+    def branch(chosen: frozenset[int]) -> None:
+        unhit = next((wc for wc in populations if not (wc & chosen)), None)
+        if unhit is None:
+            hitting_sets.add(chosen)
+            return
+        if len(chosen) >= instance.k:
+            return
+        for cand in sorted(unhit):
+            branch(chosen | {cand})
+
+    branch(frozenset())
+
+    committees = {fill_seats(hit, instance.padding_order, instance.k) for hit in hitting_sets}
+    result = [Committee(members) for members in sorted(committees)]
+    for committee in result:
+        check = satisfies(instance, committee.members)
+        if not check.ok:  # pragma: no cover - guards solver soundness
+            raise InstanceError(f"fpt solver produced unsatisfying committee {committee.members}")
+    return result
+
+
+def fpt_report(instance: DiReInstance) -> SolveReport:
+    """Wrap :func:`fpt_rep_solver` in a standard report (best-scoring committee).
+
+    For a separable rule the best greedy completion of a minimal hitting
+    set is a certified optimum; for submodular rules the result is only
+    known to be feasible.
+    """
+    start = time.monotonic()
+    committees = fpt_rep_solver(instance)
+    if not committees:
+        return _report(instance, "fpt", start, STATUS_INFEASIBLE,
+                       reason=f"no {instance.k} candidates hit every population's winning committee")
+    members, score, scored, _ = _best_of(SatisfactionTable(instance.profile, instance.rule),
+                                         (committee.members for committee in committees))
+    status = STATUS_OPTIMAL if instance.rule.separable else STATUS_HEURISTIC
+    return _report(instance, "fpt", start, status, members, score, scored)

@@ -22,8 +22,9 @@ from dire.reductions import (
 from dire.rules import Rule, betacc, borda_vector, candidate_score, score_committee, unconstrained_winner
 from dire.solver import SolverConfig, build_diregraph, enumerate_feasible, preprocess, solve_feasibility
 from dire.synth import MallowsParams, gen_syndata, kendall_tau, sample_mallows
-from dire.winner import brute_force_oracle, fpt_rep_solver, mu1_fast_path, solve_drcwd
+from dire.winner import brute_force_oracle, solve_drcwd
 from conftest import random_instance
+from scoring_reference import fpt_rep_solver, fpt_report
 
 PASS = "ACCEPTANCE {num}: {name} ... PASS"
 
@@ -75,6 +76,7 @@ def test_criterion_2_oracle_equivalence():
         assert (solved.status == "infeasible") == (oracle.status == "infeasible"), f"seed {10_000 + i}"
         if oracle.status == "optimal":
             assert solved.score == oracle.score, f"seed {10_000 + i}"
+            assert solved.committee == oracle.committee, f"seed {10_000 + i}"
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     print(PASS.format(num=2, name=f"oracle equivalence on {total} instances, 3 rules ({elapsed:.1f}s)"))
@@ -90,17 +92,10 @@ def test_criterion_3_soundness_everywhere():
         returned.extend(feas.committees)
         exhaustive = solve_feasibility(instance, config, exhaustive=True)
         returned.extend(exhaustive.committees)
-        for report in (solve_drcwd(instance, config), brute_force_oracle(instance)):
+        for report in (solve_drcwd(instance, config), solve_drcwd(instance, config, exhaustive=True),
+                       brute_force_oracle(instance)):
             if report.committee is not None:
                 returned.append(report.committee.members)
-        if instance.mu == 1 and instance.pi == 0 and instance.rule.separable:
-            fast = mu1_fast_path(instance)
-            if fast.committee is not None:
-                returned.append(fast.committee.members)
-        if instance.mu == 0 and instance.pi >= 1 and all(
-            b == 1 for b in instance.representation_bounds.values()
-        ):
-            returned.extend(c.members for c in fpt_rep_solver(instance))
         for committee in returned:
             assert len(set(committee)) == instance.k
             assert satisfies(instance, committee).ok
@@ -158,16 +153,22 @@ def test_criterion_5_betacc_properties():
 
 
 def test_criterion_6_fpt_equivalence():
+    # representation only, unit bounds: the exhaustive solve against the
+    # fpt reference (hitting sets after dominated-candidate pruning) and the oracle
     total = 0
     for i in range(120):
         instance = random_instance(seed=60_000 + i, mu=0, pi=1 + i % 2, unit_rep_bounds=True)
         if instance.pi < 1:
             continue
         total += 1
-        oracle_feasible = brute_force_oracle(instance).status == "optimal"
-        assert bool(fpt_rep_solver(instance)) == oracle_feasible, f"seed {60_000 + i}"
+        oracle = brute_force_oracle(instance)
+        solved = solve_drcwd(instance, SolverConfig(timeout=60), exhaustive=True)
+        assert bool(fpt_rep_solver(instance)) == (oracle.status == "optimal"), f"seed {60_000 + i}"
+        assert (solved.status, solved.committee) == (oracle.status, oracle.committee), f"seed {60_000 + i}"
+        if instance.rule.separable:
+            assert solved.score == fpt_report(instance).score, f"seed {60_000 + i}"
     assert total >= 100
-    print(PASS.format(num=6, name=f"fpt verdicts match oracle on {total} instances, pruning safe"))
+    print(PASS.format(num=6, name=f"exhaustive solve matches fpt reference and oracle on {total} instances"))
 
 
 PETERSEN_SUBGRAPH = InputGraph(

@@ -127,6 +127,9 @@ def test_config_validation():
         ExperimentConfig(dataset="syn1", timeout=0)
     with pytest.raises(ExperimentError):
         ExperimentConfig(dataset="syn1", timeout=float("nan"))
+    for repetitions in (0, -2):  # no rows at all, which is no experiment
+        with pytest.raises(ExperimentError):
+            ExperimentConfig(dataset="syn1", repetitions=repetitions)
     assert ExperimentConfig(dataset="syn1", timeout=float("inf")).timeout == float("inf")
 
 

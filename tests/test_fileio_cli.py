@@ -367,6 +367,16 @@ def test_cli_experiment_round(tmp_path):
     assert statuses <= {"optimal", "infeasible"}
 
 
+@pytest.mark.parametrize("repetitions", ["0", "-2"])
+def test_cli_experiment_rejects_fewer_than_one_repetition(repetitions, tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    args = ["experiment", "--dataset", "syn1", "--seeds", "1", "--mu-values", "0", "--pi-values", "0",
+            "--m", "8", "--n", "6", "--k", "2", "--repetitions", repetitions, "--out", str(out)]
+    assert main(args) == 1
+    assert "repetitions must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_convert_soc(tmp_path, capsys):
     soc = tmp_path / "votes.soc"
     soc.write_text(SOC_TEXT, encoding="utf-8")

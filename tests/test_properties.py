@@ -1,7 +1,8 @@
 """Property tests: the feasibility search against the brute-force feasible
 set, its node lookahead against brute force below the node, closed-form
-preprocessing against the reference fixpoint, and the scoring kernel against
-the rescoring reference.
+preprocessing against the reference fixpoint, the scoring kernel against
+the rescoring reference, and the branch-and-bound, with and without the
+lookahead, against full enumeration.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -22,6 +23,7 @@ from dire.rules import (
     RULE_KINDS,
     Rule,
     SatisfactionTable,
+    _best_of,
     _certified_max,
     _greedy_max,
     _monroe_baselines,
@@ -85,6 +87,24 @@ def test_default_mode_harvest_is_sound_and_capped(instance, max_committees):
     assert len(result.committees) <= max_committees
     assert result.proven_infeasible == (not expected)
     assert not result.timed_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.integers(1, 3))
+def test_branch_and_bound_under_the_lookahead_matches_the_feasible_set(instance, margin):
+    # from any threshold below the optimum, the search returns the best
+    # feasible committee, ties to the least member tuple; with no feasible
+    # committee nothing beats the threshold
+    table = SatisfactionTable(instance.profile, instance.rule)
+    members, score, _, _ = _best_of(table, brute_force_feasible_set(instance))
+    threshold = -margin if score is None else score - margin
+    graph = build_diregraph(instance)
+    state = _SearchState(graph, holders(graph.domains, graph.m))
+    got = _certified_max(table, instance.k, None, state, threshold)
+    assert got == (((), threshold) if members is None else (members, score))
+    # and leaves the lookahead as it found it
+    assert state.chosen == [] and not any(state.inflow)
+    assert state.free_sets == [set(domain) for domain in graph.domains]
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import dire
-from dire import constraints, solver
+from dire import constraints, solver, winner
 from dire.constraints import Attribute, AttributeScheme, holders, make_instance, satisfies
 from dire.profiles import make_profile
 from dire.reductions import InputGraph, min_vertex_cover_size, reduce_vc_representation
@@ -312,8 +312,8 @@ def test_public_surface_resolves():
         "Attribute", "AttributeScheme", "Committee", "DiReInstance", "PreferenceProfile",
         "Rule", "SolveReport", "SolverConfig", "apportionment_bounds", "betacc",
         "borda_vector", "break_tie", "brute_force_oracle", "candidate_score",
-        "fpt_rep_solver", "kborda", "make_instance", "make_profile", "monroe",
-        "monroe_assign", "mu1_fast_path", "necessary_condition_report",
+        "kborda", "make_instance", "make_profile", "monroe",
+        "monroe_assign", "necessary_condition_report",
         "population_winning_committee", "position", "satisfies", "score_committee",
         "solve_drcwd", "solve_feasibility", "unconstrained_winner",
         "unsatisfied_fraction", "validate_profile",
@@ -335,6 +335,10 @@ def test_public_surface_resolves():
     assert isinstance(solver.FeasibilityResult.proven_infeasible, property)
     for name in ("EnumerationResult", "padding_vector"):
         assert not hasattr(solver, name), name
+    # the exhaustive solve subsumes these routes; they live on as test oracles
+    for name in ("mu1_fast_path", "fpt_rep_solver", "fpt_report", "dominated_candidate_pruning",
+                 "PreconditionError"):
+        assert not hasattr(winner, name), name
 
 
 # --- reference search: plain backtracking restarted once per rotation of the

@@ -6,20 +6,16 @@ import pytest
 from dire import constraints, rules, solver, winner
 from dire.constraints import Attribute, AttributeScheme, make_instance, satisfies
 from dire.profiles import make_profile
-from dire.rules import SatisfactionTable, betacc, kborda, monroe, unconstrained_winner
+from dire.rules import Rule, SatisfactionTable, betacc, kborda, monroe, unconstrained_winner
 from dire.solver import SolverConfig, solve_feasibility
-from dire.synth import gen_syndata
-from dire.winner import (
-    OracleCapExceeded,
-    PreconditionError,
-    brute_force_oracle,
-    dominated_candidate_pruning,
-    fpt_rep_solver,
-    fpt_report,
-    mu1_fast_path,
-    solve_drcwd,
-)
+from dire.synth import draw_syndata, gen_syndata
+from dire.winner import OracleCapExceeded, brute_force_oracle, solve_drcwd
 from conftest import random_instance
+from scoring_reference import dominated_candidate_pruning, fpt_rep_solver, fpt_report, mu1_fast_path
+
+
+def _exhaustive(instance):
+    return solve_drcwd(instance, SolverConfig(timeout=30), exhaustive=True)
 
 
 def test_oracle_example1(example1):
@@ -119,6 +115,86 @@ def test_scoring_cut_by_the_deadline_is_not_certified(example1, monkeypatch):
     assert satisfies(example1, report.committee.members).ok
 
 
+class _SharedClock:
+    """A stand-in for the ``time`` module of the winner routes, the solver
+    and the rules, whose n-th reading is n."""
+
+    def __init__(self, monkeypatch):
+        self.reads = 0
+        for module in (winner, solver, rules):
+            monkeypatch.setattr(module, "time", self)
+
+    def monotonic(self):
+        self.reads += 1
+        return self.reads
+
+
+def test_deadline_inside_the_branch_and_bound_keeps_the_best_found(monkeypatch):
+    # the harvest's best scores 165 and the certified optimum 244
+    instance = gen_syndata("syn1", mu=1, pi=0, seed=8, m=16, n=20, k=4, rule=monroe())
+    harvest = solve_drcwd(instance)
+    assert (harvest.status, harvest.score) == ("feasible-heuristic", 165)
+    clock = _SharedClock(monkeypatch)
+    search, span = winner._certified_max, []
+
+    def spy(*args):
+        span.append(clock.reads)
+        try:
+            return search(*args)
+        finally:
+            span.append(clock.reads)
+
+    monkeypatch.setattr(winner, "_certified_max", spy)
+    report = solve_drcwd(instance, SolverConfig(timeout=1e9), exhaustive=True)
+    assert (report.status, report.score) == ("optimal", 244)
+    first, last = span  # the readings before and after the search
+    assert last > first + 10
+    scores = []
+    for passed in (first + 1, (first + last) // 2, last):
+        # the solve's first reading starts the budget; reading `passed` is the first past it
+        clock.reads = 0
+        report = solve_drcwd(instance, SolverConfig(timeout=passed - 1.5), exhaustive=True)
+        assert (report.status, report.timed_out) == ("feasible-heuristic", True)
+        assert satisfies(instance, report.committee.members).ok
+        assert report.utility_ratio is None  # the unconstrained search is cut too
+        scores.append(report.score)
+    assert scores[0] == 165  # cut at the search's first node: the harvest's best
+    assert 165 <= scores[1] <= scores[2] and scores[2] > 165
+
+
+# k-Borda scores are pinned by the mu1-fast reference; the others are the
+# branch-and-bound's own, pinned against regressions
+PAPER_SCALE_OPTIMA = {"kborda": 27402, "betacc": 4900, "monroe": 4748}
+
+
+@pytest.mark.parametrize("rule", sorted(PAPER_SCALE_OPTIMA))
+def test_exhaustive_solve_certifies_at_paper_scale(rule):
+    # m=50, n=100, k=6: C(50, 6) is about 15.9M committees, past any enumeration
+    instance = gen_syndata("syn1", mu=1, pi=0, seed=9, rule=Rule(rule))
+    report = _exhaustive(instance)
+    assert (report.status, report.timed_out) == ("optimal", False)
+    assert satisfies(instance, report.committee.members).ok
+    assert report.score == PAPER_SCALE_OPTIMA[rule] >= solve_drcwd(instance).score
+    if rule == "kborda":
+        assert report.score == mu1_fast_path(instance).score
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exhaustive_solve_matches_the_fpt_reference_at_paper_scale(seed):
+    # syn2's uniform voters (phi 1.0) and populations at m=50, n=100, k=6,
+    # representation only and every bound 1: the harvest misses the optimum
+    # on seeds 0, 1, 3 and 5, the unconstrained winner is infeasible on 1, 3 and 4
+    drawn = draw_syndata("syn2", phi=1.0, seed=seed)
+    drawn["scheme"] = AttributeScheme(voter_attributes=drawn["scheme"].voter_attributes)
+    drawn["diversity_bounds"] = {}
+    drawn["representation_bounds"] = dict.fromkeys(drawn["representation_bounds"], 1)
+    instance = make_instance(**drawn, rule=kborda())
+    report, reference = _exhaustive(instance), fpt_report(instance)
+    assert report.status == reference.status == "optimal"
+    assert report.score == reference.score
+    assert satisfies(instance, report.committee.members).ok
+
+
 def test_every_route_names_why_it_is_infeasible():
     packed = _mu1_instance((2, 1), k=2)
     assert mu1_fast_path(packed).reason == "diversity bounds need 3 seats, k = 2"
@@ -127,8 +203,11 @@ def test_every_route_names_why_it_is_infeasible():
     disjoint = _rep_instance([(0, 1), (2, 3), (4, 5)], k=2, n=3)
     assert fpt_report(disjoint).reason == "no 2 candidates hit every population's winning committee"
     assert solve_drcwd(disjoint).reason == "search space exhausted"
+    assert solve_drcwd(packed, exhaustive=True).reason == "pairwise infeasible: D:A:g1 vs D:A:g2"
+    assert solve_drcwd(disjoint, exhaustive=True).reason == "search space exhausted"
     feasible = _mu1_instance((1, 1), k=2)
-    for report in (mu1_fast_path(feasible), brute_force_oracle(feasible), solve_drcwd(feasible)):
+    for report in (mu1_fast_path(feasible), brute_force_oracle(feasible), solve_drcwd(feasible),
+                   solve_drcwd(feasible, exhaustive=True)):
         assert report.committee is not None and report.reason is None
 
 
@@ -176,44 +255,37 @@ def _mu1_instance(bounds, k):
     )
 
 
+# mu1_fast_path and the fpt functions are test references (scoring_reference):
+# the tests below check the exhaustive solve against them.
+
 def test_mu1_fast_path_fills_with_best_unused():
-    report = mu1_fast_path(_mu1_instance((1, 1), k=3))
-    assert report.status == "optimal"
-    assert report.committee.members == (0, 1, 2)
-    assert report.mode == "mu1-fast"
+    instance = _mu1_instance((1, 1), k=3)
+    report, fast = _exhaustive(instance), mu1_fast_path(instance)
+    assert report.status == fast.status == "optimal"
+    assert report.committee.members == fast.committee.members == (0, 1, 2)
+    assert (report.mode, fast.mode) == ("two-stage", "mu1-fast")
 
 
 def test_mu1_fast_path_exact_when_bounds_fill_committee():
-    report = mu1_fast_path(_mu1_instance((1, 1), k=2))
+    instance = _mu1_instance((1, 1), k=2)
     # exactly the per-group top scorers
-    assert report.committee.members == (0, 2)
+    assert _exhaustive(instance).committee.members == mu1_fast_path(instance).committee.members == (0, 2)
 
 
 def test_mu1_fast_path_infeasible():
-    report = mu1_fast_path(_mu1_instance((2, 1), k=2))
-    assert report.status == "infeasible"
-
-
-def test_mu1_fast_path_preconditions(example1):
-    with pytest.raises(PreconditionError):
-        mu1_fast_path(example1)  # pi = 1
-    instance = _mu1_instance((1, 1), k=2)
-    bad_rule = make_instance(
-        instance.profile, instance.scheme, k=2, rule=betacc(),
-        diversity_bounds=dict(instance.diversity_bounds),
-    )
-    with pytest.raises(PreconditionError):
-        mu1_fast_path(bad_rule)
+    instance = _mu1_instance((2, 1), k=2)
+    assert _exhaustive(instance).status == mu1_fast_path(instance).status == "infeasible"
 
 
 def test_mu1_fast_path_matches_oracle():
     for seed in range(60):
         instance = random_instance(seed, mu=1, pi=0, rule=kborda())
-        fast = mu1_fast_path(instance)
+        solved, fast = _exhaustive(instance), mu1_fast_path(instance)
         oracle = brute_force_oracle(instance)
-        assert fast.status == oracle.status, f"seed {seed}"
+        assert solved.status == fast.status == oracle.status, f"seed {seed}"
         if oracle.status == "optimal":
-            assert fast.score == oracle.score, f"seed {seed}"
+            assert solved.score == fast.score == oracle.score, f"seed {seed}"
+            assert solved.committee == oracle.committee, f"seed {seed}"
 
 
 def _rep_instance(winning, k, m=6, n=4):
@@ -233,27 +305,14 @@ def test_fpt_shared_candidate_hits_both():
     instance = _rep_instance([(1, 2), (2, 3)], k=2, n=2)
     committees = fpt_rep_solver(instance)
     assert committees  # feasible
-    for committee in committees:
-        members = set(committee.members)
-        assert members & {1, 2} and members & {2, 3}
+    for members in [committee.members for committee in committees] + [_exhaustive(instance).committee.members]:
+        assert set(members) & {1, 2} and set(members) & {2, 3}
 
 
 def test_fpt_disjoint_committees_infeasible():
     instance = _rep_instance([(0, 1), (2, 3), (4, 5)], k=2, n=3)
     assert fpt_rep_solver(instance) == []
-
-
-def test_fpt_preconditions(example1):
-    with pytest.raises(PreconditionError):
-        fpt_rep_solver(example1)  # mu = 1
-    instance = _rep_instance([(0, 1), (2, 3)], k=2, n=2)
-    widened = make_instance(
-        instance.profile, instance.scheme, k=2,
-        representation_bounds={("B", "p0"): 2, ("B", "p1"): 1},
-        winning_committees=dict(instance.winning_committees),
-    )
-    with pytest.raises(PreconditionError):
-        fpt_rep_solver(widened)
+    assert _exhaustive(instance).status == "infeasible"
 
 
 def test_dominated_candidate_pruning_keeps_cover_maximal():
@@ -268,8 +327,12 @@ def test_fpt_matches_oracle_and_pruning_is_safe():
         instance = random_instance(seed, mu=0, pi=1 + seed % 2, unit_rep_bounds=True)
         if instance.pi == 0:
             continue
-        oracle_feasible = brute_force_oracle(instance).status == "optimal"
-        assert bool(fpt_rep_solver(instance)) == oracle_feasible, f"seed {seed}"
+        oracle = brute_force_oracle(instance)
+        assert bool(fpt_rep_solver(instance)) == (oracle.status == "optimal"), f"seed {seed}"
+        solved = _exhaustive(instance)
+        assert (solved.status, solved.score) == (oracle.status, oracle.score), f"seed {seed}"
+        if instance.rule.separable:
+            assert solved.score == fpt_report(instance).score, f"seed {seed}"
 
 
 def test_fpt_committees_satisfy_instance():
@@ -285,8 +348,9 @@ def test_fpt_report_best_committee():
     report = fpt_report(instance)
     assert report.mode == "fpt"
     assert report.status == "optimal"  # kborda is separable
-    oracle = brute_force_oracle(instance)
-    assert report.score == oracle.score
+    oracle, solved = brute_force_oracle(instance), _exhaustive(instance)
+    assert report.score == oracle.score == solved.score
+    assert solved.status == "optimal" and solved.committee == oracle.committee
 
 
 def test_fpt_report_score_matches_oracle():
@@ -297,9 +361,10 @@ def test_fpt_report_score_matches_oracle():
         profile = make_profile(6, [rng.sample(range(6), 6) for _ in range(8)])
         instance = make_instance(profile, scheme, k=2, rule=kborda(),
                                  representation_bounds={("B", "p0"): 1, ("B", "p1"): 1})
-        report, oracle = fpt_report(instance), brute_force_oracle(instance)
-        assert report.status == oracle.status, f"seed {seed}"
-        assert report.score == oracle.score, f"seed {seed}"
+        report, oracle, solved = fpt_report(instance), brute_force_oracle(instance), _exhaustive(instance)
+        assert report.status == oracle.status == solved.status, f"seed {seed}"
+        assert report.score == oracle.score == solved.score, f"seed {seed}"
+        assert solved.committee == oracle.committee, f"seed {seed}"
 
 
 def test_dominance_prefers_the_higher_score():
@@ -341,12 +406,11 @@ def test_each_instance_ranks_its_candidates_for_padding_once(example1, monkeypat
     # a solve that pads nothing ranks nothing
     assert solve_feasibility(example1).committees
     assert calls == []
-    for instance, route in ((_mu1_instance((1, 1), k=3), mu1_fast_path),
-                            (_rep_instance([(0, 1, 2), (2, 3, 4)], k=3, n=2), fpt_report)):
+    for instance in (_mu1_instance((1, 1), k=3), _rep_instance([(0, 1, 2), (2, 3, 4)], k=3, n=2)):
         calls.clear()
         # a solution short of 3 members meets every bound, so the search pads it
         assert solve_feasibility(instance).committees
         assert len(calls) == 1
-        assert route(instance).status == "optimal"
+        assert solve_drcwd(instance, exhaustive=True).status == "optimal"
         assert solve_feasibility(instance).committees
-        assert len(calls) == 1, route.__name__
+        assert len(calls) == 1, instance.scheme
