@@ -40,15 +40,30 @@ class PreferenceProfile:
         return len(self.rankings)
 
     @cached_property
+    def _matrices(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        return {}
+
+    def satisfaction(self, vector: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The voter-major entry matrix of a positional vector: row v holds
+        ``vector[i]`` at column ``rankings[v][i]``, so ``[v][c]`` is
+        ``vector[pos_v(c) - 1]``.  Built in one pass over the rankings on
+        the first call per vector and kept as long as the profile."""
+        vector = tuple(vector)
+        matrix = self._matrices.get(vector)
+        if matrix is None:
+            rows = []
+            for ranking in self.rankings:
+                row = [0] * self.m
+                for cand, entry in zip(ranking, vector):
+                    row[cand] = entry
+                rows.append(tuple(row))
+            matrix = self._matrices[vector] = tuple(rows)
+        return matrix
+
+    @cached_property
     def _positions(self) -> tuple[tuple[int, ...], ...]:
         # _positions[v][c] is 1-based rank of candidate c for voter v
-        table = []
-        for ranking in self.rankings:
-            row = [0] * self.m
-            for idx, cand in enumerate(ranking):
-                row[cand] = idx + 1
-            table.append(tuple(row))
-        return tuple(table)
+        return self.satisfaction(range(1, self.m + 1))
 
     @cached_property
     def _priority_rank(self) -> tuple[int, ...]:

@@ -13,16 +13,20 @@ candidate's trial score from above and scores exactly only the trials
 whose bound can still beat the best found (see :func:`_greedy_max` for
 the bound and why it holds).
 
-Every score is read off a :class:`SatisfactionTable`, built once per
-(profile, rule vector, voter list): one row per candidate holding
+Every score is read off a :class:`SatisfactionTable` for one (profile,
+rule vector, voter list): one row per candidate holding
 ``vector[pos_v(c) - 1]`` for each voter, the row totals (a candidate's
 positional score, which is all k-Borda needs) and, for Monroe, each
-candidate's voters presorted by (satisfaction descending, voter id) and
-the prefix sums of its entries in that order, which bound what it can
-take from a given number of voters.  A winner search or a scoring loop
-builds one table and scores every committee it tries through it;
-:func:`score_committee` and :func:`monroe_assign` build a table for their
-one committee.
+candidate's voters sorted by (satisfaction descending, voter id) when it
+first claims voters, and the prefix sums of its entries sorted by value,
+which bound what it can take from a given number of voters.  The entries
+come from the profile's per-vector matrix
+(:meth:`~dire.profiles.PreferenceProfile.satisfaction`), built once per
+(profile, vector); a table is the transpose of that matrix's rows for its
+voters, so every table of one profile and vector shares the same entries.
+A winner search or a scoring loop builds one table and scores every
+committee it tries through it; :func:`score_committee` and
+:func:`monroe_assign` build a table for their one committee.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class SolverTimeout(Exception):
 
 def borda_vector(m: int) -> tuple[int, ...]:
     """The Borda scoring vector (m-1, m-2, ..., 0)."""
-    return tuple(m - i for i in range(1, m + 1))
+    return tuple(range(m - 1, -1, -1))
 
 
 def validate_scoring(scoring: Sequence[int], m: int) -> tuple[int, ...]:
@@ -127,23 +131,26 @@ def monroe(scoring: Sequence[int] | None = None) -> Rule:
 class SatisfactionTable:
     """Per-candidate satisfaction of one (profile, rule vector, voter list).
 
-    ``voters`` defaults to every voter and is kept sorted.  ``rows[c][i]``
-    is the vector entry at candidate c's position for the i-th voter and
-    ``totals[c]`` the row sum.  The rule's vector and the voter ids are
-    validated once, here, for every entry point that scores.  ``score``
-    takes distinct candidate ids in any order and trusts them to be in
-    range.
+    ``voters`` defaults to every voter and is kept sorted; a repeated id
+    counts once per occurrence in the sums and once in a Monroe
+    assignment.  ``rows[c][i]`` is the vector entry at candidate c's
+    position for the i-th voter, a tuple read off the profile's matrix
+    for the vector (the rows of ``voters``, transposed), and ``totals[c]``
+    the row sum.  The rule's vector and the voter ids are validated once,
+    here, for every entry point that scores.  ``score`` takes distinct
+    candidate ids in any order and trusts them to be in range.
     """
 
     def __init__(self, profile: PreferenceProfile, rule: Rule, voters: Iterable[int] | None = None):
-        shifted = (0, *rule.vector(profile.m))  # shifted[r]: the entry for rank r
+        full = profile.satisfaction(rule.vector(profile.m))
         self.profile = profile
         self.kind = rule.kind
         self.voters = list(range(profile.n)) if voters is None else sorted(voters)
         if self.voters and not (0 <= self.voters[0] and self.voters[-1] < profile.n):
             raise RuleError("voter list contains out-of-range voter indices")
-        ranks = [profile._positions[v] for v in self.voters]
-        self.rows = [[shifted[voter_ranks[c]] for voter_ranks in ranks] for c in range(profile.m)]
+        picked = full if voters is None else list(map(full.__getitem__, self.voters))
+        # the transpose: one row per candidate; no voters leave m empty rows
+        self.rows = list(zip(*picked)) if picked else [()] * profile.m
         self.totals = list(map(sum, self.rows))
         self._prefix: Sequence[int] = ()
         if self.kind == MONROE:
@@ -166,9 +173,11 @@ class SatisfactionTable:
         """Monroe: ``best_sums[c][l]``, for l in 0..n, is the sum of
         candidate c's l largest entries over distinct voters, the most a
         member c serving l voters can take."""
-        repeats = [0] * (len(self.voters) - len(self.unique))
-        return [list(itertools.accumulate([*map(row.__getitem__, self._order(c)), *repeats], initial=0))
-                for c, row in enumerate(self.rows)]
+        unique, repeats = self.unique, [0] * (len(self.voters) - len(self.unique))
+        return [list(itertools.accumulate(
+                    [*sorted(map(row.__getitem__, unique) if repeats else row, reverse=True), *repeats],
+                    initial=0))
+                for row in self.rows]
 
     def score(self, members: Sequence[int]) -> int:
         """The rule's score of a committee; the empty committee scores 0."""
@@ -309,7 +318,9 @@ def monroe_assign(
                 best_total = total
                 best = dict(current)
             return
-        member, load = members[idx], loads[idx]
+        # repeated voter ids count in the loads but are one voter here, so a
+        # member takes what is left when fewer distinct voters remain
+        member, load = members[idx], min(loads[idx], len(remaining))
         for subset in itertools.combinations(sorted(remaining), load):
             for v in subset:
                 current[v] = member

@@ -3,8 +3,12 @@
 Rankings are sampled by repeated insertion: the j-th item of the reference
 ranking is inserted at position i <= j with probability proportional to
 phi^(j-i), which makes a ranking's probability proportional to phi raised
-to its Kendall-tau distance from the reference.  Everything is
-deterministic given the seed.
+to its Kendall-tau distance from the reference.  The insertion steps do not
+depend on the voter, so :func:`sample_mallows` builds them once per profile
+as a plan: for each j, the cumulative weights, their total, the highest
+position and the item.  Each ranking then walks the plan with one uniform
+draw and one bisection per step, the draw ``random.choices`` would make
+on the same stream.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -57,13 +61,13 @@ def kendall_tau(left: Sequence[int], right: Sequence[int]) -> int:
 
 
 def _sample_one(
-    rng: random.Random, cumulative: Sequence[list[float]], sigma: Sequence[int]
+    rng: random.Random, plan: Sequence[tuple[list[float], float, int, int]], first: int
 ) -> tuple[int, ...]:
-    ranking = [sigma[0]]
-    for j, cum in enumerate(cumulative, start=2):
-        # the draw random.choices(range(j), weights) makes, on the same random stream
-        pos = bisect(cum, rng.random() * (cum[-1] + 0.0), 0, j - 1)
-        ranking.insert(pos, sigma[j - 1])
+    ranking = [first]
+    insert, draw = ranking.insert, rng.random
+    for cum, total, hi, item in plan:
+        # the draw random.choices(range(hi + 1), weights) makes, on the same random stream
+        insert(bisect(cum, draw() * total, 0, hi), item)
     return tuple(ranking)
 
 
@@ -72,11 +76,15 @@ def sample_mallows(params: MallowsParams, n: int) -> PreferenceProfile:
     if n < 1:
         raise GenerationError("need at least one voter")
     rng = random.Random(params.seed)
-    m = len(params.sigma)
-    # cumulative insertion weights phi^(j-1-pos), pos < j, for j = 2..m
-    cumulative = [list(accumulate(params.phi ** (j - 1 - pos) for pos in range(j)))
-                  for j in range(2, m + 1)]
-    rankings = tuple(_sample_one(rng, cumulative, params.sigma) for _ in range(n))
+    sigma = params.sigma
+    m = len(sigma)
+    # one insertion step per j = 2..m: the cumulative weights phi^(j-1-pos),
+    # pos < j, their total, the last position bisect may return, and the item
+    plan = []
+    for j in range(2, m + 1):
+        cum = list(accumulate(params.phi ** (j - 1 - pos) for pos in range(j)))
+        plan.append((cum, cum[-1] + 0.0, j - 1, sigma[j - 1]))
+    rankings = tuple(_sample_one(rng, plan, sigma[0]) for _ in range(n))
     return PreferenceProfile(m=m, rankings=rankings)
 
 

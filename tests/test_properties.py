@@ -29,6 +29,7 @@ from dire.rules import (
     _monroe_baselines,
     _monroe_loads,
     _winner,
+    borda_vector,
     population_winning_committee,
     score_committee,
     unconstrained_winner,
@@ -265,3 +266,45 @@ def test_branch_and_bound_matches_full_enumeration(election):
     profile, rule, voters, k = election
     got = _certified_max(SatisfactionTable(profile, rule, voters), k)
     assert got == ref.table_max(SatisfactionTable(profile, rule, voters), k)
+
+
+@st.composite
+def kernel_elections(draw):
+    """A profile (m <= 8, n <= 6), a drawn nonincreasing vector, and voters:
+    all (None), a subset, a list that may repeat ids, or none at all."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    profile = make_profile(m, draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n)))
+    vector = sorted(draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)), reverse=True)
+    voters = draw(st.none() | st.just([]) | st.lists(st.integers(0, n - 1), unique=True)
+                  | st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return profile, tuple(vector), voters
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_elections())
+def test_table_rows_are_the_vector_entries_of_the_profile_matrix(election):
+    # a drawn vector and Borda on the same profile: each table reads its own
+    # vector's matrix, and no table changes a matrix the profile keeps
+    profile, custom, voters = election
+    m, borda = profile.m, borda_vector(profile.m)
+
+    def entries(vector):  # straight from the rankings
+        return tuple(tuple(vector[ranking.index(c)] for c in range(m)) for ranking in profile.rankings)
+
+    for kind in RULE_KINDS:
+        for scoring, vector in ((custom, custom), (None, borda)):
+            table = SatisfactionTable(profile, Rule(kind, scoring), voters)
+            assert table.voters == (list(range(profile.n)) if voters is None else sorted(voters))
+            assert len(table.rows) == m
+            for c in range(m):
+                assert table.rows[c] == tuple(vector[profile.rankings[v].index(c)] for v in table.voters)
+            assert table.totals == [sum(row) for row in table.rows]
+            # the searches and scorers that read the rows
+            table.score(list(range(min(2, m))))
+            if table.voters and kind != "kborda":
+                _greedy_max(table, min(2, m))
+                _certified_max(table, min(2, m))
+    assert profile.satisfaction(custom) == entries(custom)
+    assert profile.satisfaction(borda) == entries(borda)
+    assert profile._positions == entries(range(1, m + 1))

@@ -148,6 +148,23 @@ def test_monroe_greedy_at_most_exact():
         assert greedy <= exact
 
 
+def test_exact_monroe_assignment_with_repeated_voters():
+    # the loads count a repeated voter id, the voters to hand out do not:
+    # the exact assignment still finds one and never scores below the greedy
+    profile = make_profile(4, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)])
+    assert monroe_assign(profile, [0, 1], voters=[0, 0, 1], exact=True) == ({0: 0, 1: 0}, 5)
+    rng = random.Random(5)
+    for _ in range(60):
+        m, n = rng.randint(2, 6), rng.randint(1, 5)
+        profile = make_profile(m, [rng.sample(range(m), m) for _ in range(n)])
+        voters = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
+        committee = rng.sample(range(m), rng.randint(1, min(3, m)))
+        _, greedy = monroe_assign(profile, committee, voters=voters)
+        assignment, exact = monroe_assign(profile, committee, voters=voters, exact=True)
+        assert 0 <= greedy <= exact
+        assert set(assignment) <= set(voters)
+
+
 def test_exact_monroe_assignment_leaves_no_reference_cycles():
     profile = make_profile(4, [[0, 1, 2, 3], [1, 0, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]])
     monroe_assign(profile, (0, 1, 2), exact=True)
