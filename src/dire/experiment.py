@@ -19,7 +19,7 @@ from pathlib import Path
 
 from dire.constraints import DiReInstance, holders, make_instance, unsatisfied_fraction
 from dire.fileio import parse_instance
-from dire.rules import RULE_KINDS, Rule, SolverTimeout, unconstrained_winner
+from dire.rules import RULE_KINDS, Rule, SolverTimeout, _depth_first, unconstrained_winner
 from dire.solver import SolverConfig
 from dire.synth import SYN1, SYN2, draw_syndata
 from dire.winner import solve_drcwd
@@ -40,7 +40,8 @@ CSV_COLUMNS = [
     "timed_out",
 ]
 
-# Exact best-unsatisfied-fraction search is done below this many committees.
+# The best unsatisfied fraction is exact, by branch-and-bound, below this
+# many committees, and a greedy estimate above it.
 METRIC_ORACLE_CAP = 100_000
 
 
@@ -117,30 +118,16 @@ def _syn_builder(kind, mu, pi, phi, seed, config):
 def best_unsatisfied_fraction(instance: DiReInstance, found) -> tuple[Fraction, bool]:
     """Smallest fraction of constraints any committee must leave unmet.
 
-    Exact below the metric cap: every committee is enumerated and its
-    violated (domain, bound) pairs are counted, up to the fewest seen so
-    far.  Otherwise a greedy shortfall-reducing committee approximates it
-    and the value is flagged approximate.
+    Exact below the metric cap, by the branch-and-bound of
+    :func:`_fewest_unmet`.  Otherwise a greedy shortfall-reducing committee
+    approximates it and the value is flagged approximate.
     """
     if found:
         return Fraction(0), False
     constraints = instance.constraints()
     if comb(instance.m, instance.k) <= METRIC_ORACLE_CAP:
-        pairs = [(con.domain, con.bound) for con in constraints]
-        fewest = len(pairs)
-        for combo in itertools.combinations(range(instance.m), instance.k):
-            violated = 0
-            for domain, bound in pairs:
-                if len(domain.intersection(combo)) < bound:
-                    violated += 1
-                    if violated == fewest:
-                        break
-            else:
-                fewest = violated
-                if not fewest:
-                    break
         # with no constraints every committee violates none of them
-        return Fraction(fewest, len(pairs) or 1), False
+        return Fraction(_fewest_unmet(instance, constraints), len(constraints) or 1), False
 
     # Adding c lowers the total shortfall by the number of constraints that
     # hold c and are still short, so each step takes the candidate that
@@ -156,6 +143,69 @@ def best_unsatisfied_fraction(instance: DiReInstance, found) -> tuple[Fraction, 
             if short[i]:
                 short[i] -= 1
     return unsatisfied_fraction(instance, chosen), True
+
+
+def _fewest_unmet(instance: DiReInstance, constraints) -> int:
+    """The fewest constraints any k-committee leaves unmet, by a depth-first
+    branch-and-bound over committees in ascending id order.
+
+    A node is a prefix P with ``seats`` seats left, and ``need[i]`` is
+    bound_i minus the members of domain i in P.  A child P + c meets no
+    completion of constraint i when its need after c exceeds min(seats - 1,
+    the members of domain i with ids > c); the child is cut when such
+    constraints are already as many as the fewest found, and at a leaf
+    their count is exact.  The node stops at child c once the constraints
+    whose need exceeds min(seats, the members with ids >= c) are that many:
+    every later child loses those too.  Both counts move only at the
+    domains holding c, so each child costs its own domains, not all of
+    them.  The search stops once a committee meets every constraint.
+    """
+    m, bounds = instance.m, [con.bound for con in constraints]
+    holds = holders([con.domain for con in constraints], m)
+    avail = [[0] * len(bounds)] * (m + 1)  # avail[c][i]: members of domain i with ids >= c
+    for c in range(m - 1, -1, -1):
+        avail[c] = row = avail[c + 1][:]
+        for i in holds[c]:
+            row[i] += 1
+    need = bounds[:]
+    best = len(bounds)
+
+    def children(start, seats):
+        """The children of the prefix whose needs are ``need``, as a node of
+        :func:`~dire.rules._depth_first`: yields (start, seats) for each
+        inner child that can still beat ``best``; leaves lower ``best``."""
+        nonlocal best
+        rest = seats - 1
+        row = avail[start]
+        # at child c: ``sure`` counts the constraints no child from c on can
+        # meet, ``lost`` those a child from c on cannot meet unless it holds them
+        sure = sum([x > (a if a < seats else seats) for x, a in zip(need, row)])
+        lost = sum([x > (a if a < rest else rest) for x, a in zip(need, row)])
+        for c in range(start, m - rest):
+            if sure >= best:
+                return
+            row, held = avail[c], holds[c]
+            # a held constraint short by exactly ``seats`` is met by c and the rest
+            unmet = lost - sum([need[i] == seats and need[i] <= row[i] for i in held])
+            if unmet < best:
+                if rest:
+                    for i in held:
+                        need[i] -= 1
+                    yield c + 1, rest
+                    for i in held:
+                        need[i] += 1
+                else:
+                    best = unmet
+                    if not best:
+                        return
+            for i in held:  # passing c leaves one member fewer in each of its domains
+                x = need[i]
+                if x == row[i]:
+                    sure += x <= seats
+                    lost += x <= rest
+
+    _depth_first(children, 0, instance.k)
+    return best
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:

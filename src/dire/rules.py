@@ -465,6 +465,20 @@ def _top_sums(values: Sequence[int], r: int) -> list[int]:
     return sums
 
 
+def _depth_first(expand: Callable[..., Iterator[tuple]], *root) -> None:
+    """Run a depth-first search whose nodes are generators: ``expand(*args)``
+    yields the arguments of each child to search in turn, and resumes once
+    that child's subtree is done.  The stack is explicit, as the depth (the
+    seats of a committee) can exceed the recursion limit."""
+    stack = [expand(*root)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(expand(*child))
+
+
 def _certified_max(
     table: SatisfactionTable,
     k: int,
@@ -532,7 +546,7 @@ def _certified_max(
     def search(start, seats, best, score, cap):
         """Children of the prefix ``members``, whose per-voter best entries,
         score and (c) sum are given, with ``seats`` seats left to fill from
-        ids >= ``start``."""
+        ids >= ``start``, as a node of :func:`_depth_first`."""
         nonlocal best_score, best_members
         _check_deadline(deadline)
         gains = totals[start:] if kind == KBORDA else \
@@ -557,7 +571,7 @@ def _certified_max(
                     continue
             if seats > 1:
                 members.append(c)
-                search(c + 1, seats - 1, [a if a > b else b for a, b in zip(rows[c], best)],
+                yield (c + 1, seats - 1, [a if a > b else b for a, b in zip(rows[c], best)],
                        score + gain, cap + caps[c] if kind == MONROE else 0)
                 members.pop()
             else:
@@ -575,12 +589,10 @@ def _certified_max(
                 lookahead.unblock(passed)
 
     try:
-        search(0, k, [0] * n, 0, 0)
+        _depth_first(search, 0, k, [0] * n, 0, 0)
     except SolverTimeout as timeout:
         timeout.incumbent = best_members, best_score
         raise
-    finally:
-        del search  # the recursive closure holds itself; free it without a cycle collection
     return best_members, best_score
 
 

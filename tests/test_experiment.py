@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import scoring_reference as ref
 import dire.experiment as experiment
 import dire.synth as synth
 from dire.experiment import (
@@ -15,8 +16,10 @@ from dire.experiment import (
     run_experiment,
     write_csv,
 )
+from dire.constraints import Attribute, AttributeScheme, make_instance
 from dire.fileio import write_instance
-from dire.rules import SatisfactionTable
+from dire.profiles import make_profile
+from dire.rules import Rule, SatisfactionTable
 from conftest import build_example1, random_instance
 
 
@@ -176,6 +179,24 @@ def test_best_unsatisfied_fraction_greedy_flagged(monkeypatch):
     value, approx = best_unsatisfied_fraction(instance, found=False)
     assert approx
     assert 0 <= value <= 1
+
+
+def test_best_unsatisfied_fraction_at_depth_beyond_the_recursion_limit():
+    # C(1200, 1199) = 1,200 lies below the metric cap; a committee of 1,199
+    # meets only one of two disjoint 600-member bounds of 600
+    m = 1200
+    profile = make_profile(m, [list(range(m))])
+    scheme = AttributeScheme((Attribute("A", {"g1": range(600), "g2": range(600, m)}),), ())
+    instance = make_instance(profile, scheme, k=m - 1, diversity_bounds={("A", "g1"): 600, ("A", "g2"): 600})
+    assert best_unsatisfied_fraction(instance, found=False) == (Fraction(1, 2), False)
+
+
+@pytest.mark.parametrize("rule", ["kborda", "betacc", "monroe"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mu, pi", [(1, 1), (2, 1), (2, 2)])
+def test_best_unsatisfied_fraction_matches_enumeration_on_desk_rows(mu, pi, seed, rule):
+    instance = synth.gen_syndata(synth.SYN1, mu=mu, pi=pi, seed=seed, m=16, n=20, k=4, rule=Rule(rule))
+    assert best_unsatisfied_fraction(instance, found=False) == ref.best_unsatisfied_fraction(instance, False)
 
 
 def test_write_csv_layout(tmp_path):

@@ -1,8 +1,9 @@
 """Property tests: the feasibility search against the brute-force feasible
 set, its node lookahead against brute force below the node, closed-form
 preprocessing against the reference fixpoint, the scoring kernel against
-the rescoring reference, and the branch-and-bound, with and without the
-lookahead, against full enumeration.
+the rescoring reference, the branch-and-bound, with and without the
+lookahead, against full enumeration, and the best-unsatisfied-fraction
+search against enumeration.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import scoring_reference as ref
 from conftest import brute_force_feasible_set
 from dire.constraints import Attribute, AttributeScheme, holders, make_instance
+from dire.experiment import best_unsatisfied_fraction
 from dire.profiles import make_profile
 from dire.rules import (
     RULE_KINDS,
@@ -308,3 +310,43 @@ def test_table_rows_are_the_vector_entries_of_the_profile_matrix(election):
     assert profile.satisfaction(custom) == entries(custom)
     assert profile.satisfaction(borda) == entries(borda)
     assert profile._positions == entries(range(1, m + 1))
+
+
+@st.composite
+def metric_instances(draw):
+    """Instances for the best-unsatisfied-fraction search (m <= 10, n <= 5):
+    k anywhere in [1, m] with both ends drawn often, up to two attributes of
+    each kind (none at all gives no constraints), and bounds that may be
+    zero when ``allow_zero_bounds`` is drawn."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 5))
+    k = draw(st.just(1) | st.just(m) | st.integers(1, m))
+    allow_zero = draw(st.booleans())
+    rankings = draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n))
+    cand_attrs, diversity = [], {}
+    for a in range(draw(st.integers(0, 2))):
+        attr = Attribute(f"A{a}", draw(partitions(m, "g")))
+        cand_attrs.append(attr)
+        for label, members in attr.groups:
+            diversity[(attr.name, label)] = draw(st.integers(0 if allow_zero else 1, min(k, len(members))))
+    voter_attrs, representation = [], {}
+    for b in range(draw(st.integers(0, 2))):
+        attr = Attribute(f"B{b}", draw(partitions(n, "p")))
+        voter_attrs.append(attr)
+        for label, _ in attr.groups:
+            representation[(attr.name, label)] = draw(st.integers(0 if allow_zero else 1, k))
+    return make_instance(
+        make_profile(m, rankings),
+        AttributeScheme(tuple(cand_attrs), tuple(voter_attrs)),
+        k=k,
+        rule=Rule(draw(st.sampled_from(RULE_KINDS))),
+        diversity_bounds=diversity,
+        representation_bounds=representation,
+        allow_zero_bounds=allow_zero,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(metric_instances())
+def test_best_unsatisfied_fraction_matches_enumeration(instance):
+    assert best_unsatisfied_fraction(instance, False) == ref.best_unsatisfied_fraction(instance, False)

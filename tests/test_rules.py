@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import types
 from math import comb
 
@@ -349,6 +350,32 @@ def test_branch_and_bound_leaves_no_reference_cycles(rule, monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_branch_and_bound_depth_is_not_bounded_by_the_recursion_limit():
+    # C(302, 300) = 45,451 lies below the oracle cap, and the search's depth,
+    # k = 300, above the lowered limit; the voters' tops are the last ids, so
+    # the optimum excludes two others
+    m, k = 302, 300
+    rng = random.Random(3)
+    rankings = [[301] + rng.sample(range(301), 301), [300] + rng.sample([*range(300), 301], 301)]
+    table = SatisfactionTable(make_profile(m, rankings), betacc())
+    vector = borda_vector(m)
+
+    # Borda-CC: each voter counts its best member, the first one it ranks
+    scores = {pair: sum(vector[next(i for i, c in enumerate(ranking) if c not in pair)] for ranking in rankings)
+              for pair in itertools.combinations(range(m), 2)}
+    best = max(scores.values())
+    # the least member tuple leaves out the greatest pair
+    left_out = max(pair for pair, score in scores.items() if score == best)
+    expected = tuple(c for c in range(m) if c not in left_out)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert _certified_max(table, k) == (expected, best)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert expected == (*range(298), 300, 301)
 
 
 def _desk_election():
