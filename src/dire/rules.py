@@ -7,11 +7,17 @@ every member's load shrinks when the committee grows.  Winner
 determination for both is certified optimal up to the exhaustive-search
 cap, by a branch-and-bound that returns what scoring every committee
 would, ties included (see :func:`_certified_max` for its three bounds and
-why they keep the tie-break).  Above the cap it is greedy marginal-gain
-selection: lazy for Borda-CC; for Monroe each step bounds every
-candidate's trial score from above and scores exactly only the trials
-whose bound can still beat the best found (see :func:`_greedy_max` for
-the bound and why it holds).
+why they keep the tie-break).  Monroe's bound is load-aware: the greedy
+balanced assignment gives ceil(n/k) voters only to the n mod k members
+earliest in priority order and floor(n/k) to the others, and a member
+serving l voters takes at most its l best entries, so a committee scores at
+most its members' floor(n/k)-entry sums plus, over those earliest members,
+what their ceil(n/k)-entry sums add; a member after the prefix of a branch
+can be one of them only if fewer than n mod k members of the prefix precede
+it.  Above the cap it is greedy marginal-gain selection: lazy for Borda-CC;
+for Monroe each step bounds every candidate's trial score from above and
+scores exactly only the trials whose bound can still beat the best found
+(see :func:`_greedy_max` for the bound and why it holds).
 
 Every score is read off a :class:`SatisfactionTable` for one (profile,
 rule vector, voter list): one row per candidate holding
@@ -479,6 +485,63 @@ def _depth_first(expand: Callable[..., Iterator[tuple]], *root) -> None:
             stack.append(expand(*child))
 
 
+class _LoadCaps:
+    """Bound (c) of :func:`_certified_max`, the most a Monroe committee can
+    take at its members' loads.  With e = n mod k, the greedy balanced
+    assignment gives ceil(n/k) voters to the e members earliest in priority
+    order and floor(n/k) to the others, and a member x serving l voters
+    takes at most ``best_sums[x][l]``: ``hi[x]`` at ceil(n/k), ``lo[x]`` at
+    floor(n/k).
+
+    A prefix P of the search carries a state (cap, early): ``early`` holds
+    the priority ranks of P's e earliest members in ascending order, padded
+    with m while P has fewer, and cap is the sum over P of ``lo`` plus
+    ``hi - lo`` over those members.  A member of P that is not among them
+    is not among the e earliest of any completion either, so cap bounds
+    what P's members take in every committee that holds P.
+    """
+
+    def __init__(self, table: SatisfactionTable, k: int):
+        n, m, best_sums = len(table.voters), table.profile.m, table.best_sums
+        self.lo = [sums[n // k] for sums in best_sums]
+        self.extra = n % k
+        self.root = (0, (m,) * self.extra)
+        if not self.extra:  # every load is n/k: hi is lo, and no sum depends on P
+            self.flat = [(0, self.lo, _top_sums(self.lo, r)) for r in range(k)]
+            return
+        self.hi = [sums[n // k + 1] for sums in best_sums]
+        self.rank = table.profile._priority_rank
+        # hi - lo by priority rank; rank m, the padding of early, is no member
+        self.gaps = [self.hi[x] - self.lo[x] for x in table.profile.priority] + [0]
+
+    def step(self, state: tuple[int, tuple[int, ...]], c: int) -> tuple[int, tuple[int, ...]]:
+        """The state of P + c from the state of P, for c after P's ids."""
+        cap, early = state
+        if early and self.rank[c] < early[-1]:  # c is among the e earliest; early[-1] leaves them
+            return cap + self.hi[c] - self.gaps[early[-1]], tuple(sorted((*early[:-1], self.rank[c])))
+        return cap + self.lo[c], early
+
+    def children(
+        self, early: tuple[int, ...], start: int, seats: int
+    ) -> tuple[int, Sequence[int], Sequence[int]]:
+        """``(base, own, rest)`` for the children c >= ``start`` of a prefix
+        P in state (cap, ``early``) with ``seats`` seats left: cap + ``own[c
+        - base]`` is the cap of P + c, and ``rest[c - base]`` bounds what
+        the seats - 1 members of a completion from the ids after c add.  A
+        later member y is among the e earliest of such a committee only if
+        fewer than e members of P precede it, that is when it precedes
+        ``early[-1]``, and it then takes at most ``hi[y]``, else
+        ``lo[y]``."""
+        if not self.extra:
+            return self.flat[seats - 1]
+        last, rank, lo, hi = early[-1], self.rank, self.lo, self.hi
+        ids = range(start, len(lo))
+        before = [rank[y] < last for y in ids]
+        most = [hi[y] if b else lo[y] for y, b in zip(ids, before)]
+        drop = self.gaps[last]  # what early[-1] gives back to a child before it
+        return start, [x - drop * b for x, b in zip(most, before)], _top_sums(most, seats - 1)
+
+
 def _certified_max(
     table: SatisfactionTable,
     k: int,
@@ -509,9 +572,21 @@ def _certified_max(
         Borda-CC monotone submodular.
     (b) Borda-CC and Monroe: the sum over voters of the best entry among P,
         c and R, read off suffix maxima.  No completion gives a voter more.
-    (c) Monroe: the sum over the committee of each member's ceil(n/k) best
-        entries.  A member serves at most ceil(n/k) voters, none worth more
-        to it than its own entry.
+    (c) Monroe, with e = n mod k and lo[x], hi[x] the sums of member x's
+        floor(n/k) and ceil(n/k) best entries over distinct voters:
+        cap(P + c), the sum of lo over P + c plus hi - lo over its e
+        members earliest in priority order, plus the r largest over y in R
+        of hi[y] if fewer than e members of P precede y in priority order,
+        else lo[y].  The greedy balanced assignment gives ceil(n/k) voters
+        to the e earliest members of the committee and floor(n/k) to the
+        others, and a member serving l voters takes at most its l best
+        entries, so the committee scores at most the sum of lo over its
+        members plus hi - lo over its e earliest.  A member of P + c among
+        those is among the e earliest of P + c, and a member y of R only
+        if fewer than e members of P precede it.  No term exceeds hi, the
+        ceil(n/k) best entries a member takes at most whatever its load.
+        :class:`_LoadCaps` carries cap and P's e earliest down the branch;
+        with e = 0 the bound is the sum of every member's n/k best entries.
 
     A greedy balanced assignment gives each voter at most its best member's
     entry, so Monroe scores are bounded by Borda-CC ones and (a) and (b)
@@ -536,29 +611,32 @@ def _certified_max(
     for c in range(m - 1, -1, -1):
         suffix[c] = [a if a > b else b for a, b in zip(rows[c], suffix[c + 1])]
     if kind == MONROE:
-        caps = [sums[-(-n // k)] for sums in table.best_sums]
-        caps_after = [_top_sums(caps, r) for r in range(k)]
+        loads = _LoadCaps(table, k)
     if threshold is None:
         threshold = table.score(_greedy_max(table, k, deadline).members) - 1
     best_score, best_members = threshold, ()
     members: list[int] = []
 
-    def search(start, seats, best, score, cap):
+    def search(start, seats, best, score, load):
         """Children of the prefix ``members``, whose per-voter best entries,
-        score and (c) sum are given, with ``seats`` seats left to fill from
-        ids >= ``start``, as a node of :func:`_depth_first`."""
+        score and Monroe (c) state (else None) are given, with ``seats``
+        seats left to fill from ids >= ``start``, as a node of
+        :func:`_depth_first`."""
         nonlocal best_score, best_members
         _check_deadline(deadline)
         gains = totals[start:] if kind == KBORDA else \
             [sum([a - b for a, b in zip(rows[c], best) if a > b]) for c in range(start, m)]
         after = _top_sums(gains, seats - 1)
+        if kind == MONROE:
+            cap, early = load
+            base, own, rest = loads.children(early, start, seats)
         for c in range(start, m - seats + 1):
             if lookahead is not None:
                 lookahead.block(c)  # chosen now, or passed over: no later child's committee holds it
             gain = gains[c - start]
             if score + gain + after[c - start] <= best_score:  # (a)
                 continue
-            if kind == MONROE and cap + caps[c] + caps_after[seats - 1][c] <= best_score:  # (c)
+            if kind == MONROE and cap + own[c - base] + rest[c - base] <= best_score:  # (c)
                 continue
             # (b) for c bounds every later child too: their pools lie inside c's
             if seats > 1 and kind != KBORDA and \
@@ -572,7 +650,7 @@ def _certified_max(
             if seats > 1:
                 members.append(c)
                 yield (c + 1, seats - 1, [a if a > b else b for a, b in zip(rows[c], best)],
-                       score + gain, cap + caps[c] if kind == MONROE else 0)
+                       score + gain, loads.step(load, c) if kind == MONROE else None)
                 members.pop()
             else:
                 if kind == MONROE:
@@ -589,7 +667,7 @@ def _certified_max(
                 lookahead.unblock(passed)
 
     try:
-        _depth_first(search, 0, k, [0] * n, 0, 0)
+        _depth_first(search, 0, k, [0] * n, 0, loads.root if kind == MONROE else None)
     except SolverTimeout as timeout:
         timeout.incumbent = best_members, best_score
         raise

@@ -30,10 +30,10 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from dire.constraints import DiReInstance, fill_seats, holders, satisfies
-from dire.rules import SolverTimeout
+from dire.rules import SolverTimeout, _depth_first
 
 
 class SolverError(ValueError):
@@ -426,9 +426,10 @@ def _enumerate_exhaustive(
     results: list[tuple[int, ...]] = []
     truncated = False
 
-    def dfs(pos: int) -> None:
-        # recurse on the include branch only and loop over the exclude
-        # branch, so the depth is at most k + 1 whatever m is
+    def dfs(pos: int) -> Iterator[tuple[int]]:
+        # a node of rules._depth_first: descend on the include branch only
+        # and loop over the exclude branch, so the stack holds at most k + 1
+        # nodes whatever m is
         nonlocal truncated
         start = pos
         while not truncated:
@@ -445,18 +446,16 @@ def _enumerate_exhaustive(
                 break
             cand = order[pos]
             state.add(cand)
-            dfs(pos + 1)
+            yield (pos + 1,)
             state.remove()  # cand stays blocked: excluded for the rest of the loop
             pos += 1
         for cand in order[start:pos]:
             state.unblock(cand)
 
     try:
-        dfs(0)
+        _depth_first(dfs, 0)
     except SolverTimeout:
         return FeasibilityResult(tuple(results), complete=False, timed_out=True)
-    finally:
-        del dfs  # as in heuristic_backtrack: break the closure's self-reference
     return FeasibilityResult(tuple(results), complete=not truncated, timed_out=False)
 
 

@@ -25,6 +25,7 @@ from dire.rules import (
     RULE_KINDS,
     Rule,
     SatisfactionTable,
+    _LoadCaps,
     _best_of,
     _certified_max,
     _greedy_max,
@@ -260,6 +261,33 @@ def test_greedy_monroe_bound_holds_at_every_step(election):
             best = sum(sorted(entries.values(), reverse=True)[:loads[t]])
             assert table.best_sums[c][loads[t]] == best
             assert ref.score_committee(profile, rule, members + [c], voters) <= starts[t][2] + best
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_elections(["monroe"]))
+def test_monroe_load_bound_holds_below_every_child(election):
+    # Bound (c) of the branch-and-bound.  Walking each committee's members in
+    # ascending id order, the state of the prefix P holds its cap and the
+    # priority ranks of its e = n mod k earliest members.  For the next
+    # member c, cap(P) + own + rest bounds the committee's score, never
+    # exceeds the sum of ceil(n/k) best entries that ignores the loads, and
+    # cap(P) + own is the cap of P + c.
+    profile, rule, voters, k = election
+    table = SatisfactionTable(profile, rule, voters)
+    loads, m, n, rank = _LoadCaps(table, k), profile.m, len(table.voters), profile._priority_rank
+    ceil = [sums[-(-n // k)] for sums in table.best_sums]
+    for committee in itertools.combinations(range(m), k):
+        score = table.score(committee)
+        state = loads.root
+        for i, c in enumerate(committee):
+            seats = k - i
+            base, own, rest = loads.children(state[1], committee[i - 1] + 1 if i else 0, seats)
+            bound = state[0] + own[c - base] + rest[c - base]
+            loose = sum(ceil[x] for x in committee[:i + 1]) + sum(sorted(ceil[c + 1:], reverse=True)[:seats - 1])
+            assert score <= bound <= loose
+            state = loads.step(state, c)
+            assert state[0] == bound - rest[c - base]
+            assert state[1] == (*sorted(rank[x] for x in committee[:i + 1]), *[m] * n)[:n % k]
 
 
 @settings(max_examples=400, deadline=None)

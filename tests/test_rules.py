@@ -403,6 +403,18 @@ def test_branch_and_bound_prunes_monroe_leaves(monkeypatch):
     assert len(calls) < comb(16, 4) / 4
 
 
+@pytest.mark.parametrize("voters", [[0], range(5)], ids=["one-voter", "five-voters"])
+def test_monroe_load_bound_prunes_small_populations(voters, monkeypatch):
+    # fewer voters than seats, or 5 on 4 seats: only the members earliest in
+    # priority order take a voter more than the others, so bound (c) is tight
+    # enough that the greedy seed's score and one leaf certify the optimum
+    profile = _desk_election()
+    expected = ref.table_max(SatisfactionTable(profile, monroe(), voters), 4)
+    calls = _count_scores(monkeypatch)
+    assert _certified_max(SatisfactionTable(profile, monroe(), voters), 4) == expected
+    assert len(calls) <= 4
+
+
 def test_monroe_leaves_keep_to_the_deadline(monkeypatch):
     # A clock that ticks once per table score passes the deadline at the 9th
     # score: the greedy seed's, 6 leaves, then (0, 1, 5, 9) and

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -635,6 +636,26 @@ def test_exhaustive_depth_does_not_grow_with_m():
     result = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
     assert result.committees == tuple((c,) for c in range(1500))
     assert result.complete
+
+
+def test_exhaustive_depth_is_not_bounded_by_the_recursion_limit():
+    # k = 299 seats, above the lowered limit; two 150-member groups with
+    # bounds of 149 each leave every one of the 300 (m - 1)-committees feasible
+    m = 300
+    profile = make_profile(m, [list(range(m))])
+    scheme = AttributeScheme((Attribute("A", {"g1": range(150), "g2": range(150, m)}),), ())
+    instance = make_instance(profile, scheme, k=m - 1, diversity_bounds={("A", "g1"): 149, ("A", "g2"): 149})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        full = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
+        cut = solve_feasibility(instance, SolverConfig(timeout=60, max_committees=10), exhaustive=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(full.committees) == sorted(tuple(c for c in range(m) if c != out) for out in range(m))
+    assert full.complete and not full.timed_out
+    assert cut.committees == full.committees[:10]
+    assert not cut.complete and not cut.timed_out
 
 
 # --- reference preprocessing: the enumerating domain reduction (uncapped)
