@@ -316,8 +316,10 @@ def monroe_assign(
 
     best_total = -1
     best: dict[int, int] = {}
+    current: dict[int, int] = {}
 
-    def recurse(idx, remaining, current, total):
+    def assign(idx, remaining, total):
+        # a node of _depth_first: members[idx] takes each subset in turn
         nonlocal best_total, best
         if idx == k:
             if total > best_total:
@@ -330,13 +332,11 @@ def monroe_assign(
         for subset in itertools.combinations(sorted(remaining), load):
             for v in subset:
                 current[v] = member
-            recurse(idx + 1, remaining - set(subset), current,
-                    total + sum(sat[(v, member)] for v in subset))
+            yield idx + 1, remaining - set(subset), total + sum(sat[(v, member)] for v in subset)
             for v in subset:
                 del current[v]
 
-    recurse(0, set(table.voters), {}, 0)
-    del recurse  # the recursive closure holds itself; free it without a cycle collection
+    _depth_first(assign, 0, set(table.voters), 0)
     return best, best_total
 
 
@@ -460,12 +460,14 @@ def _best_of(
 def _top_sums(values: Sequence[int], r: int) -> list[int]:
     """``sums[j]``: the sum of the r largest of ``values[j + 1:]``."""
     sums, heap, total = [0] * len(values), [], 0
+    if not r:
+        return sums
     for j in range(len(values) - 1, 0, -1):
         value = values[j]
         if len(heap) < r:
             heapq.heappush(heap, value)
             total += value
-        elif r and value > heap[0]:
+        elif value > heap[0]:
             total += value - heapq.heapreplace(heap, value)
         sums[j - 1] = total
     return sums

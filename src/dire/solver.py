@@ -1,9 +1,9 @@
 """Two-stage feasibility solver over the four-level constraint graph.
 
-Stage one (preprocessing) prunes the candidates that cannot appear in any
-committee meeting two bounds at once, in closed form: every domain is
-narrowed to the intersection of the domains whose bound is k, and then each
-unordered pair of unary constraints is checked once with a necessary packing
+Stage one (preprocessing) proves infeasibility in closed form: every domain
+is narrowed to the intersection of the domains whose bound is k, each
+constraint is checked once for a bound above its domain or k, and each
+unordered pair whose bounds sum above k is checked with a necessary overlap
 condition.  Stage two is depth-first backtracking that repeatedly picks the
 tightest unsatisfied constraint (fewest remaining values per missing seat)
 and tries its candidates in order of how many constraints they touch.  A
@@ -19,9 +19,12 @@ and the value loop all read.  These cuts remove only subtrees without a
 solution, so unseeded runs return exactly the committees of plain
 backtracking.  One search harvests several feasible committees: below the
 root it stops at the first solution, while the root keeps the first
-solution of each of its branches and goes on to the next.  A separate exhaustive mode enumerates the complete feasible set for
-oracle-scale instances under the same lookahead, which again cuts only
-subtrees without a committee, so the output is that of the uncut DFS.
+solution of each of its branches and goes on to the next.  A separate
+exhaustive mode enumerates the complete feasible set for oracle-scale
+instances under the same lookahead, which again cuts only subtrees without
+a committee, so the output is that of the uncut DFS.  Both searches run on
+the explicit stack of :func:`~dire.rules._depth_first`, so a committee of
+any size fits under the recursion limit.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from dire.constraints import DiReInstance, fill_seats, holders, satisfies
 from dire.rules import SolverTimeout, _depth_first
@@ -154,26 +157,28 @@ def preprocess(graph: DiReGraph, deadline: float | None = None) -> str | None:
 
     A constraint whose bound is k puts the whole committee inside its
     domain, so every domain is first intersected with F, the intersection
-    of those domains.  That is the fixpoint of :func:`domain_reduce` over
-    all ordered pairs: a passing pair only ever narrows D_i to D_i & D_j
-    with S_j = k.  Then each unordered pair gets :func:`pairwise_feasible`
-    and one :func:`domain_reduce`, which with D_i already inside F can only
-    empty D_i, when i or j cannot meet its bound alone.  Mutates the
-    graph's domains and returns the reason that proves the instance
-    infeasible, or None.
+    of those domains: the fixpoint of :func:`domain_reduce` over all ordered
+    pairs, as a passing pair only narrows D_i to D_i & D_j with S_j = k.
+    Inside F, :func:`domain_reduce` on a pair passing :func:`pairwise_feasible`
+    only empties D_i, exactly when i or j is *short*: S > min(|D|, k).  So
+    each pair in turn fails the overlap test, which can fail only where
+    S_i + S_j > k, or names its short constraint, j first.  The F-narrowing
+    is the only change to the graph; returns the reason that proves the
+    instance infeasible, or None.
     """
     full = [domain for domain, bound in zip(graph.domains, graph.bounds) if bound == graph.k]
     if full:
         inside = frozenset.intersection(*full)
         graph.domains[:] = [domain & inside for domain in graph.domains]
-    for i, j in itertools.combinations(range(len(graph.domains)), 2):
+    k, bounds, keys = graph.k, graph.bounds, graph.keys
+    short = [bound > min(len(domain), k) for domain, bound in zip(graph.domains, bounds)]
+    for i, j in itertools.combinations(range(len(bounds)), 2):
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("preprocessing timed out")
-        if not pairwise_feasible(graph, i, j):
-            return f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
-        if domain_reduce(graph, i, j):  # name the constraint that cannot meet its bound
-            short = j if graph.bounds[j] > min(len(graph.domains[j]), graph.k) else i
-            return f"domain emptied: {graph.keys[short]}"
+        if bounds[i] + bounds[j] > k and not pairwise_feasible(graph, i, j):
+            return f"pairwise infeasible: {keys[i]} vs {keys[j]}"
+        if short[i] or short[j]:
+            return f"domain emptied: {keys[j] if short[j] else keys[i]}"
     return None
 
 
@@ -190,11 +195,6 @@ def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]], rng: random.Ra
             shuffled.extend(block)
         order = shuffled
     return order
-
-
-def _pad_solution(graph: DiReGraph, solution: Iterable[int]) -> tuple[int, ...]:
-    """Fill a partial solution up to k with the best-ranked unused candidates."""
-    return fill_seats(solution, graph.padding_order, graph.k)
 
 
 @dataclass(frozen=True)
@@ -357,32 +357,34 @@ def heuristic_backtrack(
     ordered = [sorted(domain, key=rank_of.__getitem__) for domain in graph.domains]
     state = _SearchState(graph, held)
     committees: list[tuple[int, ...]] = []
+    found = False  # the outcome of the subtree searched last
 
-    def search(at_root: bool) -> bool:
-        """Whether the subtree holds a solution; leaves the state as it found it."""
+    def search(at_root: bool) -> Iterator[tuple[bool]]:
+        # a node of rules._depth_first: sets found to whether its subtree
+        # holds a solution, and leaves the state as it found it
+        nonlocal found
         if time.monotonic() > deadline:
             raise SolverTimeout("backtracking timed out")
         ties = state.scan()
-        if ties is None:
-            return False
-        if not ties:
-            # every bound met, |chosen| <= k by construction
-            committee = _pad_solution(graph, state.chosen)
+        found = ties is not None
+        if found and not ties:  # every bound met, |chosen| <= k by construction
+            committee = fill_seats(state.chosen, graph.padding_order, graph.k)
             if committee not in committees:  # two root branches can pad to one committee
                 committees.append(committee)
-            return True
+        if not ties:
+            return
         variable = rng.choice(ties) if rng is not None and len(ties) > 1 else ties[0]
         free = state.free_sets[variable]  # every value and its twins lie in D_variable
-        found = False
+        any_found = False
         excluded: list[int] = []
         for cand in ordered[variable]:
             if cand not in free:
                 continue
             state.add(cand)
-            branch_found = search(False)
+            yield (False,)
             state.remove()
-            if branch_found:
-                found = True
+            if found:
+                any_found = True
                 state.unblock(cand)  # cand is in a committee, so later root branches may use it
                 if at_root and len(committees) < config.max_committees:
                     continue
@@ -395,16 +397,12 @@ def heuristic_backtrack(
                     excluded.append(twin)
         for cand in excluded:
             state.unblock(cand)
-        return found
+        found = any_found
 
     try:
-        search(True)
+        _depth_first(search, True)
     except SolverTimeout:
         return FeasibilityResult(tuple(committees), complete=False, timed_out=True)
-    finally:
-        # the recursive closure holds itself through its cell; clearing the
-        # cell frees the search state now instead of at a cycle collection
-        del search
     return FeasibilityResult(tuple(committees), complete=not committees, timed_out=False)
 
 

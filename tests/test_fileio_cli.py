@@ -279,13 +279,13 @@ def test_cli_feasible_notes_a_timeout_after_a_committee(example1_path, monkeypat
     assert TIMED_OUT_NOTE not in capsys.readouterr().err
     # the clock jumps past the budget as soon as the first committee is found
     now = [0.0]
-    pad = solver._pad_solution
+    pad = solver.fill_seats
 
     def pad_then_jump(*args):
         now[0] = 1e9
         return pad(*args)
 
-    monkeypatch.setattr(solver, "_pad_solution", pad_then_jump)
+    monkeypatch.setattr(solver, "fill_seats", pad_then_jump)
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
     assert main(["feasible", str(example1_path)]) == 0
     captured = capsys.readouterr()

@@ -1,9 +1,9 @@
 """Property tests: the feasibility search against the brute-force feasible
 set, its node lookahead against brute force below the node, closed-form
-preprocessing against the reference fixpoint, the scoring kernel against
-the rescoring reference, the branch-and-bound, with and without the
-lookahead, against full enumeration, and the best-unsatisfied-fraction
-search against enumeration.
+preprocessing against the reference fixpoint and the per-pair reduction
+loop, the scoring kernel against the rescoring reference, the
+branch-and-bound, with and without the lookahead, against full
+enumeration, and the best-unsatisfied-fraction search against enumeration.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -38,7 +38,7 @@ from dire.rules import (
     unconstrained_winner,
 )
 from dire.solver import SolverConfig, _SearchState, build_diregraph, preprocess, solve_feasibility
-from test_solver import graph_from_spec, proves_infeasible, reference_preprocess, reference_scan
+from test_solver import graph_from_spec, proves_infeasible, reference_pair_loop, reference_preprocess, reference_scan
 
 
 @st.composite
@@ -180,6 +180,29 @@ def test_preprocess_matches_the_reference_fixpoint(graph):
         assert graph.domains == twin.domains
     else:
         assert proves_infeasible(original, reason)
+
+
+@st.composite
+def loose_graphs(draw):
+    """Constraint graphs over m <= 9 candidates with up to six constraints
+    whose domains may be empty and whose bounds range over 0..k+1, so a
+    bound can exceed its domain or the committee."""
+    m = draw(st.integers(1, 9))
+    k = draw(st.integers(1, m))
+    count = draw(st.integers(0, 6))
+    domains = draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=count, max_size=count))
+    bounds = draw(st.lists(st.integers(0, k + 1), min_size=count, max_size=count))
+    return graph_from_spec(k, m, domains, bounds)
+
+
+@settings(max_examples=500, deadline=None)
+@given(loose_graphs())
+def test_preprocess_gives_the_reasons_of_the_pair_loop_on_any_bounds(graph):
+    twin = dataclasses.replace(graph, domains=list(graph.domains))
+    reason = preprocess(graph)
+    assert reason == reference_pair_loop(twin)
+    if reason is None:
+        assert graph.domains == twin.domains
 
 
 @st.composite

@@ -359,7 +359,8 @@ def test_branch_and_bound_depth_is_not_bounded_by_the_recursion_limit():
     m, k = 302, 300
     rng = random.Random(3)
     rankings = [[301] + rng.sample(range(301), 301), [300] + rng.sample([*range(300), 301], 301)]
-    table = SatisfactionTable(make_profile(m, rankings), betacc())
+    profile = make_profile(m, rankings)
+    table = SatisfactionTable(profile, betacc())
     vector = borda_vector(m)
 
     # Borda-CC: each voter counts its best member, the first one it ranks
@@ -369,13 +370,22 @@ def test_branch_and_bound_depth_is_not_bounded_by_the_recursion_limit():
     # the least member tuple leaves out the greatest pair
     left_out = max(pair for pair, score in scores.items() if score == best)
     expected = tuple(c for c in range(m) if c not in left_out)
+    # an exact Monroe assignment of the two voters to 260 members: the two
+    # earliest in priority order serve one voter each, the others none
+    committee = range(1, 261)
+    pair = sorted(committee, key=profile.priority_key)[:2]
+    sat = [{c: vector[i] for i, c in enumerate(ranking)} for ranking in rankings]
+    monroe_best = max(sat[0][a] + sat[1][b] for a, b in itertools.permutations(pair))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
         assert _certified_max(table, k) == (expected, best)
+        assignment, total = monroe_assign(profile, committee, exact=True)
     finally:
         sys.setrecursionlimit(limit)
     assert expected == (*range(298), 300, 301)
+    assert total == monroe_best == sum(sat[v][c] for v, c in assignment.items())
+    assert sorted(assignment) == [0, 1] and sorted(assignment.values()) == sorted(pair)
 
 
 def _desk_election():

@@ -10,7 +10,7 @@ import pytest
 
 import dire
 from dire import constraints, solver, winner
-from dire.constraints import Attribute, AttributeScheme, holders, make_instance, satisfies
+from dire.constraints import Attribute, AttributeScheme, fill_seats, holders, make_instance, satisfies
 from dire.profiles import make_profile
 from dire.reductions import InputGraph, min_vertex_cover_size, reduce_vc_representation
 from dire.solver import (
@@ -26,7 +26,6 @@ from dire.solver import (
     solve_feasibility,
     SolverTimeout,
     _mfc_order,
-    _pad_solution,
 )
 from dire.synth import gen_syndata
 from conftest import brute_force_feasible_set, random_instance
@@ -404,7 +403,7 @@ def reference_backtrack(graph, config=None, rotation=0, deadline=None):
         return None
 
     found = search(True)
-    return None if found is None else _pad_solution(graph, found)
+    return None if found is None else fill_seats(found, graph.padding_order, graph.k)
 
 
 def reference_exhaustive(graph, config, deadline):
@@ -650,12 +649,22 @@ def test_exhaustive_depth_is_not_bounded_by_the_recursion_limit():
     try:
         full = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
         cut = solve_feasibility(instance, SolverConfig(timeout=60, max_committees=10), exhaustive=True)
+        first = solve_feasibility(instance, SolverConfig(timeout=60, max_committees=1))
+        harvest = solve_feasibility(instance, SolverConfig(timeout=60))
+        reports = [winner.solve_drcwd(instance, SolverConfig(timeout=60), exhaustive=ex) for ex in (False, True)]
     finally:
         sys.setrecursionlimit(limit)
     assert sorted(full.committees) == sorted(tuple(c for c in range(m) if c != out) for out in range(m))
     assert full.complete and not full.timed_out
     assert cut.committees == full.committees[:10]
     assert not cut.complete and not cut.timed_out
+    # every root branch of the default search pads to the committee without
+    # the last candidate in the tie-break order, which also scores best
+    best = tuple(range(m - 1))
+    assert first.committees == harvest.committees == (best,)
+    assert not first.timed_out and not harvest.timed_out
+    assert [(r.status, r.committee.members, r.timed_out) for r in reports] == [
+        (winner.STATUS_HEURISTIC, best, False), (winner.STATUS_OPTIMAL, best, False)]
 
 
 # --- reference preprocessing: the enumerating domain reduction (uncapped)
@@ -732,6 +741,23 @@ def reference_preprocess(graph, deadline=None):
     return None
 
 
+def reference_pair_loop(graph):
+    """Stage one with one :func:`domain_reduce` per pair: narrow every domain
+    to F, then check each pair's overlap and reduce D_i against j, naming
+    the constraint that cannot meet its bound once D_i empties."""
+    full = [d for d, bound in zip(graph.domains, graph.bounds) if bound == graph.k]
+    if full:
+        inside = frozenset.intersection(*full)
+        graph.domains[:] = [d & inside for d in graph.domains]
+    for i, j in itertools.combinations(range(len(graph.domains)), 2):
+        if not pairwise_feasible(graph, i, j):
+            return f"pairwise infeasible: {graph.keys[i]} vs {graph.keys[j]}"
+        if domain_reduce(graph, i, j):
+            short = j if graph.bounds[j] > min(len(graph.domains[j]), graph.k) else i
+            return f"domain emptied: {graph.keys[short]}"
+    return None
+
+
 def random_pair_graph(rng):
     """Two constraints over at most 12 candidates.  Bounds may exceed the
     domain or k, S_j is k in a third of the pairs (the case that narrows
@@ -790,6 +816,18 @@ def test_preprocess_matches_component_split_reference():
             assert graph.domains == twin.domains
             reduced += graph.domains != build_diregraph(instance).domains
     assert min(verdicts.values()) > 20 and reduced > 5, (verdicts, reduced)
+
+
+def test_preprocess_gives_the_reasons_of_the_pair_loop():
+    reasons = {"pairwise infeasible": 0, "domain emptied": 0, None: 0}
+    for instance in preprocess_instances():
+        graph, twin = build_diregraph(instance), build_diregraph(instance)
+        reason = preprocess(graph)
+        assert reason == reference_pair_loop(twin)
+        if reason is None:
+            assert graph.domains == twin.domains
+        reasons[reason and reason.partition(":")[0]] += 1
+    assert min(reasons.values()) > 20, reasons
 
 
 def narrowed(graph):
