@@ -4,10 +4,12 @@ Stage one (preprocessing) proves infeasibility in closed form: every domain
 is narrowed to the intersection of the domains whose bound is k, each
 constraint is checked once for a bound above its domain or k, and each
 unordered pair whose bounds sum above k is checked with a necessary overlap
-condition.  Stage two is depth-first backtracking that repeatedly picks the
-tightest unsatisfied constraint (fewest remaining values per missing seat)
-and tries its candidates in order of how many constraints they touch.  A
-failed branch proves that no feasible committee extends it, so the search
+condition; when no constraint fails the first check and no two bounds sum
+above k, no pair can fail and the pairs are not visited.  Stage two is
+depth-first backtracking that repeatedly picks the tightest unsatisfied
+constraint (fewest remaining values per missing seat) and tries its
+candidates in order of how many constraints they touch.  A failed
+branch proves that no feasible committee extends it, so the search
 excludes that candidate, and every candidate with the same constraint
 signature, from the sibling branches that follow; a seat and availability
 lookahead fails a node as soon as some unmet bound can no longer be reached,
@@ -15,16 +17,19 @@ and a packing bound fails it when unmet constraints with pairwise disjoint
 free domains need more members together than there are seats left.
 A constraint's free domain (its members neither chosen nor excluded) is
 the one record of the search state that the lookahead, the packing bound
-and the value loop all read.  These cuts remove only subtrees without a
-solution, so unseeded runs return exactly the committees of plain
-backtracking.  One search harvests several feasible committees: below the
-root it stops at the first solution, while the root keeps the first
-solution of each of its branches and goes on to the next.  A separate
-exhaustive mode enumerates the complete feasible set for oracle-scale
-instances under the same lookahead, which again cuts only subtrees without
-a committee, so the output is that of the uncut DFS.  Both searches run on
-the explicit stack of :func:`~dire.rules._depth_first`, so a committee of
-any size fits under the recursion limit.
+and the value loop all read, and one pass over the constraints per node
+checks the lookahead and lists the unmet ones for the packing bound.  The
+value order, its ranks and the twin table cover only the candidates that
+some domain holds, as no other candidate is ever a value.  These cuts
+remove only subtrees without a solution, so unseeded runs return exactly
+the committees of plain backtracking.  One search harvests several
+feasible committees: below the root it stops at the first solution, while
+the root keeps the first solution of each of its branches and goes on to
+the next.  A separate exhaustive mode enumerates the complete feasible set
+for oracle-scale instances under the same lookahead, which again cuts only
+subtrees without a committee, so the output is that of the uncut DFS.
+Both searches run on the explicit stack of :func:`~dire.rules._depth_first`,
+so a committee of any size fits under the recursion limit.
 """
 
 from __future__ import annotations
@@ -164,7 +169,10 @@ def preprocess(graph: DiReGraph, deadline: float | None = None) -> str | None:
     each pair in turn fails the overlap test, which can fail only where
     S_i + S_j > k, or names its short constraint, j first.  The F-narrowing
     is the only change to the graph; returns the reason that proves the
-    instance infeasible, or None.
+    instance infeasible, or None.  With no short constraint and no two
+    bounds summing above k, no pair can fail, so None comes back without a
+    pair visited (a vertex-cover reduction, with unit bounds, at k >= 2);
+    otherwise the deadline is checked once per row i of pairs.
     """
     full = [domain for domain, bound in zip(graph.domains, graph.bounds) if bound == graph.k]
     if full:
@@ -172,27 +180,34 @@ def preprocess(graph: DiReGraph, deadline: float | None = None) -> str | None:
         graph.domains[:] = [domain & inside for domain in graph.domains]
     k, bounds, keys = graph.k, graph.bounds, graph.keys
     short = [bound > min(len(domain), k) for domain, bound in zip(graph.domains, bounds)]
-    for i, j in itertools.combinations(range(len(bounds)), 2):
+    if not any(short) and sum(sorted(bounds)[-2:]) <= k:
+        return None  # no pair can fail
+    for i in range(len(bounds)):
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("preprocessing timed out")
-        if bounds[i] + bounds[j] > k and not pairwise_feasible(graph, i, j):
-            return f"pairwise infeasible: {keys[i]} vs {keys[j]}"
-        if short[i] or short[j]:
-            return f"domain emptied: {keys[j] if short[j] else keys[i]}"
+        for j in range(i + 1, len(bounds)):
+            if bounds[i] + bounds[j] > k and not pairwise_feasible(graph, i, j):
+                return f"pairwise infeasible: {keys[i]} vs {keys[j]}"
+            if short[i] or short[j]:
+                return f"domain emptied: {keys[j] if short[j] else keys[i]}"
     return None
 
 
 def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]], rng: random.Random | None) -> list[int]:
-    """Candidates by descending constraint out-degree (most-favorite first)."""
+    """The candidates some domain holds, by descending constraint out-degree
+    (most-favorite first), ties by priority rank."""
     rank = graph.rank
-    order = sorted(range(graph.m), key=lambda c: (-len(held[c]), rank[c]))
+    order = sorted(filter(held.__getitem__, range(graph.m)), key=lambda c: (-len(held[c]), rank[c]))
     if rng is not None:
-        # shuffle within exact-degree ties only
+        # shuffle within exact-degree ties only; the block of candidates no
+        # domain holds is left out but still shuffled, as a shuffle's draws
+        # depend only on its length, so the seeded draws that follow hold
         shuffled: list[int] = []
         for _, group in itertools.groupby(order, key=lambda c: len(held[c])):
             block = list(group)
             rng.shuffle(block)
             shuffled.extend(block)
+        rng.shuffle([None] * (graph.m - len(order)))
         order = shuffled
     return order
 
@@ -234,13 +249,15 @@ class _SearchState:
     def add(self, cand: int) -> None:
         """Choose a free candidate; :meth:`remove` leaves it blocked (excluded)."""
         self.chosen.append(cand)
-        self.block(cand)
+        free_sets, inflow = self.free_sets, self.inflow
         for idx in self.held[cand]:
-            self.inflow[idx] += 1
+            free_sets[idx].discard(cand)
+            inflow[idx] += 1
 
     def remove(self) -> None:
+        inflow = self.inflow
         for idx in self.held[self.chosen.pop()]:
-            self.inflow[idx] -= 1
+            inflow[idx] -= 1
 
     def block(self, cand: int) -> None:
         free_sets = self.free_sets
@@ -257,45 +274,50 @@ class _SearchState:
         seats left or than its domain has free, or when the packing bound
         of :meth:`packs` fails; otherwise the unmet constraints tied for the
         least |D_i| per missing member, in constraint order (none once every
-        bound is met)."""
+        bound is met).  One pass over the constraints checks each unmet one
+        and lists it for :meth:`packs` and the ties."""
         seats = self.k - len(self.chosen)
-        inflow, free_sets, sizes = self.inflow, self.free_sets, self.sizes
-        ties: list[int] = []
-        best_size = best_missing = shortfall = 0
+        inflow, free_sets = self.inflow, self.free_sets
+        unmet: list[tuple[int, int, int]] = []  # (free size, index, missing), in constraint order
+        shortfall = 0
         for idx, bound in enumerate(self.bounds):
             missing = bound - inflow[idx]
-            if missing <= 0:
-                continue
-            if missing > seats or missing > len(free_sets[idx]):
-                return None
-            shortfall += missing
+            if missing > 0:
+                free = len(free_sets[idx])
+                if missing > seats or missing > free:
+                    return None
+                shortfall += missing
+                unmet.append((free, idx, missing))
+        # packing can only fail once the shortfalls together exceed the seats
+        if shortfall > seats and not self.packs(unmet, seats):
+            return None
+        sizes = self.sizes
+        ties: list[int] = []
+        best_size = best_missing = 0
+        for _, idx, missing in unmet:
             size = sizes[idx]  # size / missing compared exactly, by cross-multiplication
             if not ties or size * best_missing < best_size * missing:
                 best_size, best_missing, ties = size, missing, [idx]
             elif size * best_missing == best_size * missing:
                 ties.append(idx)
-        # packing can only fail once the shortfalls together exceed the seats
-        if shortfall > seats and not self.packs(seats):
-            return None
         return ties
 
-    def packs(self, seats: int) -> bool:
+    def packs(self, unmet: list[tuple[int, int, int]], seats: int) -> bool:
         """The packing bound: False when unmet constraints with pairwise
         disjoint free domains need more than ``seats`` members together,
-        as disjoint domains need distinct new members.  Unmet constraints
-        are taken in ascending order of free domain size (ties by
-        constraint order), and each one whose free domain misses those
-        already taken is kept.  On a vertex-cover reduction this is the
-        matching lower bound: uncovered edges with no free endpoint in
-        common."""
-        inflow, free_sets, bounds = self.inflow, self.free_sets, self.bounds
-        unmet = sorted((len(free_sets[idx]), idx) for idx, bound in enumerate(bounds) if bound > inflow[idx])
+        as disjoint domains need distinct new members.  ``unmet`` is the
+        list of (free size, index, missing) that :meth:`scan` built; it is
+        taken in ascending order of free domain size (ties by constraint
+        order), and each constraint whose free domain misses those already
+        taken is kept.  On a vertex-cover reduction this is the matching
+        lower bound: uncovered edges with no free endpoint in common."""
+        free_sets = self.free_sets
         claimed: set[int] = set()
         need = 0
-        for _, idx in unmet:
+        for _, idx, missing in sorted(unmet):
             members = free_sets[idx]
             if claimed.isdisjoint(members):
-                need += bounds[idx] - inflow[idx]
+                need += missing
                 if need > seats:
                     return False
                 claimed |= members
@@ -350,9 +372,10 @@ def heuristic_backtrack(
         deadline = time.monotonic() + config.timeout
     rng = random.Random(config.seed) if config.seed is not None else None
     held = holders(graph.domains, graph.m)
-    rank_of = {c: idx for idx, c in enumerate(_mfc_order(graph, held, rng))}
+    values = _mfc_order(graph, held, rng)  # a candidate no domain holds is never a value
+    rank_of = {c: idx for idx, c in enumerate(values)}
     by_signature: dict[tuple[int, ...], list[int]] = {}
-    for cand in range(graph.m):
+    for cand in values:
         by_signature.setdefault(held[cand], []).append(cand)
     ordered = [sorted(domain, key=rank_of.__getitem__) for domain in graph.domains]
     state = _SearchState(graph, held)
@@ -419,7 +442,9 @@ def _enumerate_exhaustive(
     the output, its order and its truncation are those of the uncut DFS.
     """
     held = holders(graph.domains, graph.m)
+    # every candidate: those no domain holds come last, in rank order
     order = _mfc_order(graph, held, None)
+    order += sorted(itertools.filterfalse(held.__getitem__, range(graph.m)), key=graph.rank.__getitem__)
     state = _SearchState(graph, held)
     results: list[tuple[int, ...]] = []
     truncated = False

@@ -38,7 +38,8 @@ from dire.rules import (
     unconstrained_winner,
 )
 from dire.solver import SolverConfig, _SearchState, build_diregraph, preprocess, solve_feasibility
-from test_solver import graph_from_spec, proves_infeasible, reference_pair_loop, reference_preprocess, reference_scan
+from test_solver import (graph_from_spec, proves_infeasible, reference_lookahead,
+                         reference_pair_loop, reference_preprocess, reference_scan)
 
 
 @st.composite
@@ -151,6 +152,21 @@ def test_lookahead_fails_only_nodes_without_a_committee(node):
             assert any(len(members & domain) < bound for domain, bound in zip(graph.domains, graph.bounds))
     else:
         assert ties == reference_scan(state)
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_nodes())
+def test_lookahead_matches_the_two_pass_reference(node):
+    # the same verdict, None included, and the same ties as the lookahead
+    # that reads every constraint again for its packing pass
+    instance, chosen, blocked = node
+    graph = build_diregraph(instance)
+    state = _SearchState(graph, holders(graph.domains, graph.m))
+    for cand in chosen:
+        state.add(cand)
+    for cand in blocked:
+        state.block(cand)
+    assert state.scan() == reference_lookahead(state)
 
 
 @st.composite
