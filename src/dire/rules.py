@@ -14,10 +14,12 @@ serving l voters takes at most its l best entries, so a committee scores at
 most its members' floor(n/k)-entry sums plus, over those earliest members,
 what their ceil(n/k)-entry sums add; a member after the prefix of a branch
 can be one of them only if fewer than n mod k members of the prefix precede
-it.  Above the cap it is greedy marginal-gain selection: lazy for Borda-CC;
-for Monroe each step bounds every candidate's trial score from above and
-scores exactly only the trials whose bound can still beat the best found
-(see :func:`_greedy_max` for the bound and why it holds).
+it, and one after every member of a shorter prefix in priority order only
+takes one of the places that prefix leaves open.  Above the cap it is
+greedy marginal-gain selection: lazy for Borda-CC; for Monroe each step
+bounds every candidate's trial score from above and scores exactly only
+the trials whose bound can still beat the best found (see
+:func:`_greedy_max` for the bound and why it holds).
 
 Every score is read off a :class:`SatisfactionTable` for one (profile,
 rule vector, voter list): one row per candidate holding
@@ -493,28 +495,28 @@ class _LoadCaps:
     assignment gives ceil(n/k) voters to the e members earliest in priority
     order and floor(n/k) to the others, and a member x serving l voters
     takes at most ``best_sums[x][l]``: ``hi[x]`` at ceil(n/k), ``lo[x]`` at
-    floor(n/k).
+    floor(n/k) (``hi`` is ``lo`` when e = 0).
 
     A prefix P of the search carries a state (cap, early): ``early`` holds
     the priority ranks of P's e earliest members in ascending order, padded
     with m while P has fewer, and cap is the sum over P of ``lo`` plus
     ``hi - lo`` over those members.  A member of P that is not among them
     is not among the e earliest of any completion either, so cap bounds
-    what P's members take in every committee that holds P.
+    what P's members take in every committee that holds P.  The lists of
+    :meth:`children` depend on P only through ``early[-1]`` and the seats
+    left, and are built once per search for each such pair.
     """
 
     def __init__(self, table: SatisfactionTable, k: int):
         n, m, best_sums = len(table.voters), table.profile.m, table.best_sums
+        self.k, self.extra = k, n % k
         self.lo = [sums[n // k] for sums in best_sums]
-        self.extra = n % k
+        self.hi = [sums[n // k + 1] for sums in best_sums] if self.extra else self.lo
         self.root = (0, (m,) * self.extra)
-        if not self.extra:  # every load is n/k: hi is lo, and no sum depends on P
-            self.flat = [(0, self.lo, _top_sums(self.lo, r)) for r in range(k)]
-            return
-        self.hi = [sums[n // k + 1] for sums in best_sums]
         self.rank = table.profile._priority_rank
         # hi - lo by priority rank; rank m, the padding of early, is no member
         self.gaps = [self.hi[x] - self.lo[x] for x in table.profile.priority] + [0]
+        self.lists: dict[int, tuple[list[int], list[int], dict[int, list[int]]]] = {}
 
     def step(self, state: tuple[int, tuple[int, ...]], c: int) -> tuple[int, tuple[int, ...]]:
         """The state of P + c from the state of P, for c after P's ids."""
@@ -523,25 +525,49 @@ class _LoadCaps:
             return cap + self.hi[c] - self.gaps[early[-1]], tuple(sorted((*early[:-1], self.rank[c])))
         return cap + self.lo[c], early
 
-    def children(
-        self, early: tuple[int, ...], start: int, seats: int
-    ) -> tuple[int, Sequence[int], Sequence[int]]:
-        """``(base, own, rest)`` for the children c >= ``start`` of a prefix
-        P in state (cap, ``early``) with ``seats`` seats left: cap + ``own[c
-        - base]`` is the cap of P + c, and ``rest[c - base]`` bounds what
-        the seats - 1 members of a completion from the ids after c add.  A
-        later member y is among the e earliest of such a committee only if
-        fewer than e members of P precede it, that is when it precedes
-        ``early[-1]``, and it then takes at most ``hi[y]``, else
-        ``lo[y]``."""
-        if not self.extra:
-            return self.flat[seats - 1]
-        last, rank, lo, hi = early[-1], self.rank, self.lo, self.hi
-        ids = range(start, len(lo))
-        before = [rank[y] < last for y in ids]
-        most = [hi[y] if b else lo[y] for y, b in zip(ids, before)]
-        drop = self.gaps[last]  # what early[-1] gives back to a child before it
-        return start, [x - drop * b for x, b in zip(most, before)], _top_sums(most, seats - 1)
+    def children(self, early: tuple[int, ...], seats: int) -> tuple[list[int], list[int]]:
+        """``(own, rest)`` by id for the children c of a prefix P in state
+        (cap, ``early``) with ``seats`` seats left: cap + ``own[c]`` is the
+        cap of P + c, and ``rest[c]`` bounds what the seats - 1 members of a
+        completion from the ids after c add.  A later member y is among the
+        e earliest of such a committee only if fewer than e members of P
+        precede it, that is when it precedes ``early[-1]``, and it then
+        takes at most ``hi[y]``, else ``lo[y]``.  ``rest[c]`` reads only the
+        ids after c, so one pair of lists serves every node with the same
+        ``early[-1]`` and seats."""
+        m = len(self.lo)
+        last = early[-1] if early else m
+        if last not in self.lists:
+            if last == m:  # P has fewer than e members, or e = 0: every id takes hi, none drops
+                own = most = self.hi
+            else:
+                rank = self.rank
+                most = [h if r < last else x for h, x, r in zip(self.hi, self.lo, rank)]
+                drop = self.gaps[last]  # what early[-1] gives back to a child before it
+                own = [x - drop if r < last else x for x, r in zip(most, rank)]
+            self.lists[last] = own, most, {}
+        own, most, rests = self.lists[last]
+        rest = rests.get(seats)
+        if rest is None:
+            rest = rests[seats] = _top_sums(most, seats - 1)
+        return own, rest
+
+    def open_slots(self, prefix: Sequence[int], c: int) -> int:
+        """For a prefix P (``prefix``) with fewer than e members and its
+        child c: a second bound on what the members of a completion from
+        the ids after c add.  Every member of P + c is among the e earliest
+        of P + c, which leaves e - |P| - 1 of the ceil(n/k) loads open.  A
+        later member y after every member of P + c in priority order takes
+        one only while one is open, so at most that many such members take
+        more than ``lo[y]``, and each at most ``hi[y] - lo[y]`` more.  A
+        later member before some member of P + c may push that member out
+        of the e earliest; it is credited ``hi[y]`` as in ``rest``."""
+        rank, hi, lo, size = self.rank, self.hi, self.lo, len(prefix)
+        last = max(map(rank.__getitem__, (*prefix, c)))
+        later = range(c + 1, len(lo))
+        most = sorted([hi[y] if rank[y] < last else lo[y] for y in later], reverse=True)
+        gaps = sorted([self.gaps[rank[y]] for y in later if rank[y] > last], reverse=True)
+        return sum(most[:self.k - size - 1]) + sum(gaps[:self.extra - size - 1])
 
 
 def _certified_max(
@@ -587,14 +613,24 @@ def _certified_max(
         those is among the e earliest of P + c, and a member y of R only
         if fewer than e members of P precede it.  No term exceeds hi, the
         ceil(n/k) best entries a member takes at most whatever its load.
-        :class:`_LoadCaps` carries cap and P's e earliest down the branch;
-        with e = 0 the bound is the sum of every member's n/k best entries.
+        While P has fewer than e members, every member of P + c is among
+        the e earliest, so a member y of R after every member of P + c in
+        priority order is among them only while one of the e - |P| - 1
+        other places is open: the r largest over R of hi[y] if y precedes
+        some member of P + c, else lo[y], plus the e - |P| - 1 largest
+        hi - lo over the members of R after all of P + c, bounds what R
+        adds too, and (c) takes the lesser of the two.
+        :class:`_LoadCaps` carries cap and P's e earliest down the branch,
+        and builds the per-child lists once per search; with e = 0 the
+        bound is the sum of every member's n/k best entries.
 
     A greedy balanced assignment gives each voter at most its best member's
     entry, so Monroe scores are bounded by Borda-CC ones and (a) and (b)
     hold for Monroe too.  Leaves cost no table call under k-Borda and
     Borda-CC (their score is the bound (a) with r = 0); Monroe leaves are
-    scored only when every bound passes.
+    scored only when every bound passes.  A Monroe node runs (a)'s pass
+    over the gains of its later ids only once a child passes (c); other
+    nodes run it first.
 
     ``lookahead`` is the feasibility search's state over the instance's
     constraint graph, with nothing chosen or blocked; it restricts the
@@ -619,6 +655,14 @@ def _certified_max(
     best_score, best_members = threshold, ()
     members: list[int] = []
 
+    def gain_pass(start, seats, best):
+        """Bound (a)'s gains of the ids >= ``start`` against the prefix whose
+        per-voter best entries are ``best``, and the sums of the seats - 1
+        largest of those after each."""
+        gains = totals[start:] if kind == KBORDA else \
+            [sum([a - b for a, b in zip(rows[c], best) if a > b]) for c in range(start, m)]
+        return gains, _top_sums(gains, seats - 1)
+
     def search(start, seats, best, score, load):
         """Children of the prefix ``members``, whose per-voter best entries,
         score and Monroe (c) state (else None) are given, with ``seats``
@@ -626,19 +670,26 @@ def _certified_max(
         :func:`_depth_first`."""
         nonlocal best_score, best_members
         _check_deadline(deadline)
-        gains = totals[start:] if kind == KBORDA else \
-            [sum([a - b for a, b in zip(rows[c], best) if a > b]) for c in range(start, m)]
-        after = _top_sums(gains, seats - 1)
-        if kind == MONROE:
+        capped = kind == MONROE  # bound (c) applies
+        if capped:
             cap, early = load
-            base, own, rest = loads.children(early, start, seats)
+            own, rest = loads.children(early, seats)
+            slots_open = len(members) < loads.extra
+            gains = None  # (a)'s pass waits for a child that passes (c)
+        else:
+            gains, after = gain_pass(start, seats, best)
         for c in range(start, m - seats + 1):
             if lookahead is not None:
                 lookahead.block(c)  # chosen now, or passed over: no later child's committee holds it
+            if capped:
+                held = cap + own[c]
+                if held + rest[c] <= best_score or \
+                        slots_open and held + loads.open_slots(members, c) <= best_score:  # (c)
+                    continue
+                if gains is None:
+                    gains, after = gain_pass(start, seats, best)
             gain = gains[c - start]
             if score + gain + after[c - start] <= best_score:  # (a)
-                continue
-            if kind == MONROE and cap + own[c - base] + rest[c - base] <= best_score:  # (c)
                 continue
             # (b) for c bounds every later child too: their pools lie inside c's
             if seats > 1 and kind != KBORDA and \
@@ -652,10 +703,10 @@ def _certified_max(
             if seats > 1:
                 members.append(c)
                 yield (c + 1, seats - 1, [a if a > b else b for a, b in zip(rows[c], best)],
-                       score + gain, loads.step(load, c) if kind == MONROE else None)
+                       score + gain, loads.step(load, c) if capped else None)
                 members.pop()
             else:
-                if kind == MONROE:
+                if capped:
                     _check_deadline(deadline)
                     leaf = table.score((*members, c))
                 else:
@@ -715,6 +766,8 @@ def population_winning_committee(
     ``DEFAULT_ORACLE_CAP`` (the highest score, ties to the lexicographically
     least member tuple), else greedy.
     """
+    if not 1 <= k <= profile.m:
+        raise RuleError(f"committee size {k} out of range [1, {profile.m}]")
     voter_ids = sorted(set(population))
     if not voter_ids:
         raise RuleError("population is empty")

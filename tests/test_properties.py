@@ -310,7 +310,10 @@ def test_monroe_load_bound_holds_below_every_child(election):
     # priority ranks of its e = n mod k earliest members.  For the next
     # member c, cap(P) + own + rest bounds the committee's score, never
     # exceeds the sum of ceil(n/k) best entries that ignores the loads, and
-    # cap(P) + own is the cap of P + c.
+    # cap(P) + own is the cap of P + c.  While P has fewer than e members,
+    # the open-slot term tightens rest: the committee still scores at most
+    # cap(P) + own + min(rest, open slots), which never exceeds the bound
+    # with rest alone.
     profile, rule, voters, k = election
     table = SatisfactionTable(profile, rule, voters)
     loads, m, n, rank = _LoadCaps(table, k), profile.m, len(table.voters), profile._priority_rank
@@ -320,12 +323,14 @@ def test_monroe_load_bound_holds_below_every_child(election):
         state = loads.root
         for i, c in enumerate(committee):
             seats = k - i
-            base, own, rest = loads.children(state[1], committee[i - 1] + 1 if i else 0, seats)
-            bound = state[0] + own[c - base] + rest[c - base]
+            own, rest = loads.children(state[1], seats)
+            bound = state[0] + own[c] + rest[c]
             loose = sum(ceil[x] for x in committee[:i + 1]) + sum(sorted(ceil[c + 1:], reverse=True)[:seats - 1])
             assert score <= bound <= loose
+            if i < n % k:
+                assert score <= state[0] + own[c] + min(rest[c], loads.open_slots(committee[:i], c)) <= bound
             state = loads.step(state, c)
-            assert state[0] == bound - rest[c - base]
+            assert state[0] == bound - rest[c]
             assert state[1] == (*sorted(rank[x] for x in committee[:i + 1]), *[m] * n)[:n % k]
 
 

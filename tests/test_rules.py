@@ -196,11 +196,15 @@ def test_population_single_voter_top_two():
     assert committee.members == (0, 2)
 
 
-def test_population_committee_of_size_zero():
-    # make_instance computes winning committees before it rejects k = 0
+def test_population_committee_size_out_of_range():
+    # k = m + 1 once gave m members under k-Borda and an IndexError under
+    # Borda-CC and Monroe, and k = 0 the empty committee
     profile = make_profile(3, [[2, 0, 1], [1, 2, 0]])
     for rule in (kborda(), betacc(), monroe()):
-        assert population_winning_committee(profile, [0, 1], rule, 0).members == ()
+        for k in (0, 4):
+            with pytest.raises(RuleError, match=rf"committee size {k} out of range \[1, 3\]"):
+                population_winning_committee(profile, [0, 1], rule, k)
+        assert len(population_winning_committee(profile, [0, 1], rule, 3).members) == 3
 
 
 def test_population_empty_rejected(example1):
@@ -423,6 +427,35 @@ def test_monroe_load_bound_prunes_small_populations(voters, monkeypatch):
     calls = _count_scores(monkeypatch)
     assert _certified_max(SatisfactionTable(profile, monroe(), voters), 4) == expected
     assert len(calls) <= 4
+
+
+def _count_nodes(monkeypatch):
+    depth_first, nodes = rules._depth_first, []
+
+    def counted(expand, *root):
+        def node(*args):
+            nodes.append(args)
+            return expand(*args)
+
+        depth_first(node, *root)
+
+    monkeypatch.setattr(rules, "_depth_first", counted)
+    return nodes
+
+
+@pytest.mark.parametrize("voters, limit", [(range(3), 8), (range(7), 32)], ids=["three-voters", "seven-voters"])
+def test_monroe_open_slots_cut_whole_subtrees(voters, limit, monkeypatch):
+    # 3 or 7 voters on 4 seats: the 3 members earliest in priority order
+    # (here, ascending ids) serve a voter more than the last.  Below a prefix
+    # P of fewer than 3 members, a later member y after every member of P + c
+    # takes that voter only while one of the 3 loads is open, so bound (c)
+    # credits at most 3 - |P| - 1 of them; crediting every one (59 and 196
+    # nodes) keeps whole subtrees that this cuts (4 and 16 nodes).
+    profile = _desk_election()
+    expected = ref.table_max(SatisfactionTable(profile, monroe(), voters), 4)
+    nodes = _count_nodes(monkeypatch)
+    assert _certified_max(SatisfactionTable(profile, monroe(), voters), 4) == expected
+    assert len(nodes) <= limit
 
 
 def test_monroe_leaves_keep_to_the_deadline(monkeypatch):
