@@ -10,7 +10,7 @@ committees, synthetic and reduction-based instance generators, and a CLI /
 experiment harness.
 """
 
-from dire.profiles import Committee, PreferenceProfile, break_tie, make_profile, position, validate_profile
+from dire.profiles import Committee, PreferenceProfile, make_profile, position, validate_profile
 from dire.rules import (
     Rule,
     borda_vector,
@@ -27,9 +27,7 @@ from dire.constraints import (
     Attribute,
     AttributeScheme,
     DiReInstance,
-    apportionment_bounds,
     make_instance,
-    necessary_condition_report,
     satisfies,
     unsatisfied_fraction,
 )
@@ -45,10 +43,8 @@ __all__ = [
     "Rule",
     "SolveReport",
     "SolverConfig",
-    "apportionment_bounds",
     "betacc",
     "borda_vector",
-    "break_tie",
     "brute_force_oracle",
     "candidate_score",
     "kborda",
@@ -56,7 +52,6 @@ __all__ = [
     "make_profile",
     "monroe",
     "monroe_assign",
-    "necessary_condition_report",
     "population_winning_committee",
     "position",
     "satisfies",

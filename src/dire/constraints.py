@@ -210,21 +210,17 @@ class DiReInstance:
                     )
         return tuple(out)
 
-    def padding_scores(self) -> tuple[int, ...]:
-        """Each candidate's score under the vector that ranks candidates for
-        padding and picking: the rule's own when it is separable, Borda
-        otherwise.  Computed on the first call, as most solves never pad."""
-        return self._padding[0]
-
     def padding_order(self) -> tuple[int, ...]:
         """Every candidate by descending padding score, ties by priority."""
-        return self._padding[1]
+        return self._padding
 
     @cached_property
-    def _padding(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _padding(self) -> tuple[int, ...]:
+        # the padding score is that of the rule's own vector when it is
+        # separable, Borda otherwise; computed on first use, as most solves
+        # never pad
         vector = self.rule.vector(self.m) if self.rule.separable else borda_vector(self.m)
-        scores = tuple(candidate_scores(self.profile, vector))
-        return scores, tuple(_ranked(scores, self.profile.priority_key))
+        return tuple(_ranked(candidate_scores(self.profile, vector), self.profile.priority_key))
 
 
 def holders(domains: Sequence[Iterable[int]], m: int) -> list[tuple[int, ...]]:
@@ -315,6 +311,8 @@ def _violations(
     members = set(committee)
     if len(members) != instance.k:
         raise InstanceError(f"committee size {len(members)} != k={instance.k}")
+    if not 0 <= min(members) <= max(members) < instance.m:
+        raise InstanceError(f"committee {sorted(members)} has candidate ids outside [0, {instance.m})")
     violations = []
     for constraint in constraints:
         have = len(members & constraint.domain)
@@ -326,63 +324,5 @@ def _violations(
 def unsatisfied_fraction(instance: DiReInstance, committee: Iterable[int]) -> Fraction:
     """Fraction of active constraints a committee violates (0 if there are none)."""
     constraints = instance.constraints()
-    if not constraints:
-        return Fraction(0)
-    return Fraction(len(_violations(instance, constraints, committee)), len(constraints))
-
-
-def apportionment_bounds(instance: DiReInstance, attribute: str) -> dict[str, int]:
-    """Lower-quota representation bounds for one voter attribute.
-
-    Each population gets floor(|P| / n * k).  Populations too small for a
-    single seat violate the model's precondition and raise.
-    """
-    for attr in instance.scheme.voter_attributes:
-        if attr.name == attribute:
-            bounds = {}
-            for label, voters in attr.groups:
-                quota = (len(voters) * instance.k) // instance.n
-                if quota == 0:
-                    raise InstanceError(
-                        f"quota-zero: population {attribute}:{label} has |P|/n < 1/k "
-                        f"({len(voters)}/{instance.n} with k={instance.k})"
-                    )
-                bounds[label] = quota
-            return bounds
-    raise KeyError(f"no voter attribute named {attribute!r}")
-
-
-@dataclass(frozen=True)
-class AttributeCondition:
-    attribute: str
-    bound_sum: int
-    overpacked: bool  # True when the attribute alone proves infeasibility
-
-
-@dataclass(frozen=True)
-class NecessaryConditionReport:
-    """Advisory packing check: within one candidate attribute the groups are
-    disjoint, so their bounds must sum to at most k for any committee to
-    exist.  Does not decide feasibility on its own."""
-
-    per_attribute: tuple[AttributeCondition, ...]
-    total_bound_sum: int
-    mu_times_k: int
-
-    @property
-    def any_overpacked(self) -> bool:
-        return any(cond.overpacked for cond in self.per_attribute)
-
-
-def necessary_condition_report(instance: DiReInstance) -> NecessaryConditionReport:
-    conditions = []
-    for attr in instance.scheme.candidate_attributes:
-        total = sum(instance.diversity_bounds[(attr.name, label)] for label, _ in attr.groups)
-        conditions.append(AttributeCondition(attr.name, total, total > instance.k))
-    grand_total = sum(c.bound for c in instance.constraints())
-    return NecessaryConditionReport(
-        per_attribute=tuple(conditions),
-        total_bound_sum=grand_total,
-        mu_times_k=instance.mu * instance.k,
-    )
-
+    violations = _violations(instance, constraints, committee)
+    return Fraction(len(violations), len(constraints)) if constraints else Fraction(0)

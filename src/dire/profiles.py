@@ -174,13 +174,3 @@ def position(profile: PreferenceProfile, voter: int, candidate: int) -> int:
         raise IndexError(f"candidate id {candidate} out of range for m={profile.m}")
     return profile._positions[voter][candidate]
 
-
-def break_tie(candidates: Iterable[int], priority: Sequence[int]) -> int:
-    """Pick the member of a nonempty candidate set appearing earliest in ``priority``."""
-    pool = set(candidates)
-    if not pool:
-        raise ProfileError("cannot break a tie over an empty candidate set")
-    for cand in priority:
-        if cand in pool:
-            return cand
-    raise ProfileError(f"candidates {sorted(pool)} missing from priority order")

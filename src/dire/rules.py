@@ -238,6 +238,12 @@ def _monroe_loads(n: int, k: int) -> Iterator[int]:
     return itertools.chain(itertools.repeat(base + 1, extra), itertools.repeat(base, k - extra))
 
 
+def _check_candidates(profile: PreferenceProfile, members: Sequence[int]) -> None:
+    """Raise unless every id of the sorted, nonempty ``members`` is in [0, m)."""
+    if not (0 <= members[0] and members[-1] < profile.m):
+        raise RuleError(f"out-of-range candidate ids in {tuple(members)}, expected [0, {profile.m})")
+
+
 def candidate_score(
     profile: PreferenceProfile,
     scoring: Sequence[int],
@@ -249,6 +255,7 @@ def candidate_score(
     ``voters`` restricts the sum to a sub-election (used for population
     winning committees); None means all voters.
     """
+    _check_candidates(profile, [candidate])
     return SatisfactionTable(profile, Rule(KBORDA, scoring), voters).totals[candidate]
 
 
@@ -280,8 +287,7 @@ def score_committee(
     members = tuple(sorted(set(committee)))
     if not members:
         return 0
-    if any(not 0 <= c < profile.m for c in members):
-        raise RuleError(f"committee {members} contains out-of-range candidate ids")
+    _check_candidates(profile, members)
     return SatisfactionTable(profile, rule, voters).score(members)
 
 
@@ -290,56 +296,22 @@ def monroe_assign(
     committee: Iterable[int],
     scoring: Sequence[int] | None = None,
     voters: Iterable[int] | None = None,
-    exact: bool = False,
 ) -> tuple[dict[int, int], int]:
     """Assign voters to committee members in balanced loads and sum satisfaction.
 
-    Each member represents floor(n/k) or ceil(n/k) voters.  The default is
-    a greedy evaluation heuristic: members are visited in tie-break
-    priority order and each claims its load of most-satisfied unassigned
-    voters.  ``exact=True`` searches all balanced assignments for the
-    optimum (exhaustive; intended for oracle-scale elections only).
+    Each member represents floor(n/k) or ceil(n/k) voters.  This is a
+    greedy evaluation heuristic: members are visited in tie-break priority
+    order and each claims its load of most-satisfied unassigned voters.
 
     Returns (voter -> member mapping, total satisfaction).
     """
-    members = sorted(set(committee), key=profile.priority_key)
+    members = sorted(set(committee))
     if not members:
         raise RuleError("cannot assign voters to an empty committee")
+    _check_candidates(profile, members)
     table = SatisfactionTable(profile, Rule(MONROE, scoring), voters)
-    if not exact:
-        owner, total = table.assign(members)
-        return {v: c for v, c in zip(table.voters, owner) if c is not None}, total
-
-    n, k = len(table.voters), len(members)
-    if n > 12:
-        raise RuleError(f"exact Monroe assignment is limited to n <= 12, got n={n}")
-    loads = list(_monroe_loads(n, k))
-    sat = {(v, c): table.rows[c][i] for i, v in enumerate(table.voters) for c in members}
-
-    best_total = -1
-    best: dict[int, int] = {}
-    current: dict[int, int] = {}
-
-    def assign(idx, remaining, total):
-        # a node of _depth_first: members[idx] takes each subset in turn
-        nonlocal best_total, best
-        if idx == k:
-            if total > best_total:
-                best_total = total
-                best = dict(current)
-            return
-        # repeated voter ids count in the loads but are one voter here, so a
-        # member takes what is left when fewer distinct voters remain
-        member, load = members[idx], min(loads[idx], len(remaining))
-        for subset in itertools.combinations(sorted(remaining), load):
-            for v in subset:
-                current[v] = member
-            yield idx + 1, remaining - set(subset), total + sum(sat[(v, member)] for v in subset)
-            for v in subset:
-                del current[v]
-
-    _depth_first(assign, 0, set(table.voters), 0)
-    return best, best_total
+    owner, total = table.assign(members)
+    return {v: c for v, c in zip(table.voters, owner) if c is not None}, total
 
 
 def _check_deadline(deadline: float | None) -> None:

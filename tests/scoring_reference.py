@@ -3,6 +3,8 @@
 The scoring functions rescore from the rankings on each call, exactly as
 the package did before its winner searches and scoring loops read one
 ``SatisfactionTable`` per (profile, rule vector, voter list).
+:func:`exact_monroe_assign` is the exhaustive balanced assignment that
+once sat behind ``monroe_assign(exact=True)``, the oracle for the greedy one.
 
 The special-case solve routes, :func:`mu1_fast_path` (one candidate
 attribute, no voter attributes, separable rule) and :func:`fpt_report`
@@ -19,14 +21,17 @@ from math import comb
 
 from dire.constraints import DiReInstance, InstanceError, fill_seats, holders, satisfies, unsatisfied_fraction
 from dire.experiment import METRIC_ORACLE_CAP
-from dire.profiles import Committee, break_tie
+from dire.profiles import Committee
 from dire.rules import (
     DEFAULT_ORACLE_CAP,
     KBORDA,
     MONROE,
+    Rule,
     RuleError,
     SatisfactionTable,
     _best_of,
+    _depth_first,
+    _monroe_loads,
     borda_vector,
     validate_scoring,
 )
@@ -71,6 +76,46 @@ def monroe_assign(profile, committee, scoring=None, voters=None):
     return assignment, sum(sat[(v, c)] for v, c in assignment.items())
 
 
+def exact_monroe_assign(profile, committee, scoring=None, voters=None):
+    """The optimal balanced assignment, by searching every one: each member
+    represents floor(n/k) or ceil(n/k) voters, the larger loads going to
+    the members earliest in priority order.  Exhaustive, so for small
+    elections only.  Returns (voter -> member mapping, total satisfaction).
+    """
+    members = sorted(set(committee), key=profile.priority_key)
+    if not members:
+        raise RuleError("cannot assign voters to an empty committee")
+    table = SatisfactionTable(profile, Rule(MONROE, scoring), voters)
+    n, k = len(table.voters), len(members)
+    loads = list(_monroe_loads(n, k))
+    sat = {(v, c): table.rows[c][i] for i, v in enumerate(table.voters) for c in members}
+
+    best_total = -1
+    best = {}
+    current = {}
+
+    def assign(idx, remaining, total):
+        # a node of _depth_first: members[idx] takes each subset in turn
+        nonlocal best_total, best
+        if idx == k:
+            if total > best_total:
+                best_total = total
+                best = dict(current)
+            return
+        # repeated voter ids count in the loads but are one voter here, so a
+        # member takes what is left when fewer distinct voters remain
+        member, load = members[idx], min(loads[idx], len(remaining))
+        for subset in itertools.combinations(sorted(remaining), load):
+            for v in subset:
+                current[v] = member
+            yield idx + 1, remaining - set(subset), total + sum(sat[(v, member)] for v in subset)
+            for v in subset:
+                del current[v]
+
+    _depth_first(assign, 0, set(table.voters), 0)
+    return best, best_total
+
+
 def score_committee(profile, rule, committee, voters=None):
     members = tuple(sorted(set(committee)))
     if not members:
@@ -100,7 +145,7 @@ def greedy_max(profile, rule, k, voters=None):
                 best_gain, best_cands = gain, [c]
             elif gain == best_gain:
                 best_cands.append(c)
-        chosen.append(break_tie(best_cands, profile.priority))
+        chosen.append(min(best_cands, key=profile.priority_key))
     return Committee(chosen)
 
 
@@ -226,7 +271,9 @@ def dominated_candidate_pruning(instance: DiReInstance) -> list[int]:
     """
     populations = _population_covers(instance)
     cover = [frozenset(indices) for indices in holders(populations, instance.m)]
-    scores = instance.padding_scores()
+    # the padding vector: the rule's own when it is separable, Borda otherwise
+    vector = instance.rule.vector(instance.m) if instance.rule.separable else borda_vector(instance.m)
+    scores = candidate_scores(instance.profile, vector)
     key = instance.profile.priority_key
 
     def dominates(x: int, y: int) -> bool:

@@ -9,10 +9,8 @@ from dire.constraints import (
     AttributeScheme,
     DiReInstance,
     InstanceError,
-    apportionment_bounds,
     holders,
     make_instance,
-    necessary_condition_report,
     satisfies,
     unsatisfied_fraction,
 )
@@ -55,6 +53,10 @@ def test_unsatisfied_fraction_vacuous():
     profile = make_profile(3, [[0, 1, 2]])
     instance = make_instance(profile, AttributeScheme(), k=2)
     assert unsatisfied_fraction(instance, (0, 1)) == 0
+    # with no constraint to count, the committee is still checked
+    for bad in ((0, 3), (0, 1, 2)):
+        with pytest.raises(InstanceError):
+            unsatisfied_fraction(instance, bad)
 
 
 def test_satisfies_iff_fraction_zero():
@@ -63,51 +65,6 @@ def test_satisfies_iff_fraction_zero():
         for combo in itertools.islice(itertools.combinations(range(instance.m), instance.k), 40):
             ok = satisfies(instance, combo).ok
             assert ok == (unsatisfied_fraction(instance, combo) == 0)
-
-
-def _apportionment_instance(sizes, k):
-    n = sum(sizes)
-    profile = make_profile(12, [list(range(12))] * n)
-    voters = iter(range(n))
-    populations = {f"p{i}": [next(voters) for _ in range(size)] for i, size in enumerate(sizes)}
-    scheme = AttributeScheme(voter_attributes=(Attribute("region", populations),))
-    bounds = {("region", label): 1 for label in populations}
-    return make_instance(profile, scheme, k=k, representation_bounds=bounds)
-
-
-def test_apportionment_formula():
-    instance = _apportionment_instance([60, 40], k=5)
-    assert apportionment_bounds(instance, "region") == {"p0": 3, "p1": 2}
-
-
-def test_apportionment_single_population_gets_k():
-    instance = _apportionment_instance([10], k=3)
-    assert apportionment_bounds(instance, "region") == {"p0": 3}
-
-
-def test_apportionment_even_split():
-    instance = _apportionment_instance([50, 50], k=2)
-    assert apportionment_bounds(instance, "region") == {"p0": 1, "p1": 1}
-
-
-def test_apportionment_quota_zero_rejected():
-    instance = _apportionment_instance([99, 1], k=2)
-    with pytest.raises(InstanceError, match="quota-zero"):
-        apportionment_bounds(instance, "region")
-
-
-def test_apportionment_bounds_within_model_range():
-    rng = random.Random(2)
-    for _ in range(20):
-        parts = [rng.randint(5, 40) for _ in range(rng.randint(1, 4))]
-        n = sum(parts)
-        k = rng.randint(max(1, (n // min(parts)) + 1), 12)  # ensure |P|/n >= 1/k
-        if any(size * k < n for size in parts):
-            continue
-        instance = _apportionment_instance(parts, k=k)
-        bounds = apportionment_bounds(instance, "region")
-        assert all(1 <= b <= k for b in bounds.values())
-        assert sum(bounds.values()) <= k
 
 
 def _packed_instance(bounds, k):
@@ -123,22 +80,15 @@ def _packed_instance(bounds, k):
     )
 
 
-def test_necessary_condition_flags_overpacked():
-    report = necessary_condition_report(_packed_instance((2, 1), k=2))
-    assert report.any_overpacked
-    assert report.per_attribute[0].bound_sum == 3
-
-
-def test_necessary_condition_passes_when_packable():
-    report = necessary_condition_report(_packed_instance((1, 1), k=2))
-    assert not report.any_overpacked
-
-
-def test_necessary_condition_example1(example1):
-    report = necessary_condition_report(example1)
-    assert not report.any_overpacked
-    assert report.mu_times_k == 2
-    assert report.total_bound_sum == 4  # two diversity + two representation bounds
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_committee_ids_outside_the_candidates_rejected(bad):
+    # both bounds met by 0 and 2, so the third id once passed unchecked:
+    # satisfies said ok and the fraction read 0
+    instance = _packed_instance((1, 1), k=3)
+    assert satisfies(instance, [0, 2, 3]).ok
+    for check in (satisfies, unsatisfied_fraction):
+        with pytest.raises(InstanceError, match=r"outside \[0, 4\)"):
+            check(instance, [0, 2, bad])
 
 
 def test_overpacked_attribute_has_no_feasible_committee():

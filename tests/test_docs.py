@@ -1,4 +1,5 @@
-"""The README's runnable claims: its library quick start and its install line."""
+"""The README's runnable claims: its library quick start, its install line
+and the size of the library surface."""
 
 import contextlib
 import io
@@ -6,6 +7,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import dire
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +32,9 @@ def test_test_extra_installs_what_the_suite_imports():
     assert {"pytest", "hypothesis"} <= set(extra)
     assert "pip install -e .[test]    # with pytest and hypothesis" in (ROOT / "README.md").read_text(
         encoding="utf-8")
+
+
+def test_readme_states_the_surface_size():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"`dire.__all__` is the library surface \((\d+) names\)", readme)
+    assert stated and int(stated.group(1)) == len(dire.__all__)

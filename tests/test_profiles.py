@@ -6,7 +6,6 @@ from dire.profiles import (
     Committee,
     PreferenceProfile,
     ProfileError,
-    break_tie,
     make_profile,
     position,
     validate_profile,
@@ -88,28 +87,6 @@ def test_position_is_bijection_per_voter():
         profile = make_profile(m, rankings)
         for v in range(profile.n):
             assert {position(profile, v, c) for c in range(m)} == set(range(1, m + 1))
-
-
-def test_break_tie_examples():
-    assert break_tie({1, 3}, [0, 1, 2, 3]) == 1
-    assert break_tie({2}, [0, 1, 2, 3]) == 2
-    assert break_tie({0, 1, 2}, [2, 0, 1]) == 2
-
-
-def test_break_tie_empty_set():
-    with pytest.raises(ProfileError):
-        break_tie(set(), [0, 1])
-
-
-def test_break_tie_order_insensitive():
-    priority = [3, 1, 4, 0, 2]
-    rng = random.Random(7)
-    for _ in range(20):
-        pool = rng.sample(range(5), rng.randint(1, 5))
-        winner = break_tie(pool, priority)
-        rng.shuffle(pool)
-        assert break_tie(pool, priority) == winner
-        assert break_tie({winner}, priority) == winner  # idempotent
 
 
 def test_single_entry_mutation_flips_verdict():

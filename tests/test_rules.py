@@ -145,7 +145,7 @@ def test_monroe_greedy_at_most_exact():
         profile = make_profile(m, [rng.sample(range(m), m) for _ in range(n)])
         committee = rng.sample(range(m), k)
         _, greedy = monroe_assign(profile, committee)
-        _, exact = monroe_assign(profile, committee, exact=True)
+        _, exact = ref.exact_monroe_assign(profile, committee)
         assert greedy <= exact
 
 
@@ -153,7 +153,7 @@ def test_exact_monroe_assignment_with_repeated_voters():
     # the loads count a repeated voter id, the voters to hand out do not:
     # the exact assignment still finds one and never scores below the greedy
     profile = make_profile(4, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)])
-    assert monroe_assign(profile, [0, 1], voters=[0, 0, 1], exact=True) == ({0: 0, 1: 0}, 5)
+    assert ref.exact_monroe_assign(profile, [0, 1], voters=[0, 0, 1]) == ({0: 0, 1: 0}, 5)
     rng = random.Random(5)
     for _ in range(60):
         m, n = rng.randint(2, 6), rng.randint(1, 5)
@@ -161,27 +161,9 @@ def test_exact_monroe_assignment_with_repeated_voters():
         voters = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
         committee = rng.sample(range(m), rng.randint(1, min(3, m)))
         _, greedy = monroe_assign(profile, committee, voters=voters)
-        assignment, exact = monroe_assign(profile, committee, voters=voters, exact=True)
+        assignment, exact = ref.exact_monroe_assign(profile, committee, voters=voters)
         assert 0 <= greedy <= exact
         assert set(assignment) <= set(voters)
-
-
-def test_exact_monroe_assignment_leaves_no_reference_cycles():
-    profile = make_profile(4, [[0, 1, 2, 3], [1, 0, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]])
-    monroe_assign(profile, (0, 1, 2), exact=True)
-    gc.collect()
-    gc.disable()
-    try:
-        assert monroe_assign(profile, (0, 1, 2), exact=True)[1] > 0
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
-def test_monroe_exact_rejects_large_elections():
-    profile = make_profile(2, [[0, 1]] * 13)
-    with pytest.raises(RuleError):
-        monroe_assign(profile, (0, 1), exact=True)
 
 
 def test_population_winning_committees_example1(example1):
@@ -227,6 +209,22 @@ def test_every_entry_point_rejects_out_of_range_voters(example1, voter):
         with pytest.raises(RuleError, match="out-of-range voter"):
             call([0, voter])
         call([0, 3])  # the ids 0..n-1 are all accepted
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_candidate_entry_points_reject_out_of_range_ids(example1, bad):
+    # example1 has m = 4: -1 once read candidate 3's entries and 4 raised a
+    # bare IndexError
+    profile, vector = example1.profile, borda_vector(example1.m)
+    calls = [
+        lambda c: candidate_score(profile, vector, c),
+        lambda c: score_committee(profile, monroe(), [0, c]),
+        lambda c: monroe_assign(profile, [c, 0], vector),
+    ]
+    for call in calls:
+        with pytest.raises(RuleError, match="out-of-range candidate"):
+            call(bad)
+        call(example1.m - 1)  # the ids 0..m-1 are all accepted
 
 
 def test_unconstrained_winner_example1(example1):
@@ -374,22 +372,13 @@ def test_branch_and_bound_depth_is_not_bounded_by_the_recursion_limit():
     # the least member tuple leaves out the greatest pair
     left_out = max(pair for pair, score in scores.items() if score == best)
     expected = tuple(c for c in range(m) if c not in left_out)
-    # an exact Monroe assignment of the two voters to 260 members: the two
-    # earliest in priority order serve one voter each, the others none
-    committee = range(1, 261)
-    pair = sorted(committee, key=profile.priority_key)[:2]
-    sat = [{c: vector[i] for i, c in enumerate(ranking)} for ranking in rankings]
-    monroe_best = max(sat[0][a] + sat[1][b] for a, b in itertools.permutations(pair))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
         assert _certified_max(table, k) == (expected, best)
-        assignment, total = monroe_assign(profile, committee, exact=True)
     finally:
         sys.setrecursionlimit(limit)
     assert expected == (*range(298), 300, 301)
-    assert total == monroe_best == sum(sat[v][c] for v, c in assignment.items())
-    assert sorted(assignment) == [0, 1] and sorted(assignment.values()) == sorted(pair)
 
 
 def _desk_election():

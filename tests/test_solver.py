@@ -310,10 +310,9 @@ def test_config_validation():
 def test_public_surface_resolves():
     assert sorted(dire.__all__) == [
         "Attribute", "AttributeScheme", "Committee", "DiReInstance", "PreferenceProfile",
-        "Rule", "SolveReport", "SolverConfig", "apportionment_bounds", "betacc",
-        "borda_vector", "break_tie", "brute_force_oracle", "candidate_score",
-        "kborda", "make_instance", "make_profile", "monroe",
-        "monroe_assign", "necessary_condition_report",
+        "Rule", "SolveReport", "SolverConfig", "betacc",
+        "borda_vector", "brute_force_oracle", "candidate_score",
+        "kborda", "make_instance", "make_profile", "monroe", "monroe_assign",
         "population_winning_committee", "position", "satisfies", "score_committee",
         "solve_drcwd", "solve_feasibility", "unconstrained_winner",
         "unsatisfied_fraction", "validate_profile",
