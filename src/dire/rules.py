@@ -6,8 +6,10 @@ balanced-assignment Monroe score is not submodular in the committee, as
 every member's load shrinks when the committee grows.  Winner
 determination for both is certified optimal up to the exhaustive-search
 cap, by a branch-and-bound that returns what scoring every committee
-would, ties included (see :func:`_certified_max` for its three bounds and
-why they keep the tie-break).  Monroe's bound is load-aware: the greedy
+would, ties included (see :func:`_certified_max` for its four bounds and
+why they keep the tie-break).  Borda-CC's own bound is a Lagrangian
+relaxation that prices each voter at its second-best entry among the ids
+still to come.  Monroe's bound is load-aware: the greedy
 balanced assignment gives ceil(n/k) voters only to the n mod k members
 earliest in priority order and floor(n/k) to the others, and a member
 serving l voters takes at most its l best entries, so a committee scores at
@@ -542,6 +544,56 @@ class _LoadCaps:
         return sum(most[:self.k - size - 1]) + sum(gaps[:self.extra - size - 1])
 
 
+def _suffix_maxima(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """``suffix[c][i]``, for c in 0..m: voter i's best entry among the ids
+    >= c (0 past the last id)."""
+    suffix = [[0] * n] * (len(rows) + 1)
+    for c in range(len(rows) - 1, -1, -1):
+        suffix[c] = [a if a > b else b for a, b in zip(rows[c], suffix[c + 1])]
+    return suffix
+
+
+class _Prices:
+    """Bound (L) of :func:`_certified_max` for Borda-CC.  ``second[c][i]``
+    is voter i's second-best entry among the ids >= c, a tie with the best
+    counting twice, ``holder[c][i]`` an id >= c that holds its best entry
+    ``suffix[c][i]``, and ``floor[c]`` the sum of ``second[c]``, which
+    Sigma u never falls below at a node whose children start at c; all
+    are built once per search."""
+
+    def __init__(self, rows: Sequence[Sequence[int]], suffix: list[list[int]]):
+        m = len(rows)
+        second, holder = suffix[:], [[m] * len(suffix[m])] * (m + 1)
+        self.suffix, self.second, self.holder = suffix, second, holder
+        for c in range(m - 1, -1, -1):
+            row, above = rows[c], suffix[c + 1]
+            second[c] = [b if a >= b else a if a > s else s for a, b, s in zip(row, above, second[c + 1])]
+            holder[c] = [c if a >= b else x for a, b, x in zip(row, above, holder[c + 1])]
+        self.floor = list(map(sum, second))
+
+    def bound(
+        self, best: Sequence[int], start: int, seats: int, incumbent: float
+    ) -> tuple[int, list[int], list[int]] | None:
+        """At a node whose prefix gives voter i ``best[i]``, with ``seats``
+        seats left to fill from the ids >= ``start``, and the prices
+        u_i = max(best[i], second[start][i]): (Sigma u, g(u) by id from
+        ``start``, the sums of the seats - 1 largest g(u) after each), or
+        None when Sigma u >= ``incumbent``, as (L) then cuts no child.
+        Only voter i's best id from ``start`` can hold an entry above u_i,
+        so g(u) takes one pass over the voters."""
+        if self.floor[start] >= incumbent:
+            return None
+        prices = [b if b > s else s for b, s in zip(best, self.second[start])]
+        base = sum(prices)
+        if base >= incumbent:
+            return None
+        excess = [0] * (len(self.suffix) - 1 - start)
+        for value, price, x in zip(self.suffix[start], prices, self.holder[start]):
+            if value > price:
+                excess[x - start] += value - price
+        return base, excess, _top_sums(excess, seats - 1)
+
+
 def _certified_max(
     table: SatisfactionTable,
     k: int,
@@ -595,14 +647,36 @@ def _certified_max(
         :class:`_LoadCaps` carries cap and P's e earliest down the branch,
         and builds the per-child lists once per search; with e = 0 the
         bound is the sum of every member's n/k best entries.
+    (L) Borda-CC, the Lagrangian relaxation of facility location
+        (Cornuejols, Fisher & Nemhauser 1977): with multipliers u_v >=
+        best_v, voter v's best entry among P, and g_x(u) the sum over
+        voters of max(0, w_vx - u_v), Sigma u + g_c(u) + the r largest
+        g(u) over R.  A completion gives voter v max(best_v, w_vx over
+        its new members x) <= u_v + the sum over them of max(0, w_vx - u_v).
+        u = best gives (a), and u = the suffix maxima from c gives (b).
+        The search takes u_v = max(best_v, second_v), with second_v v's
+        second best entry among the ids >= P's next id (a tie with the
+        best counting twice), read off a second suffix table: only v's
+        best id there then has w_vx > u_v, so g(u) costs one pass over the
+        voters instead of one over every (voter, later id) pair.
 
     A greedy balanced assignment gives each voter at most its best member's
     entry, so Monroe scores are bounded by Borda-CC ones and (a) and (b)
     hold for Monroe too.  Leaves cost no table call under k-Borda and
     Borda-CC (their score is the bound (a) with r = 0); Monroe leaves are
     scored only when every bound passes.  A Monroe node runs (a)'s pass
-    over the gains of its later ids only once a child passes (c); other
-    nodes run it first.
+    over the gains of its later ids only once a child passes (c), and a
+    Borda-CC node with seats left after its children only once a child
+    passes (L); (L) is skipped when Sigma u reaches the incumbent, as it
+    then cuts no child.  Other nodes run (a)'s pass first.  (L) costs one
+    pass over the voters and (a) one over every (voter, later id) pair,
+    hence the order.  Single runs on a 2-core VM: this order took 0.11 s
+    for the exhaustive Borda-CC solve of syn1 mu=1 pi=0 seed 9 at paper
+    scale and 9.8 s for the uncapped Borda-CC winner of syn2 phi 1.0
+    seed 0; (L) in place of (a) at nodes of three or more seats took 0.24
+    and 9.7 s, (L) first at the parents of leaves too 0.12 and 11.1 s, and
+    (L) in place of (a) at every node with seats left after its children
+    0.04 and 14.2 s.
 
     ``lookahead`` is the feasibility search's state over the instance's
     constraint graph, with nothing chosen or blocked; it restricts the
@@ -617,9 +691,10 @@ def _certified_max(
     if not k:
         return (), 0
     n = len(table.voters)
-    suffix = [[0] * n] * (m + 1)  # suffix[c][i]: the best entry of voter i among ids >= c
-    for c in range(m - 1, -1, -1):
-        suffix[c] = [a if a > b else b for a, b in zip(rows[c], suffix[c + 1])]
+    if kind != KBORDA:
+        suffix = _suffix_maxima(rows, n)
+    if kind == BETACC:
+        prices = _Prices(rows, suffix)
     if kind == MONROE:
         loads = _LoadCaps(table, k)
     if threshold is None:
@@ -643,11 +718,14 @@ def _certified_max(
         nonlocal best_score, best_members
         _check_deadline(deadline)
         capped = kind == MONROE  # bound (c) applies
+        priced = kind == BETACC and seats > 1 and prices.bound(best, start, seats, best_score)  # (L)
+        gains = None  # (a)'s pass waits for a child that passes (c) or (L)
         if capped:
             cap, early = load
             own, rest = loads.children(early, seats)
             slots_open = len(members) < loads.extra
-            gains = None  # (a)'s pass waits for a child that passes (c)
+        elif priced:
+            base, excess, ahead = priced
         else:
             gains, after = gain_pass(start, seats, best)
         for c in range(start, m - seats + 1):
@@ -658,8 +736,10 @@ def _certified_max(
                 if held + rest[c] <= best_score or \
                         slots_open and held + loads.open_slots(members, c) <= best_score:  # (c)
                     continue
-                if gains is None:
-                    gains, after = gain_pass(start, seats, best)
+            elif priced and base + excess[c - start] + ahead[c - start] <= best_score:  # (L)
+                continue
+            if gains is None:
+                gains, after = gain_pass(start, seats, best)
             gain = gains[c - start]
             if score + gain + after[c - start] <= best_score:  # (a)
                 continue

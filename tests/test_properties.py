@@ -26,11 +26,13 @@ from dire.rules import (
     Rule,
     SatisfactionTable,
     _LoadCaps,
+    _Prices,
     _best_of,
     _certified_max,
     _greedy_max,
     _monroe_baselines,
     _monroe_loads,
+    _suffix_maxima,
     _winner,
     borda_vector,
     population_winning_committee,
@@ -332,6 +334,47 @@ def test_monroe_load_bound_holds_below_every_child(election):
             state = loads.step(state, c)
             assert state[0] == bound - rest[c]
             assert state[1] == (*sorted(rank[x] for x in committee[:i + 1]), *[m] * n)[:n % k]
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_elections(["betacc"]), st.data())
+def test_betacc_price_bound_holds_below_every_child(election, data):
+    # Bound (L) of the branch-and-bound, at a prefix P of a drawn committee
+    # and its next member c, with the seats left and the ids >= start still
+    # to come: for prices u with u_v >= best_v, voter v's best entry among P,
+    # every completion of P + c scores at most Sigma u + g_c(u) + the
+    # seats - 1 largest g(u) over the ids after c, where g_x(u) is the sum
+    # over voters of max(0, w_vx - u_v).  Drawn prices and the search's own,
+    # u_v = max(best_v, v's second-best entry among the ids >= start), both
+    # hold; the search's tables and its one-pass g(u) match the formula.
+    profile, rule, voters, k = election
+    table = SatisfactionTable(profile, rule, voters)
+    rows, m, n = table.rows, profile.m, len(table.voters)
+    committee = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=k, max_size=k)))
+    i = data.draw(st.integers(0, k - 1))
+    prefix, c, seats = committee[:i], committee[i], k - i
+    start = prefix[-1] + 1 if prefix else 0
+    best = [max([rows[x][v] for x in prefix], default=0) for v in range(n)]
+    ranked = [sorted([rows[x][v] for x in range(start, m)], reverse=True) + [0] for v in range(n)]
+    own = [max(b, entries[1]) for b, entries in zip(best, ranked)]
+    drawn = [b + extra for b, extra in zip(best, data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))]
+
+    def excess(u):
+        return [sum(max(0, w - p) for w, p in zip(rows[x], u)) for x in range(m)]
+
+    def bound(u):
+        g = excess(u)
+        return sum(u) + g[c] + sum(sorted(g[c + 1:], reverse=True)[:seats - 1])
+
+    top = max(table.score((*prefix, c, *rest)) for rest in itertools.combinations(range(c + 1, m), seats - 1))
+    for u in (best, drawn, own):
+        assert top <= bound(u)
+    prices = _Prices(rows, _suffix_maxima(rows, n))
+    assert prices.second[start] == [entries[1] for entries in ranked]
+    base, g, ahead = prices.bound(best, start, seats, float("inf"))
+    assert (base, g) == (sum(own), excess(own)[start:])
+    assert base + g[c - start] + ahead[c - start] == bound(own)
+    assert prices.bound(best, start, seats, base) is None
 
 
 @settings(max_examples=400, deadline=None)

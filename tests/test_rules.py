@@ -292,8 +292,11 @@ def test_ties_at_the_optimum_go_to_the_least_member_tuple(rule):
 
 
 def _search_election():
-    rng = random.Random(7)
-    return make_profile(10, [rng.sample(range(10), 10) for _ in range(8)])
+    # a search that reads the clock more than 12 times after the greedy seed
+    # of a 4-committee under both rules (50 times under Borda-CC, 137 under
+    # Monroe), so that the deadline tests below stop it inside the search
+    rng = random.Random(3)
+    return make_profile(12, [rng.sample(range(12), 12) for _ in range(8)])
 
 
 class _CountingClock:
@@ -445,6 +448,20 @@ def test_monroe_open_slots_cut_whole_subtrees(voters, limit, monkeypatch):
     nodes = _count_nodes(monkeypatch)
     assert _certified_max(SatisfactionTable(profile, monroe(), voters), 4) == expected
     assert len(nodes) <= limit
+
+
+@pytest.mark.parametrize("voters, count", [(range(3), 4), (range(7), 25), (None, 62)],
+                         ids=["three-voters", "seven-voters", "all-voters"])
+def test_betacc_prices_cut_whole_subtrees(voters, count, monkeypatch):
+    # Bound (L) prices each voter at its second-best entry among the ids
+    # still to come, so a prefix whose seats left cannot give the remaining
+    # voters their best is cut before (a)'s gain pass runs.  Bounds (a) and
+    # (b) alone visit 14, 157 and 98 nodes.
+    profile = _desk_election()
+    expected = ref.table_max(SatisfactionTable(profile, betacc(), voters), 4)
+    nodes = _count_nodes(monkeypatch)
+    assert _certified_max(SatisfactionTable(profile, betacc(), voters), 4) == expected
+    assert len(nodes) == count
 
 
 def test_monroe_leaves_keep_to_the_deadline(monkeypatch):
