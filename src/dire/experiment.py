@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import neg
 from pathlib import Path
 
 from dire.constraints import DiReInstance, holders, make_instance, unsatisfied_fraction
@@ -131,17 +132,22 @@ def best_unsatisfied_fraction(instance: DiReInstance, found) -> tuple[Fraction, 
 
     # Adding c lowers the total shortfall by the number of constraints that
     # hold c and are still short, so each step takes the candidate that
-    # helps the most of them, ties by priority.
+    # helps the most of them, ties by priority.  ``helps[c]`` keeps that
+    # count, and a chosen candidate's is -1, below every other.
     short = [con.bound for con in constraints]
     holds = holders([con.domain for con in constraints], instance.m)
-    chosen: set[int] = set()
+    helps = list(map(len, holds))  # every active constraint starts short
+    profile, chosen = instance.profile, []
     while len(chosen) < instance.k:
-        pick = min((c for c in range(instance.m) if c not in chosen),
-                   key=lambda c: (-sum(short[i] > 0 for i in holds[c]), instance.profile.priority_key(c)))
-        chosen.add(pick)
+        pick = profile.priority[min(zip(map(neg, helps), profile._priority_rank))[1]]
+        chosen.append(pick)
+        helps[pick] = -1
         for i in holds[pick]:
             if short[i]:
                 short[i] -= 1
+                if not short[i]:  # met: it no longer helps the candidates it holds
+                    for c in constraints[i].domain:
+                        helps[c] -= 1
     return unsatisfied_fraction(instance, chosen), True
 
 

@@ -18,10 +18,13 @@ what their ceil(n/k)-entry sums add; a member after the prefix of a branch
 can be one of them only if fewer than n mod k members of the prefix precede
 it, and one after every member of a shorter prefix in priority order only
 takes one of the places that prefix leaves open.  Above the cap it is
-greedy marginal-gain selection: lazy for Borda-CC; for Monroe each step
-bounds every candidate's trial score from above and scores exactly only
-the trials whose bound can still beat the best found (see
-:func:`_greedy_max` for the bound and why it holds).
+greedy marginal-gain selection, each step paying for what it changes:
+Borda-CC keeps every candidate's exact gain by voter and, after a pick,
+walks only the voters whose best entry rose, down to their old best (see
+:func:`_greedy_cc`); Monroe bounds every candidate's trial score from
+above, off two claim runs per step, and scores exactly only the trials
+whose bound can still beat the best found (see :func:`_greedy_monroe`
+for the bound and why it holds).
 
 Every score is read off a :class:`SatisfactionTable` for one (profile,
 rule vector, voter list): one row per candidate holding
@@ -48,6 +51,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, inf
+from operator import neg
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from dire.profiles import Committee, PreferenceProfile
@@ -145,14 +149,17 @@ class SatisfactionTable:
     counts once per occurrence in the sums and once in a Monroe
     assignment.  ``rows[c][i]`` is the vector entry at candidate c's
     position for the i-th voter, a tuple read off the profile's matrix
-    for the vector (the rows of ``voters``, transposed), and ``totals[c]``
-    the row sum.  The rule's vector and the voter ids are validated once,
-    here, for every entry point that scores.  ``score`` takes distinct
-    candidate ids in any order and trusts them to be in range.
+    for the vector (the rows of ``voters``, transposed), ``totals[c]``
+    the row sum and ``vector`` the rule's vector for the profile, which
+    greedy Borda-CC walks along the rankings of the voters.  The rule's
+    vector and the voter ids are validated once, here, for every entry
+    point that scores.  ``score`` takes distinct candidate ids in any
+    order and trusts them to be in range.
     """
 
     def __init__(self, profile: PreferenceProfile, rule: Rule, voters: Iterable[int] | None = None):
-        full = profile.satisfaction(rule.vector(profile.m))
+        self.vector = rule.vector(profile.m)
+        full = profile.satisfaction(self.vector)
         self.profile = profile
         self.kind = rule.kind
         self.voters = list(range(profile.n)) if voters is None else sorted(voters)
@@ -182,12 +189,17 @@ class SatisfactionTable:
     def best_sums(self) -> list[list[int]]:
         """Monroe: ``best_sums[c][l]``, for l in 0..n, is the sum of
         candidate c's l largest entries over distinct voters, the most a
-        member c serving l voters can take."""
-        unique, repeats = self.unique, [0] * (len(self.voters) - len(self.unique))
-        return [list(itertools.accumulate(
-                    [*sorted(map(row.__getitem__, unique) if repeats else row, reverse=True), *repeats],
-                    initial=0))
-                for row in self.rows]
+        member c serving l voters can take.  A table of every voter, each
+        once, reads the profile's sums for its vector."""
+        if len(self.voters) == len(self.unique) == self.profile.n:
+            return self.profile.best_sums(self.vector)
+        return list(map(self._sums, range(self.profile.m)))
+
+    def _sums(self, c: int) -> list[int]:
+        """Monroe: row c of :attr:`best_sums`, sorted afresh."""
+        row, unique, repeats = self.rows[c], self.unique, [0] * (len(self.voters) - len(self.unique))
+        return list(itertools.accumulate(
+            [*sorted(map(row.__getitem__, unique) if repeats else row, reverse=True), *repeats], initial=0))
 
     def score(self, members: Sequence[int]) -> int:
         """The rule's score of a committee; the empty committee scores 0."""
@@ -321,90 +333,141 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolverTimeout("winner search timed out")
 
 
-def _monroe_baselines(
-    table: SatisfactionTable, members: Sequence[int], loads: Sequence[int]
-) -> list[tuple[list[int | None], int, int]]:
-    """For t in 0..len(members), with ``members`` in priority order and
-    ``loads`` those of one member more: the assignment P_t of members[:t]
-    at loads[:t], its total, and the baseline B_t, that total plus what
-    members[t:] then claim at loads[t + 1:]."""
-    starts, owner, total = [], [None] * len(table.voters), 0
-    for t in range(len(members) + 1):
-        if t:
-            total = table._claim(owner, total, members[t - 1:t], loads[t - 1:t])
-        starts.append((owner[:], total, table._claim(owner[:], total, members[t:], loads[t + 1:])))
-    return starts
-
-
 def _greedy_max(table: SatisfactionTable, k: int, deadline: float | None = None) -> Committee:
     """Greedy Borda-CC or Monroe committee: k times, add the candidate of
     largest marginal gain, ties to the earliest in priority order.  Raises
-    :class:`SolverTimeout` once ``deadline`` has passed.
+    :class:`SolverTimeout` once ``deadline`` has passed.  Each step pays
+    only for what it changes; see :func:`_greedy_cc` and
+    :func:`_greedy_monroe`."""
+    picks = (_greedy_monroe if table.kind == MONROE else _greedy_cc)(table, k, deadline)
+    return Committee(picks)
 
-    Each step evaluates only what it changes.  Borda-CC is monotone
-    submodular, so a gain found at an earlier step bounds the gain now:
-    candidates wait in a heap under their last gain, and only the top is
-    recomputed, against each voter's best entry so far, until a fresh gain
-    stays on top (lazy greedy; Minoux 1978).  The greedy balanced Monroe
-    score is not submodular, because the loads shrink as the committee
-    grows, so each step bounds every candidate afresh instead.  With M the
-    members so far in priority order, L the loads of |M| + 1 members, and
-    t the number of members before candidate c in priority order, the
-    trial M + c resumes from the assignment P_t of M[:t] at L[:t]: c claims
-    L[t] voters, then M[t:] claim L[t + 1:].  The baseline B_t lets M[t:]
-    claim L[t + 1:] from P_t without c.  c takes at most its L[t] largest
-    entries, and the voters it takes only shrink the free set every later
-    member picks from, so by induction each later member's free set lies
-    inside its baseline one and its i-th pick is worth no more than there.
-    Hence score(M + c) <= B_t + (the sum of c's L[t] largest entries).
-    Candidates are tried exactly in ascending (-bound, priority rank) until
-    that key passes the best (-score, priority rank) found, which then no
-    later candidate can beat: the pick is that of scoring every candidate.
-    """
-    rank, priority, n = table.profile._priority_rank, table.profile.priority, len(table.voters)
 
-    def monroe_pick(members):
-        """The candidate c outside ``members`` (in priority order) whose
-        trial members + [c] scores highest, ties to the earliest in
-        priority order."""
-        loads = list(_monroe_loads(n, len(members) + 1))
-        starts = _monroe_baselines(table, members, loads)
-        chosen, best_sums, bounds, t = set(members), table.best_sums, [], 0
-        for r, c in enumerate(priority):
-            if c in chosen:
-                t += 1
-                continue
-            _check_deadline(deadline)
-            bounds.append((-starts[t][2] - best_sums[c][loads[t]], r, c, t))
-        top = (inf,)  # (-score, priority rank, c) of the best trial so far
-        for bound, r, c, t in sorted(bounds):
-            if (bound, r) > top:
-                break
-            _check_deadline(deadline)
-            owner, total, _ = starts[t]
-            top = min(top, (-table._claim(owner[:], total, (c, *members[t:]), loads[t:]), r, c))
-        return top[2]
-
-    members: list[int] = []  # the committee so far, in priority order
-    if table.kind != MONROE:
-        heap = [(-gain, rank[c], c) for c, gain in enumerate(table.totals)]  # the gains of step 1
-        heapq.heapify(heap)
-        best = [0] * n  # each voter's best entry among the members
-    for _ in range(k):
-        if table.kind == MONROE:
-            pick = monroe_pick(members)
-        else:
-            while True:
+def _greedy_cc(table: SatisfactionTable, k: int, deadline: float | None) -> list[int]:
+    """The greedy Borda-CC picks, with every candidate's exact gain kept by
+    voter.  Step 1's gains are the row totals.  Once a voter's best member
+    sits at position d of its ranking with entry a, the candidate at each
+    position above d gains e - a from that voter, e its entry there, and
+    no other candidate gains anything (the vector is nonincreasing).  So
+    after step 1 the gains are rebuilt by walking each ranking down to the
+    first member.  A later member raises a voter's best entry from b to a
+    only when it sits above the voter's old best, and then each candidate
+    above the old best, with entry e >= b, loses min(e, a) - b: only those
+    voters are walked, and only down to the old best.  A member holds gain
+    -1, below every other candidate's (a walk passes an earlier member
+    only where its entry equals the voter's old best, and takes 0 from
+    it), so the pick is the least (-gain, priority rank)."""
+    profile, rows, vector = table.profile, table.rows, table.vector
+    rank, priority = profile._priority_rank, profile.priority
+    rankings = list(map(profile.rankings.__getitem__, table.voters))
+    # depth[i]: the position in voter i's ranking of a member with its best entry
+    gains, depth, picks = table.totals[:], None, []
+    for step in range(k):
+        _check_deadline(deadline)
+        pick = priority[min(zip(map(neg, gains), rank))[1]]
+        picks.append(pick)
+        if step == k - 1:
+            break
+        row = rows[pick]
+        if depth is None:
+            gains, depth = [0] * len(gains), []
+            for ranking, a in zip(rankings, row):
                 _check_deadline(deadline)
-                _, r, pick = heapq.heappop(heap)
-                row = table.rows[pick]
-                fresh = (-sum([a - b for a, b in zip(row, best) if a > b]), r, pick)
-                if not heap or fresh <= heap[0]:
-                    break
-                heapq.heappush(heap, fresh)
-            best = [a if a > b else b for a, b in zip(row, best)]
-        bisect.insort(members, pick, key=rank.__getitem__)
-    return Committee(members)
+                d = ranking.index(pick)
+                depth.append(d)
+                for c, e in zip(ranking[:d], vector):
+                    gains[c] += e - a
+        else:
+            for i, (ranking, a) in enumerate(zip(rankings, row)):
+                d = depth[i]
+                b = vector[d]
+                if a > b:
+                    _check_deadline(deadline)
+                    for c, e in zip(ranking[:d], vector):
+                        gains[c] -= (e if e < a else a) - b
+                    depth[i] = ranking.index(pick)
+        gains[pick] = -1
+    return picks
+
+
+def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> list[int]:
+    """The greedy Monroe picks.  The greedy balanced Monroe score is not
+    submodular, because the loads shrink as the committee grows, so each
+    step bounds every candidate's trial afresh and scores exactly only the
+    trials whose bound can still beat the best found.
+
+    With M the members so far in priority order (s of them), L the loads of
+    s + 1 members and t the number of members before candidate c in
+    priority order, the trial M + c resumes from the assignment P_t of
+    M[:t] at L[:t]: c claims L[t] voters, then M[t:] claim L[t + 1:].  The
+    baseline B_t lets M[t:] claim L[t + 1:] from P_t without c.  c takes at
+    most its L[t] largest entries over distinct voters, and the voters it
+    takes only shrink the free set every later member picks from, so by
+    induction each later member's free set lies inside its baseline one and
+    its i-th pick is worth no more than there.  Hence score(M + c) <= B_t +
+    (the sum of c's L[t] largest entries).  With e = n mod (s + 1), M
+    claims L with one ceil load left out in B_t for every t < e, and L with
+    one floor load left out for every t >= e, so two claim runs give every
+    B_t and every P_t, the state after the first t claims of its run.
+
+    The sum of c's largest entries is read first off the profile's sums
+    over every voter, which bound a population's, and c's
+    own row is sorted only when that bound does not already lose; a table
+    whose :attr:`~SatisfactionTable.best_sums` exists, or that holds every
+    voter once, has the exact sums at once.  Candidates leave a heap of
+    (-bound, priority rank), the looser bound replaced by the exact one on
+    reaching the top, and are tried exactly until that key passes the best
+    (-score, priority rank) found, which then no other candidate can beat:
+    the pick is that of scoring every candidate."""
+    profile, n = table.profile, len(table.voters)
+    rank, priority = profile._priority_rank, profile.priority
+    # by priority rank: the sums of each candidate's largest entries, and
+    # whether they are its own; cached_property keeps best_sums in vars()
+    known = vars(table).get("best_sums")
+    if known is None and len(table.voters) == len(table.unique) == profile.n:
+        known = table.best_sums
+    by_rank = list(map((known or profile.best_sums(table.vector)).__getitem__, priority))
+    own = [known is not None] * profile.m
+    members: list[int] = []  # the committee so far, in priority order
+    for s in range(k):
+        base, extra = divmod(n, s + 1)
+        loads = list(_monroe_loads(n, s + 1))
+        # P_t for every t, and B_t off two runs: for t < extra, L without
+        # its last ceil load; for t >= extra, L without its first floor load
+        starts, totals = [], []
+        for skip, stop in ((extra - 1, extra), (extra, s + 1)) if extra else ((0, s + 1),):
+            states, owner, total = [], [None] * n, 0
+            for member, load in zip(members, loads[:skip] + loads[skip + 1:]):
+                states.append((owner[:], total))
+                _check_deadline(deadline)
+                total = table._claim(owner, total, (member,), (load,))
+            states.append((owner, total))
+            starts += states[len(starts):stop]
+            totals.append(total)
+        ranks = list(map(rank.__getitem__, members))
+        cut = ranks[extra - 1] if extra else -1  # the ranks below it have t < extra
+        hi, lo = -totals[0], -totals[-1]
+        # the loads L[t], clamped at the profile's n: the sums are flat past it
+        at_hi, at_lo = min(base + 1, profile.n), min(base, profile.n)
+        heap = [(hi - row[at_hi] if r < cut else lo - row[at_lo], r)
+                for r, row in enumerate(by_rank) if r not in ranks]
+        heapq.heapify(heap)
+        top = (inf,)  # (-score, priority rank) of the best trial so far
+        while heap and heap[0] < top:
+            r = heap[0][1]
+            c = priority[r]
+            if not own[r]:
+                own[r], row = True, table._sums(c)
+                by_rank[r] = row
+                heapq.heapreplace(heap, (hi - row[at_hi] if r < cut else lo - row[at_lo], r))
+                continue
+            heapq.heappop(heap)
+            _check_deadline(deadline)
+            t = bisect.bisect(ranks, r)
+            owner, total = starts[t]
+            top = min(top, (-table._claim(owner[:], total, (c, *members[t:]), loads[t:]), r))
+        bisect.insort(members, priority[top[1]], key=rank.__getitem__)
+    return members
 
 
 def _ranked(scores: Sequence[int], priority_key: Callable[[int], int]) -> list[int]:

@@ -80,9 +80,10 @@ def sample_mallows(params: MallowsParams, n: int) -> PreferenceProfile:
     m = len(sigma)
     # one insertion step per j = 2..m: the cumulative weights phi^(j-1-pos),
     # pos < j, their total, the last position bisect may return, and the item
+    powers = [params.phi ** e for e in range(m)]
     plan = []
     for j in range(2, m + 1):
-        cum = list(accumulate(params.phi ** (j - 1 - pos) for pos in range(j)))
+        cum = list(accumulate(reversed(powers[:j])))
         plan.append((cum, cum[-1] + 0.0, j - 1, sigma[j - 1]))
     rankings = tuple(_sample_one(rng, plan, sigma[0]) for _ in range(n))
     return PreferenceProfile(m=m, rankings=rankings)

@@ -3,8 +3,9 @@
 The scoring functions rescore from the rankings on each call, exactly as
 the package did before its winner searches and scoring loops read one
 ``SatisfactionTable`` per (profile, rule vector, voter list).
-:func:`exact_monroe_assign` is the exhaustive balanced assignment that
-once sat behind ``monroe_assign(exact=True)``, the oracle for the greedy one.
+:func:`exact_monroe_assign`, the oracle for the greedy balanced
+assignment, searches every balanced assignment, over every choice of the
+members that take the larger loads.
 
 The special-case solve routes, :func:`mu1_fast_path` (one candidate
 attribute, no voter attributes, separable rule) and :func:`fpt_report`
@@ -31,7 +32,6 @@ from dire.rules import (
     SatisfactionTable,
     _best_of,
     _depth_first,
-    _monroe_loads,
     borda_vector,
     validate_scoring,
 )
@@ -78,8 +78,8 @@ def monroe_assign(profile, committee, scoring=None, voters=None):
 
 def exact_monroe_assign(profile, committee, scoring=None, voters=None):
     """The optimal balanced assignment, by searching every one: each member
-    represents floor(n/k) or ceil(n/k) voters, the larger loads going to
-    the members earliest in priority order.  Exhaustive, so for small
+    represents floor(n/k) or ceil(n/k) voters, and every choice of the
+    n mod k members that take ceil(n/k) is tried.  Exhaustive, so for small
     elections only.  Returns (voter -> member mapping, total satisfaction).
     """
     members = sorted(set(committee), key=profile.priority_key)
@@ -87,7 +87,7 @@ def exact_monroe_assign(profile, committee, scoring=None, voters=None):
         raise RuleError("cannot assign voters to an empty committee")
     table = SatisfactionTable(profile, Rule(MONROE, scoring), voters)
     n, k = len(table.voters), len(members)
-    loads = list(_monroe_loads(n, k))
+    base, extra = divmod(n, k)
     sat = {(v, c): table.rows[c][i] for i, v in enumerate(table.voters) for c in members}
 
     best_total = -1
@@ -112,7 +112,9 @@ def exact_monroe_assign(profile, committee, scoring=None, voters=None):
             for v in subset:
                 del current[v]
 
-    _depth_first(assign, 0, set(table.voters), 0)
+    for larger in itertools.combinations(range(k), extra):  # the members that take ceil(n/k)
+        loads = [base + (idx in larger) for idx in range(k)]
+        _depth_first(assign, 0, set(table.voters), 0)
     return best, best_total
 
 

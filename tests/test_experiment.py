@@ -199,6 +199,20 @@ def test_best_unsatisfied_fraction_matches_enumeration_on_desk_rows(mu, pi, seed
     assert best_unsatisfied_fraction(instance, found=False) == ref.best_unsatisfied_fraction(instance, False)
 
 
+@pytest.mark.parametrize("rule", ["kborda", "betacc", "monroe"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mu, pi", [(1, 1), (2, 2), (3, 0)])
+def test_greedy_unsatisfied_fraction_matches_the_reference(mu, pi, seed, rule, monkeypatch):
+    # above the cap both take, at each step, the candidate that leaves the
+    # least total shortfall, ties by priority: the package by counting the
+    # short constraints that hold each candidate, the reference by
+    # recounting the shortfall of every trial set
+    monkeypatch.setattr(experiment, "METRIC_ORACLE_CAP", 0)
+    monkeypatch.setattr(ref, "METRIC_ORACLE_CAP", 0)
+    instance = synth.gen_syndata(synth.SYN1, mu=mu, pi=pi, seed=seed, m=16, n=20, k=4, rule=Rule(rule))
+    assert best_unsatisfied_fraction(instance, found=False) == ref.best_unsatisfied_fraction(instance, False)
+
+
 def test_write_csv_layout(tmp_path):
     rows = run_experiment(desk_config(seeds=(1,)))
     out = tmp_path / "rows.csv"

@@ -30,7 +30,6 @@ from dire.rules import (
     _best_of,
     _certified_max,
     _greedy_max,
-    _monroe_baselines,
     _monroe_loads,
     _suffix_maxima,
     _winner,
@@ -282,26 +281,56 @@ def test_greedy_search_matches_the_reference(election):
 @given(table_elections(["monroe"]))
 def test_greedy_monroe_bound_holds_at_every_step(election):
     # With M the members of the steps so far in priority order, L the loads
-    # of |M| + 1 members and t the members before c: the baseline B_t (M[:t]
-    # claim L[:t], then M[t:] claim L[t + 1:]) plus c's L[t] best entries
-    # over distinct voters bounds the score of M + [c].
+    # of |M| + 1 members, t the members before c and e = n mod (|M| + 1):
+    # the baseline B_t (M[:t] claim L[:t], then M[t:] claim L[t + 1:]) is
+    # the total of M claiming L with one ceil load left out for every t < e
+    # and with one floor load left out for every t >= e, so it takes one
+    # value in each class, and the assignment P_t of M[:t] is the state
+    # after the first t claims of that run.  B_t plus c's L[t] best entries
+    # over distinct voters bounds the score of M + [c], and so does B_t plus
+    # the profile's sums over every voter, which are never below them.
     profile, rule, voters, k = election
     table = SatisfactionTable(profile, rule, voters)
     rank, n = profile._priority_rank, len(table.voters)
+    first = profile.best_sums(rule.vector(profile.m))
     for s in range(k):
         members = sorted(_greedy_max(table, s).members, key=rank.__getitem__)
-        loads = list(_monroe_loads(n, s + 1))
-        starts = _monroe_baselines(table, members, loads)
+        loads, extra = list(_monroe_loads(n, s + 1)), n % (s + 1)
+        baselines, classes = [], {}
         for t in range(s + 1):
             owner = [None] * n
             total = table._claim(owner, 0, members[:t], loads[:t])
-            assert starts[t] == (owner, total, table._claim(owner[:], total, members[t:], loads[t + 1:]))
+            baselines.append(table._claim(owner[:], total, members[t:], loads[t + 1:]))
+            left_out = extra - 1 if t < extra else extra
+            run, prefix = loads[:left_out] + loads[left_out + 1:], [None] * n
+            assert table._claim(prefix, 0, members[:t], run[:t]) == total and prefix == owner
+            assert table._claim(prefix, total, members[t:], run[t:]) == baselines[t]
+            classes.setdefault(t < extra, set()).add(baselines[t])
+        assert all(len(values) == 1 for values in classes.values())
         for c in set(range(profile.m)) - set(members):
             t = sum(rank[member] < rank[c] for member in members)
             entries = {v: entry for v, entry in zip(table.voters, table.rows[c])}  # one per distinct voter
             best = sum(sorted(entries.values(), reverse=True)[:loads[t]])
-            assert table.best_sums[c][loads[t]] == best
-            assert ref.score_committee(profile, rule, members + [c], voters) <= starts[t][2] + best
+            assert table.best_sums[c][loads[t]] == table._sums(c)[loads[t]] == best
+            score = ref.score_committee(profile, rule, members + [c], voters)
+            assert score <= baselines[t] + best <= baselines[t] + first[c][min(loads[t], profile.n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_elections(["monroe"]))
+def test_profile_sums_bound_every_table(election):
+    # a population's l best entries never exceed the electorate's l best
+    # entries, clamped at the profile's n when repeated ids make the table
+    # longer; a table of every voter once reads the profile's sums
+    profile, rule, voters, _ = election
+    table = SatisfactionTable(profile, rule, voters)
+    first = profile.best_sums(rule.vector(profile.m))
+    for c in range(profile.m):
+        assert len(table.best_sums[c]) == len(table.voters) + 1
+        for load, value in enumerate(table.best_sums[c]):
+            assert value <= first[c][min(load, profile.n)]
+    if sorted(table.voters) == list(range(profile.n)):
+        assert table.best_sums is first
 
 
 @settings(max_examples=400, deadline=None)

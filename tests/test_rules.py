@@ -149,11 +149,24 @@ def test_monroe_greedy_at_most_exact():
         assert greedy <= exact
 
 
+def test_exact_monroe_assignment_tries_every_member_for_the_larger_loads():
+    # three voters who all rank 1 > 2 > 0 and the committee {0, 1}: the
+    # greedy gives the load of two to member 0, the earlier in priority
+    # order, and scores 2; the optimum gives it to member 1 and scores 4
+    profile = make_profile(3, [(1, 2, 0)] * 3)
+    assert monroe_assign(profile, [0, 1])[1] == 2
+    assignment, total = ref.exact_monroe_assign(profile, [0, 1])
+    assert total == 4
+    assert sorted(assignment.values()) == [0, 1, 1]
+
+
 def test_exact_monroe_assignment_with_repeated_voters():
     # the loads count a repeated voter id, the voters to hand out do not:
-    # the exact assignment still finds one and never scores below the greedy
+    # the exact assignment still finds one and never scores below the
+    # greedy; member 1 takes the load of two, of which one distinct voter
+    # is left for it
     profile = make_profile(4, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)])
-    assert ref.exact_monroe_assign(profile, [0, 1], voters=[0, 0, 1]) == ({0: 0, 1: 0}, 5)
+    assert ref.exact_monroe_assign(profile, [0, 1], voters=[0, 0, 1]) == ({0: 0, 1: 1}, 6)
     rng = random.Random(5)
     for _ in range(60):
         m, n = rng.randint(2, 6), rng.randint(1, 5)
