@@ -418,7 +418,9 @@ def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> 
     (-bound, priority rank), the looser bound replaced by the exact one on
     reaching the top, and are tried exactly until that key passes the best
     (-score, priority rank) found, which then no other candidate can beat:
-    the pick is that of scoring every candidate."""
+    the pick is that of scoring every candidate.  The first step needs
+    none of this: a lone member claims every distinct voter, so its score
+    is its row's sum over them."""
     profile, n = table.profile, len(table.voters)
     rank, priority = profile._priority_rank, profile.priority
     # by priority rank: the sums of each candidate's largest entries, and
@@ -429,7 +431,13 @@ def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> 
     by_rank = list(map((known or profile.best_sums(table.vector)).__getitem__, priority))
     own = [known is not None] * profile.m
     members: list[int] = []  # the committee so far, in priority order
-    for s in range(k):
+    if k:
+        # a lone member's load n claims every distinct voter, so it scores
+        # its row's sum over them: its total when no voter id repeats
+        scores = table.totals if len(table.voters) == len(table.unique) else \
+            [sum(map(row.__getitem__, table.unique)) for row in table.rows]
+        members.append(priority[min(zip(map(neg, scores), rank))[1]])
+    for s in range(1, k):
         base, extra = divmod(n, s + 1)
         loads = list(_monroe_loads(n, s + 1))
         # P_t for every t, and B_t off two runs: for t < extra, L without
@@ -657,6 +665,20 @@ class _Prices:
         return base, excess, _top_sums(excess, seats - 1)
 
 
+def _inherited_gains(
+    rows: Sequence[Sequence[int]], start: int, parent: tuple[int, Sequence[int], Sequence[tuple[int, int, int]]]
+) -> list[int]:
+    """Bound (a)'s gains of the ids >= ``start`` against a prefix P + c,
+    from ``parent`` = (P's first id, P's gains from there, and the (voter
+    i, new best a, old best b) of each voter that c raised).  An id x with
+    entry w > b for such a voter gains min(w, a) - b less from it than
+    against P, and as much as against P from every other voter, so each
+    gain costs the raised voters, not all of them."""
+    first, above, raised = parent
+    return [g - sum([(w if w < a else a) - b for i, a, b in raised if (w := row[i]) > b])
+            for g, row in zip(above[start - first:], rows[start:])]
+
+
 def _certified_max(
     table: SatisfactionTable,
     k: int,
@@ -732,14 +754,22 @@ def _certified_max(
     Borda-CC node with seats left after its children only once a child
     passes (L); (L) is skipped when Sigma u reaches the incumbent, as it
     then cuts no child.  Other nodes run (a)'s pass first.  (L) costs one
-    pass over the voters and (a) one over every (voter, later id) pair,
-    hence the order.  Single runs on a 2-core VM: this order took 0.11 s
-    for the exhaustive Borda-CC solve of syn1 mu=1 pi=0 seed 9 at paper
-    scale and 9.8 s for the uncapped Borda-CC winner of syn2 phi 1.0
-    seed 0; (L) in place of (a) at nodes of three or more seats took 0.24
-    and 9.7 s, (L) first at the parents of leaves too 0.12 and 11.1 s, and
-    (L) in place of (a) at every node with seats left after its children
-    0.04 and 14.2 s.
+    pass over the voters and (a) one over every (raised voter, later id)
+    pair, hence the order.  Single runs on a 2-core VM, before (a)'s gains
+    were inherited: this order took 0.11 s for the exhaustive Borda-CC
+    solve of syn1 mu=1 pi=0 seed 9 at paper scale and 9.8 s for the
+    uncapped Borda-CC winner of syn2 phi 1.0 seed 0; (L) in place of (a)
+    at nodes of three or more seats took 0.24 and 9.7 s, (L) first at the
+    parents of leaves too 0.12 and 11.1 s, and (L) in place of (a) at
+    every node with seats left after its children 0.04 and 14.2 s.
+
+    (a)'s gains are inherited, not summed afresh.  At the root the prefix
+    is empty and entries are nonnegative, so the gains are the totals,
+    and under k-Borda they are the totals at every node.  A child is
+    yielded only after (a) has been checked for it, so its parent's gains
+    exist, and the child takes them less what its new member c takes from
+    the voters c raised (:func:`_inherited_gains`): a pass costs the
+    voters c raised instead of every voter.
 
     ``lookahead`` is the feasibility search's state over the instance's
     constraint graph, with nothing chosen or blocked; it restricts the
@@ -765,19 +795,21 @@ def _certified_max(
     best_score, best_members = threshold, ()
     members: list[int] = []
 
-    def gain_pass(start, seats, best):
-        """Bound (a)'s gains of the ids >= ``start`` against the prefix whose
-        per-voter best entries are ``best``, and the sums of the seats - 1
-        largest of those after each."""
-        gains = totals[start:] if kind == KBORDA else \
-            [sum([a - b for a, b in zip(rows[c], best) if a > b]) for c in range(start, m)]
+    def gain_pass(start, seats, parent):
+        """Bound (a)'s gains of the ids >= ``start`` against the node's
+        prefix, and the sums of the seats - 1 largest of those after each.
+        Every gain is a total at the root, whose prefix is empty, and under
+        k-Borda; a child's come from its parent's (see
+        :func:`_inherited_gains`)."""
+        gains = totals[start:] if parent is None else _inherited_gains(rows, start, parent)
         return gains, _top_sums(gains, seats - 1)
 
-    def search(start, seats, best, score, load):
+    def search(start, seats, best, score, load, parent):
         """Children of the prefix ``members``, whose per-voter best entries,
         score and Monroe (c) state (else None) are given, with ``seats``
         seats left to fill from ids >= ``start``, as a node of
-        :func:`_depth_first`."""
+        :func:`_depth_first`; ``parent`` is what :func:`gain_pass` derives
+        the node's gains from, None at the root and under k-Borda."""
         nonlocal best_score, best_members
         _check_deadline(deadline)
         capped = kind == MONROE  # bound (c) applies
@@ -790,7 +822,7 @@ def _certified_max(
         elif priced:
             base, excess, ahead = priced
         else:
-            gains, after = gain_pass(start, seats, best)
+            gains, after = gain_pass(start, seats, parent)
         for c in range(start, m - seats + 1):
             if lookahead is not None:
                 lookahead.block(c)  # chosen now, or passed over: no later child's committee holds it
@@ -802,7 +834,7 @@ def _certified_max(
             elif priced and base + excess[c - start] + ahead[c - start] <= best_score:  # (L)
                 continue
             if gains is None:
-                gains, after = gain_pass(start, seats, best)
+                gains, after = gain_pass(start, seats, parent)
             gain = gains[c - start]
             if score + gain + after[c - start] <= best_score:  # (a)
                 continue
@@ -816,9 +848,16 @@ def _certified_max(
                     lookahead.remove()
                     continue
             if seats > 1:
+                if kind == KBORDA:  # no per-voter bests to carry
+                    child, inherited = best, None
+                else:  # (a) has run, so the gains a child derives its own from exist
+                    raised = [(i, a, b) for i, (a, b) in enumerate(zip(rows[c], best)) if a > b]
+                    child = best[:]
+                    for i, a, _ in raised:
+                        child[i] = a
+                    inherited = start, gains, raised
                 members.append(c)
-                yield (c + 1, seats - 1, [a if a > b else b for a, b in zip(rows[c], best)],
-                       score + gain, loads.step(load, c) if capped else None)
+                yield c + 1, seats - 1, child, score + gain, loads.step(load, c) if capped else None, inherited
                 members.pop()
             else:
                 if capped:
@@ -835,7 +874,7 @@ def _certified_max(
                 lookahead.unblock(passed)
 
     try:
-        _depth_first(search, 0, k, [0] * n, 0, loads.root if kind == MONROE else None)
+        _depth_first(search, 0, k, [0] * n, 0, loads.root if kind == MONROE else None, None)
     except SolverTimeout as timeout:
         timeout.incumbent = best_members, best_score
         raise

@@ -5,10 +5,10 @@ ranking is inserted at position i <= j with probability proportional to
 phi^(j-i), which makes a ranking's probability proportional to phi raised
 to its Kendall-tau distance from the reference.  The insertion steps do not
 depend on the voter, so :func:`sample_mallows` builds them once per profile
-as a plan: for each j, the cumulative weights, their total, the highest
-position and the item.  Each ranking then walks the plan with one uniform
-draw and one bisection per step, the draw ``random.choices`` would make
-on the same stream.  Everything is deterministic given the seed.
+as a plan: for each j, the cumulative weights but the last, their total
+and the item.  Each ranking then walks the plan with one uniform draw and
+one bisection per step, the draw ``random.choices`` would make on the same
+stream.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -61,13 +61,14 @@ def kendall_tau(left: Sequence[int], right: Sequence[int]) -> int:
 
 
 def _sample_one(
-    rng: random.Random, plan: Sequence[tuple[list[float], float, int, int]], first: int
+    rng: random.Random, plan: Sequence[tuple[list[float], float, int]], first: int
 ) -> tuple[int, ...]:
     ranking = [first]
     insert, draw = ranking.insert, rng.random
-    for cum, total, hi, item in plan:
-        # the draw random.choices(range(hi + 1), weights) makes, on the same random stream
-        insert(bisect(cum, draw() * total, 0, hi), item)
+    for cum, total, item in plan:
+        # the draw random.choices(range(len(cum) + 1), weights) makes, on the
+        # same random stream: its bisection never passes the last position
+        insert(bisect(cum, draw() * total), item)
     return tuple(ranking)
 
 
@@ -79,12 +80,12 @@ def sample_mallows(params: MallowsParams, n: int) -> PreferenceProfile:
     sigma = params.sigma
     m = len(sigma)
     # one insertion step per j = 2..m: the cumulative weights phi^(j-1-pos),
-    # pos < j, their total, the last position bisect may return, and the item
+    # pos < j - 1, the total over pos < j, and the item
     powers = [params.phi ** e for e in range(m)]
     plan = []
     for j in range(2, m + 1):
         cum = list(accumulate(reversed(powers[:j])))
-        plan.append((cum, cum[-1] + 0.0, j - 1, sigma[j - 1]))
+        plan.append((cum[:-1], cum[-1] + 0.0, sigma[j - 1]))
     rankings = tuple(_sample_one(rng, plan, sigma[0]) for _ in range(n))
     return PreferenceProfile(m=m, rankings=rankings)
 

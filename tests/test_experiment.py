@@ -19,7 +19,7 @@ from dire.experiment import (
 from dire.constraints import Attribute, AttributeScheme, make_instance
 from dire.fileio import write_instance
 from dire.profiles import make_profile
-from dire.rules import Rule, SatisfactionTable
+from dire.rules import Rule, SatisfactionTable, _depth_first
 from conftest import build_example1, random_instance
 
 
@@ -197,6 +197,64 @@ def test_best_unsatisfied_fraction_at_depth_beyond_the_recursion_limit():
 def test_best_unsatisfied_fraction_matches_enumeration_on_desk_rows(mu, pi, seed, rule):
     instance = synth.gen_syndata(synth.SYN1, mu=mu, pi=pi, seed=seed, m=16, n=20, k=4, rule=Rule(rule))
     assert best_unsatisfied_fraction(instance, found=False) == ref.best_unsatisfied_fraction(instance, False)
+
+
+# Infeasible syn1 rows at paper scale (m=50, n=100, k=6), seed 0, k-Borda:
+# (mu, pi, fewest unmet, constraints).  Above the metric cap the greedy
+# shortfall estimate reads 5/6, 1/4, 4/5 and 3/4 on these.
+PAPER_ROWS = [(1, 0, 3, 6), (2, 0, 1, 8), (3, 0, 5, 10), (1, 1, 4, 8)]
+# the nodes _fewest_unmet visits on those rows; without its packing term it
+# visits 7,000, 52,497, 7,871 and 18,386
+PAPER_NODES = [7, 7, 347, 46]
+
+
+def paper_row(mu, pi):
+    instance = synth.gen_syndata(synth.SYN1, mu=mu, pi=pi, seed=0, rule=Rule("kborda"))
+    return instance, instance.constraints()
+
+
+@pytest.mark.parametrize("mu, pi, unmet, total", PAPER_ROWS)
+def test_fewest_unmet_at_paper_scale(mu, pi, unmet, total):
+    instance, constraints = paper_row(mu, pi)
+    assert len(constraints) == total
+    assert experiment._fewest_unmet(instance, constraints) == unmet
+
+
+@pytest.mark.parametrize("mu, pi, unmet, nodes",
+                         [(mu, pi, unmet, nodes) for (mu, pi, unmet, _), nodes in zip(PAPER_ROWS, PAPER_NODES)])
+def test_fewest_unmet_packing_term_cuts_at_paper_scale(monkeypatch, mu, pi, unmet, nodes):
+    visited = 0
+
+    def counting(expand, *root):
+        def node(*args):
+            nonlocal visited
+            visited += 1
+            return expand(*args)
+        _depth_first(node, *root)
+
+    monkeypatch.setattr(experiment, "_depth_first", counting)
+    assert experiment._fewest_unmet(*paper_row(mu, pi)) == unmet
+    assert visited == nodes
+
+
+@pytest.mark.parametrize("mu, pi, unmet, total", PAPER_ROWS)
+def test_fewest_unmet_matches_an_ilp_at_paper_scale(mu, pi, unmet, total):
+    # x_c picks candidate c, y_i lets constraint i go unmet:
+    # sum over its domain of x_c + bound_i * y_i >= bound_i, sum of x = k
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    instance, constraints = paper_row(mu, pi)
+    m, rows = instance.m, len(constraints)
+    bounds = np.array([con.bound for con in constraints], dtype=float)
+    held = np.zeros((rows, m))
+    for i, con in enumerate(constraints):
+        held[i, sorted(con.domain)] = 1
+    seats = optimize.LinearConstraint(np.hstack([np.ones((1, m)), np.zeros((1, rows))]), instance.k, instance.k)
+    met = optimize.LinearConstraint(np.hstack([held, np.diag(bounds)]), bounds, np.inf)
+    res = optimize.milp(np.concatenate([np.zeros(m), np.ones(rows)]), constraints=[seats, met],
+                        integrality=np.ones(m + rows), bounds=optimize.Bounds(0, 1))
+    assert res.status == 0
+    assert experiment._fewest_unmet(instance, constraints) == round(res.fun) == unmet
 
 
 @pytest.mark.parametrize("rule", ["kborda", "betacc", "monroe"])

@@ -3,7 +3,8 @@ set, its node lookahead against brute force below the node, closed-form
 preprocessing against the reference fixpoint and the per-pair reduction
 loop, the scoring kernel against the rescoring reference, the
 branch-and-bound, with and without the lookahead, against full
-enumeration, and the best-unsatisfied-fraction search against enumeration.
+enumeration, its inherited gains against a fresh gain pass, and the
+best-unsatisfied-fraction search against enumeration.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -30,6 +31,7 @@ from dire.rules import (
     _best_of,
     _certified_max,
     _greedy_max,
+    _inherited_gains,
     _monroe_loads,
     _suffix_maxima,
     _winner,
@@ -363,6 +365,30 @@ def test_monroe_load_bound_holds_below_every_child(election):
             state = loads.step(state, c)
             assert state[0] == bound - rest[c]
             assert state[1] == (*sorted(rank[x] for x in committee[:i + 1]), *[m] * n)[:n % k]
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_elections(["betacc", "monroe"]), st.data())
+def test_inherited_gains_match_a_fresh_gain_pass(election, data):
+    # Down the prefixes of a drawn committee, from the root, whose gains are
+    # the totals: each child's gains of the ids after its new member c, taken
+    # from its parent's and the voters c raised, are the gains against the
+    # child's prefix summed over every voter afresh, repeated voters included
+    profile, rule, voters, k = election
+    table = SatisfactionTable(profile, rule, voters)
+    rows, m = table.rows, profile.m
+    committee = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=k)))
+    best, start, gains = [0] * len(table.voters), 0, table.totals
+
+    def fresh(best, start):
+        return [sum(max(0, w - b) for w, b in zip(rows[x], best)) for x in range(start, m)]
+
+    assert gains == fresh(best, 0)
+    for c in committee:
+        raised = [(i, a, b) for i, (a, b) in enumerate(zip(rows[c], best)) if a > b]
+        best = [max(a, b) for a, b in zip(rows[c], best)]
+        gains, start = _inherited_gains(rows, c + 1, (start, gains, raised)), c + 1
+        assert gains == fresh(best, start)
 
 
 @settings(max_examples=400, deadline=None)

@@ -502,6 +502,17 @@ def test_greedy_monroe_rescores_every_candidate():
     assert _greedy_max(SatisfactionTable(profile, monroe()), 3).members == (0, 1, 2)
 
 
+def test_greedy_monroe_first_pick_counts_a_repeated_voter_once():
+    # Voters [0, 0, 1]: the lone member's load of 3 claims voters 0 and 1
+    # once each, so both candidates score 1 and priority picks 0, though
+    # candidate 1's row total, which counts voter 0 twice, is 2 against 1.
+    profile = make_profile(2, [[1, 0], [0, 1]])
+    table = SatisfactionTable(profile, monroe(), [0, 0, 1])
+    assert table.totals == [1, 2]
+    assert _greedy_max(table, 1) == ref.greedy_max(profile, monroe(), 1, [0, 0, 1])
+    assert _greedy_max(table, 1).members == (0,)
+
+
 def _exact_trials(profile, voters, k, monkeypatch):
     """(exact trials, candidate-steps) of a k-step greedy Monroe run.  An
     exact trial is a claim that involves a candidate outside the committee
