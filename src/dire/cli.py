@@ -4,15 +4,14 @@ Subcommands: generate / feasible / solve / oracle / score / experiment /
 convert.  Exit codes: 0 success, 1 usage or parse error, 2 infeasible
 instance, 3 timeout.  Diagnostics and timings go to stderr so stdout and
 output files stay byte-identical across reruns with the same flags and
-seeds (the DIRE_SEED environment variable sets the default seed of
-``generate``; ``experiment`` defaults to ``--seeds 0``).
+seeds (``generate`` defaults to ``--seed 0`` and ``experiment`` to
+``--seeds 0``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -56,10 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("DIRE_SEED", "0"))
-
-
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
@@ -77,7 +72,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--mu", type=int)
     gen.add_argument("--pi", type=int)
     gen.add_argument("--phi", type=float)
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--graph", help="graph file for the vc-* kinds")
     gen.add_argument("--cover-size", type=int, help="vertex cover budget k for the vc-* kinds")
     gen.add_argument("--m", type=int, default=50)
@@ -90,7 +85,6 @@ def build_parser() -> _Parser:
     solver_flags.add_argument("--exhaustive", action="store_true")
     solver_flags.add_argument("--max-committees", type=int, default=SolverConfig.max_committees)
     solver_flags.add_argument("--timeout", type=float, default=SolverConfig.timeout)
-    solver_flags.add_argument("--seed", type=int)
 
     feas = sub.add_parser("feasible", parents=[solver_flags], help="enumerate feasible committees")
     feas.add_argument("instance")
@@ -134,10 +128,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.kind in (SYN1, SYN2):
         instance = gen_syndata(
-            args.kind, mu=args.mu, pi=args.pi, phi=args.phi, seed=seed,
+            args.kind, mu=args.mu, pi=args.pi, phi=args.phi, seed=args.seed,
             m=args.m, n=args.n, k=args.k, rule=Rule(args.rule),
         )
         fileio.write_instance(instance, args.out)
@@ -151,7 +144,7 @@ def _cmd_generate(args) -> int:
     if args.kind == "vc-div":
         if args.mu is None:
             raise UsageError("--mu is required for vc-div")
-        artifact = reduce_vc_diversity(graph, args.mu, args.cover_size, seed=seed)
+        artifact = reduce_vc_diversity(graph, args.mu, args.cover_size, seed=args.seed)
         sidecar = {
             "target_size": artifact.target_size,
             "vertex_to_candidate": {str(v): list(c) for v, c in artifact.vertex_to_candidate.items()},
@@ -179,11 +172,7 @@ def _cmd_generate(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        timeout=args.timeout,
-        max_committees=args.max_committees,
-        seed=args.seed,
-    )
+    return SolverConfig(timeout=args.timeout, max_committees=args.max_committees)
 
 
 def _cmd_feasible(args) -> int:

@@ -204,34 +204,39 @@ def read_soc(path: str | Path) -> tuple[PreferenceProfile, list[str]]:
     distinct ranking "count, c1, c2, ..., cm".  Returns the expanded
     profile and the candidate names indexed by 0-based id.
     """
-    lines = [
-        line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    text = Path(path).read_text(encoding="utf-8").splitlines()
+    kept = [no for no, line in enumerate(text) if line.strip() and not line.lstrip().startswith("#")]
+    lines = [text[no].strip() for no in kept]
+    where = [f"soc:{no + 1}" for no in kept]  # each kept line's place in the file, for errors
     if not lines:
         raise ParseError("soc", "file is empty")
     try:
         m = int(lines[0])
     except ValueError as exc:
-        raise ParseError("soc:1", f"first line must be the candidate count, got {lines[0]!r}") from exc
+        raise ParseError(where[0], f"first line must be the candidate count, got {lines[0]!r}") from exc
+    if m < 1:
+        raise ParseError(where[0], f"candidate count must be at least 1, got {m}")
     if len(lines) < m + 2:
         raise ParseError("soc", f"expected {m} candidate lines plus a summary line")
     names = [""] * m
+    seen: set[int] = set()
     for row in range(1, m + 1):
         head, _, name = lines[row].partition(",")
         try:
             cand = int(head)
         except ValueError as exc:
-            raise ParseError(f"soc:{row + 1}", f"bad candidate line {lines[row]!r}") from exc
+            raise ParseError(where[row], f"bad candidate line {lines[row]!r}") from exc
         if not 1 <= cand <= m:
-            raise ParseError(f"soc:{row + 1}", f"candidate id {cand} out of range 1..{m}")
+            raise ParseError(where[row], f"candidate id {cand} out of range 1..{m}")
+        if cand in seen:
+            raise ParseError(where[row], f"candidate id {cand} listed twice")
+        seen.add(cand)
         names[cand - 1] = name.strip()
     summary = [x.strip() for x in lines[m + 1].split(",")]
     try:
         n_voters = int(summary[0])
     except (ValueError, IndexError) as exc:
-        raise ParseError(f"soc:{m + 2}", f"bad summary line {lines[m + 1]!r}") from exc
+        raise ParseError(where[m + 1], f"bad summary line {lines[m + 1]!r}") from exc
     rankings: list[tuple[int, ...]] = []
     for row in range(m + 2, len(lines)):
         parts = [x.strip() for x in lines[row].split(",")]
@@ -239,9 +244,11 @@ def read_soc(path: str | Path) -> tuple[PreferenceProfile, list[str]]:
             count = int(parts[0])
             order = tuple(int(x) - 1 for x in parts[1:])
         except ValueError as exc:
-            raise ParseError(f"soc:{row + 1}", f"bad ranking line {lines[row]!r}") from exc
+            raise ParseError(where[row], f"bad ranking line {lines[row]!r}") from exc
+        if count < 0:
+            raise ParseError(where[row], f"negative ranking count {count}")
         if len(order) != m:
-            raise ParseError(f"soc:{row + 1}", f"ranking lists {len(order)} of {m} candidates")
+            raise ParseError(where[row], f"ranking lists {len(order)} of {m} candidates")
         rankings.extend([order] * count)
     if len(rankings) != n_voters:
         raise ParseError("soc", f"rankings expand to {len(rankings)} voters, summary says {n_voters}")

@@ -21,7 +21,7 @@ and the value loop all read, and one pass over the constraints per node
 checks the lookahead and lists the unmet ones for the packing bound.  The
 value order, its ranks and the twin table cover only the candidates that
 some domain holds, as no other candidate is ever a value.  These cuts
-remove only subtrees without a solution, so unseeded runs return exactly
+remove only subtrees without a solution, so the search returns exactly
 the committees of plain backtracking.  One search harvests several
 feasible committees: below the root it stops at the first solution, while
 the root keeps the first solution of each of its branches and goes on to
@@ -35,7 +35,6 @@ so a committee of any size fits under the recursion limit.
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -78,13 +77,10 @@ class SolverConfig:
 
     ``timeout`` is wall-clock seconds (the experiments' default budget).
     ``max_committees`` caps the committees one enumeration collects.
-    ``seed`` switches heuristic tie-breaking from deterministic order to
-    seeded randomization.
     """
 
     timeout: float = 2000.0
     max_committees: int = 100_000
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.timeout > 0:  # also rejects NaN, which no deadline would ever pass
@@ -193,23 +189,11 @@ def preprocess(graph: DiReGraph, deadline: float | None = None) -> str | None:
     return None
 
 
-def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]], rng: random.Random | None) -> list[int]:
+def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]]) -> list[int]:
     """The candidates some domain holds, by descending constraint out-degree
     (most-favorite first), ties by priority rank."""
     rank = graph.rank
-    order = sorted(filter(held.__getitem__, range(graph.m)), key=lambda c: (-len(held[c]), rank[c]))
-    if rng is not None:
-        # shuffle within exact-degree ties only; the block of candidates no
-        # domain holds is left out but still shuffled, as a shuffle's draws
-        # depend only on its length, so the seeded draws that follow hold
-        shuffled: list[int] = []
-        for _, group in itertools.groupby(order, key=lambda c: len(held[c])):
-            block = list(group)
-            rng.shuffle(block)
-            shuffled.extend(block)
-        rng.shuffle([None] * (graph.m - len(order)))
-        order = shuffled
-    return order
+    return sorted(filter(held.__getitem__, range(graph.m)), key=lambda c: (-len(held[c]), rank[c]))
 
 
 @dataclass(frozen=True)
@@ -269,13 +253,13 @@ class _SearchState:
         for idx in self.held[cand]:
             free_sets[idx].add(cand)
 
-    def scan(self) -> list[int] | None:
+    def scan(self) -> int | None:
         """None when an unmet constraint needs more members than there are
         seats left or than its domain has free, or when the packing bound
-        of :meth:`packs` fails; otherwise the unmet constraints tied for the
-        least |D_i| per missing member, in constraint order (none once every
-        bound is met).  One pass over the constraints checks each unmet one
-        and lists it for :meth:`packs` and the ties."""
+        of :meth:`packs` fails; otherwise the first unmet constraint, in
+        constraint order, with the least |D_i| per missing member (-1 once
+        every bound is met).  One pass over the constraints checks each
+        unmet one and lists it for :meth:`packs`."""
         seats = self.k - len(self.chosen)
         inflow, free_sets = self.inflow, self.free_sets
         unmet: list[tuple[int, int, int]] = []  # (free size, index, missing), in constraint order
@@ -292,15 +276,13 @@ class _SearchState:
         if shortfall > seats and not self.packs(unmet, seats):
             return None
         sizes = self.sizes
-        ties: list[int] = []
+        best = -1
         best_size = best_missing = 0
         for _, idx, missing in unmet:
             size = sizes[idx]  # size / missing compared exactly, by cross-multiplication
-            if not ties or size * best_missing < best_size * missing:
-                best_size, best_missing, ties = size, missing, [idx]
-            elif size * best_missing == best_size * missing:
-                ties.append(idx)
-        return ties
+            if best < 0 or size * best_missing < best_size * missing:
+                best, best_size, best_missing = idx, size, missing
+        return best
 
     def packs(self, unmet: list[tuple[int, int, int]], seats: int) -> bool:
         """The packing bound: False when unmet constraints with pairwise
@@ -332,7 +314,7 @@ def heuristic_backtrack(
     """Depth-first search that harvests feasible committees at its root.
 
     Variable choice: the unsatisfied constraint minimizing
-    |D_i| / (S_i - inflow) (ties by constraint order, or seeded random).
+    |D_i| / (S_i - inflow), ties by constraint order.
     Value order: candidates by descending out-degree.  A partial solution
     is accepted once every constraint's in-flow meets its bound, then
     padded to exactly k members.
@@ -361,7 +343,7 @@ def heuristic_backtrack(
       are seats left, as each needs its own (:meth:`_SearchState.packs`).
 
     Only subtrees without a solution are cut, and variable choice and value
-    order are those of the plain search, so unseeded runs return the same
+    order are those of the plain search, so the search returns the same
     committees as plain backtracking.  No committees with ``complete=True``
     means the search space was exhausted, proving infeasibility; when the
     deadline passes, the committees found so far come back with
@@ -370,9 +352,8 @@ def heuristic_backtrack(
     config = config or SolverConfig()
     if deadline is None:
         deadline = time.monotonic() + config.timeout
-    rng = random.Random(config.seed) if config.seed is not None else None
     held = holders(graph.domains, graph.m)
-    values = _mfc_order(graph, held, rng)  # a candidate no domain holds is never a value
+    values = _mfc_order(graph, held)  # a candidate no domain holds is never a value
     rank_of = {c: idx for idx, c in enumerate(values)}
     by_signature: dict[tuple[int, ...], list[int]] = {}
     for cand in values:
@@ -388,15 +369,15 @@ def heuristic_backtrack(
         nonlocal found
         if time.monotonic() > deadline:
             raise SolverTimeout("backtracking timed out")
-        ties = state.scan()
-        found = ties is not None
-        if found and not ties:  # every bound met, |chosen| <= k by construction
+        variable = state.scan()
+        found = variable is not None
+        if not found:
+            return
+        if variable < 0:  # every bound met, |chosen| <= k by construction
             committee = fill_seats(state.chosen, graph.padding_order, graph.k)
             if committee not in committees:  # two root branches can pad to one committee
                 committees.append(committee)
-        if not ties:
             return
-        variable = rng.choice(ties) if rng is not None and len(ties) > 1 else ties[0]
         free = state.free_sets[variable]  # every value and its twins lie in D_variable
         any_found = False
         excluded: list[int] = []
@@ -443,7 +424,7 @@ def _enumerate_exhaustive(
     """
     held = holders(graph.domains, graph.m)
     # every candidate: those no domain holds come last, in rank order
-    order = _mfc_order(graph, held, None)
+    order = _mfc_order(graph, held)
     order += sorted(itertools.filterfalse(held.__getitem__, range(graph.m)), key=graph.rank.__getitem__)
     state = _SearchState(graph, held)
     results: list[tuple[int, ...]] = []

@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run_dire(args, hash_seed, cwd):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(SRC))
-    env.pop("DIRE_SEED", None)
     done = subprocess.run([sys.executable, "-m", "dire", *args], cwd=cwd, env=env,
                           capture_output=True, timeout=120, check=True)
     return done.stdout

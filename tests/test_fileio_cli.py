@@ -148,6 +148,28 @@ def test_read_soc_errors(tmp_path):
         fileio.read_soc(path)  # counts do not add up
 
 
+def test_read_soc_rejects_a_negative_ranking_count(tmp_path):
+    path = tmp_path / "bad.soc"
+    path.write_text("2\n1, a\n2, b\n2, 2, 1\n2, 1, 2\n-1, 2, 1\n", encoding="utf-8")
+    with pytest.raises(fileio.ParseError, match="soc:6"):
+        fileio.read_soc(path)
+
+
+def test_read_soc_rejects_a_negative_candidate_count(tmp_path):
+    path = tmp_path / "bad.soc"
+    path.write_text("-5\n", encoding="utf-8")
+    with pytest.raises(fileio.ParseError, match="soc:1"):
+        fileio.read_soc(path)
+
+
+def test_read_soc_rejects_a_repeated_candidate_id(tmp_path):
+    # the error names the line of the file, comment and blank lines counted
+    path = tmp_path / "bad.soc"
+    path.write_text("# votes\n\n2\n1, a\n1, b\n1, 1, 1\n1, 1, 2\n", encoding="utf-8")
+    with pytest.raises(fileio.ParseError, match="soc:5"):
+        fileio.read_soc(path)
+
+
 def test_cli_solve_exhaustive(example1_path, capsys):
     code = main(["solve", str(example1_path), "--exhaustive"])
     out = capsys.readouterr().out
@@ -176,10 +198,10 @@ def test_cli_oracle_cap_defaults_to_the_library_cap():
 
 def test_cli_feasible_and_solve_share_the_solver_flags():
     parser = build_parser()
-    flags = ("exhaustive", "max_committees", "timeout", "seed")
+    flags = ("exhaustive", "max_committees", "timeout")
     for argv, expected in (
-        ([], (False, 100_000, 2000.0, None)),
-        (["--exhaustive", "--max-committees", "7", "--timeout", "3", "--seed", "5"], (True, 7, 3.0, 5)),
+        ([], (False, 100_000, 2000.0)),
+        (["--exhaustive", "--max-committees", "7", "--timeout", "3"], (True, 7, 3.0)),
     ):
         for command in ("feasible", "solve"):
             args = parser.parse_args([command, "x.json", *argv])
@@ -188,10 +210,15 @@ def test_cli_feasible_and_solve_share_the_solver_flags():
     defaults = solver.SolverConfig()
     for command in ("feasible", "solve"):
         args = parser.parse_args([command, "x.json"])
-        assert (args.max_committees, args.timeout, args.seed) == (
-            defaults.max_committees, defaults.timeout, defaults.seed), command
+        assert (args.max_committees, args.timeout) == (defaults.max_committees, defaults.timeout), command
     args = parser.parse_args(["experiment", "--dataset", "syn1", "--out", "x.csv"])
     assert args.timeout == defaults.timeout == ExperimentConfig("syn1").timeout
+
+
+def test_cli_feasible_and_solve_take_no_seed(example1_path, capsys):
+    for command in ("feasible", "solve"):
+        assert main([command, str(example1_path), "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_feasible_lists_committees(example1_path, capsys):
@@ -338,20 +365,15 @@ def test_cli_generate_requires_graph(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 1
 
 
-def test_cli_dire_seed_env(tmp_path, monkeypatch):
+def test_cli_generate_seed_defaults_to_zero(tmp_path, monkeypatch):
+    # no environment variable stands in for a missing --seed
     args = ["generate", "--kind", "syn1", "--mu", "1", "--pi", "0",
             "--m", "8", "--n", "6", "--k", "2"]
     monkeypatch.setenv("DIRE_SEED", "11")
-    a = tmp_path / "a.json"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("DIRE_SEED", "12")
-    b = tmp_path / "b.json"
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() != b.read_bytes()
-    monkeypatch.setenv("DIRE_SEED", "11")
-    c = tmp_path / "c.json"
-    assert main(args + ["--out", str(c)]) == 0
-    assert a.read_bytes() == c.read_bytes()
+    assert main(args + ["--seed", "0", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_cli_experiment_round(tmp_path):

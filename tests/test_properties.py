@@ -147,21 +147,21 @@ def test_lookahead_fails_only_nodes_without_a_committee(node):
         state.add(cand)
     for cand in blocked:
         state.block(cand)
-    ties = state.scan()
-    if ties is None:
+    variable = state.scan()
+    if variable is None:
         free = [c for c in range(graph.m) if c not in chosen and c not in blocked]
         for extra in itertools.combinations(free, graph.k - len(chosen)):
             members = set(chosen) | set(extra)
             assert any(len(members & domain) < bound for domain, bound in zip(graph.domains, graph.bounds))
     else:
-        assert ties == reference_scan(state)
+        assert variable == reference_scan(state)
 
 
 @settings(max_examples=400, deadline=None)
 @given(search_nodes())
 def test_lookahead_matches_the_two_pass_reference(node):
-    # the same verdict, None included, and the same ties as the lookahead
-    # that reads every constraint again for its packing pass
+    # the same verdict, None included, and the same branching constraint as
+    # the lookahead that reads every constraint again for its packing pass
     instance, chosen, blocked = node
     graph = build_diregraph(instance)
     state = _SearchState(graph, holders(graph.domains, graph.m))

@@ -110,7 +110,7 @@ def test_domain_reduce_is_never_skipped_on_large_domains():
 
 def test_mfc_order_example1(example1):
     graph = build_diregraph(example1)
-    order = _mfc_order(graph, holders(graph.domains, graph.m), None)
+    order = _mfc_order(graph, holders(graph.domains, graph.m))
     assert order[0] == 1  # c2 has the highest out-degree
     assert order[-1] == 2  # c3 touches only one constraint
 
@@ -273,9 +273,14 @@ def test_solver_determinism(example1):
     first = solve_feasibility(example1, SolverConfig(timeout=10))
     second = solve_feasibility(example1, SolverConfig(timeout=10))
     assert first.committees == second.committees
-    third = solve_feasibility(example1, SolverConfig(timeout=10, seed=99))
-    for committee in third.committees:
+    for committee in first.committees:
         assert satisfies(example1, committee).ok
+
+
+def test_solver_config_has_no_seed():
+    # the search breaks every tie by constraint order and priority rank
+    with pytest.raises(TypeError):
+        SolverConfig(seed=1)
 
 
 def test_timeout_is_flagged(example1):
@@ -325,7 +330,7 @@ def test_public_surface_resolves():
         assert name not in dire.__all__
         assert callable(getattr(solver, name)), name
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
-    assert fields == ["timeout", "max_committees", "seed"]
+    assert fields == ["timeout", "max_committees"]
     fields = [f.name for f in dataclasses.fields(DiReGraph)]
     assert fields == ["k", "m", "keys", "domains", "bounds", "rank", "padding_order"]
     fields = [f.name for f in dataclasses.fields(solver.FeasibilityResult)]
@@ -354,26 +359,21 @@ def reference_backtrack(graph, config=None, rotation=0, deadline=None):
     config = config or SolverConfig()
     if deadline is None:
         deadline = time.monotonic() + config.timeout
-    rng = random.Random(config.seed) if config.seed is not None else None
-    rank_of = {c: idx for idx, c in enumerate(_mfc_order(graph, holders(graph.domains, graph.m), rng))}
+    rank_of = {c: idx for idx, c in enumerate(_mfc_order(graph, holders(graph.domains, graph.m)))}
     n_constraints = len(graph.domains)
     inflow = [0] * n_constraints
     member_of = [[i for i in range(n_constraints) if c in graph.domains[i]] for c in range(graph.m)]
     solution = []
 
     def select_variable():
-        best, best_ratio, ties = None, None, []
+        best, best_ratio = None, None
         for idx in range(n_constraints):
             missing = graph.bounds[idx] - inflow[idx]
             if missing <= 0:
                 continue
             value = len(graph.domains[idx]) / missing
             if best_ratio is None or value < best_ratio:
-                best_ratio, best, ties = value, idx, [idx]
-            elif value == best_ratio:
-                ties.append(idx)
-        if rng is not None and len(ties) > 1:
-            return rng.choice(ties)
+                best_ratio, best = value, idx
         return best
 
     def search(at_root):
@@ -478,8 +478,8 @@ def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
 def reference_scan(state):
     """The node lookahead without its packing pass: None when one unmet
     constraint needs more members than there are seats left or free in its
-    domain, else the unmet constraints tied for the least |D_i| per missing
-    member, in constraint order."""
+    domain, else the first unmet constraint, in constraint order, with the
+    least |D_i| per missing member (-1 when every bound is met)."""
     seats = state.k - len(state.chosen)
     ratios = {}
     for idx, bound in enumerate(state.bounds):
@@ -489,17 +489,17 @@ def reference_scan(state):
         if missing > seats or missing > len(state.free_sets[idx]):
             return None
         ratios[idx] = Fraction(state.sizes[idx], missing)
-    return [idx for idx, ratio in ratios.items() if ratio == min(ratios.values())]
+    return min(ratios, key=ratios.__getitem__) if ratios else -1
 
 
 def reference_lookahead(state):
     """The node lookahead as two passes over the constraints: the checks and
-    ties of one pass, then a packing pass that reads every constraint again
+    branching constraint of one pass, then a packing pass that reads every constraint again
     to take the unmet ones by ascending free domain size (ties by constraint
     order) and keep each whose free domain misses those already kept."""
     seats = state.k - len(state.chosen)
     inflow, free_sets, sizes, bounds = state.inflow, state.free_sets, state.sizes, state.bounds
-    ties = []
+    best = -1
     best_size = best_missing = shortfall = 0
     for idx, bound in enumerate(bounds):
         missing = bound - inflow[idx]
@@ -509,10 +509,8 @@ def reference_lookahead(state):
             return None
         shortfall += missing
         size = sizes[idx]
-        if not ties or size * best_missing < best_size * missing:
-            best_size, best_missing, ties = size, missing, [idx]
-        elif size * best_missing == best_size * missing:
-            ties.append(idx)
+        if best < 0 or size * best_missing < best_size * missing:
+            best, best_size, best_missing = idx, size, missing
     if shortfall > seats:
         unmet = sorted((len(free_sets[idx]), idx) for idx, bound in enumerate(bounds) if bound > inflow[idx])
         claimed, need = set(), 0
@@ -522,7 +520,7 @@ def reference_lookahead(state):
                 if need > seats:
                     return None
                 claimed |= free_sets[idx]
-    return ties
+    return best
 
 
 def random_cubic_graph(vertices, seed):
@@ -650,96 +648,6 @@ def test_packing_bound_settles_the_v32_cover_frontier():
     populations = [c for c in instance.constraints() if c.key.startswith("R:")]
     assert len(populations) == len(graph.edges)
     assert all(committee & set(c.domain) for c in populations)
-
-
-def test_seeded_search_is_sound_and_deterministic():
-    for seed in range(30):
-        instance = random_instance(seed)
-        expected = set(brute_force_feasible_set(instance))
-        for rng_seed in (1, 7):
-            config = SolverConfig(timeout=30, seed=rng_seed)
-            first = solve_feasibility(instance, config)
-            assert outcome(first) == outcome(solve_feasibility(instance, config))
-            assert set(first.committees) <= expected
-            assert first.proven_infeasible == (not expected)
-
-
-# the committees of solve_feasibility under SolverConfig(seed=s, max_committees=c)
-# for each (s, c) of SEEDED_CONFIGS: random_instance seeds whose seeded harvest
-# differs from the unseeded one, then vc-rep reductions of random_cubic_graph(V,
-# graph seed) at k = cover + d, keyed (V, graph seed, d).  Pinned literals, so
-# a change to the seeded draws shows, even one in a block of candidates that
-# no domain holds and that is never a value
-SEEDED_CONFIGS = ((1, 1), (1, 3), (7, 1), (7, 3))
-SEEDED_HARVESTS = {
-    5: (((2, 5, 6),), ((2, 5, 6), (2, 4, 6)), ((2, 4, 6),), ((2, 4, 6), (2, 5, 6))),
-    27: (((0, 4, 5),), ((0, 4, 5),), ((0, 1, 4),), ((0, 1, 4),)),
-    41: (((3, 4),), ((3, 4), (2, 4)), ((3, 4),), ((3, 4),)),
-    75: (((1, 2, 3, 5),), ((1, 2, 3, 5), (0, 1, 3, 5)), ((0, 1, 5, 6),), ((0, 1, 5, 6), (1, 2, 5, 6))),
-    76: (((0, 1, 4, 5),), ((0, 1, 4, 5), (0, 1, 2, 5)), ((0, 1, 4, 5),), ((0, 1, 4, 5), (0, 1, 3, 5))),
-    79: (((1, 2, 4),), ((1, 2, 4),), ((0, 1, 4),), ((0, 1, 4),)),
-    88: (((0, 2, 3),), ((0, 2, 3), (0, 3, 4), (0, 4, 6)), ((1, 4, 6),), ((1, 4, 6), (0, 4, 6), (2, 4, 6))),
-    89: (((0, 1, 2),), ((0, 1, 2), (1, 2, 3)), ((1, 2, 3),), ((1, 2, 3), (0, 1, 2))),
-    95: (((2, 6),), ((2, 6),), ((2, 8),), ((2, 8),)),
-    100: (
-        ((0, 1, 2, 3),),
-        ((0, 1, 2, 3), (0, 1, 3, 4), (1, 2, 3, 4)),
-        ((0, 1, 2, 3),),
-        ((0, 1, 2, 3), (0, 1, 2, 4)),
-    ),
-    113: (((0, 1, 2),), ((0, 1, 2), (1, 2, 3)), ((0, 2, 3),), ((0, 2, 3), (0, 1, 2))),
-    118: (((5, 7),), ((5, 7), (6, 7), (0, 7)), ((1, 7),), ((1, 7), (6, 7), (0, 7))),
-    142: (
-        ((0, 1, 2, 3),),
-        ((0, 1, 2, 3), (0, 1, 3, 4), (1, 2, 3, 7)),
-        ((0, 1, 2, 3),),
-        ((0, 1, 2, 3), (0, 1, 2, 4)),
-    ),
-    144: (((2, 4, 5, 6),), ((2, 4, 5, 6), (1, 2, 4, 6)), ((0, 2, 4, 5),), ((0, 2, 4, 5), (2, 4, 5, 6))),
-    149: (((0, 2, 3),), ((0, 2, 3), (1, 2, 3)), ((0, 2, 3),), ((0, 2, 3), (0, 1, 2))),
-    154: (((0, 1, 2, 3),), ((0, 1, 2, 3),), ((0, 1, 3, 4),), ((0, 1, 3, 4),)),
-    166: (((0, 1, 2, 3),), ((0, 1, 2, 3),), ((0, 1, 2, 4),), ((0, 1, 2, 4),)),
-    170: (((6, 7, 9),), ((6, 7, 9),), ((3, 8, 9),), ((3, 8, 9),)),
-    173: (((1, 4, 5),), ((1, 4, 5), (0, 1, 4)), ((2, 4, 5),), ((2, 4, 5), (1, 4, 5), (0, 4, 5))),
-    213: (((0, 2),), ((0, 2),), ((0, 4),), ((0, 4),)),
-    (8, 0, 0): (
-        ((1, 2, 3, 6, 7),),
-        ((1, 2, 3, 6, 7), (0, 3, 4, 5, 6)),
-        ((0, 4, 5, 6, 7),),
-        ((0, 4, 5, 6, 7), (0, 3, 4, 5, 6), (1, 2, 3, 7, 88)),
-    ),
-    (8, 1, 1): (
-        ((0, 3, 4, 5, 6, 7),),
-        ((0, 3, 4, 5, 6, 7), (1, 2, 5, 6, 7, 74), (1, 2, 5, 6, 7, 73)),
-        ((0, 1, 2, 3, 6, 7),),
-        ((0, 1, 2, 3, 6, 7), (0, 2, 3, 6, 7, 8), (0, 2, 3, 6, 7, 9)),
-    ),
-    (10, 0, 0): (
-        ((3, 4, 5, 6, 7, 8),),
-        ((3, 4, 5, 6, 7, 8), (1, 3, 4, 5, 6, 7)),
-        ((1, 2, 3, 5, 6, 7),),
-        ((1, 2, 3, 5, 6, 7), (0, 2, 3, 4, 8, 9)),
-    ),
-    (10, 1, 1): (
-        ((0, 1, 3, 6, 7, 8, 9),),
-        ((0, 1, 3, 6, 7, 8, 9), (0, 1, 3, 5, 6, 7, 9), (0, 3, 5, 6, 7, 9, 50)),
-        ((0, 1, 3, 4, 6, 7, 8),),
-        ((0, 1, 3, 4, 6, 7, 8), (0, 3, 4, 6, 7, 8, 9), (0, 3, 4, 6, 7, 8, 100)),
-    ),
-}
-
-
-def test_seeded_harvests_are_pinned():
-    for key, expected in SEEDED_HARVESTS.items():
-        if isinstance(key, int):
-            instance = random_instance(key)
-        else:
-            vertices, graph_seed, extra = key
-            graph = random_cubic_graph(vertices, graph_seed)
-            instance = reduce_vc_representation(graph, 1, min_vertex_cover_size(graph) + extra).instance
-        got = tuple(solve_feasibility(instance, SolverConfig(timeout=60, seed=seed, max_committees=cap)).committees
-                    for seed, cap in SEEDED_CONFIGS)
-        assert got == expected, key
 
 
 def test_exhaustive_depth_does_not_grow_with_m():
