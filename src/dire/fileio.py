@@ -247,8 +247,8 @@ def read_soc(path: str | Path) -> tuple[PreferenceProfile, list[str]]:
             raise ParseError(where[row], f"bad ranking line {lines[row]!r}") from exc
         if count < 0:
             raise ParseError(where[row], f"negative ranking count {count}")
-        if len(order) != m:
-            raise ParseError(where[row], f"ranking lists {len(order)} of {m} candidates")
+        if sorted(order) != list(range(m)):
+            raise ParseError(where[row], f"ranking is not a permutation of 1..{m}")
         rankings.extend([order] * count)
     if len(rankings) != n_voters:
         raise ParseError("soc", f"rankings expand to {len(rankings)} voters, summary says {n_voters}")

@@ -48,16 +48,25 @@ class PreferenceProfile:
         """The voter-major entry matrix of a positional vector: row v holds
         ``vector[i]`` at column ``rankings[v][i]``, so ``[v][c]`` is
         ``vector[pos_v(c) - 1]``.  Built in one pass over the rankings on
-        the first call per vector and kept as long as the profile."""
+        the first call per vector and kept as long as the profile.
+
+        A ranking equal to the one before it shares that voter's row (the
+        same tuple object), so a run of equal ballots, as in a reduction's
+        voter blocks or an expanded ``.soc`` count, costs one row.  Only
+        adjacent rankings are compared: that test usually stops at the
+        first entry, where a lookup of every ranking would hash it whole."""
         vector = tuple(vector)
         matrix = self._matrices.get(vector)
         if matrix is None:
             rows = []
+            row = previous = None
             for ranking in self.rankings:
-                row = [0] * self.m
-                for cand, entry in zip(ranking, vector):
-                    row[cand] = entry
-                rows.append(tuple(row))
+                if ranking != previous:
+                    entries = [0] * self.m
+                    for cand, entry in zip(ranking, vector):
+                        entries[cand] = entry
+                    row, previous = tuple(entries), ranking
+                rows.append(row)
             matrix = self._matrices[vector] = tuple(rows)
         return matrix
 
@@ -152,16 +161,15 @@ def validate_profile(profile: PreferenceProfile) -> ValidationResult:
             )
         seen = set()
         for cand in ranking:
+            if cand not in expected:
+                return ValidationResult(
+                    False, f"candidate-out-of-range: voter {v} ranks candidate {cand}"
+                )
             if cand in seen:
                 return ValidationResult(
                     False, f"duplicate-candidate-in-ranking: voter {v} ranks candidate {cand} twice"
                 )
             seen.add(cand)
-        if seen != expected:
-            missing = min(expected - seen)
-            return ValidationResult(
-                False, f"wrong-length-ranking: voter {v} is missing candidate {missing}"
-            )
     if len(profile.priority) != m or set(profile.priority) != expected:
         return ValidationResult(
             False, f"bad-priority-permutation: priority {profile.priority} is not a permutation of 0..{m - 1}"

@@ -287,17 +287,14 @@ def reduce_vc_representation(graph: InputGraph, pi: int, k: int) -> Representati
         raise ReductionError(f"cover budget k must be in [2, vertices + 2], got {k}")
 
     total = mg + ne * mg
-    all_vertices = list(range(mg))
-    all_dummies = list(range(mg, total))
-    rankings = []
+    # edge a: its endpoints, its private dummies, the other vertices, then
+    # the dummies before and after its private block
+    blocks = []
     for a, (u, v) in enumerate(graph.edges):
-        t1 = [u, v]
-        t2 = list(range(mg + a * mg, mg + (a + 1) * mg))
-        t3 = [c for c in all_vertices if c not in t1]
-        t4 = [d for d in all_dummies if d not in t2]
-        block_ranking = tuple(t1 + t2 + t3 + t4)
-        rankings.extend([block_ranking] * ne)
-    profile = PreferenceProfile(m=total, rankings=tuple(rankings))
+        lo, hi = mg + a * mg, mg + (a + 1) * mg
+        blocks.append((u, v, *range(lo, hi), *(c for c in range(mg) if c not in (u, v)),
+                       *range(mg, lo), *range(hi, total)))
+    profile = PreferenceProfile(m=total, rankings=tuple(r for r in blocks for _ in range(ne)))
 
     attributes = []
     rep_bounds: dict[tuple[str, str], int] = {}
@@ -313,9 +310,7 @@ def reduce_vc_representation(graph: InputGraph, pi: int, k: int) -> Representati
                     continue
                 label = f"e{a}m{r}"
                 populations[label] = voters
-                u, v = edge
-                top = ([u, v] + list(range(mg + a * mg, mg + (a + 1) * mg)))[:k]
-                winning[(name, label)] = tuple(top)
+                winning[(name, label)] = blocks[a][:k]
                 rep_bounds[(name, label)] = 1
                 edge_to_populations[edge].append(f"{name}:{label}")
         attributes.append(Attribute(name, populations))

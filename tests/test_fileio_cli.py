@@ -170,6 +170,14 @@ def test_read_soc_rejects_a_repeated_candidate_id(tmp_path):
         fileio.read_soc(path)
 
 
+@pytest.mark.parametrize("line", ["1, 1, 1", "1, 1, 3", "1, 0, 1", "1, 2"])
+def test_read_soc_names_the_line_of_a_ranking_that_is_no_permutation(tmp_path, line):
+    path = tmp_path / "bad.soc"
+    path.write_text(f"2\n1, a\n2, b\n2, 2, 2\n1, 2, 1\n# note\n{line}\n", encoding="utf-8")
+    with pytest.raises(fileio.ParseError, match=r"^soc:7: ranking is not a permutation of 1\.\.2$"):
+        fileio.read_soc(path)
+
+
 def test_cli_solve_exhaustive(example1_path, capsys):
     code = main(["solve", str(example1_path), "--exhaustive"])
     out = capsys.readouterr().out

@@ -109,3 +109,10 @@ def test_committee_sorted_and_distinct():
     assert 2 in committee
     with pytest.raises(ProfileError):
         Committee([1, 1])
+
+
+def test_out_of_range_candidate_is_named():
+    profile = PreferenceProfile(m=3, rankings=((0, 1, 2), (0, 1, 99)))
+    result = validate_profile(profile)
+    assert not result.ok
+    assert result.error == "candidate-out-of-range: voter 1 ranks candidate 99"

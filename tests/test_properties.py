@@ -3,8 +3,10 @@ set, its node lookahead against brute force below the node, closed-form
 preprocessing against the reference fixpoint and the per-pair reduction
 loop, the scoring kernel against the rescoring reference, the
 branch-and-bound, with and without the lookahead, against full
-enumeration, its inherited gains against a fresh gain pass, and the
-best-unsatisfied-fraction search against enumeration.
+enumeration, its inherited gains against a fresh gain pass, the
+profile's shared satisfaction rows and its validation on runs of equal
+ballots against a per-voter build, and the best-unsatisfied-fraction
+search against enumeration.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -21,7 +23,7 @@ import scoring_reference as ref
 from conftest import brute_force_feasible_set
 from dire.constraints import Attribute, AttributeScheme, holders, make_instance
 from dire.experiment import best_unsatisfied_fraction
-from dire.profiles import make_profile
+from dire.profiles import PreferenceProfile, ValidationResult, make_profile, validate_profile
 from dire.rules import (
     RULE_KINDS,
     Rule,
@@ -480,6 +482,65 @@ def test_table_rows_are_the_vector_entries_of_the_profile_matrix(election):
     assert profile.satisfaction(custom) == entries(custom)
     assert profile.satisfaction(borda) == entries(borda)
     assert profile._positions == entries(range(1, m + 1))
+
+
+@st.composite
+def run_profiles(draw, valid=True):
+    """A profile (m <= 6) built from runs of one to four equal ballots drawn
+    from a pool of at most four, so equal ballots come both adjacent and
+    apart; every voter's ranking is its own list.  With ``valid`` false the
+    pool may hold ballots of the wrong length, with repeats or ids outside
+    0..m-1, and the priority may be malformed too."""
+    m = draw(st.integers(1, 6))
+    ballot = st.permutations(range(m))
+    if not valid:
+        ballot = ballot | st.lists(st.integers(-1, m), min_size=max(0, m - 1), max_size=m + 1)
+    pool = draw(st.lists(ballot, min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)), min_size=1, max_size=6))
+    rankings = [list(pool[i]) for i, count in runs for _ in range(count)]
+    priority = () if valid else draw(st.just(()) | st.lists(st.integers(0, m), max_size=m + 1))
+    return PreferenceProfile(m=m, rankings=rankings, priority=priority)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_profiles(), st.lists(st.integers(0, 9), min_size=6, max_size=6))
+def test_equal_adjacent_ballots_share_one_satisfaction_row(profile, drawn):
+    # every row equals the per-voter build, and a voter whose ranking equals
+    # the one before holds that voter's very row, which is the memory saved
+    m = profile.m
+    for vector in (tuple(sorted(drawn[:m], reverse=True)), borda_vector(m)):
+        matrix = profile.satisfaction(vector)
+        assert matrix == tuple(tuple(vector[ranking.index(c)] for c in range(m)) for ranking in profile.rankings)
+        for v in range(1, profile.n):
+            if profile.rankings[v] == profile.rankings[v - 1]:
+                assert matrix[v] is matrix[v - 1]
+
+
+def validate_per_voter(profile):
+    """The verdict of ``validate_profile`` from checking every voter alone."""
+    m = profile.m
+    if m < 1:
+        return ValidationResult(False, f"candidate count must be >= 1, got {m}")
+    if profile.n < 1:
+        return ValidationResult(False, "profile has no voters")
+    for v, ranking in enumerate(profile.rankings):
+        if len(ranking) != m:
+            return ValidationResult(False, f"wrong-length-ranking: voter {v} ranks {len(ranking)} of {m} candidates")
+        for i, cand in enumerate(ranking):
+            if not 0 <= cand < m:
+                return ValidationResult(False, f"candidate-out-of-range: voter {v} ranks candidate {cand}")
+            if cand in ranking[:i]:
+                return ValidationResult(False, f"duplicate-candidate-in-ranking: voter {v} ranks candidate {cand} twice")
+    if sorted(profile.priority) != list(range(m)):
+        return ValidationResult(False, f"bad-priority-permutation: priority {profile.priority} "
+                                       f"is not a permutation of 0..{m - 1}")
+    return ValidationResult(True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_profiles(valid=False))
+def test_validation_matches_the_per_voter_verdict_on_profiles_with_runs(profile):
+    assert validate_profile(profile) == validate_per_voter(profile)
 
 
 @st.composite

@@ -106,6 +106,56 @@ def test_representation_reduction_multiple_attributes():
     assert feasible  # triangle has a 2-cover
 
 
+def _prism(n):
+    return InputGraph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                      + [(n + i, n + (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)])
+
+
+def _moebius_ladder(vertices):
+    return InputGraph(vertices, [(i, (i + 1) % vertices) for i in range(vertices)]
+                      + [(i, i + vertices // 2) for i in range(vertices // 2)])
+
+
+PETERSEN = InputGraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)])
+
+
+def _representation_reference(graph, pi, k):
+    """Rankings, populations, winning committees and bounds of the
+    representation reduction, each block ranking built by filtering lists."""
+    mg, ne = graph.vertices, len(graph.edges)
+    all_dummies = list(range(mg, mg + ne * mg))
+    rankings, populations, winning = [], {}, {}
+    for a, (u, v) in enumerate(graph.edges):
+        t2 = list(range(mg + a * mg, mg + (a + 1) * mg))
+        t3 = [c for c in range(mg) if c not in (u, v)]
+        t4 = [d for d in all_dummies if d not in t2]
+        rankings.extend([tuple([u, v] + t2 + t3 + t4)] * ne)
+        for x in range(1, pi + 1):
+            for r in range(x):
+                voters = [a * ne + z for z in range(ne) if z % x == r]
+                if voters:
+                    populations[(f"vattr{x}", f"e{a}m{r}")] = tuple(voters)
+                    winning[(f"vattr{x}", f"e{a}m{r}")] = tuple(([u, v] + t2)[:k])
+    return tuple(rankings), populations, winning, dict.fromkeys(winning, 1)
+
+
+@pytest.mark.parametrize("graph", [_prism(4), _moebius_ladder(8), _prism(5), _moebius_ladder(10), PETERSEN,
+                                   _prism(6), _moebius_ladder(12)])
+def test_representation_reduction_matches_the_list_build_on_cubic_graphs(graph):
+    assert graph.is_3_regular
+    cover = min_vertex_cover_size(graph)
+    for k in (cover - 1, cover):
+        for pi in (1, 2):
+            instance = reduce_vc_representation(graph, pi=pi, k=k).instance
+            rankings, populations, winning, bounds = _representation_reference(graph, pi, k)
+            assert instance.profile.rankings == rankings
+            assert {(attr.name, label): voters for attr in instance.scheme.voter_attributes
+                    for label, voters in attr.groups} == populations
+            assert instance.winning_committees == winning
+            assert instance.representation_bounds == bounds
+
+
 def test_representation_reduction_preconditions():
     with pytest.raises(ReductionError):
         reduce_vc_representation(TRIANGLE, pi=0, k=2)
