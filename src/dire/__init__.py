@@ -14,11 +14,9 @@ from dire.profiles import Committee, PreferenceProfile, make_profile, position, 
 from dire.rules import (
     Rule,
     borda_vector,
-    candidate_score,
     kborda,
     betacc,
     monroe,
-    monroe_assign,
     population_winning_committee,
     score_committee,
     unconstrained_winner,
@@ -46,12 +44,10 @@ __all__ = [
     "betacc",
     "borda_vector",
     "brute_force_oracle",
-    "candidate_score",
     "kborda",
     "make_instance",
     "make_profile",
     "monroe",
-    "monroe_assign",
     "population_winning_committee",
     "position",
     "satisfies",

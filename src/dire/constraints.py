@@ -177,9 +177,11 @@ class DiReInstance:
                 wc = self.winning_committees.get((attr.name, label))
                 if wc is None:
                     raise InstanceError(f"missing winning committee for population {attr.name}:{label}")
-                if len(set(wc)) != self.k:
+                if len(set(wc)) != len(wc):
+                    raise InstanceError(f"winning committee for {attr.name}:{label} repeats a candidate id")
+                if len(wc) != self.k:
                     raise InstanceError(
-                        f"winning committee for {attr.name}:{label} has size {len(set(wc))}, expected k={self.k}"
+                        f"winning committee for {attr.name}:{label} has size {len(wc)}, expected k={self.k}"
                     )
                 if any(not 0 <= c < self.m for c in wc):
                     raise InstanceError(f"winning committee for {attr.name}:{label} has bad candidate ids")
@@ -308,7 +310,10 @@ def satisfies(instance: DiReInstance, committee: Iterable[int]) -> SatisfactionR
 def _violations(
     instance: DiReInstance, constraints: Sequence[UnaryConstraint], committee: Iterable[int]
 ) -> tuple[tuple[str, int], ...]:
+    committee = list(committee)
     members = set(committee)
+    if len(members) != len(committee):
+        raise InstanceError(f"committee {sorted(committee)} repeats a candidate id")
     if len(members) != instance.k:
         raise InstanceError(f"committee size {len(members)} != k={instance.k}")
     if not 0 <= min(members) <= max(members) < instance.m:

@@ -27,7 +27,7 @@ whose bound can still beat the best found (see :func:`_greedy_monroe`
 for the bound and why it holds).
 
 Every score is read off a :class:`SatisfactionTable` for one (profile,
-rule vector, voter list): one row per candidate holding
+rule vector, list of distinct voters): one row per candidate holding
 ``vector[pos_v(c) - 1]`` for each voter, the row totals (a candidate's
 positional score, which is all k-Borda needs) and, for Monroe, each
 candidate's voters sorted by (satisfaction descending, voter id) when it
@@ -38,8 +38,8 @@ come from the profile's per-vector matrix
 (profile, vector); a table is the transpose of that matrix's rows for its
 voters, so every table of one profile and vector shares the same entries.
 A winner search or a scoring loop builds one table and scores every
-committee it tries through it; :func:`score_committee` and
-:func:`monroe_assign` build a table for their one committee.
+committee it tries through it; :func:`score_committee` builds a table
+of every voter for its one committee.
 """
 
 from __future__ import annotations
@@ -145,9 +145,8 @@ def monroe(scoring: Sequence[int] | None = None) -> Rule:
 class SatisfactionTable:
     """Per-candidate satisfaction of one (profile, rule vector, voter list).
 
-    ``voters`` defaults to every voter and is kept sorted; a repeated id
-    counts once per occurrence in the sums and once in a Monroe
-    assignment.  ``rows[c][i]`` is the vector entry at candidate c's
+    ``voters`` holds distinct ids, defaults to every voter and is kept
+    sorted.  ``rows[c][i]`` is the vector entry at candidate c's
     position for the i-th voter, a tuple read off the profile's matrix
     for the vector (the rows of ``voters``, transposed), ``totals[c]``
     the row sum and ``vector`` the rule's vector for the profile, which
@@ -171,40 +170,37 @@ class SatisfactionTable:
         self.totals = list(map(sum, self.rows))
         self._prefix: Sequence[int] = ()
         if self.kind == MONROE:
-            # a repeated voter id is one voter; the sorted list keeps repeats adjacent
-            voters = self.voters
-            self.unique = [i for i in range(len(voters)) if not i or voters[i] != voters[i - 1]]
             self.orders: list[list[int] | None] = [None] * profile.m  # sorted on first use
 
     def _order(self, c: int) -> list[int]:
-        """Monroe: candidate c's distinct voters by (satisfaction
-        descending, voter id), sorted on first use."""
+        """Monroe: candidate c's voters by (satisfaction descending, voter
+        id), sorted on first use."""
         order = self.orders[c]
         if order is None:
             # stable sort: equal satisfaction keeps ascending voter order
-            order = self.orders[c] = sorted(self.unique, key=self.rows[c].__getitem__, reverse=True)
+            row = self.rows[c]
+            order = self.orders[c] = sorted(range(len(row)), key=row.__getitem__, reverse=True)
         return order
 
     @cached_property
     def best_sums(self) -> list[list[int]]:
         """Monroe: ``best_sums[c][l]``, for l in 0..n, is the sum of
-        candidate c's l largest entries over distinct voters, the most a
-        member c serving l voters can take.  A table of every voter, each
-        once, reads the profile's sums for its vector."""
-        if len(self.voters) == len(self.unique) == self.profile.n:
+        candidate c's l largest entries, the most a member c serving l
+        voters can take.  A table of every voter reads the profile's sums
+        for its vector."""
+        if len(self.voters) == self.profile.n:
             return self.profile.best_sums(self.vector)
         return list(map(self._sums, range(self.profile.m)))
 
     def _sums(self, c: int) -> list[int]:
         """Monroe: row c of :attr:`best_sums`, sorted afresh."""
-        row, unique, repeats = self.rows[c], self.unique, [0] * (len(self.voters) - len(self.unique))
-        return list(itertools.accumulate(
-            [*sorted(map(row.__getitem__, unique) if repeats else row, reverse=True), *repeats], initial=0))
+        return list(itertools.accumulate(sorted(self.rows[c], reverse=True), initial=0))
 
     def score(self, members: Sequence[int]) -> int:
         """The rule's score of a committee; the empty committee scores 0."""
         if self.kind == MONROE:
-            return self.assign(members)[1] if members else 0
+            n, members = len(self.voters), sorted(members, key=self.profile._priority_rank.__getitem__)
+            return self._claim([None] * n, 0, members, _monroe_loads(n, len(members))) if members else 0
         if self.kind == KBORDA or len(members) < 2:
             return sum(map(self.totals.__getitem__, members))
         # A voter's best-ranked member has the highest entry, as the vector
@@ -218,18 +214,10 @@ class SatisfactionTable:
                 else rows[prefix[0]]
         return sum([a if a > b else b for a, b in zip(self._prefix_best, rows[members[-1]])])
 
-    def assign(self, members: Sequence[int]) -> tuple[list[int | None], int]:
-        """Greedy balanced Monroe assignment (see :func:`monroe_assign`):
-        the member of each voter in ``voters`` (None if unassigned) and the
-        total satisfaction."""
-        members = sorted(members, key=self.profile._priority_rank.__getitem__)
-        owner: list[int | None] = [None] * len(self.voters)
-        return owner, self._claim(owner, 0, members, _monroe_loads(len(owner), len(members)))
-
     def _claim(self, owner: list[int | None], total: int, members: Iterable[int], loads: Iterable[int]) -> int:
         """Let each member in turn claim its load of the most satisfied
         voters that ``owner`` leaves unassigned; returns ``total`` plus
-        their satisfaction.  ``assign`` runs it from the empty assignment,
+        their satisfaction.  ``score`` runs it from the empty assignment,
         greedy Monroe from the assignment of a committee's first members."""
         rows, orders = self.rows, self.orders
         for member, load in zip(members, loads):
@@ -252,80 +240,33 @@ def _monroe_loads(n: int, k: int) -> Iterator[int]:
     return itertools.chain(itertools.repeat(base + 1, extra), itertools.repeat(base, k - extra))
 
 
-def _check_candidates(profile: PreferenceProfile, members: Sequence[int]) -> None:
-    """Raise unless every id of the sorted, nonempty ``members`` is in [0, m)."""
-    if not (0 <= members[0] and members[-1] < profile.m):
-        raise RuleError(f"out-of-range candidate ids in {tuple(members)}, expected [0, {profile.m})")
+def candidate_scores(profile: PreferenceProfile, scoring: Sequence[int]) -> list[int]:
+    """Positional score of every candidate: the sum over voters of
+    s[pos_v(c)], validating ``scoring`` once."""
+    return SatisfactionTable(profile, Rule(KBORDA, scoring)).totals
 
 
-def candidate_score(
-    profile: PreferenceProfile,
-    scoring: Sequence[int],
-    candidate: int,
-    voters: Iterable[int] | None = None,
-) -> int:
-    """Positional score of one candidate: sum over voters of s[pos_v(c)].
-
-    ``voters`` restricts the sum to a sub-election (used for population
-    winning committees); None means all voters.
-    """
-    _check_candidates(profile, [candidate])
-    return SatisfactionTable(profile, Rule(KBORDA, scoring), voters).totals[candidate]
-
-
-def candidate_scores(
-    profile: PreferenceProfile,
-    scoring: Sequence[int],
-    voters: Iterable[int] | None = None,
-) -> list[int]:
-    """:func:`candidate_score` of every candidate, validating ``scoring`` once."""
-    return SatisfactionTable(profile, Rule(KBORDA, scoring), voters).totals
-
-
-def score_committee(
-    profile: PreferenceProfile,
-    rule: Rule,
-    committee: Iterable[int],
-    voters: Iterable[int] | None = None,
-) -> int:
-    """Score of a fixed committee under the given rule.
+def score_committee(profile: PreferenceProfile, rule: Rule, committee: Iterable[int]) -> int:
+    """Score of a committee of distinct candidate ids under the given rule.
 
     k-Borda sums the members' individual scores.  Borda-CC credits each
-    voter with the score of their best-ranked member.  Monroe scores the
-    greedy balanced assignment of voters to members (see
-    :func:`monroe_assign`).
+    voter with the score of their best-ranked member.  Monroe scores a
+    greedy balanced assignment of voters to members, a heuristic: members
+    in tie-break priority order each claim their load of the most
+    satisfied voters still unassigned, ceil(n/k) for the first n mod k
+    and floor(n/k) for the others.
 
-    Partial committees are scored too (greedy selection builds on this);
-    the empty committee scores 0 under every rule.
+    A committee of any size is scored; the empty committee scores 0 under
+    every rule.
     """
-    members = tuple(sorted(set(committee)))
+    members = tuple(sorted(committee))
     if not members:
         return 0
-    _check_candidates(profile, members)
-    return SatisfactionTable(profile, rule, voters).score(members)
-
-
-def monroe_assign(
-    profile: PreferenceProfile,
-    committee: Iterable[int],
-    scoring: Sequence[int] | None = None,
-    voters: Iterable[int] | None = None,
-) -> tuple[dict[int, int], int]:
-    """Assign voters to committee members in balanced loads and sum satisfaction.
-
-    Each member represents floor(n/k) or ceil(n/k) voters.  This is a
-    greedy evaluation heuristic: members are visited in tie-break priority
-    order and each claims its load of most-satisfied unassigned voters.
-
-    Returns (voter -> member mapping, total satisfaction).
-    """
-    members = sorted(set(committee))
-    if not members:
-        raise RuleError("cannot assign voters to an empty committee")
-    _check_candidates(profile, members)
-    table = SatisfactionTable(profile, Rule(MONROE, scoring), voters)
-    owner, total = table.assign(members)
-    return {v: c for v, c in zip(table.voters, owner) if c is not None}, total
+    if len(set(members)) != len(members):
+        raise RuleError(f"committee {members} repeats a candidate id")
+    if not (0 <= members[0] and members[-1] < profile.m):
+        raise RuleError(f"out-of-range candidate ids in {members}, expected [0, {profile.m})")
+    return SatisfactionTable(profile, rule).score(members)
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -401,10 +342,10 @@ def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> 
     priority order, the trial M + c resumes from the assignment P_t of
     M[:t] at L[:t]: c claims L[t] voters, then M[t:] claim L[t + 1:].  The
     baseline B_t lets M[t:] claim L[t + 1:] from P_t without c.  c takes at
-    most its L[t] largest entries over distinct voters, and the voters it
-    takes only shrink the free set every later member picks from, so by
-    induction each later member's free set lies inside its baseline one and
-    its i-th pick is worth no more than there.  Hence score(M + c) <= B_t +
+    most its L[t] largest entries, and the voters it takes only shrink the
+    free set every later member picks from, so by induction each later
+    member's free set lies inside its baseline one and its i-th pick is
+    worth no more than there.  Hence score(M + c) <= B_t +
     (the sum of c's L[t] largest entries).  With e = n mod (s + 1), M
     claims L with one ceil load left out in B_t for every t < e, and L with
     one floor load left out for every t >= e, so two claim runs give every
@@ -414,29 +355,25 @@ def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> 
     over every voter, which bound a population's, and c's
     own row is sorted only when that bound does not already lose; a table
     whose :attr:`~SatisfactionTable.best_sums` exists, or that holds every
-    voter once, has the exact sums at once.  Candidates leave a heap of
+    voter, has the exact sums at once.  Candidates leave a heap of
     (-bound, priority rank), the looser bound replaced by the exact one on
     reaching the top, and are tried exactly until that key passes the best
     (-score, priority rank) found, which then no other candidate can beat:
     the pick is that of scoring every candidate.  The first step needs
-    none of this: a lone member claims every distinct voter, so its score
-    is its row's sum over them."""
+    none of this: a lone member claims every voter, so its score is its
+    row total."""
     profile, n = table.profile, len(table.voters)
     rank, priority = profile._priority_rank, profile.priority
     # by priority rank: the sums of each candidate's largest entries, and
     # whether they are its own; cached_property keeps best_sums in vars()
     known = vars(table).get("best_sums")
-    if known is None and len(table.voters) == len(table.unique) == profile.n:
+    if known is None and n == profile.n:
         known = table.best_sums
     by_rank = list(map((known or profile.best_sums(table.vector)).__getitem__, priority))
     own = [known is not None] * profile.m
     members: list[int] = []  # the committee so far, in priority order
-    if k:
-        # a lone member's load n claims every distinct voter, so it scores
-        # its row's sum over them: its total when no voter id repeats
-        scores = table.totals if len(table.voters) == len(table.unique) else \
-            [sum(map(row.__getitem__, table.unique)) for row in table.rows]
-        members.append(priority[min(zip(map(neg, scores), rank))[1]])
+    if k:  # a lone member's load n claims every voter: it scores its total
+        members.append(priority[min(zip(map(neg, table.totals), rank))[1]])
     for s in range(1, k):
         base, extra = divmod(n, s + 1)
         loads = list(_monroe_loads(n, s + 1))
@@ -455,9 +392,7 @@ def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> 
         ranks = list(map(rank.__getitem__, members))
         cut = ranks[extra - 1] if extra else -1  # the ranks below it have t < extra
         hi, lo = -totals[0], -totals[-1]
-        # the loads L[t], clamped at the profile's n: the sums are flat past it
-        at_hi, at_lo = min(base + 1, profile.n), min(base, profile.n)
-        heap = [(hi - row[at_hi] if r < cut else lo - row[at_lo], r)
+        heap = [(hi - row[base + 1] if r < cut else lo - row[base], r)
                 for r, row in enumerate(by_rank) if r not in ranks]
         heapq.heapify(heap)
         top = (inf,)  # (-score, priority rank) of the best trial so far
@@ -467,7 +402,7 @@ def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> 
             if not own[r]:
                 own[r], row = True, table._sums(c)
                 by_rank[r] = row
-                heapq.heapreplace(heap, (hi - row[at_hi] if r < cut else lo - row[at_lo], r))
+                heapq.heapreplace(heap, (hi - row[base + 1] if r < cut else lo - row[base], r))
                 continue
             heapq.heappop(heap)
             _check_deadline(deadline)
@@ -710,7 +645,7 @@ def _certified_max(
     (b) Borda-CC and Monroe: the sum over voters of the best entry among P,
         c and R, read off suffix maxima.  No completion gives a voter more.
     (c) Monroe, with e = n mod k and lo[x], hi[x] the sums of member x's
-        floor(n/k) and ceil(n/k) best entries over distinct voters:
+        floor(n/k) and ceil(n/k) best entries:
         cap(P + c), the sum of lo over P + c plus hi - lo over its e
         members earliest in priority order, plus the r largest over y in R
         of hi[y] if fewer than e members of P precede y in priority order,

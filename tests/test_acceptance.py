@@ -19,7 +19,7 @@ from dire.reductions import (
     reduce_vc_diversity,
     reduce_vc_representation,
 )
-from dire.rules import Rule, betacc, borda_vector, candidate_score, score_committee, unconstrained_winner
+from dire.rules import Rule, betacc, borda_vector, candidate_scores, score_committee, unconstrained_winner
 from dire.solver import SolverConfig, build_diregraph, enumerate_feasible, preprocess, solve_feasibility
 from dire.synth import MallowsParams, gen_syndata, kendall_tau, sample_mallows
 from dire.winner import brute_force_oracle, solve_drcwd
@@ -137,7 +137,7 @@ def test_criterion_5_betacc_properties():
 
         profile = make_profile(m, profile_rankings)
         vector = borda_vector(m)
-        mass = sum(candidate_score(profile, vector, c) for c in range(m))
+        mass = sum(candidate_scores(profile, vector))
         assert mass == n * m * (m - 1) // 2  # Borda mass conservation
 
         for _ in range(10):

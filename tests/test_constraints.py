@@ -34,6 +34,14 @@ def test_satisfies_rejects_wrong_size(example1):
         satisfies(example1, (0, 1, 2))
 
 
+def test_committee_checks_reject_a_repeated_id(example1):
+    # (1, 1, 2) at k = 2 was once checked as the committee {1, 2}
+    for check in (satisfies, unsatisfied_fraction):
+        with pytest.raises(InstanceError, match="repeats a candidate id"):
+            check(example1, (1, 1, 2))
+        check(example1, (1, 2))
+
+
 def test_unsatisfied_fraction_examples(example1):
     assert unsatisfied_fraction(example1, (1, 2)) == 0
     assert unsatisfied_fraction(example1, (0, 1)) == Fraction(1, 4)

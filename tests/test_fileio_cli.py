@@ -59,6 +59,14 @@ def test_zero_bound_needs_permissive_flag(example1):
     ]
 
 
+def test_winning_committee_with_a_repeated_id_is_rejected(example1):
+    # [0, 0, 1] at k = 2 was once accepted and written back out as it came
+    data = json.loads(fileio.dumps_instance(example1))
+    data["winning_committees"]["state"]["CA"] = [0, 0, 1]
+    with pytest.raises(InstanceError, match="winning committee for state:CA repeats a candidate id"):
+        fileio.instance_from_dict(data)
+
+
 def test_parse_error_paths(example1):
     data = json.loads(fileio.dumps_instance(example1))
     del data["rankings"]
@@ -243,6 +251,12 @@ def test_cli_score(example1_path, capsys):
     assert "score: 17" in out
     assert "satisfies: no" in out
     assert "D:gender:female" in out
+
+
+def test_cli_score_rejects_a_repeated_id(example1_path, capsys):
+    # "0,0,1" at k = 2 once printed the score of {0, 1} and exited 0
+    assert main(["score", str(example1_path), "--committee", "0,0,1"]) == 1
+    assert capsys.readouterr().err == "error: committee (0, 0, 1) repeats a candidate id\n"
 
 
 def test_cli_infeasible_exit_code(tmp_path, capsys):

@@ -13,7 +13,7 @@ from dire.reductions import (
     reduce_vc_representation,
     write_graph,
 )
-from dire.rules import borda_vector, candidate_score, unconstrained_winner
+from dire.rules import borda_vector, candidate_scores, unconstrained_winner
 from dire.winner import brute_force_oracle
 
 TRIANGLE = InputGraph(3, [(0, 1), (0, 2), (1, 2)])
@@ -251,7 +251,7 @@ def test_diversity_reduction_equal_scores():
     artifact = reduce_vc_diversity(K33, mu=3, k=3)
     profile = artifact.instance.profile
     vector = borda_vector(profile.m)
-    scores = {candidate_score(profile, vector, c) for c in range(profile.m)}
+    scores = set(candidate_scores(profile, vector))
     assert len(scores) == 1
 
 

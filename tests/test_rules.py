@@ -21,10 +21,9 @@ from dire.rules import (
     _greedy_max,
     betacc,
     borda_vector,
-    candidate_score,
+    candidate_scores,
     kborda,
     monroe,
-    monroe_assign,
     population_winning_committee,
     score_committee,
     unconstrained_winner,
@@ -32,10 +31,10 @@ from dire.rules import (
 )
 
 
-def naive_candidate_score(profile, scoring, candidate, voters=None):
+def naive_candidate_score(profile, scoring, candidate):
     # independent recomputation straight from the rankings
     total = 0
-    for v in voters if voters is not None else range(profile.n):
+    for v in range(profile.n):
         rank = list(profile.rankings[v]).index(candidate) + 1
         total += scoring[rank - 1]
     return total
@@ -80,7 +79,7 @@ def test_borda_vector():
 def test_example1_candidate_scores(example1):
     # frozen from the pair sums 17/13/12 and the total Borda mass of 24
     vector = borda_vector(4)
-    scores = [candidate_score(example1.profile, vector, c) for c in range(4)]
+    scores = candidate_scores(example1.profile, vector)
     assert scores == [9, 8, 4, 3]
     assert scores == [naive_candidate_score(example1.profile, vector, c) for c in range(4)]
 
@@ -88,12 +87,12 @@ def test_example1_candidate_scores(example1):
 def test_single_voter_identity_borda():
     m = 5
     profile = make_profile(m, [list(range(m))])
-    assert candidate_score(profile, borda_vector(m), 0) == m - 1
+    assert candidate_scores(profile, borda_vector(m))[0] == m - 1
 
 
 def test_all_zero_scoring_vector():
     profile = make_profile(3, [[0, 1, 2], [2, 1, 0]])
-    assert candidate_score(profile, (0, 0, 0), 1) == 0
+    assert candidate_scores(profile, (0, 0, 0)) == [0, 0, 0]
 
 
 def test_score_committee_kborda_example1(example1):
@@ -115,25 +114,31 @@ def test_empty_committee_scores_zero():
 
 def test_monroe_each_voter_gets_top():
     profile = make_profile(2, [[0, 1], [1, 0]])
-    assignment, total = monroe_assign(profile, (0, 1))
-    assert assignment == {0: 0, 1: 1}
-    assert total == 2  # (m - 1) for each voter
+    assert ref.monroe_assign(profile, (0, 1)) == ({0: 0, 1: 1}, 2)
+    assert score_committee(profile, monroe(), (0, 1)) == 2  # (m - 1) for each voter
 
 
 def test_monroe_capacity_forces_split():
+    # every voter ranks 0 > 1 > 2 > 3: the loads of two give member 1 two
+    # voters at 2 each, where the unbalanced 4 x 3 would score 12
     profile = make_profile(4, [[0, 1, 2, 3]] * 4)
-    assignment, _ = monroe_assign(profile, (0, 1))
+    assignment, total = ref.monroe_assign(profile, (0, 1))
     loads = {member: sum(1 for v in assignment.values() if v == member) for member in (0, 1)}
     assert loads == {0: 2, 1: 2}
+    assert score_committee(profile, monroe(), (0, 1)) == total == 10
 
 
 def test_monroe_floor_ceil_loads():
+    # member 0, earlier in priority order, takes the ceil load of two
+    # (voters 0 and 1, at 2 and 1) and member 1 voter 2 (at 1); the loads
+    # the other way round would score 5
     profile = make_profile(3, [[0, 1, 2], [1, 0, 2], [2, 1, 0]])
-    assignment, _ = monroe_assign(profile, (0, 1))
+    assignment, total = ref.monroe_assign(profile, (0, 1))
     loads = sorted(
         sum(1 for member in assignment.values() if member == chosen) for chosen in (0, 1)
     )
     assert loads == [1, 2]
+    assert score_committee(profile, monroe(), (0, 1)) == total == 4
 
 
 def test_monroe_greedy_at_most_exact():
@@ -144,7 +149,7 @@ def test_monroe_greedy_at_most_exact():
         k = rng.randint(1, min(3, m))
         profile = make_profile(m, [rng.sample(range(m), m) for _ in range(n)])
         committee = rng.sample(range(m), k)
-        _, greedy = monroe_assign(profile, committee)
+        greedy = score_committee(profile, monroe(), committee)
         _, exact = ref.exact_monroe_assign(profile, committee)
         assert greedy <= exact
 
@@ -154,17 +159,18 @@ def test_exact_monroe_assignment_tries_every_member_for_the_larger_loads():
     # greedy gives the load of two to member 0, the earlier in priority
     # order, and scores 2; the optimum gives it to member 1 and scores 4
     profile = make_profile(3, [(1, 2, 0)] * 3)
-    assert monroe_assign(profile, [0, 1])[1] == 2
+    assert score_committee(profile, monroe(), [0, 1]) == 2
     assignment, total = ref.exact_monroe_assign(profile, [0, 1])
     assert total == 4
     assert sorted(assignment.values()) == [0, 1, 1]
 
 
 def test_exact_monroe_assignment_with_repeated_voters():
-    # the loads count a repeated voter id, the voters to hand out do not:
-    # the exact assignment still finds one and never scores below the
-    # greedy; member 1 takes the load of two, of which one distinct voter
-    # is left for it
+    # the reference oracles still take repeated voter ids, which the library
+    # no longer does: the loads count a repeated id, the voters to hand out
+    # do not, and the exact assignment still finds one and never scores
+    # below the reference greedy; member 1 takes the load of two, of which
+    # one distinct voter is left for it
     profile = make_profile(4, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)])
     assert ref.exact_monroe_assign(profile, [0, 1], voters=[0, 0, 1]) == ({0: 0, 1: 1}, 6)
     rng = random.Random(5)
@@ -173,7 +179,7 @@ def test_exact_monroe_assignment_with_repeated_voters():
         profile = make_profile(m, [rng.sample(range(m), m) for _ in range(n)])
         voters = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
         committee = rng.sample(range(m), rng.randint(1, min(3, m)))
-        _, greedy = monroe_assign(profile, committee, voters=voters)
+        _, greedy = ref.monroe_assign(profile, committee, voters=voters)
         assignment, exact = ref.exact_monroe_assign(profile, committee, voters=voters)
         assert 0 <= greedy <= exact
         assert set(assignment) <= set(voters)
@@ -209,30 +215,29 @@ def test_population_empty_rejected(example1):
 
 @pytest.mark.parametrize("voter", [-1, -4, 4, 9])
 def test_every_entry_point_rejects_out_of_range_voters(example1, voter):
-    # -1 once scored voter n-1 and n raised a bare IndexError
-    profile, vector = example1.profile, borda_vector(example1.m)
-    calls = [
-        lambda voters: score_committee(profile, kborda(), [0], voters=voters),
-        lambda voters: candidate_score(profile, vector, 0, voters),
-        lambda voters: rules.candidate_scores(profile, vector, voters),
-        lambda voters: monroe_assign(profile, [0, 1], vector, voters),
-        lambda voters: population_winning_committee(profile, voters, kborda(), 2),
-    ]
-    for call in calls:
-        with pytest.raises(RuleError, match="out-of-range voter"):
-            call([0, voter])
-        call([0, 3])  # the ids 0..n-1 are all accepted
+    # -1 once scored voter n-1 and n raised a bare IndexError; the table
+    # checks the voter list of every population search
+    profile = example1.profile
+    for rule in (kborda(), betacc(), monroe()):
+        calls = [
+            lambda voters: SatisfactionTable(profile, rule, voters),
+            lambda voters: population_winning_committee(profile, voters, rule, 2),
+        ]
+        for call in calls:
+            with pytest.raises(RuleError, match="out-of-range voter"):
+                call([0, voter])
+            call([0, 3])  # the ids 0..n-1 are all accepted
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_candidate_entry_points_reject_out_of_range_ids(example1, bad):
     # example1 has m = 4: -1 once read candidate 3's entries and 4 raised a
     # bare IndexError
-    profile, vector = example1.profile, borda_vector(example1.m)
+    profile = example1.profile
     calls = [
-        lambda c: candidate_score(profile, vector, c),
-        lambda c: score_committee(profile, monroe(), [0, c]),
-        lambda c: monroe_assign(profile, [c, 0], vector),
+        lambda c: score_committee(profile, kborda(), [c]),
+        lambda c: score_committee(profile, betacc(), [0, c]),
+        lambda c: score_committee(profile, monroe(), [c, 0]),
     ]
     for call in calls:
         with pytest.raises(RuleError, match="out-of-range candidate"):
@@ -502,17 +507,6 @@ def test_greedy_monroe_rescores_every_candidate():
     assert _greedy_max(SatisfactionTable(profile, monroe()), 3).members == (0, 1, 2)
 
 
-def test_greedy_monroe_first_pick_counts_a_repeated_voter_once():
-    # Voters [0, 0, 1]: the lone member's load of 3 claims voters 0 and 1
-    # once each, so both candidates score 1 and priority picks 0, though
-    # candidate 1's row total, which counts voter 0 twice, is 2 against 1.
-    profile = make_profile(2, [[1, 0], [0, 1]])
-    table = SatisfactionTable(profile, monroe(), [0, 0, 1])
-    assert table.totals == [1, 2]
-    assert _greedy_max(table, 1) == ref.greedy_max(profile, monroe(), 1, [0, 0, 1])
-    assert _greedy_max(table, 1).members == (0,)
-
-
 def _exact_trials(profile, voters, k, monkeypatch):
     """(exact trials, candidate-steps) of a k-step greedy Monroe run.  An
     exact trial is a claim that involves a candidate outside the committee
@@ -559,9 +553,8 @@ def test_separable_additivity():
         vector = borda_vector(m)
         k = rng.randint(1, m)
         committee = rng.sample(range(m), k)
-        assert score_committee(profile, kborda(), committee) == sum(
-            candidate_score(profile, vector, c) for c in committee
-        )
+        scores = candidate_scores(profile, vector)
+        assert score_committee(profile, kborda(), committee) == sum(scores[c] for c in committee)
 
 
 def test_betacc_monotone_and_submodular():
@@ -585,7 +578,7 @@ def test_borda_mass_conservation():
         n = rng.randint(1, 6)
         profile = make_profile(m, [rng.sample(range(m), m) for _ in range(n)])
         vector = borda_vector(m)
-        total = sum(candidate_score(profile, vector, c) for c in range(m))
+        total = sum(candidate_scores(profile, vector))
         assert total == n * m * (m - 1) // 2
 
 
@@ -598,3 +591,11 @@ def test_winner_determinism(example1):
 def test_score_committee_rejects_bad_ids(example1):
     with pytest.raises(RuleError):
         score_committee(example1.profile, kborda(), (0, 9))
+
+
+@pytest.mark.parametrize("make", [kborda, betacc, monroe])
+def test_score_committee_rejects_a_repeated_id(example1, make):
+    # a repeat was once dropped without a word: (0, 0, 1) scored as (0, 1)
+    with pytest.raises(RuleError, match="repeats a candidate id"):
+        score_committee(example1.profile, make(), (0, 0, 1))
+    score_committee(example1.profile, make(), (0, 1))

@@ -316,8 +316,8 @@ def test_public_surface_resolves():
     assert sorted(dire.__all__) == [
         "Attribute", "AttributeScheme", "Committee", "DiReInstance", "PreferenceProfile",
         "Rule", "SolveReport", "SolverConfig", "betacc",
-        "borda_vector", "brute_force_oracle", "candidate_score",
-        "kborda", "make_instance", "make_profile", "monroe", "monroe_assign",
+        "borda_vector", "brute_force_oracle",
+        "kborda", "make_instance", "make_profile", "monroe",
         "population_winning_committee", "position", "satisfies", "score_committee",
         "solve_drcwd", "solve_feasibility", "unconstrained_winner",
         "unsatisfied_fraction", "validate_profile",
