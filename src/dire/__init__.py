@@ -30,7 +30,7 @@ from dire.constraints import (
     unsatisfied_fraction,
 )
 from dire.solver import SolverConfig, solve_feasibility
-from dire.winner import SolveReport, brute_force_oracle, solve_drcwd
+from dire.winner import SolveReport, solve_drcwd
 
 __all__ = [
     "Attribute",
@@ -43,7 +43,6 @@ __all__ = [
     "SolverConfig",
     "betacc",
     "borda_vector",
-    "brute_force_oracle",
     "kborda",
     "make_instance",
     "make_profile",

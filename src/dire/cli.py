@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: generate / feasible / solve / oracle / score / experiment /
-convert.  Exit codes: 0 success, 1 usage or parse error, 2 infeasible
-instance, 3 timeout.  Diagnostics and timings go to stderr so stdout and
-output files stay byte-identical across reruns with the same flags and
-seeds (``generate`` defaults to ``--seed 0`` and ``experiment`` to
+Subcommands: generate / feasible / solve / score / experiment / convert.
+Exit codes: 0 success, 1 usage or parse error, 2 infeasible instance,
+3 timeout.  Diagnostics and timings go to stderr so stdout and output
+files stay byte-identical across reruns with the same flags and seeds
+(``generate`` defaults to ``--seed 0`` and ``experiment`` to
 ``--seeds 0``).
 """
 
@@ -26,16 +26,10 @@ from dire.reductions import (
     reduce_vc_diversity,
     reduce_vc_representation,
 )
-from dire.rules import DEFAULT_ORACLE_CAP, Rule, RuleError, RULE_KINDS, score_committee
+from dire.rules import Rule, RuleError, RULE_KINDS, score_committee
 from dire.solver import SolverConfig, SolverError, solve_feasibility
-from dire.synth import SYN1, SYN2, GenerationError, gen_syndata
-from dire.winner import (
-    STATUS_INFEASIBLE,
-    STATUS_TIMEOUT,
-    OracleCapExceeded,
-    brute_force_oracle,
-    solve_drcwd,
-)
+from dire.synth import DEFAULT_K, DEFAULT_M, DEFAULT_N, SYN1, SYN2, GenerationError, gen_syndata
+from dire.winner import STATUS_INFEASIBLE, STATUS_TIMEOUT, solve_drcwd
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,9 +69,9 @@ def build_parser() -> _Parser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--graph", help="graph file for the vc-* kinds")
     gen.add_argument("--cover-size", type=int, help="vertex cover budget k for the vc-* kinds")
-    gen.add_argument("--m", type=int, default=50)
-    gen.add_argument("--n", type=int, default=100)
-    gen.add_argument("--k", type=int, default=6)
+    gen.add_argument("--m", type=int, default=DEFAULT_M)
+    gen.add_argument("--n", type=int, default=DEFAULT_N)
+    gen.add_argument("--k", type=int, default=DEFAULT_K)
     gen.add_argument("--rule", choices=RULE_KINDS, default="kborda")
     gen.add_argument("--out", required=True)
 
@@ -93,10 +87,6 @@ def build_parser() -> _Parser:
     solve.add_argument("instance")
     solve.add_argument("--rule", choices=RULE_KINDS)
 
-    oracle = sub.add_parser("oracle", help="brute-force optimum (small instances)")
-    oracle.add_argument("instance")
-    oracle.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
-
     score = sub.add_parser("score", help="evaluate a given committee")
     score.add_argument("instance")
     score.add_argument("--committee", required=True, help="comma-separated candidate ids")
@@ -111,9 +101,9 @@ def build_parser() -> _Parser:
     exp.add_argument("--mu-values", type=_int_list)
     exp.add_argument("--pi-values", type=_int_list)
     exp.add_argument("--phi-values", type=_float_list)
-    exp.add_argument("--m", type=int, default=50)
-    exp.add_argument("--n", type=int, default=100)
-    exp.add_argument("--k", type=int, default=6)
+    exp.add_argument("--m", type=int, default=DEFAULT_M)
+    exp.add_argument("--n", type=int, default=DEFAULT_N)
+    exp.add_argument("--k", type=int, default=DEFAULT_K)
     exp.add_argument("--exhaustive", action="store_true")
     exp.add_argument("--files", nargs="*", default=[])
     exp.add_argument("--out", required=True)
@@ -216,18 +206,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    instance = fileio.parse_instance(args.instance)
-    report = brute_force_oracle(instance, oracle_cap=args.cap)
-    print(f"committees_examined: {report.committees_examined}")
-    if report.status == STATUS_INFEASIBLE:
-        print("INFEASIBLE")
-        return EXIT_INFEASIBLE
-    print(f"committee: {' '.join(str(c) for c in report.committee)}")
-    print(f"score: {report.score}")
-    return EXIT_OK
-
-
 def _cmd_score(args) -> int:
     rule = Rule(args.rule) if args.rule else None
     instance = fileio.parse_instance(args.instance, rule_override=rule)
@@ -288,7 +266,6 @@ _HANDLERS = {
     "generate": _cmd_generate,
     "feasible": _cmd_feasible,
     "solve": _cmd_solve,
-    "oracle": _cmd_oracle,
     "score": _cmd_score,
     "experiment": _cmd_experiment,
     "convert": _cmd_convert,
@@ -304,7 +281,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (fileio.ParseError, InstanceError, ProfileError, RuleError, SolverError,
-            GenerationError, ReductionError, OracleCapExceeded, OSError, ValueError) as exc:
+            GenerationError, ReductionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -257,13 +257,25 @@ def make_instance(
     """Build and validate an instance, computing missing winning committees.
 
     Winning committees not supplied explicitly are materialized here under
-    the instance rule, so constraint checking never recomputes them.
+    the instance rule, so constraint checking never recomputes them.  A
+    bound or supplied committee keyed by a group or population the scheme
+    does not have is rejected before that search.
     """
     rule = rule or kborda()
     # checked before the winner searches below, which assume both
     if not 1 <= k <= profile.m:
         raise InstanceError(f"committee size {k} out of range [1, {profile.m}]")
     scheme.validate(profile.m, profile.n)
+    groups = {(attr.name, label) for attr in scheme.candidate_attributes for label in attr.labels()}
+    populations = {(attr.name, label) for attr in scheme.voter_attributes for label in attr.labels()}
+    for what, keys, known, kind in (
+        ("diversity bound", diversity_bounds, groups, "candidate group"),
+        ("representation bound", representation_bounds, populations, "population"),
+        ("winning committee", winning_committees, populations, "population"),
+    ):
+        for attr_name, label in keys or ():
+            if (attr_name, label) not in known:
+                raise InstanceError(f"{what} for {attr_name}:{label} names no {kind} of the scheme")
     supplied = {key: tuple(val) for key, val in (winning_committees or {}).items()}
     computed: dict[tuple[str, str], tuple[int, ...]] = {}
     for attr in scheme.voter_attributes:

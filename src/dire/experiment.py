@@ -23,7 +23,7 @@ from dire.constraints import DiReInstance, holders, make_instance, unsatisfied_f
 from dire.fileio import parse_instance
 from dire.rules import RULE_KINDS, Rule, SolverTimeout, _depth_first, unconstrained_winner
 from dire.solver import SolverConfig
-from dire.synth import SYN1, SYN2, draw_syndata
+from dire.synth import DEFAULT_K, DEFAULT_M, DEFAULT_N, SYN1, SYN2, draw_syndata
 from dire.winner import solve_drcwd
 
 CSV_COLUMNS = [
@@ -61,9 +61,9 @@ class ExperimentConfig:
     mu_values: tuple[int, ...] = (0, 1, 2, 3, 4)
     pi_values: tuple[int, ...] = (0, 1, 2, 3, 4)
     phi_values: tuple[float, ...] = tuple(round(x / 10, 1) for x in range(1, 11))
-    m: int = 50
-    n: int = 100
-    k: int = 6
+    m: int = DEFAULT_M
+    n: int = DEFAULT_N
+    k: int = DEFAULT_K
     files: tuple[str, ...] = ()
     exhaustive: bool = False
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -18,8 +18,9 @@ class PreferenceProfile:
 
     Candidate ids are dense integers 0..m-1.  Each ranking lists candidate
     ids from most to least preferred.  ``priority`` is the pre-decided
-    tie-break order over candidates (earlier = preferred); it defaults to
-    ascending id.
+    tie-break order over candidates (earlier = preferred); omitted (None),
+    it is ascending id.  An explicit priority, the empty one included, is
+    kept as given, and validation rejects it unless it is a permutation.
 
     Construction does not validate; call :func:`validate_profile` or use
     :func:`make_profile` to get checked instances.
@@ -27,14 +28,11 @@ class PreferenceProfile:
 
     m: int
     rankings: tuple[tuple[int, ...], ...]
-    priority: tuple[int, ...] = field(default=())
+    priority: tuple[int, ...] | None = None  # None: ascending id; a tuple once built
 
     def __post_init__(self):
         object.__setattr__(self, "rankings", tuple(tuple(r) for r in self.rankings))
-        if self.priority:
-            object.__setattr__(self, "priority", tuple(self.priority))
-        else:
-            object.__setattr__(self, "priority", tuple(range(self.m)))
+        object.__setattr__(self, "priority", tuple(range(self.m) if self.priority is None else self.priority))
 
     @property
     def n(self) -> int:
@@ -183,8 +181,7 @@ def make_profile(
     priority: Sequence[int] | None = None,
 ) -> PreferenceProfile:
     """Build a profile and raise :class:`ProfileError` unless it validates."""
-    profile = PreferenceProfile(m=m, rankings=tuple(tuple(r) for r in rankings),
-                                priority=tuple(priority) if priority else ())
+    profile = PreferenceProfile(m=m, rankings=rankings, priority=priority)
     result = validate_profile(profile)
     if not result.ok:
         raise ProfileError(result.error)

@@ -3,13 +3,12 @@
 Each generator maps a graph to an instance whose feasibility (or, for the
 misrepresentation variant, whose attainable score) answers "does the graph
 have a vertex cover of size at most k".  They are used to produce hard
-benchmark instances and to sanity-check solvers against an exhaustive
-cover search.
+benchmark instances and, against an exhaustive cover search in the tests,
+to sanity-check the solvers.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -72,33 +71,6 @@ def parse_graph(text: str) -> InputGraph:
             raise ReductionError(f"bad edge line {line!r}") from exc
         edges.append((u, v))
     return InputGraph(v_count, edges)
-
-
-def write_graph(graph: InputGraph) -> str:
-    lines = [f"{graph.vertices} {len(graph.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
-
-
-def _smallest_cover(graph: InputGraph, limit: int) -> int:
-    """The size of a minimum vertex cover, or ``limit + 1`` when that is
-    above ``limit``: one walk over the subsets in increasing size (small
-    graphs only)."""
-    for size in range(min(limit, graph.vertices) + 1):
-        for subset in itertools.combinations(range(graph.vertices), size):
-            chosen = set(subset)
-            if all(u in chosen or v in chosen for u, v in graph.edges):
-                return size
-    return limit + 1
-
-
-def has_vertex_cover(graph: InputGraph, k: int) -> bool:
-    """Exhaustively test for a vertex cover of size <= k (small graphs only)."""
-    return k >= graph.vertices or _smallest_cover(graph, k) <= k
-
-
-def min_vertex_cover_size(graph: InputGraph) -> int:
-    return _smallest_cover(graph, graph.vertices)
 
 
 def _cyclic_profile(m: int) -> PreferenceProfile:

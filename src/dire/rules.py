@@ -65,7 +65,7 @@ MONROE = "monroe"
 RULE_KINDS = (KBORDA, BETACC, MONROE)
 
 # Borda-CC and Monroe winners are certified by branch-and-bound while C(m, k)
-# is at most this, and greedy above it; the brute-force oracle refuses more.
+# is at most this, and greedy above it.
 DEFAULT_ORACLE_CAP = 2_000_000
 
 
@@ -168,7 +168,6 @@ class SatisfactionTable:
         # the transpose: one row per candidate; no voters leave m empty rows
         self.rows = list(zip(*picked)) if picked else [()] * profile.m
         self.totals = list(map(sum, self.rows))
-        self._prefix: Sequence[int] = ()
         if self.kind == MONROE:
             self.orders: list[list[int] | None] = [None] * profile.m  # sorted on first use
 
@@ -203,16 +202,9 @@ class SatisfactionTable:
             return self._claim([None] * n, 0, members, _monroe_loads(n, len(members))) if members else 0
         if self.kind == KBORDA or len(members) < 2:
             return sum(map(self.totals.__getitem__, members))
-        # A voter's best-ranked member has the highest entry, as the vector
-        # is nonincreasing.  Winner searches score runs of committees that
-        # share all but the last member, so the per-voter best of that prefix
-        # is kept from one call to the next.
-        rows, prefix = self.rows, members[:-1]
-        if prefix != self._prefix:
-            self._prefix = prefix
-            self._prefix_best = list(map(max, *map(rows.__getitem__, prefix))) if len(prefix) > 1 \
-                else rows[prefix[0]]
-        return sum([a if a > b else b for a, b in zip(self._prefix_best, rows[members[-1]])])
+        # a voter's best-ranked member has the highest entry, as the vector
+        # is nonincreasing
+        return sum(map(max, *map(self.rows.__getitem__, members)))
 
     def _claim(self, owner: list[int | None], total: int, members: Iterable[int], loads: Iterable[int]) -> int:
         """Let each member in turn claim its load of the most satisfied
@@ -823,19 +815,17 @@ class WinnerResult:
     mode: str  # "topk" | "exhaustive" | "greedy"
 
 
-def _winner(
-    table: SatisfactionTable, k: int, deadline: float | None, oracle_cap: int
-) -> tuple[Committee, int | None, str]:
+def _winner(table: SatisfactionTable, k: int, deadline: float | None) -> tuple[Committee, int | None, str]:
     """The rule's winning k-committee on one table, its score when the
     search computed it, and the mode: top-k by score for k-Borda, else
-    "exhaustive" while C(m, k) <= oracle_cap, where the branch-and-bound of
-    :func:`_certified_max` returns what scoring all C(m, k) committees
-    would, else greedy.  Both searches raise :class:`SolverTimeout` past
-    ``deadline``."""
+    "exhaustive" while C(m, k) <= ``DEFAULT_ORACLE_CAP``, where the
+    branch-and-bound of :func:`_certified_max` returns what scoring all
+    C(m, k) committees would, else greedy.  Both searches raise
+    :class:`SolverTimeout` past ``deadline``."""
     m = table.profile.m
     if table.kind == KBORDA:
         return Committee(_ranked(table.totals, table.profile.priority_key)[:k]), None, "topk"
-    if comb(m, k) <= oracle_cap:
+    if comb(m, k) <= DEFAULT_ORACLE_CAP:
         members, score = _certified_max(table, k, deadline)
         return Committee(members), score, "exhaustive"
     return _greedy_max(table, k, deadline), None, "greedy"
@@ -860,30 +850,30 @@ def population_winning_committee(
     voter_ids = sorted(set(population))
     if not voter_ids:
         raise RuleError("population is empty")
-    return _winner(SatisfactionTable(profile, rule, voter_ids), k, None, DEFAULT_ORACLE_CAP)[0]
+    return _winner(SatisfactionTable(profile, rule, voter_ids), k, None)[0]
 
 
 def unconstrained_winner(
     profile: PreferenceProfile,
     rule: Rule,
     k: int,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    *,
     deadline: float | None = None,
 ) -> WinnerResult:
     """Score-maximizing k-committee with no constraints.
 
     Exact for k-Borda (top-k by score).  For Borda-CC and Monroe the winner
-    is certified optimal by branch-and-bound up to the cap (mode
-    "exhaustive": the committee and score of scoring every committee, ties
-    to the lexicographically least member tuple) and greedy beyond it; the
-    mode used is recorded in the result.  Either search raises
-    :class:`SolverTimeout` once ``deadline`` (a ``time.monotonic()`` value)
-    has passed.
+    is certified optimal by branch-and-bound while C(m, k) <=
+    ``DEFAULT_ORACLE_CAP`` (mode "exhaustive": the committee and score of
+    scoring every committee, ties to the lexicographically least member
+    tuple) and greedy beyond it; the mode used is recorded in the result.
+    Either search raises :class:`SolverTimeout` once ``deadline`` (a
+    ``time.monotonic()`` value) has passed.
     """
     if not 1 <= k <= profile.m:
         raise RuleError(f"committee size {k} out of range [1, {profile.m}]")
     # the search's table is freed when it returns
-    committee, score, mode = _winner(SatisfactionTable(profile, rule), k, deadline, oracle_cap)
+    committee, score, mode = _winner(SatisfactionTable(profile, rule), k, deadline)
     if score is None:
         score = score_committee(profile, rule, committee)
     return WinnerResult(committee, score, mode)

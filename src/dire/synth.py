@@ -51,15 +51,6 @@ class MallowsParams:
             raise GenerationError(f"sigma {self.sigma} is not a permutation")
 
 
-def kendall_tau(left: Sequence[int], right: Sequence[int]) -> int:
-    """Number of candidate pairs the two rankings order differently."""
-    rank = {c: i for i, c in enumerate(right)}
-    seq = [rank[c] for c in left]
-    return sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-
-
 def _sample_one(
     rng: random.Random, plan: Sequence[tuple[list[float], float, int]], first: int
 ) -> tuple[int, ...]:
@@ -209,8 +200,3 @@ def draw_syndata(
     diversity, representation = sample_bounds(scheme, k, rng)
     return dict(profile=profile, scheme=scheme, k=k,
                 diversity_bounds=diversity, representation_bounds=representation)
-
-
-def syn2_sweep(seed: int = 0, **kwargs) -> list[DiReInstance]:
-    """The ten syn2 instances for phi = 0.1, 0.2, ..., 1.0 at one seed."""
-    return [gen_syndata(SYN2, phi=round(step / 10, 1), seed=seed, **kwargs) for step in range(1, 11)]

@@ -1,26 +1,21 @@
 """Score-maximizing committee selection under constraints.
 
-Two routes: a brute-force oracle for small instances, which scores every
-k-committee, and the two-stage solve.  The two-stage solve's feasibility
-search gives the verdict and a harvest of feasible committees, the best
-of which is the heuristic answer; in exhaustive mode a branch-and-bound
-under the search's own lookahead then certifies the optimum at any scale
-the deadline allows.
+One route, the two-stage solve.  Its feasibility search gives the verdict
+and a harvest of feasible committees, the best of which is the heuristic
+answer; in exhaustive mode a branch-and-bound under the search's own
+lookahead then certifies the optimum at any scale the deadline allows.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 from dire.constraints import DiReInstance, holders, satisfies
 from dire.profiles import Committee
 from dire.rules import (
-    DEFAULT_ORACLE_CAP,
     SatisfactionTable,
     SolverTimeout,
     _best_of,
@@ -36,10 +31,6 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_TIMEOUT = "timeout"
 
 
-class OracleCapExceeded(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one constrained solve.
@@ -49,9 +40,9 @@ class SolveReport:
     score under the same rule (None when the unconstrained score is zero or
     the solve failed or the deadline cut the unconstrained search).
     ``reason`` says what proved an infeasible verdict.
-    ``committees_examined`` counts the committees scored one by one: all
-    C(m, k) on the oracle route, the feasibility harvest's on the two-stage
-    route (the exhaustive branch-and-bound's nodes are not counted).
+    ``committees_examined`` counts the committees of the feasibility
+    harvest scored one by one (the exhaustive branch-and-bound's nodes are
+    not counted).
     """
 
     status: str
@@ -60,7 +51,7 @@ class SolveReport:
     utility_ratio: Fraction | None
     elapsed: float
     committees_examined: int
-    mode: str  # oracle | two-stage
+    mode: str  # "two-stage" on the library's one route
     timed_out: bool = False  # True also when a timeout cut the feasibility search,
     # scoring, the branch-and-bound or the unconstrained search short but a
     # feasible committee had been found
@@ -78,7 +69,6 @@ def _report(
     deadline: float | None = None,
     timed_out: bool = False,
     reason: str | None = None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> SolveReport:
     """The report of a route that started at ``start``, with its utility ratio.
 
@@ -90,7 +80,7 @@ def _report(
     if score is not None:
         try:
             unconstrained = unconstrained_winner(instance.profile, instance.rule, instance.k,
-                                                 oracle_cap, deadline)
+                                                 deadline=deadline)
         except SolverTimeout:
             timed_out = True
         else:
@@ -103,26 +93,6 @@ def _report(
     committee = None if members is None else Committee(members)
     return SolveReport(status, committee, score, ratio, time.monotonic() - start, examined, mode,
                        timed_out, reason)
-
-
-def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
-    """Enumerate every k-committee, filter by the constraints, keep the best.
-
-    Exact but exponential; refuses instances above the cap.
-    """
-    start = time.monotonic()
-    total = comb(instance.m, instance.k)
-    if total > oracle_cap:
-        raise OracleCapExceeded(f"C({instance.m}, {instance.k}) = {total} exceeds cap {oracle_cap}")
-    pairs = [(set(c.domain), c.bound) for c in instance.constraints()]
-    feasible = (combo for combo in itertools.combinations(range(instance.m), instance.k)
-                if all(len(domain.intersection(combo)) >= bound for domain, bound in pairs))
-    members, score, _, _ = _best_of(SatisfactionTable(instance.profile, instance.rule), feasible)
-    if members is None:
-        return _report(instance, "oracle", start, STATUS_INFEASIBLE, examined=total,
-                       reason=f"none of the {total} {instance.k}-committees meets every bound")
-    return _report(instance, "oracle", start, STATUS_OPTIMAL, members, score, total,
-                   oracle_cap=oracle_cap)
 
 
 def solve_drcwd(

@@ -7,18 +7,23 @@ the package did before its winner searches and scoring loops read one
 assignment, searches every balanced assignment, over every choice of the
 members that take the larger loads.
 
+:func:`brute_force_oracle` scores every k-committee that meets every
+bound, the exact answer of the exhaustive ``solve_drcwd`` at desk scale.
 The special-case solve routes, :func:`mu1_fast_path` (one candidate
 attribute, no voter attributes, separable rule) and :func:`fpt_report`
 (representation only, unit bounds), are exact on their classes and
 independent of the branch-and-bound that the exhaustive ``solve_drcwd``
 runs, so they serve as its oracles at paper scale, where the brute-force
-oracle cannot go.
+oracle cannot go.  :func:`has_vertex_cover` and
+:func:`min_vertex_cover_size` answer the vertex-cover questions the
+reductions embed, and :func:`kendall_tau` measures the Mallows samples.
 """
 
 import itertools
 import time
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from dire.constraints import DiReInstance, InstanceError, fill_seats, holders, satisfies, unsatisfied_fraction
 from dire.experiment import METRIC_ORACLE_CAP
@@ -35,6 +40,7 @@ from dire.rules import (
     borda_vector,
     validate_scoring,
 )
+from dire.reductions import InputGraph
 from dire.winner import STATUS_HEURISTIC, STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport, _report
 
 
@@ -219,6 +225,59 @@ def best_unsatisfied_fraction(instance, found):
         candidates = [c for c in range(instance.m) if c not in chosen]
         chosen.add(min(candidates, key=lambda c: (deficit_after(c), instance.profile.priority_key(c))))
     return unsatisfied_fraction(instance, chosen), True
+
+
+class OracleCapExceeded(ValueError):
+    pass
+
+
+def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
+    """Enumerate every k-committee, filter by the constraints, keep the best.
+
+    Exact but exponential; refuses instances above the cap.
+    """
+    start = time.monotonic()
+    total = comb(instance.m, instance.k)
+    if total > oracle_cap:
+        raise OracleCapExceeded(f"C({instance.m}, {instance.k}) = {total} exceeds cap {oracle_cap}")
+    pairs = [(set(c.domain), c.bound) for c in instance.constraints()]
+    feasible = (combo for combo in itertools.combinations(range(instance.m), instance.k)
+                if all(len(domain.intersection(combo)) >= bound for domain, bound in pairs))
+    members, score, _, _ = _best_of(SatisfactionTable(instance.profile, instance.rule), feasible)
+    if members is None:
+        return _report(instance, "oracle", start, STATUS_INFEASIBLE, examined=total,
+                       reason=f"none of the {total} {instance.k}-committees meets every bound")
+    return _report(instance, "oracle", start, STATUS_OPTIMAL, members, score, total)
+
+
+def kendall_tau(left: Sequence[int], right: Sequence[int]) -> int:
+    """Number of candidate pairs the two rankings order differently."""
+    rank = {c: i for i, c in enumerate(right)}
+    seq = [rank[c] for c in left]
+    return sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+
+
+def _smallest_cover(graph: InputGraph, limit: int) -> int:
+    """The size of a minimum vertex cover, or ``limit + 1`` when that is
+    above ``limit``: one walk over the subsets in increasing size (small
+    graphs only)."""
+    for size in range(min(limit, graph.vertices) + 1):
+        for subset in itertools.combinations(range(graph.vertices), size):
+            chosen = set(subset)
+            if all(u in chosen or v in chosen for u, v in graph.edges):
+                return size
+    return limit + 1
+
+
+def has_vertex_cover(graph: InputGraph, k: int) -> bool:
+    """Exhaustively test for a vertex cover of size <= k (small graphs only)."""
+    return k >= graph.vertices or _smallest_cover(graph, k) <= k
+
+
+def min_vertex_cover_size(graph: InputGraph) -> int:
+    return _smallest_cover(graph, graph.vertices)
 
 
 class PreconditionError(ValueError):

@@ -12,19 +12,13 @@ from collections import Counter, defaultdict
 from dire.constraints import AttributeScheme, make_instance, satisfies
 from dire.experiment import ExperimentConfig, run_experiment, write_csv
 from dire.fileio import dumps_instance
-from dire.reductions import (
-    InputGraph,
-    has_vertex_cover,
-    reduce_vc_cc,
-    reduce_vc_diversity,
-    reduce_vc_representation,
-)
+from dire.reductions import InputGraph, reduce_vc_cc, reduce_vc_diversity, reduce_vc_representation
 from dire.rules import Rule, betacc, borda_vector, candidate_scores, score_committee, unconstrained_winner
 from dire.solver import SolverConfig, build_diregraph, enumerate_feasible, preprocess, solve_feasibility
-from dire.synth import MallowsParams, gen_syndata, kendall_tau, sample_mallows
-from dire.winner import brute_force_oracle, solve_drcwd
+from dire.synth import MallowsParams, gen_syndata, sample_mallows
+from dire.winner import solve_drcwd
 from conftest import random_instance
-from scoring_reference import fpt_rep_solver, fpt_report
+from scoring_reference import brute_force_oracle, fpt_rep_solver, fpt_report, has_vertex_cover, kendall_tau
 
 PASS = "ACCEPTANCE {num}: {name} ... PASS"
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dire import constraints
 from dire.constraints import (
     Attribute,
     AttributeScheme,
@@ -145,6 +146,28 @@ def test_bad_committee_size_or_scheme_rejected_before_the_winner_search(rule):
     stray = AttributeScheme(voter_attributes=(Attribute("B", {"p1": [0, 1, 2]}),))
     with pytest.raises(InstanceError, match="out-of-range"):
         make_instance(profile, stray, k=2, rule=rule, representation_bounds={("B", "p1"): 1})
+
+
+def test_unknown_bound_or_committee_keys_rejected_before_the_winner_search(monkeypatch):
+    profile = make_profile(3, [[0, 1, 2], [2, 1, 0]])
+    scheme = AttributeScheme(candidate_attributes=(Attribute("A", {"g1": [0, 1], "g2": [2]}),),
+                             voter_attributes=(Attribute("B", {"p1": [0], "p2": [1]}),))
+    diversity = {("A", "g1"): 1, ("A", "g2"): 1}
+    representation = {("B", "p1"): 1, ("B", "p2"): 1}
+
+    def no_search(*args):
+        raise AssertionError("the winner search ran")
+
+    monkeypatch.setattr(constraints, "population_winning_committee", no_search)
+    for extra, message in (
+        (dict(diversity_bounds={**diversity, ("A", "g3"): 1}), "diversity bound for A:g3 names no candidate group"),
+        (dict(representation_bounds={**representation, ("C", "p1"): 1}),
+         "representation bound for C:p1 names no population"),
+        (dict(winning_committees={("B", "p3"): (0, 1)}), "winning committee for B:p3 names no population"),
+    ):
+        kwargs = {"diversity_bounds": diversity, "representation_bounds": representation, **extra}
+        with pytest.raises(InstanceError, match=message):
+            make_instance(profile, scheme, k=2, **kwargs)
 
 
 def test_overlapping_groups_within_attribute_rejected():

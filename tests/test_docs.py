@@ -20,9 +20,9 @@ def test_readme_quick_start_prints_what_it_says():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
-    assert out.getvalue().splitlines() == ["(0, 3) 12", "12"]
-    # and the comments beside the prints say the same
-    assert re.findall(r"# (.+)", code)[-2:] == ["(0, 3) 12", "12"]
+    assert out.getvalue().splitlines() == ["(0, 3) 12"]
+    # and the comment beside the print says the same
+    assert re.findall(r"# (.+)", code)[-1:] == ["(0, 3) 12"]
 
 
 def test_test_extra_installs_what_the_suite_imports():

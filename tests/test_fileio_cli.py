@@ -8,8 +8,9 @@ from dire import fileio, solver
 from dire.cli import TIMED_OUT_NOTE, build_parser, main
 from dire.constraints import InstanceError
 from dire.experiment import ExperimentConfig
+from dire.profiles import ProfileError
 from dire.reductions import reduce_vc_representation, InputGraph
-from dire.rules import DEFAULT_ORACLE_CAP, SatisfactionTable, betacc, unconstrained_winner
+from dire.rules import SatisfactionTable, betacc, unconstrained_winner
 from dire.synth import gen_syndata
 from conftest import build_example1, random_instance
 
@@ -64,6 +65,38 @@ def test_winning_committee_with_a_repeated_id_is_rejected(example1):
     data = json.loads(fileio.dumps_instance(example1))
     data["winning_committees"]["state"]["CA"] = [0, 0, 1]
     with pytest.raises(InstanceError, match="winning committee for state:CA repeats a candidate id"):
+        fileio.instance_from_dict(data)
+
+
+def test_an_explicit_empty_priority_is_rejected(example1, tmp_path, capsys):
+    # "priority": [] once meant ascending ids, and the fixture then solved to
+    # committee 0 2 at score 13 instead of 0 3 at 12
+    data = json.loads(fileio.dumps_instance(example1))
+    data["priority"] = []
+    with pytest.raises(ProfileError, match="not a permutation"):
+        fileio.instance_from_dict(data)
+    path = tmp_path / "empty_priority.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert "not a permutation" in capsys.readouterr().err
+    del data["priority"]  # omitted, it is ascending ids
+    assert fileio.instance_from_dict(data).profile.priority == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("key, attr, label, value", [
+    ("diversity_bounds", "gender", "femal", 2),
+    ("diversity_bounds", "state", "CA", 1),  # a voter attribute
+    ("representation_bounds", "ghost", "x", 5),
+    ("representation_bounds", "state", "NY", 1),
+    ("winning_committees", "nope", "y", [0, 1]),
+    ("winning_committees", "gender", "male", [0, 1]),  # a candidate attribute
+])
+def test_bounds_and_committees_of_unknown_groups_are_rejected(example1, key, attr, label, value):
+    # each was once accepted: the bounds were written back out by
+    # dumps_instance and the committee was dropped
+    data = json.loads(fileio.dumps_instance(example1))
+    data[key].setdefault(attr, {})[label] = value
+    with pytest.raises(InstanceError, match=f"for {attr}:{label} names no "):
         fileio.instance_from_dict(data)
 
 
@@ -190,6 +223,7 @@ def test_cli_solve_exhaustive(example1_path, capsys):
     code = main(["solve", str(example1_path), "--exhaustive"])
     out = capsys.readouterr().out
     assert code == 0
+    assert "committee: 0 3" in out
     assert "score: 12" in out
     assert "status: optimal" in out
 
@@ -198,18 +232,6 @@ def test_cli_solve_rule_override(example1_path, capsys):
     code = main(["solve", str(example1_path), "--rule", "betacc", "--exhaustive"])
     assert code == 0
     assert "status: optimal" in capsys.readouterr().out
-
-
-def test_cli_oracle(example1_path, capsys):
-    code = main(["oracle", str(example1_path)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "committees_examined: 6" in out
-    assert "score: 12" in out
-
-
-def test_cli_oracle_cap_defaults_to_the_library_cap():
-    assert build_parser().parse_args(["oracle", "x.json"]).cap == DEFAULT_ORACLE_CAP
 
 
 def test_cli_feasible_and_solve_share_the_solver_flags():

@@ -51,6 +51,15 @@ def test_make_profile_raises_on_invalid():
 def test_default_priority_is_ascending():
     profile = make_profile(3, [[2, 1, 0]])
     assert profile.priority == (0, 1, 2)
+    assert PreferenceProfile(m=2, rankings=((1, 0),)).priority == (0, 1)
+
+
+def test_an_explicit_empty_priority_is_rejected():
+    # an empty priority once meant ascending ids, like an omitted one
+    with pytest.raises(ProfileError, match="not a permutation"):
+        make_profile(3, [[2, 1, 0]], priority=[])
+    result = validate_profile(PreferenceProfile(m=2, rankings=((0, 1),), priority=()))
+    assert not result.ok and "bad-priority-permutation" in result.error
 
 
 def test_position_examples():

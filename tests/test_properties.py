@@ -13,6 +13,7 @@ They need hypothesis and are skipped where it is not installed.
 
 import dataclasses
 import itertools
+from unittest.mock import patch
 
 import pytest
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import scoring_reference as ref
 from conftest import brute_force_feasible_set
+from dire import rules
 from dire.constraints import Attribute, AttributeScheme, holders, make_instance
 from dire.experiment import best_unsatisfied_fraction
 from dire.profiles import PreferenceProfile, ValidationResult, make_profile, validate_profile
@@ -252,8 +254,9 @@ def test_scoring_kernel_matches_the_reference(election):
     assert (population_winning_committee(profile, voters, rule, k)
             == ref.population_winning_committee(profile, voters, rule, k))
     for cap in (0, 10**6):  # greedy, then exhaustive below the cap
-        assert _winner(table, k, None, cap)[0] == ref.population_winning_committee(profile, voters, rule, k, cap)
-        got = unconstrained_winner(profile, rule, k, cap)
+        with patch.object(rules, "DEFAULT_ORACLE_CAP", cap):
+            assert _winner(table, k, None)[0] == ref.population_winning_committee(profile, voters, rule, k, cap)
+            got = unconstrained_winner(profile, rule, k)
         assert (got.committee, got.score, got.mode) == ref.unconstrained_winner(profile, rule, k, cap)
 
 
@@ -495,7 +498,7 @@ def run_profiles(draw, valid=True):
     pool = draw(st.lists(ballot, min_size=1, max_size=4))
     runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)), min_size=1, max_size=6))
     rankings = [list(pool[i]) for i, count in runs for _ in range(count)]
-    priority = () if valid else draw(st.just(()) | st.lists(st.integers(0, m), max_size=m + 1))
+    priority = None if valid else draw(st.none() | st.lists(st.integers(0, m), max_size=m + 1))
     return PreferenceProfile(m=m, rankings=rankings, priority=priority)
 
 

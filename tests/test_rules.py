@@ -265,12 +265,14 @@ def test_unconstrained_betacc_single_winner():
     assert result.score == 2
 
 
-def test_unconstrained_greedy_above_cap():
+def test_unconstrained_greedy_above_cap(monkeypatch):
     rng = random.Random(5)
     profile = make_profile(6, [rng.sample(range(6), 6) for _ in range(4)])
-    result = unconstrained_winner(profile, betacc(), 3, oracle_cap=1)
-    assert result.mode == "greedy"
     exact = unconstrained_winner(profile, betacc(), 3)
+    assert exact.mode == "exhaustive"
+    monkeypatch.setattr(rules, "DEFAULT_ORACLE_CAP", 1)
+    result = unconstrained_winner(profile, betacc(), 3)
+    assert result.mode == "greedy"
     assert result.score <= exact.score
 
 
@@ -287,8 +289,9 @@ def test_greedy_search_times_out(rule, clock_reads, monkeypatch):
     with pytest.raises(SolverTimeout):
         _greedy_max(SatisfactionTable(profile, rule), 4, deadline=clock_reads - 0.5)
     ticks = iter(range(1, 100))
+    monkeypatch.setattr(rules, "DEFAULT_ORACLE_CAP", 1)
     with pytest.raises(SolverTimeout):
-        unconstrained_winner(profile, rule, 4, oracle_cap=1, deadline=clock_reads - 0.5)
+        unconstrained_winner(profile, rule, 4, deadline=clock_reads - 0.5)
 
 
 @pytest.mark.parametrize("rule", [betacc(), monroe()], ids=["betacc", "monroe"])

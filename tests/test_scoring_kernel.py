@@ -7,9 +7,11 @@ computed through the table must equal it exactly, ties included.
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import scoring_reference as ref
 from conftest import random_instance
+from dire import rules
 from dire.experiment import best_unsatisfied_fraction
 from dire.profiles import make_profile
 from dire.rules import (
@@ -81,9 +83,10 @@ def test_winner_searches_match_the_reference():
                         == ref.population_winning_committee(profile, voters, rule, k)), (seed, kind)
                 table = SatisfactionTable(profile, rule, sorted(set(voters)))
                 for cap in (0, 10**6):  # greedy, then exhaustive below the cap
-                    assert (_winner(table, k, None, cap)[0]
-                            == ref.population_winning_committee(profile, voters, rule, k, cap)), (seed, kind)
-                    got = unconstrained_winner(profile, rule, k, cap)
+                    with patch.object(rules, "DEFAULT_ORACLE_CAP", cap):
+                        assert (_winner(table, k, None)[0]
+                                == ref.population_winning_committee(profile, voters, rule, k, cap)), (seed, kind)
+                        got = unconstrained_winner(profile, rule, k)
                     assert (got.committee, got.score, got.mode) == ref.unconstrained_winner(profile, rule, k, cap)
 
 

@@ -12,7 +12,7 @@ import dire
 from dire import constraints, solver, winner
 from dire.constraints import Attribute, AttributeScheme, fill_seats, holders, make_instance, satisfies
 from dire.profiles import make_profile
-from dire.reductions import InputGraph, min_vertex_cover_size, reduce_vc_representation
+from dire.reductions import InputGraph, reduce_vc_representation
 from dire.solver import (
     DiReGraph,
     SolverConfig,
@@ -28,6 +28,7 @@ from dire.solver import (
     _mfc_order,
 )
 from dire.synth import gen_syndata
+from scoring_reference import min_vertex_cover_size
 from conftest import brute_force_feasible_set, random_instance
 
 
@@ -316,7 +317,7 @@ def test_public_surface_resolves():
     assert sorted(dire.__all__) == [
         "Attribute", "AttributeScheme", "Committee", "DiReInstance", "PreferenceProfile",
         "Rule", "SolveReport", "SolverConfig", "betacc",
-        "borda_vector", "brute_force_oracle",
+        "borda_vector",
         "kborda", "make_instance", "make_profile", "monroe",
         "population_winning_committee", "position", "satisfies", "score_committee",
         "solve_drcwd", "solve_feasibility", "unconstrained_winner",

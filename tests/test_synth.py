@@ -10,15 +10,14 @@ from dire.synth import (
     GenerationError,
     MallowsParams,
     gen_syndata,
-    kendall_tau,
     partition_attribute,
     sample_bounds,
     sample_mallows,
-    syn2_sweep,
 )
 from dire.constraints import Attribute, AttributeScheme
-from dire.winner import brute_force_oracle, solve_drcwd
+from dire.winner import solve_drcwd
 from dire.solver import SolverConfig
+from scoring_reference import brute_force_oracle, kendall_tau
 
 
 def test_mallows_params_validation():
@@ -211,8 +210,3 @@ def test_gen_syndata_betacc_winning_committees():
     for wc in instance.winning_committees.values():
         assert len(wc) == 3
 
-
-def test_syn2_sweep_emits_ten_instances():
-    instances = syn2_sweep(seed=3, m=8, n=6, k=2)
-    assert len(instances) == 10
-    assert all(inst.mu == 2 and inst.pi == 2 for inst in instances)

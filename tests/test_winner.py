@@ -9,9 +9,10 @@ from dire.profiles import make_profile
 from dire.rules import Rule, SatisfactionTable, betacc, kborda, monroe, unconstrained_winner
 from dire.solver import SolverConfig, solve_feasibility
 from dire.synth import draw_syndata, gen_syndata
-from dire.winner import OracleCapExceeded, brute_force_oracle, solve_drcwd
+from dire.winner import solve_drcwd
 from conftest import random_instance
-from scoring_reference import dominated_candidate_pruning, fpt_rep_solver, fpt_report, mu1_fast_path
+from scoring_reference import (OracleCapExceeded, brute_force_oracle, dominated_candidate_pruning, fpt_rep_solver,
+                               fpt_report, mu1_fast_path)
 
 
 def _exhaustive(instance):
