@@ -16,6 +16,11 @@ from dire.profiles import PreferenceProfile, make_profile
 from dire.rules import Rule, RuleError, RULE_KINDS, validate_scoring
 
 
+_INSTANCE_KEYS = {"m", "n", "k", "rule", "scoring", "priority", "rankings", "candidate_attributes",
+                  "voter_attributes", "diversity_bounds", "representation_bounds",
+                  "winning_committees", "allow_zero_bounds"}
+
+
 class ParseError(ValueError):
     """A located instance-file error: carries the JSON key path."""
 
@@ -87,6 +92,9 @@ def instance_from_dict(data: dict, rule_override: Rule | None = None) -> DiReIns
     path = "$"
     if not isinstance(data, dict):
         raise ParseError(path, "instance file must be a JSON object")
+    for key in data:
+        if key not in _INSTANCE_KEYS:
+            raise ParseError(f"{path}.{key}", f"unknown key, expected one of {sorted(_INSTANCE_KEYS)}")
     m = _expect(data, "m", int, path)
     n = _expect(data, "n", int, path)
     k = _expect(data, "k", int, path)

@@ -5,31 +5,19 @@ is narrowed to the intersection of the domains whose bound is k, each
 constraint is checked once for a bound above its domain or k, and each
 unordered pair whose bounds sum above k is checked with a necessary overlap
 condition; when no constraint fails the first check and no two bounds sum
-above k, no pair can fail and the pairs are not visited.  Stage two is
-depth-first backtracking that repeatedly picks the tightest unsatisfied
-constraint (fewest remaining values per missing seat) and tries its
-candidates in order of how many constraints they touch.  A failed
-branch proves that no feasible committee extends it, so the search
-excludes that candidate, and every candidate with the same constraint
-signature, from the sibling branches that follow; a seat and availability
-lookahead fails a node as soon as some unmet bound can no longer be reached,
-and a packing bound fails it when unmet constraints with pairwise disjoint
-free domains need more members together than there are seats left.
-A constraint's free domain (its members neither chosen nor excluded) is
-the one record of the search state that the lookahead, the packing bound
-and the value loop all read, and one pass over the constraints per node
-checks the lookahead and lists the unmet ones for the packing bound.  The
-value order, its ranks and the twin table cover only the candidates that
-some domain holds, as no other candidate is ever a value.  These cuts
-remove only subtrees without a solution, so the search returns exactly
-the committees of plain backtracking.  One search harvests several
-feasible committees: below the root it stops at the first solution, while
-the root keeps the first solution of each of its branches and goes on to
-the next.  A separate exhaustive mode enumerates the complete feasible set
-for oracle-scale instances under the same lookahead, which again cuts only
-subtrees without a committee, so the output is that of the uncut DFS.
-Both searches run on the explicit stack of :func:`~dire.rules._depth_first`,
-so a committee of any size fits under the recursion limit.
+above k, no pair can fail and the pairs are not visited.  Stage two,
+:func:`heuristic_backtrack`, is depth-first backtracking that picks the
+tightest unmet constraint and tries its candidates by how many constraints
+they touch.  A failed candidate is excluded from the sibling branches that
+follow, with every free candidate of the branching domain that it dominates
+(every domain holding that one holds it too); a seat and availability
+lookahead and a packing bound fail a node whose unmet bounds can no longer
+all be reached.  These cuts remove only subtrees without a solution, so the
+search returns exactly the committees of plain backtracking.  The
+exhaustive mode enumerates the feasible set under the same lookahead, with
+the output of the uncut enumeration.  Both searches run on the explicit
+stack of :func:`~dire.rules._depth_first`, so a committee of any size fits
+under the recursion limit.
 """
 
 from __future__ import annotations
@@ -328,13 +316,12 @@ def heuristic_backtrack(
 
     The search never re-enters a subtree it has proven empty:
 
-    - *sibling exclusion*: once the branch "add c" fails at a node, no
-      feasible committee contains the node's members plus c, so c is
+    - *sibling exclusion*: once the branch "add c" fails at a node, c is
       excluded (dropped from the free domains) from the later sibling
       branches and their subtrees, and restored when the node returns;
-    - *signature symmetry*: candidates lying in exactly the same constraint
-      domains are interchangeable (swapping one for another keeps every
-      in-flow), so when one fails at a node its twins are excluded too;
+    - *dominance*: every free member d of the branching domain that c
+      dominates (every domain holding d holds c: ``held[c] >= held[d]`` as
+      sets, twins included) is excluded and restored with c;
     - *lookahead*: a node fails at once when an unmet constraint needs more
       members than there are seats left, or than its free domain (neither
       chosen nor excluded) still holds;
@@ -342,23 +329,28 @@ def heuristic_backtrack(
       domains are pairwise disjoint need more members together than there
       are seats left, as each needs its own (:meth:`_SearchState.packs`).
 
-    Only subtrees without a solution are cut, and variable choice and value
+    Only subtrees without a solution (at most k members meeting every
+    bound) are cut.  At a node with chosen set P and excluded set X, no
+    solution holding P holds a member of X, so the failure of "add c",
+    which proves that none holds P + c and avoids X, proves that none holds
+    P + c.  A solution Q holding P + d, with c free and dominating d, would
+    miss c; but then Q - d + c, of Q's size, would hold P + c and be a
+    solution, as every bound is a lower bound and every domain holding d
+    holds c.  So no solution holds P + d either.  Variable choice and value
     order are those of the plain search, so the search returns the same
-    committees as plain backtracking.  No committees with ``complete=True``
-    means the search space was exhausted, proving infeasibility; when the
-    deadline passes, the committees found so far come back with
-    ``timed_out=True``.
+    committees, in the same order, as plain backtracking.  No committees
+    with ``complete=True`` means the search space was exhausted, proving
+    infeasibility; when the deadline passes, the committees found so far
+    come back with ``timed_out=True``.
     """
     config = config or SolverConfig()
     if deadline is None:
         deadline = time.monotonic() + config.timeout
     held = holders(graph.domains, graph.m)
-    values = _mfc_order(graph, held)  # a candidate no domain holds is never a value
-    rank_of = {c: idx for idx, c in enumerate(values)}
-    by_signature: dict[tuple[int, ...], list[int]] = {}
-    for cand in values:
-        by_signature.setdefault(held[cand], []).append(cand)
-    ordered = [sorted(domain, key=rank_of.__getitem__) for domain in graph.domains]
+    ordered: list[list[int]] = [[] for _ in graph.domains]  # each domain in value order
+    for cand in _mfc_order(graph, held):  # a candidate no domain holds is never a value
+        for idx in held[cand]:
+            ordered[idx].append(cand)
     state = _SearchState(graph, held)
     committees: list[tuple[int, ...]] = []
     found = False  # the outcome of the subtree searched last
@@ -378,7 +370,7 @@ def heuristic_backtrack(
             if committee not in committees:  # two root branches can pad to one committee
                 committees.append(committee)
             return
-        free = state.free_sets[variable]  # every value and its twins lie in D_variable
+        free = state.free_sets[variable]
         any_found = False
         excluded: list[int] = []
         for cand in ordered[variable]:
@@ -393,12 +385,12 @@ def heuristic_backtrack(
                 if at_root and len(committees) < config.max_committees:
                     continue
                 break
-            # cand stays blocked: excluded, together with its free twins
+            # cand stays blocked: excluded, with the free members it dominates
             excluded.append(cand)
-            for twin in by_signature[held[cand]]:
-                if twin in free:
-                    state.block(twin)
-                    excluded.append(twin)
+            dominator = set(held[cand])
+            for other in [other for other in free if dominator.issuperset(held[other])]:
+                state.block(other)
+                excluded.append(other)
         for cand in excluded:
             state.unblock(cand)
         found = any_found

@@ -9,6 +9,8 @@ members that take the larger loads.
 
 :func:`brute_force_oracle` scores every k-committee that meets every
 bound, the exact answer of the exhaustive ``solve_drcwd`` at desk scale.
+:func:`plain_backtrack` is the default feasibility search with none of its
+cuts, whose committees the cut search must return exactly.
 The special-case solve routes, :func:`mu1_fast_path` (one candidate
 attribute, no voter attributes, separable rule) and :func:`fpt_report`
 (representation only, unit bounds), are exact on their classes and
@@ -248,6 +250,53 @@ def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_
         return _report(instance, "oracle", start, STATUS_INFEASIBLE, examined=total,
                        reason=f"none of the {total} {instance.k}-committees meets every bound")
     return _report(instance, "oracle", start, STATUS_OPTIMAL, members, score, total)
+
+
+def plain_backtrack(graph, max_committees: int) -> tuple[tuple[int, ...], ...]:
+    """The committees of plain backtracking on a preprocessed constraint
+    graph: the default search's variable choice (the unmet constraint with
+    the least |D_i| per missing member, ties by constraint order), its
+    value order (held candidates by descending number of holding domains,
+    ties by priority rank), its root harvest and its padding, with no
+    exclusion, lookahead or packing bound.  A node fails only when it has k
+    members and a bound is still unmet."""
+    held = holders(graph.domains, graph.m)
+    values = sorted((c for c in range(graph.m) if held[c]), key=lambda c: (-len(held[c]), graph.rank[c]))
+    inflow = [0] * len(graph.domains)
+    chosen: list[int] = []
+    committees: list[tuple[int, ...]] = []
+
+    def search(at_root: bool) -> bool:
+        unmet = [(Fraction(len(domain), bound - inflow[idx]), idx)
+                 for idx, (domain, bound) in enumerate(zip(graph.domains, graph.bounds))
+                 if inflow[idx] < bound]
+        if not unmet:
+            committee = fill_seats(chosen, graph.padding_order, graph.k)
+            if committee not in committees:
+                committees.append(committee)
+            return True
+        if len(chosen) == graph.k:
+            return False
+        domain = graph.domains[min(unmet)[1]]
+        found = False
+        for cand in values:
+            if cand not in domain or cand in chosen:
+                continue
+            chosen.append(cand)
+            for idx in held[cand]:
+                inflow[idx] += 1
+            success = search(False)
+            chosen.pop()
+            for idx in held[cand]:
+                inflow[idx] -= 1
+            if success:
+                found = True
+                if not (at_root and len(committees) < max_committees):
+                    break
+        return found
+
+    search(True)
+    return tuple(committees)
 
 
 def kendall_tau(left: Sequence[int], right: Sequence[int]) -> int:

@@ -83,6 +83,25 @@ def test_an_explicit_empty_priority_is_rejected(example1, tmp_path, capsys):
     assert fileio.instance_from_dict(data).profile.priority == (0, 1, 2, 3)
 
 
+def test_an_unknown_top_level_key_is_rejected(example1):
+    # a misspelled "priority" was once ignored, and the fixture then solved
+    # to committee 0 2 at score 13 instead of 0 3 at 12
+    data = json.loads(fileio.dumps_instance(example1))
+    data["priorty"] = data.pop("priority")
+    with pytest.raises(fileio.ParseError, match=r"^\$\.priorty: unknown key"):
+        fileio.instance_from_dict(data)
+
+
+def test_a_round_trip_writes_only_known_keys(example1):
+    data = json.loads(fileio.dumps_instance(example1))
+    data["scoring"] = [5, 5, 1, 0]
+    data["allow_zero_bounds"] = True
+    instance = fileio.instance_from_dict(data)
+    written = json.loads(fileio.dumps_instance(instance))
+    assert len(written) == 13  # every key the writer knows
+    assert fileio.instance_from_dict(written) == instance
+
+
 @pytest.mark.parametrize("key, attr, label, value", [
     ("diversity_bounds", "gender", "femal", 2),
     ("diversity_bounds", "state", "CA", 1),  # a voter attribute

@@ -1,12 +1,12 @@
 """Property tests: the feasibility search against the brute-force feasible
-set, its node lookahead against brute force below the node, closed-form
-preprocessing against the reference fixpoint and the per-pair reduction
-loop, the scoring kernel against the rescoring reference, the
-branch-and-bound, with and without the lookahead, against full
-enumeration, its inherited gains against a fresh gain pass, the
-profile's shared satisfaction rows and its validation on runs of equal
-ballots against a per-voter build, and the best-unsatisfied-fraction
-search against enumeration.
+set and its default mode against plain backtracking, its node lookahead
+against brute force below the node, closed-form preprocessing against the
+reference fixpoint and the per-pair reduction loop, the scoring kernel
+against the rescoring reference, the branch-and-bound, with and without
+the lookahead, against full enumeration, its inherited gains against a
+fresh gain pass, the profile's shared satisfaction rows and its
+validation on runs of equal ballots against a per-voter build, and the
+best-unsatisfied-fraction search against enumeration.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -44,7 +44,8 @@ from dire.rules import (
     score_committee,
     unconstrained_winner,
 )
-from dire.solver import SolverConfig, _SearchState, build_diregraph, preprocess, solve_feasibility
+from dire.solver import (SolverConfig, _SearchState, build_diregraph, heuristic_backtrack, preprocess,
+                         solve_feasibility)
 from test_solver import (graph_from_spec, proves_infeasible, reference_lookahead,
                          reference_pair_loop, reference_preprocess, reference_scan)
 
@@ -99,6 +100,18 @@ def test_default_mode_harvest_is_sound_and_capped(instance, max_committees):
     assert len(result.committees) <= max_committees
     assert result.proven_infeasible == (not expected)
     assert not result.timed_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.sampled_from([1, 2, 3, 100_000]))
+def test_default_mode_returns_the_committees_of_plain_backtracking(instance, max_committees):
+    # sibling exclusion, dominance, the lookahead and the packing bound cut
+    # only subtrees without a solution, so the committees and their order
+    # are those of the search without them
+    graph = build_diregraph(instance)
+    preprocess(graph)
+    result = solve_feasibility(instance, SolverConfig(timeout=60, max_committees=max_committees))
+    assert result.committees == ref.plain_backtrack(graph, max_committees)
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,6 +216,27 @@ def test_preprocess_matches_the_reference_fixpoint(graph):
         assert graph.domains == twin.domains
     else:
         assert proves_infeasible(original, reason)
+
+
+@st.composite
+def covering_graphs(draw):
+    """Constraint graphs over 4 <= m <= 9 candidates with 3 to 10 small
+    overlapping domains (two to four candidates) and bounds of 1 or 2 at
+    k <= 4, shaped like vertex-cover reductions: branches there often fail
+    below the lookahead, so exclusion decides what the search visits."""
+    m = draw(st.integers(4, 9))
+    k = draw(st.integers(2, 4))
+    domains = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=4), min_size=3, max_size=10))
+    bounds = [draw(st.integers(1, min(2, k, len(domain)))) for domain in domains]
+    return graph_from_spec(k, m, domains, bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_graphs(), st.sampled_from([1, 2, 3, 100_000]))
+def test_default_search_returns_the_committees_of_plain_backtracking(graph, max_committees):
+    if preprocess(graph) is None:
+        result = heuristic_backtrack(graph, SolverConfig(timeout=60, max_committees=max_committees))
+        assert result.committees == ref.plain_backtrack(graph, max_committees)
 
 
 @st.composite

@@ -28,7 +28,7 @@ from dire.solver import (
     _mfc_order,
 )
 from dire.synth import gen_syndata
-from scoring_reference import min_vertex_cover_size
+from scoring_reference import min_vertex_cover_size, plain_backtrack
 from conftest import brute_force_feasible_set, random_instance
 
 
@@ -606,6 +606,53 @@ def test_vc_rep_infeasibility_proof_is_fast():
     assert not result.timed_out
 
 
+def spy_on_add(monkeypatch):
+    """The list of candidates every search adds from now on, in call order."""
+    added = []
+    real_add = solver._SearchState.add
+
+    def spy(state, cand):
+        added.append(cand)
+        real_add(state, cand)
+
+    monkeypatch.setattr(solver._SearchState, "add", spy)
+    return added
+
+
+def test_a_failed_candidate_takes_the_candidates_it_dominates(monkeypatch):
+    # the root branches on X0 = {0, 1, 2}: candidate 0 (in X0 and X1) fails,
+    # as X2 and X3 are disjoint and one seat is left; candidate 1 (in X0
+    # only) is dominated by 0 but is no twin of it, so it is excluded with
+    # 0 and never added, though the root harvest goes on past candidate 2
+    graph = graph_from_spec(2, 8, [{0, 1, 2}, {0, 3, 4}, {2, 3, 5}, {4, 6, 7}], [1, 1, 1, 1])
+    added = spy_on_add(monkeypatch)
+    result = heuristic_backtrack(graph, SolverConfig(timeout=10))
+    assert result.committees == ((2, 4),) == plain_backtrack(graph, 100_000)
+    assert added == [0, 2, 3, 4]
+
+
+def test_the_root_harvest_keeps_a_dominator_that_succeeded():
+    # candidate 2 holds every domain that candidate 3 holds, and more; 2
+    # succeeds at the root and 3 fails there.  Excluding 2 along with 3
+    # would lose the second committee, which the root branch on 6 finds
+    # through 2
+    graph = graph_from_spec(3, 9, [{1, 2, 3, 6, 8}, {1, 2, 3, 5}, {0, 2, 3, 5}, {2, 4, 6, 8}, {4, 6}],
+                            [1, 2, 2, 2, 1])
+    assert preprocess(graph) is None
+    result = heuristic_backtrack(graph, SolverConfig(timeout=10, max_committees=2))
+    assert result.committees == ((2, 3, 6), (2, 5, 6)) == plain_backtrack(graph, 2)
+
+
+def test_dominance_cuts_the_v48_infeasibility_proof(monkeypatch):
+    # the minimum cover of this graph has 27 vertices; with twins alone
+    # excluded, the proof at k=26 made 18,682 additions
+    instance = reduce_vc_representation(random_cubic_graph(48, 0), 1, 26).instance
+    added = spy_on_add(monkeypatch)
+    result = solve_feasibility(instance, SolverConfig(timeout=30, max_committees=1))
+    assert result.proven_infeasible
+    assert len(added) == 2016 < 3000
+
+
 def test_packing_bound_fails_disjoint_unit_bounds_at_the_root(monkeypatch):
     # three disjoint groups each need one of the k=2 seats: every pair passes
     # the pairwise check and no single group is short, but together they need
@@ -617,14 +664,7 @@ def test_packing_bound_fails_disjoint_unit_bounds_at_the_root(monkeypatch):
     instance = make_instance(profile, scheme, k=2, diversity_bounds=bounds)
     graph = build_diregraph(instance)
     assert all(pairwise_feasible(graph, i, j) for i, j in itertools.combinations(range(3), 2))
-    added = []
-    real_add = solver._SearchState.add
-
-    def spy(state, cand):
-        added.append(cand)
-        real_add(state, cand)
-
-    monkeypatch.setattr(solver._SearchState, "add", spy)
+    added = spy_on_add(monkeypatch)
     for exhaustive in (False, True):
         result = solve_feasibility(instance, SolverConfig(timeout=10), exhaustive=exhaustive)
         assert result.proven_infeasible
