@@ -76,16 +76,16 @@ def build_parser() -> _Parser:
     gen.add_argument("--out", required=True)
 
     solver_flags = argparse.ArgumentParser(add_help=False)  # shared by feasible and solve
-    solver_flags.add_argument("--exhaustive", action="store_true")
     solver_flags.add_argument("--max-committees", type=int, default=SolverConfig.max_committees)
     solver_flags.add_argument("--timeout", type=float, default=SolverConfig.timeout)
 
-    feas = sub.add_parser("feasible", parents=[solver_flags], help="enumerate feasible committees")
+    feas = sub.add_parser("feasible", parents=[solver_flags], help="find feasible committees")
     feas.add_argument("instance")
 
     solve = sub.add_parser("solve", parents=[solver_flags], help="find the best feasible committee")
     solve.add_argument("instance")
     solve.add_argument("--rule", choices=RULE_KINDS)
+    solve.add_argument("--exhaustive", action="store_true")
 
     score = sub.add_parser("score", help="evaluate a given committee")
     score.add_argument("instance")
@@ -167,7 +167,7 @@ def _solver_config(args) -> SolverConfig:
 
 def _cmd_feasible(args) -> int:
     instance = fileio.parse_instance(args.instance)
-    result = solve_feasibility(instance, _solver_config(args), exhaustive=args.exhaustive)
+    result = solve_feasibility(instance, _solver_config(args))
     if result.proven_infeasible:
         print("INFEASIBLE")
         print(f"reason: {result.reason}", file=sys.stderr)
@@ -199,7 +199,6 @@ def _cmd_solve(args) -> int:
     ratio = "n/a" if report.utility_ratio is None else f"{float(report.utility_ratio):.6f}"
     print(f"utility_ratio: {ratio}")
     print(f"status: {report.status}")
-    print(f"mode: {report.mode}")
     if report.timed_out:
         print(TIMED_OUT_NOTE, file=sys.stderr)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)

@@ -199,7 +199,7 @@ def parse_instance(path: str | Path, rule_override: Rule | None = None) -> DiReI
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError("$", f"invalid JSON: {exc}") from exc
     return instance_from_dict(data, rule_override)
 

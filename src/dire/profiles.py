@@ -139,6 +139,18 @@ class ValidationResult:
         return self.ok
 
 
+def _size_error(m: int, rankings: Sequence[Sequence[int]]) -> str | None:
+    """The first violation of :func:`validate_profile` found without building
+    anything of size m: once it is None, m is the length of voter 0's ranking."""
+    if m < 1:
+        return f"candidate count must be >= 1, got {m}"
+    if not rankings:
+        return "profile has no voters"
+    if len(rankings[0]) != m:
+        return f"wrong-length-ranking: voter 0 ranks {len(rankings[0])} of {m} candidates"
+    return None
+
+
 def validate_profile(profile: PreferenceProfile) -> ValidationResult:
     """Check all profile invariants, reporting the first violation found.
 
@@ -147,10 +159,9 @@ def validate_profile(profile: PreferenceProfile) -> ValidationResult:
     voter/candidate indices.
     """
     m = profile.m
-    if m < 1:
-        return ValidationResult(False, f"candidate count must be >= 1, got {m}")
-    if profile.n < 1:
-        return ValidationResult(False, "profile has no voters")
+    error = _size_error(m, profile.rankings)
+    if error is not None:
+        return ValidationResult(False, error)
     expected = set(range(m))
     for v, ranking in enumerate(profile.rankings):
         if len(ranking) != m:
@@ -180,7 +191,11 @@ def make_profile(
     rankings: Sequence[Sequence[int]],
     priority: Sequence[int] | None = None,
 ) -> PreferenceProfile:
-    """Build a profile and raise :class:`ProfileError` unless it validates."""
+    """Build a profile and raise :class:`ProfileError` unless it validates.
+    The sizes are checked first, as the default priority holds m candidates."""
+    error = _size_error(m, rankings)
+    if error is not None:
+        raise ProfileError(error)
     profile = PreferenceProfile(m=m, rankings=rankings, priority=priority)
     result = validate_profile(profile)
     if not result.ok:

@@ -13,16 +13,13 @@ follow, with every free candidate of the branching domain that it dominates
 (every domain holding that one holds it too); a seat and availability
 lookahead and a packing bound fail a node whose unmet bounds can no longer
 all be reached.  These cuts remove only subtrees without a solution, so the
-search returns exactly the committees of plain backtracking.  The
-exhaustive mode enumerates the feasible set under the same lookahead, with
-the output of the uncut enumeration.  Both searches run on the explicit
-stack of :func:`~dire.rules._depth_first`, so a committee of any size fits
-under the recursion limit.
+search returns exactly the committees of plain backtracking.  It runs on
+the explicit stack of :func:`~dire.rules._depth_first`, so a committee of
+any size fits under the recursion limit.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -64,7 +61,7 @@ class SolverConfig:
     """Knobs for one solver run.
 
     ``timeout`` is wall-clock seconds (the experiments' default budget).
-    ``max_committees`` caps the committees one enumeration collects.
+    ``max_committees`` caps the committees of the search's root harvest.
     """
 
     timeout: float = 2000.0
@@ -188,20 +185,19 @@ def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]]) -> list[int]:
 class FeasibilityResult:
     """The committees a search found and what they prove.
 
-    ``complete`` is True when the committees provably equal the full
-    feasible set, which with no committees proves infeasibility.  The
-    searches leave ``reason`` and ``elapsed`` to :func:`solve_feasibility`.
+    The search is exact, so no committees from a search the deadline did
+    not cut proves infeasibility.  The search leaves ``reason`` and
+    ``elapsed`` to :func:`solve_feasibility`.
     """
 
     committees: tuple[tuple[int, ...], ...]
-    complete: bool
     timed_out: bool
     reason: str | None = None  # what proved the instance infeasible, or None if nothing did
     elapsed: float = 0.0
 
     @property
     def proven_infeasible(self) -> bool:
-        return self.complete and not self.committees and not self.timed_out
+        return not self.committees and not self.timed_out
 
 
 class _SearchState:
@@ -209,7 +205,8 @@ class _SearchState:
     counts the chosen members of D_i and ``free_sets[i]`` holds those
     neither chosen nor excluded, so a candidate c of D_i is blocked exactly
     when it is missing from ``free_sets[i]``.  :meth:`scan` is the
-    lookahead of both searches."""
+    search's lookahead, which the certified solve of
+    :func:`~dire.winner.solve_drcwd` borrows."""
 
     def __init__(self, graph: DiReGraph, held: Sequence[tuple[int, ...]]):
         self.k, self.bounds, self.held = graph.k, graph.bounds, held
@@ -339,9 +336,9 @@ def heuristic_backtrack(
     holds c.  So no solution holds P + d either.  Variable choice and value
     order are those of the plain search, so the search returns the same
     committees, in the same order, as plain backtracking.  No committees
-    with ``complete=True`` means the search space was exhausted, proving
-    infeasibility; when the deadline passes, the committees found so far
-    come back with ``timed_out=True``.
+    means the search space was exhausted, proving infeasibility; when the
+    deadline passes, the committees found so far come back with
+    ``timed_out=True``.
     """
     config = config or SolverConfig()
     if deadline is None:
@@ -398,90 +395,28 @@ def heuristic_backtrack(
     try:
         _depth_first(search, True)
     except SolverTimeout:
-        return FeasibilityResult(tuple(committees), complete=False, timed_out=True)
-    return FeasibilityResult(tuple(committees), complete=not committees, timed_out=False)
-
-
-def _enumerate_exhaustive(
-    graph: DiReGraph, config: SolverConfig, deadline: float
-) -> FeasibilityResult:
-    """Complete include/exclude DFS over candidates; returns every feasible
-    k-committee, ``complete`` unless the enumeration cap or the deadline cut
-    it short.  On timeout the committees found so far are still returned.
-
-    Candidates passed in the order stay blocked, so ``free_sets`` holds the
-    undecided members of each domain, and the lookahead and packing bound
-    of :func:`heuristic_backtrack` cut only subtrees without a committee:
-    the output, its order and its truncation are those of the uncut DFS.
-    """
-    held = holders(graph.domains, graph.m)
-    # every candidate: those no domain holds come last, in rank order
-    order = _mfc_order(graph, held)
-    order += sorted(itertools.filterfalse(held.__getitem__, range(graph.m)), key=graph.rank.__getitem__)
-    state = _SearchState(graph, held)
-    results: list[tuple[int, ...]] = []
-    truncated = False
-
-    def dfs(pos: int) -> Iterator[tuple[int]]:
-        # a node of rules._depth_first: descend on the include branch only
-        # and loop over the exclude branch, so the stack holds at most k + 1
-        # nodes whatever m is
-        nonlocal truncated
-        start = pos
-        while not truncated:
-            if time.monotonic() > deadline:
-                raise SolverTimeout("exhaustive enumeration timed out")
-            if state.scan() is None:  # dead; at k members this means a bound is unmet
-                break
-            if len(state.chosen) == graph.k:
-                truncated = len(results) >= config.max_committees
-                if not truncated:
-                    results.append(tuple(sorted(state.chosen)))
-                break
-            if len(state.chosen) + (graph.m - pos) < graph.k:
-                break
-            cand = order[pos]
-            state.add(cand)
-            yield (pos + 1,)
-            state.remove()  # cand stays blocked: excluded for the rest of the loop
-            pos += 1
-        for cand in order[start:pos]:
-            state.unblock(cand)
-
-    try:
-        _depth_first(dfs, 0)
-    except SolverTimeout:
-        return FeasibilityResult(tuple(results), complete=False, timed_out=True)
-    return FeasibilityResult(tuple(results), complete=not truncated, timed_out=False)
+        return FeasibilityResult(tuple(committees), timed_out=True)
+    return FeasibilityResult(tuple(committees), timed_out=False)
 
 
 def enumerate_feasible(
     graph: DiReGraph,
     config: SolverConfig | None = None,
-    exhaustive: bool = False,
     deadline: float | None = None,
 ) -> FeasibilityResult:
-    """Collect feasible committees from a preprocessed graph.
+    """The root harvest of :func:`heuristic_backtrack` on a preprocessed graph.
 
-    The default mode is the root harvest of :func:`heuristic_backtrack`: at
-    most one committee per root branch, with no completeness guarantee
-    beyond the feasibility verdict.  ``exhaustive=True`` switches to a
-    complete DFS that provably returns the full feasible set; use it at
-    oracle scale.
+    Kept as its own function because the benchmark tracer counts the
+    committees it returns.
     """
-    config = config or SolverConfig()
-    if deadline is None:
-        deadline = time.monotonic() + config.timeout
-    search = _enumerate_exhaustive if exhaustive else heuristic_backtrack
-    return search(graph, config, deadline)
+    return heuristic_backtrack(graph, config, deadline)
 
 
 def solve_feasibility(
     instance: DiReInstance,
     config: SolverConfig | None = None,
-    exhaustive: bool = False,
 ) -> FeasibilityResult:
-    """Full pipeline: build the graph, preprocess, enumerate, verify.
+    """Full pipeline: build the graph, preprocess, search, verify.
 
     Every returned committee is re-checked against the instance constraints
     before being reported.
@@ -493,10 +428,10 @@ def solve_feasibility(
     try:
         reason = preprocess(graph, deadline)
     except SolverTimeout:
-        return FeasibilityResult((), False, True, None, time.monotonic() - start)
+        return FeasibilityResult((), True, None, time.monotonic() - start)
     if reason is not None:
-        return FeasibilityResult((), True, False, reason, time.monotonic() - start)
-    enum = enumerate_feasible(graph, config, exhaustive=exhaustive, deadline=deadline)
+        return FeasibilityResult((), False, reason, time.monotonic() - start)
+    enum = enumerate_feasible(graph, config, deadline=deadline)
     for committee in enum.committees:
         check = satisfies(instance, committee)
         if not check.ok:  # pragma: no cover - guards solver soundness

@@ -51,7 +51,6 @@ class SolveReport:
     utility_ratio: Fraction | None
     elapsed: float
     committees_examined: int
-    mode: str  # "two-stage" on the library's one route
     timed_out: bool = False  # True also when a timeout cut the feasibility search,
     # scoring, the branch-and-bound or the unconstrained search short but a
     # feasible committee had been found
@@ -60,7 +59,6 @@ class SolveReport:
 
 def _report(
     instance: DiReInstance,
-    mode: str,
     start: float,
     status: str,
     members: Sequence[int] | None = None,
@@ -91,8 +89,7 @@ def _report(
             if denominator > 0:
                 ratio = Fraction(score, denominator)
     committee = None if members is None else Committee(members)
-    return SolveReport(status, committee, score, ratio, time.monotonic() - start, examined, mode,
-                       timed_out, reason)
+    return SolveReport(status, committee, score, ratio, time.monotonic() - start, examined, timed_out, reason)
 
 
 def solve_drcwd(
@@ -119,9 +116,9 @@ def solve_drcwd(
     deadline = start + config.timeout
     feas = solve_feasibility(instance, config)
     if feas.proven_infeasible:
-        return _report(instance, "two-stage", start, STATUS_INFEASIBLE, reason=feas.reason)
+        return _report(instance, start, STATUS_INFEASIBLE, reason=feas.reason)
     if not feas.committees:
-        return _report(instance, "two-stage", start, STATUS_TIMEOUT, timed_out=True)
+        return _report(instance, start, STATUS_TIMEOUT, timed_out=True)
     table = SatisfactionTable(instance.profile, instance.rule)
     members, score, scored, finished = _best_of(table, feas.committees, deadline)
     timed_out = feas.timed_out or not finished
@@ -140,4 +137,4 @@ def solve_drcwd(
         if not check.ok:  # pragma: no cover - guards solver soundness
             raise SolverError(f"branch-and-bound produced an unsatisfying committee {members}: "
                               f"{check.violations}")
-    return _report(instance, "two-stage", start, status, members, score, scored, deadline, timed_out)
+    return _report(instance, start, status, members, score, scored, deadline, timed_out)

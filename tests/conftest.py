@@ -110,6 +110,14 @@ def brute_force_feasible_set(instance):
     return feasible
 
 
+def brute_force_graph_set(graph):
+    """The k-subsets meeting every domain and bound of a constraint graph,
+    such as one whose domains preprocessing narrowed."""
+    constraints = list(zip(graph.domains, graph.bounds))
+    return [combo for combo in itertools.combinations(range(graph.m), graph.k)
+            if all(len(domain.intersection(combo)) >= bound for domain, bound in constraints)]
+
+
 @pytest.fixture
 def make_random_instance():
     return random_instance

@@ -247,9 +247,9 @@ def brute_force_oracle(instance: DiReInstance, oracle_cap: int = DEFAULT_ORACLE_
                 if all(len(domain.intersection(combo)) >= bound for domain, bound in pairs))
     members, score, _, _ = _best_of(SatisfactionTable(instance.profile, instance.rule), feasible)
     if members is None:
-        return _report(instance, "oracle", start, STATUS_INFEASIBLE, examined=total,
+        return _report(instance, start, STATUS_INFEASIBLE, examined=total,
                        reason=f"none of the {total} {instance.k}-committees meets every bound")
-    return _report(instance, "oracle", start, STATUS_OPTIMAL, members, score, total)
+    return _report(instance, start, STATUS_OPTIMAL, members, score, total)
 
 
 def plain_backtrack(graph, max_committees: int) -> tuple[tuple[int, ...], ...]:
@@ -353,11 +353,11 @@ def mu1_fast_path(instance: DiReInstance) -> SolveReport:
         bound = instance.diversity_bounds[(attr.name, label)]
         chosen.extend([c for c in ranked if c in members][:bound])
     if len(chosen) > instance.k:
-        return _report(instance, "mu1-fast", start, STATUS_INFEASIBLE,
+        return _report(instance, start, STATUS_INFEASIBLE,
                        reason=f"diversity bounds need {len(chosen)} seats, k = {instance.k}")
     chosen = fill_seats(chosen, instance.padding_order, instance.k)
     score = score_committee(instance.profile, instance.rule, chosen)
-    return _report(instance, "mu1-fast", start, STATUS_OPTIMAL, chosen, score, 1)
+    return _report(instance, start, STATUS_OPTIMAL, chosen, score, 1)
 
 
 def _population_covers(instance: DiReInstance) -> list[frozenset[int]]:
@@ -450,9 +450,9 @@ def fpt_report(instance: DiReInstance) -> SolveReport:
     start = time.monotonic()
     committees = fpt_rep_solver(instance)
     if not committees:
-        return _report(instance, "fpt", start, STATUS_INFEASIBLE,
+        return _report(instance, start, STATUS_INFEASIBLE,
                        reason=f"no {instance.k} candidates hit every population's winning committee")
     members, score, scored, _ = _best_of(SatisfactionTable(instance.profile, instance.rule),
                                          (committee.members for committee in committees))
     status = STATUS_OPTIMAL if instance.rule.separable else STATUS_HEURISTIC
-    return _report(instance, "fpt", start, status, members, score, scored)
+    return _report(instance, start, status, members, score, scored)

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -141,6 +142,40 @@ def test_parse_error_paths(example1):
         fileio.instance_from_dict(data)
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    # json.loads once raised an uncaught RecursionError on this file
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(fileio.ParseError, match=r"^\$: invalid JSON: "):
+        fileio.parse_instance(path)
+    for command in ("solve", "feasible"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: $: invalid JSON: ")
+
+
+def test_a_huge_m_with_short_rankings_is_rejected_before_anything_of_size_m(tmp_path, capsys):
+    # building range(m) for the default priority once died with MemoryError
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": 1000000000000, "n": 1, "k": 1, "rule": "kborda", "rankings": [[0]]}',
+                    encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: wrong-length-ranking: voter 0 ranks 1 of 1000000000000 candidates\n")
+
+
+def test_a_large_m_with_a_short_priority_builds_nothing_of_size_m():
+    # with a priority given, validation once built a set of m ints first
+    data = {"m": 10**6, "n": 1, "k": 1, "rule": "kborda", "rankings": [[0]], "priority": [0]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProfileError, match="^wrong-length-ranking: voter 0 ranks 1 of 1000000 candidates$"):
+            fileio.instance_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_allow_zero_bounds_must_be_a_json_boolean(example1):
     data = json.loads(fileio.dumps_instance(example1))
     for value in ("false", 0, 1, None):  # "false" once turned zero bounds on
@@ -255,14 +290,13 @@ def test_cli_solve_rule_override(example1_path, capsys):
 
 def test_cli_feasible_and_solve_share_the_solver_flags():
     parser = build_parser()
-    flags = ("exhaustive", "max_committees", "timeout")
-    for argv, expected in (
-        ([], (False, 100_000, 2000.0)),
-        (["--exhaustive", "--max-committees", "7", "--timeout", "3"], (True, 7, 3.0)),
-    ):
+    flags = ("max_committees", "timeout")
+    for argv, expected in (([], (100_000, 2000.0)), (["--max-committees", "7", "--timeout", "3"], (7, 3.0))):
         for command in ("feasible", "solve"):
             args = parser.parse_args([command, "x.json", *argv])
             assert tuple(getattr(args, flag) for flag in flags) == expected, command
+    # only solve has --exhaustive: it certifies the optimum
+    assert parser.parse_args(["solve", "x.json", "--exhaustive"]).exhaustive
     # the defaults are the solver's own, and so is the experiment timeout
     defaults = solver.SolverConfig()
     for command in ("feasible", "solve"):
@@ -279,10 +313,17 @@ def test_cli_feasible_and_solve_take_no_seed(example1_path, capsys):
 
 
 def test_cli_feasible_lists_committees(example1_path, capsys):
-    code = main(["feasible", str(example1_path), "--exhaustive"])
+    code = main(["feasible", str(example1_path)])
     out = capsys.readouterr().out
     assert code == 0
-    assert sorted(out.strip().splitlines()) == ["0 3", "1 2", "1 3"]
+    assert out.splitlines() == ["1 3", "0 3"]  # the root harvest, in root order
+
+
+def test_cli_feasible_has_no_exhaustive_flag(example1_path, capsys):
+    assert main(["feasible", str(example1_path), "--exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "--exhaustive" in captured.err
 
 
 def test_cli_score(example1_path, capsys):

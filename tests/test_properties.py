@@ -1,5 +1,5 @@
-"""Property tests: the feasibility search against the brute-force feasible
-set and its default mode against plain backtracking, its node lookahead
+"""Property tests: the feasibility search's harvest against the brute-force
+feasible set and against plain backtracking, its node lookahead
 against brute force below the node, closed-form preprocessing against the
 reference fixpoint and the per-pair reduction loop, the scoring kernel
 against the rescoring reference, the branch-and-bound, with and without
@@ -130,16 +130,6 @@ def test_branch_and_bound_under_the_lookahead_matches_the_feasible_set(instance,
     # and leaves the lookahead as it found it
     assert state.chosen == [] and not any(state.inflow)
     assert state.free_sets == [set(domain) for domain in graph.domains]
-
-
-@settings(max_examples=150, deadline=None)
-@given(instances())
-def test_exhaustive_mode_returns_the_brute_force_set(instance):
-    expected = brute_force_feasible_set(instance)
-    result = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
-    assert sorted(result.committees) == expected
-    assert result.complete
-    assert result.proven_infeasible == (not expected)
 
 
 @st.composite

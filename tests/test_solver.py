@@ -29,7 +29,7 @@ from dire.solver import (
 )
 from dire.synth import gen_syndata
 from scoring_reference import min_vertex_cover_size, plain_backtrack
-from conftest import brute_force_feasible_set, random_instance
+from conftest import brute_force_feasible_set, brute_force_graph_set, random_instance
 
 
 def graph_from_spec(k, m, domains, bounds):
@@ -129,7 +129,7 @@ def test_exact_ratio_tie_branches_on_the_earlier_constraint():
 def test_solve_feasibility_builds_the_constraints_once(monkeypatch):
     # the soundness re-check reads the instance's one constraint list for
     # every committee instead of building its own
-    instance = random_instance(20, m=10, k=4)  # 6 constraints, 37 committees
+    instance = random_instance(20, m=10, k=4)  # 6 constraints, 37 feasible committees
     built = []
     real = constraints.UnaryConstraint
 
@@ -138,8 +138,8 @@ def test_solve_feasibility_builds_the_constraints_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(constraints, "UnaryConstraint", spy)
-    result = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
-    assert len(result.committees) == 37
+    result = solve_feasibility(instance, SolverConfig(timeout=60))
+    assert len(result.committees) == 1
     assert len(built) == len(instance.constraints()) == 6
 
 
@@ -158,7 +158,7 @@ def test_heuristic_backtrack_infeasible_bounds():
         profile, scheme, k=2, diversity_bounds={("A", "g1"): 2, ("A", "g2"): 1}
     )
     result = heuristic_backtrack(build_diregraph(instance), SolverConfig(timeout=10))
-    assert result.committees == () and result.complete
+    assert result.committees == () and result.proven_infeasible
 
 
 def test_solution_padded_to_k():
@@ -175,13 +175,6 @@ def test_solution_padded_to_k():
     assert 4 in committee  # padding prefers the top scorer
 
 
-def test_enumerate_exhaustive_example1(example1):
-    graph = build_diregraph(example1)
-    result = enumerate_feasible(graph, SolverConfig(timeout=10), exhaustive=True)
-    assert sorted(result.committees) == [(0, 3), (1, 2), (1, 3)]
-    assert result.complete and not result.timed_out
-
-
 def test_enumerate_infeasible_returns_empty():
     profile = make_profile(4, [[0, 1, 2, 3]])
     scheme = AttributeScheme(
@@ -190,10 +183,8 @@ def test_enumerate_infeasible_returns_empty():
     instance = make_instance(
         profile, scheme, k=2, diversity_bounds={("A", "g1"): 2, ("A", "g2"): 1}
     )
-    for exhaustive in (False, True):
-        result = enumerate_feasible(build_diregraph(instance), SolverConfig(timeout=10),
-                                    exhaustive=exhaustive)
-        assert result.committees == ()
+    result = enumerate_feasible(build_diregraph(instance), SolverConfig(timeout=10))
+    assert result.committees == ()
 
 
 def test_enumerate_single_committee_cap(example1):
@@ -223,15 +214,6 @@ def test_preprocess_example1_no_changes(example1):
     before = list(graph.domains)
     assert preprocess(graph) is None
     assert graph.domains == before
-
-
-def test_exhaustive_matches_brute_force_on_random_instances():
-    for seed in range(40):
-        instance = random_instance(seed)
-        expected = brute_force_feasible_set(instance)
-        result = solve_feasibility(instance, SolverConfig(timeout=30), exhaustive=True)
-        assert sorted(result.committees) == expected, f"seed {seed}"
-        assert result.proven_infeasible == (not expected)
 
 
 def test_heuristic_committees_are_sound_and_consistent():
@@ -265,9 +247,8 @@ def test_domain_reduction_preserves_feasible_set():
         if preprocess(graph) is not None:
             assert expected == []
             continue
-        # enumerate on the reduced graph: still exactly the brute-force set
-        enum = enumerate_feasible(graph, SolverConfig(timeout=30), exhaustive=True)
-        assert sorted(enum.committees) == expected
+        # the k-subsets meeting the reduced graph's bounds: still exactly the brute-force set
+        assert brute_force_graph_set(graph) == expected
 
 
 def test_solver_determinism(example1):
@@ -296,10 +277,9 @@ def test_solves_leave_no_reference_cycles(example1):
     gc.collect()
     gc.disable()
     try:
-        for exhaustive in (False, True):
-            result = solve_feasibility(example1, SolverConfig(timeout=10), exhaustive=exhaustive)
-            assert len(result.committees) >= 2
-            assert gc.collect() == 0
+        result = solve_feasibility(example1, SolverConfig(timeout=10))
+        assert len(result.committees) >= 2
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -335,11 +315,14 @@ def test_public_surface_resolves():
     fields = [f.name for f in dataclasses.fields(DiReGraph)]
     assert fields == ["k", "m", "keys", "domains", "bounds", "rank", "padding_order"]
     fields = [f.name for f in dataclasses.fields(solver.FeasibilityResult)]
-    assert fields == ["committees", "complete", "timed_out", "reason", "elapsed"]
+    assert fields == ["committees", "timed_out", "reason", "elapsed"]
     # derived from the fields, never stored beside them
     assert isinstance(solver.FeasibilityResult.proven_infeasible, property)
-    for name in ("EnumerationResult", "padding_vector"):
+    for name in ("EnumerationResult", "padding_vector", "_enumerate_exhaustive"):
         assert not hasattr(solver, name), name
+    fields = [f.name for f in dataclasses.fields(winner.SolveReport)]
+    assert fields == ["status", "committee", "score", "utility_ratio", "elapsed", "committees_examined",
+                      "timed_out", "reason"]
     # the exhaustive solve subsumes these routes; they live on as test oracles
     for name in ("mu1_fast_path", "fpt_rep_solver", "fpt_report", "dominated_candidate_pruning",
                  "PreconditionError"):
@@ -347,8 +330,8 @@ def test_public_surface_resolves():
 
 
 # --- reference search: plain backtracking restarted once per rotation of the
-# --- root value order, and recursive enumeration, kept test-only so the
-# --- pruned search and its root harvest can be checked against them
+# --- root value order, kept test-only so the pruned search and its root
+# --- harvest can be checked against it
 
 class RotationRepeats(Exception):
     """A root rotation at or past the root's value count: it would repeat
@@ -406,57 +389,12 @@ def reference_backtrack(graph, config=None, rotation=0, deadline=None):
     return None if found is None else fill_seats(found, graph.padding_order, graph.k)
 
 
-def reference_exhaustive(graph, config, deadline):
-    """Include/exclude DFS recursing on both branches (depth up to m),
-    stopped when it finds one committee past ``config.max_committees``.
-    Candidates go by descending constraint out-degree, ties by rank."""
-    held = holders(graph.domains, graph.m)
-    order = sorted(range(graph.m), key=lambda c: (-len(held[c]), graph.rank[c]))
-    n_constraints = len(graph.domains)
-    results, inflow, chosen = [], [0] * n_constraints, []
-
-    class Truncated(Exception):
-        pass
-
-    def dfs(pos):
-        if len(chosen) == graph.k:
-            if all(inflow[i] >= graph.bounds[i] for i in range(n_constraints)):
-                if len(results) >= config.max_committees:
-                    raise Truncated
-                results.append(tuple(sorted(chosen)))
-            return
-        if len(chosen) + (graph.m - pos) < graph.k:
-            return
-        rest = order[pos:]
-        for i in range(n_constraints):
-            if inflow[i] + sum(1 for c in rest if c in graph.domains[i]) < graph.bounds[i]:
-                return
-        cand = order[pos]
-        touched = [i for i in range(n_constraints) if cand in graph.domains[i]]
-        chosen.append(cand)
-        for i in touched:
-            inflow[i] += 1
-        dfs(pos + 1)
-        chosen.pop()
-        for i in touched:
-            inflow[i] -= 1
-        dfs(pos + 1)
-
-    try:
-        dfs(0)
-    except Truncated:
-        return solver.FeasibilityResult(tuple(results), complete=False, timed_out=False)
-    return solver.FeasibilityResult(tuple(results), complete=True, timed_out=False)
-
-
-def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
+def reference_enumerate(graph, config=None, deadline=None):
     """The restart harvest: one plain search per distinct left rotation of
     the root value order, keeping the distinct committees."""
     config = config or SolverConfig()
     if deadline is None:
         deadline = time.monotonic() + config.timeout
-    if exhaustive:
-        return reference_exhaustive(graph, config, deadline)
     committees, seen = [], set()
     try:
         for rotation in range(max(graph.m, 1)):
@@ -464,16 +402,16 @@ def reference_enumerate(graph, config=None, exhaustive=False, deadline=None):
                 found = reference_backtrack(graph, config, rotation=rotation, deadline=deadline)
             except RotationRepeats:  # and so does every later rotation
                 break
-            if found is None:
-                return solver.FeasibilityResult(tuple(committees), complete=True, timed_out=False)
+            if found is None:  # the instance is infeasible
+                break
             if found not in seen:
                 seen.add(found)
                 committees.append(found)
                 if len(committees) >= config.max_committees:
                     break
     except SolverTimeout:
-        return solver.FeasibilityResult(tuple(committees), complete=False, timed_out=True)
-    return solver.FeasibilityResult(tuple(committees), complete=False, timed_out=False)
+        return solver.FeasibilityResult(tuple(committees), timed_out=True)
+    return solver.FeasibilityResult(tuple(committees), timed_out=False)
 
 
 def reference_scan(state):
@@ -536,55 +474,46 @@ def random_cubic_graph(vertices, seed):
 
 
 def equivalence_instances():
-    """(instance, whether to compare exhaustive mode too) pairs."""
     for seed in range(60):
-        yield random_instance(seed), True
+        yield random_instance(seed)
     for seed in range(12):
         rng = random.Random(seed)
         yield gen_syndata("syn1", mu=rng.randint(0, 3), pi=rng.randint(0, 3), seed=seed,
-                          m=14, n=12, k=rng.randint(3, 5)), True
+                          m=14, n=12, k=rng.randint(3, 5))
     for vertices, seed in ((6, 0), (6, 1), (8, 0), (8, 1)):
         graph = random_cubic_graph(vertices, seed)
         cover = min_vertex_cover_size(graph)
         for k in (cover - 1, cover, cover + 1):
-            # the feasible sets of the V=8 reductions are too large to enumerate here
-            yield reduce_vc_representation(graph, 1, k).instance, vertices == 6
+            yield reduce_vc_representation(graph, 1, k).instance
     for seed in (0, 1):  # bench-size reductions, where the packing bound cuts most
         graph = random_cubic_graph(10, seed)
         cover = min_vertex_cover_size(graph)
         for k in (cover - 1, cover):
-            yield reduce_vc_representation(graph, 1, k).instance, False
+            yield reduce_vc_representation(graph, 1, k).instance
 
 
 def outcome(result):
-    return result.committees, result.proven_infeasible, result.complete, result.timed_out
+    return result.committees, result.proven_infeasible, result.timed_out
 
 
 def test_pruned_search_matches_reference_search(monkeypatch):
     cases = list(equivalence_instances())
-    modes = [(SolverConfig(timeout=60, max_committees=1), False),
-             (SolverConfig(timeout=60, max_committees=3), False),
-             (SolverConfig(timeout=60), False),
-             (SolverConfig(timeout=60), True),
-             (SolverConfig(timeout=60, max_committees=1), True),
-             (SolverConfig(timeout=60, max_committees=3), True)]
+    configs = [SolverConfig(timeout=60, max_committees=1), SolverConfig(timeout=60, max_committees=3),
+               SolverConfig(timeout=60)]
 
-    def outcomes(instance, with_exhaustive):
-        return [outcome(solve_feasibility(instance, config, exhaustive=ex))
-                for config, ex in modes if with_exhaustive or not ex]
+    def outcomes(instance):
+        return [outcome(solve_feasibility(instance, config)) for config in configs]
 
-    pruned = [outcomes(*case) for case in cases]
+    pruned = [outcomes(case) for case in cases]
     monkeypatch.setattr(solver, "enumerate_feasible", reference_enumerate)
-    verdicts, harvests, truncations = set(), 0, 0
+    verdicts, harvests = set(), 0
     for case, got in zip(cases, pruned):
-        expected = outcomes(*case)
+        expected = outcomes(case)
         assert got == expected
         verdicts.add(expected[0][1])
         harvests += len(expected[2][0]) >= 2
-        truncations += case[1] and not expected[4][2]  # exhaustive, max_committees=1
     assert verdicts == {False, True}  # both feasible and infeasible instances covered
     assert harvests >= 5  # and root harvests of several committees
-    assert truncations >= 5  # and exhaustive runs cut at max_committees
 
 
 def test_default_harvest_stops_early_on_vc_rep():
@@ -665,11 +594,10 @@ def test_packing_bound_fails_disjoint_unit_bounds_at_the_root(monkeypatch):
     graph = build_diregraph(instance)
     assert all(pairwise_feasible(graph, i, j) for i, j in itertools.combinations(range(3), 2))
     added = spy_on_add(monkeypatch)
-    for exhaustive in (False, True):
-        result = solve_feasibility(instance, SolverConfig(timeout=10), exhaustive=exhaustive)
-        assert result.proven_infeasible
-        assert result.reason == "search space exhausted"
-        assert added == []
+    result = solve_feasibility(instance, SolverConfig(timeout=10))
+    assert result.proven_infeasible
+    assert result.reason == "search space exhausted"
+    assert added == []
 
 
 def test_packing_bound_settles_the_v32_cover_frontier():
@@ -691,13 +619,6 @@ def test_packing_bound_settles_the_v32_cover_frontier():
     assert all(committee & set(c.domain) for c in populations)
 
 
-def test_exhaustive_depth_does_not_grow_with_m():
-    instance = gen_syndata("syn1", mu=0, pi=0, m=1500, n=5, k=1)
-    result = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
-    assert result.committees == tuple((c,) for c in range(1500))
-    assert result.complete
-
-
 def test_exhaustive_depth_is_not_bounded_by_the_recursion_limit():
     # k = 299 seats, above the lowered limit; two 150-member groups with
     # bounds of 149 each leave every one of the 300 (m - 1)-committees feasible
@@ -708,17 +629,12 @@ def test_exhaustive_depth_is_not_bounded_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
-        full = solve_feasibility(instance, SolverConfig(timeout=60), exhaustive=True)
-        cut = solve_feasibility(instance, SolverConfig(timeout=60, max_committees=10), exhaustive=True)
         first = solve_feasibility(instance, SolverConfig(timeout=60, max_committees=1))
         harvest = solve_feasibility(instance, SolverConfig(timeout=60))
         reports = [winner.solve_drcwd(instance, SolverConfig(timeout=60), exhaustive=ex) for ex in (False, True)]
     finally:
         sys.setrecursionlimit(limit)
-    assert sorted(full.committees) == sorted(tuple(c for c in range(m) if c != out) for out in range(m))
-    assert full.complete and not full.timed_out
-    assert cut.committees == full.committees[:10]
-    assert not cut.complete and not cut.timed_out
+    assert brute_force_feasible_set(instance) == sorted(tuple(c for c in range(m) if c != out) for out in range(m))
     # every root branch of the default search pads to the committee without
     # the last candidate in the tie-break order, which also scores best
     best = tuple(range(m - 1))
@@ -943,15 +859,12 @@ def test_preprocess_finds_a_conflict_inside_a_bound_k_domain():
 
 def test_solve_feasibility_matches_reference_preprocessing(monkeypatch):
     cases = list(equivalence_instances())
-    modes = [(SolverConfig(timeout=60, max_committees=1), False),
-             (SolverConfig(timeout=60), False),
-             (SolverConfig(timeout=60), True)]
+    configs = [SolverConfig(timeout=60, max_committees=1), SolverConfig(timeout=60)]
 
-    def outcomes(instance, with_exhaustive):
-        return [outcome(solve_feasibility(instance, config, exhaustive=ex))
-                for config, ex in modes if with_exhaustive or not ex]
+    def outcomes(instance):
+        return [outcome(solve_feasibility(instance, config)) for config in configs]
 
-    closed_form = [outcomes(*case) for case in cases]
+    closed_form = [outcomes(case) for case in cases]
     monkeypatch.setattr(solver, "preprocess", reference_preprocess)
     for case, got in zip(cases, closed_form):
-        assert got == outcomes(*case)
+        assert got == outcomes(case)

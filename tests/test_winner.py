@@ -48,7 +48,6 @@ def test_solve_drcwd_exhaustive_example1(example1):
     assert report.status == "optimal"
     assert report.score == 12
     assert report.committee.members == (0, 3)
-    assert report.mode == "two-stage"
 
 
 def test_solve_drcwd_unconstrained_topk():
@@ -264,7 +263,6 @@ def test_mu1_fast_path_fills_with_best_unused():
     report, fast = _exhaustive(instance), mu1_fast_path(instance)
     assert report.status == fast.status == "optimal"
     assert report.committee.members == fast.committee.members == (0, 1, 2)
-    assert (report.mode, fast.mode) == ("two-stage", "mu1-fast")
 
 
 def test_mu1_fast_path_exact_when_bounds_fill_committee():
@@ -347,7 +345,6 @@ def test_fpt_committees_satisfy_instance():
 def test_fpt_report_best_committee():
     instance = _rep_instance([(1, 2), (2, 3)], k=2, n=2)
     report = fpt_report(instance)
-    assert report.mode == "fpt"
     assert report.status == "optimal"  # kborda is separable
     oracle, solved = brute_force_oracle(instance), _exhaustive(instance)
     assert report.score == oracle.score == solved.score
