@@ -15,8 +15,9 @@ import time
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
-from operator import neg
+from operator import and_, neg
 from pathlib import Path
 
 from dire.constraints import DiReInstance, holders, make_instance, unsatisfied_fraction
@@ -154,47 +155,89 @@ def best_unsatisfied_fraction(instance: DiReInstance, found) -> tuple[Fraction, 
 
 def _fewest_unmet(instance: DiReInstance, constraints) -> int:
     """The fewest constraints any k-committee leaves unmet, by a depth-first
-    branch-and-bound over committees in ascending id order.
+    branch-and-bound over committees in ascending label order.
+
+    The candidates are relabelled once, by descending count of the
+    constraints holding them, then by that held set.  Say d dominates c
+    when every domain holding c also holds d.  Twins (equal held sets) then
+    sit next to each other, and every candidate comes after the candidates
+    that dominate it, its later twins aside.  ``dominator[c]`` is the
+    largest label below c that dominates c: a twin's predecessor, or else,
+    as any other dominator holds more constraints, the top bit of the AND
+    of the held domains' bit masks below the first label holding as few.
 
     A node is a prefix P with ``seats`` seats left, and ``need[i]`` is
     bound_i minus the members of domain i in P.  A child P + c meets no
     completion of constraint i when its need after c exceeds min(seats - 1,
-    the members of domain i with ids > c); the child is cut when such
+    the members of domain i with labels > c); the child is cut when such
     constraints are already as many as the fewest found, and at a leaf
     their count is exact.  The node stops at child c once the constraints
-    whose need exceeds min(seats, the members with ids >= c) are that many:
-    every later child loses those too.  Both counts move only at the
+    whose need exceeds min(seats, the members with labels >= c) are that
+    many: every later child loses those too.  Both counts move only at the
     domains holding c, so each child costs its own domains, not all of
     them.  The search stops once a committee meets every constraint.
 
-    An inner child that passes this test is then checked by a packing
+    A node whose children start at ``start`` skips child c when some d with
+    start <= d < c dominates c; the skipped child still counts as passed
+    in the two counts.  The skip is safe.  Take a leaf P + c + R with every
+    label in R above c.  Swapping c for d gives P + d + R, a leaf under
+    child d, as d is neither in P, whose labels are below start, nor in R.
+    Every domain holding c holds d and every bound is a lower bound, so
+    that leaf leaves no more constraints unmet.  If child d is skipped in
+    turn, its own dominator, at least start, dominates c too, so the
+    argument repeats until it reaches a child that is searched or cut by a
+    bound.  Only the search's order changes, and the count it returns does
+    not depend on the labels.
+
+    An inner child that passes these tests is then checked by a packing
     term, the bound of its own node, before it is entered.  Take the
-    constraints with 0 < need <= min(rest, the members with ids > c), rest
-    = seats - 1, in ascending order of domain size, and keep each whose
-    members with ids > c miss those of the ones kept.  The kept
+    constraints with 0 < need <= min(rest, the members with labels > c),
+    rest = seats - 1, in ascending order of domain size, and keep each
+    whose members with labels > c miss those of the ones kept.  The kept
     constraints need distinct new members, so at most as many of them are
     met as their smallest needs fit into the rest seats; the others go
     unmet on top of those already counted, which are never kept, so no
-    constraint counts twice.  Single runs on a 2-core VM, on the 30
-    infeasible syn-paper k-Borda rows of seed 0 with no metric cap: the
-    median fell from 59 to 10 ms, syn1 (4, 0) took 0.31 s where it had
-    not finished in 3 s, and syn1 (2, 0) visited 7 nodes instead of 52,497.
+    constraint counts twice.
+
+    Paired in-process runs on a 2-core VM (Python 3.11, medians, ascending
+    id order without the skip -> this order with it): the 30 infeasible
+    desk-exact rows take 2.1 ms per pass instead of 6.6 ms; the 96
+    infeasible syn-paper pool rows, above the metric cap and so searched by
+    direct calls, take 0.12 s instead of 2.2 s.  syn1 (3, 0) at paper scale
+    visits 34 nodes where ascending id order visited 347, and 119 with the
+    skip but no packing term.
     """
     m, bounds = instance.m, [con.bound for con in constraints]
-    holds = holders([con.domain for con in constraints], m)
-    avail = [[0] * len(bounds)] * (m + 1)  # avail[c][i]: members of domain i with ids >= c
+    # the held sets, relabelled: by descending count of held constraints, then held set
+    holds = sorted(holders([con.domain for con in constraints], m), key=lambda held: (-len(held), held))
+    avail = [[0] * len(bounds)] * (m + 1)  # avail[c][i]: members of domain i with labels >= c
     for c in range(m - 1, -1, -1):
         avail[c] = row = avail[c + 1][:]
         for i in holds[c]:
             row[i] += 1
-    masks = [sum([1 << c for c in con.domain]) for con in constraints]  # bit c: c is in the domain
+    # masks[i], bit j: label j is in domain i; parsed from binary digits, in time linear in m
+    digits = [bytearray(b"0" * m) for _ in bounds]
+    for j, held in enumerate(holds):
+        for i in held:
+            digits[i][~j] = ord("1")
+    masks = [int(row, 2) for row in digits]
+    # dominator[c]: the largest d < c that dominates c, or -1; a dominator other than a twin
+    # holds more constraints than c, so its label is below ``above``
+    dominator, above = [], 0
+    for c, held in enumerate(holds):
+        if c and held == holds[c - 1]:
+            dominator.append(c - 1)
+        else:
+            if c and len(held) < len(holds[c - 1]):
+                above = c
+            dominator.append(reduce(and_, [masks[i] for i in held], (1 << above) - 1).bit_length() - 1)
     narrow = sorted(range(len(bounds)), key=lambda i: len(constraints[i].domain))
     need = bounds[:]
     best = len(bounds)
 
     def excess(start, seats):
         """The packing term of the node whose needs are ``need``, with
-        ``seats`` seats to fill from the ids >= ``start``: how many of the
+        ``seats`` seats to fill from the labels >= ``start``: how many of the
         kept constraints (see above) must go unmet."""
         row, left, taken, needs = avail[start], -1 << start, 0, []
         for i in narrow:
@@ -222,20 +265,21 @@ def _fewest_unmet(instance: DiReInstance, constraints) -> int:
             if sure >= best:
                 return
             row, held = avail[c], holds[c]
-            # a held constraint short by exactly ``seats`` is met by c and the rest
-            unmet = lost - sum([need[i] == seats and need[i] <= row[i] for i in held])
-            if unmet < best:
-                if rest:
-                    for i in held:
-                        need[i] -= 1
-                    if unmet + excess(c + 1, rest) < best:
-                        yield c + 1, rest
-                    for i in held:
-                        need[i] += 1
-                else:
-                    best = unmet
-                    if not best:
-                        return
+            if dominator[c] < start:  # otherwise an earlier child dominates c
+                # a held constraint short by exactly ``seats`` is met by c and the rest
+                unmet = lost - sum([need[i] == seats and need[i] <= row[i] for i in held])
+                if unmet < best:
+                    if rest:
+                        for i in held:
+                            need[i] -= 1
+                        if unmet + excess(c + 1, rest) < best:
+                            yield c + 1, rest
+                        for i in held:
+                            need[i] += 1
+                    else:
+                        best = unmet
+                        if not best:
+                            return
             for i in held:  # passing c leaves one member fewer in each of its domains
                 x = need[i]
                 if x == row[i]:

@@ -19,8 +19,11 @@ class PreferenceProfile:
     Candidate ids are dense integers 0..m-1.  Each ranking lists candidate
     ids from most to least preferred.  ``priority`` is the pre-decided
     tie-break order over candidates (earlier = preferred); omitted (None),
-    it is ascending id.  An explicit priority, the empty one included, is
-    kept as given, and validation rejects it unless it is a permutation.
+    it is ascending id, or empty when :func:`validate_profile` rejects the
+    sizes (m < 1, no voters, or voter 0 ranking other than m candidates)
+    before it reads the priority.  An explicit priority, the empty one
+    included, is kept as given, and validation rejects it unless it is a
+    permutation.
 
     Construction does not validate; call :func:`validate_profile` or use
     :func:`make_profile` to get checked instances.
@@ -32,7 +35,12 @@ class PreferenceProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "rankings", tuple(tuple(r) for r in self.rankings))
-        object.__setattr__(self, "priority", tuple(range(self.m) if self.priority is None else self.priority))
+        priority = self.priority
+        if priority is None:
+            # built only once m agrees with voter 0's ranking, so an m far
+            # above it allocates nothing before validation rejects it
+            priority = range(self.m) if _size_error(self.m, self.rankings) is None else ()
+        object.__setattr__(self, "priority", tuple(priority))
 
     @property
     def n(self) -> int:

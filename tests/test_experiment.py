@@ -204,8 +204,8 @@ def test_best_unsatisfied_fraction_matches_enumeration_on_desk_rows(mu, pi, seed
 # shortfall estimate reads 5/6, 1/4, 4/5 and 3/4 on these.
 PAPER_ROWS = [(1, 0, 3, 6), (2, 0, 1, 8), (3, 0, 5, 10), (1, 1, 4, 8)]
 # the nodes _fewest_unmet visits on those rows; without its packing term it
-# visits 7,000, 52,497, 7,871 and 18,386
-PAPER_NODES = [7, 7, 347, 46]
+# visits 8, 54, 119 and 72
+PAPER_NODES = [7, 13, 34, 15]
 
 
 def paper_row(mu, pi):

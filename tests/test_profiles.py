@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,19 @@ def test_wrong_length_ranking_rejected():
     result = validate_profile(profile)
     assert not result.ok
     assert "wrong-length-ranking" in result.error
+
+
+def test_a_large_m_builds_no_default_priority_of_size_m():
+    # validation rejects m before anything of size m is built, the omitted
+    # priority (ascending id) included
+    tracemalloc.start()
+    try:
+        result = validate_profile(PreferenceProfile(m=10**12, rankings=((0,),)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.error == "wrong-length-ranking: voter 0 ranks 1 of 1000000000000 candidates"
+    assert peak < 1_000_000
 
 
 def test_bad_priority_rejected():

@@ -6,7 +6,8 @@ against the rescoring reference, the branch-and-bound, with and without
 the lookahead, against full enumeration, its inherited gains against a
 fresh gain pass, the profile's shared satisfaction rows and its
 validation on runs of equal ballots against a per-voter build, and the
-best-unsatisfied-fraction search against enumeration.
+best-unsatisfied-fraction search, with and without its candidate
+dominance, against enumeration.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -24,7 +25,7 @@ import scoring_reference as ref
 from conftest import brute_force_feasible_set
 from dire import rules
 from dire.constraints import Attribute, AttributeScheme, holders, make_instance
-from dire.experiment import best_unsatisfied_fraction
+from dire.experiment import _fewest_unmet, best_unsatisfied_fraction
 from dire.profiles import PreferenceProfile, ValidationResult, make_profile, validate_profile
 from dire.rules import (
     RULE_KINDS,
@@ -605,3 +606,36 @@ def metric_instances(draw):
 @given(metric_instances())
 def test_best_unsatisfied_fraction_matches_enumeration(instance):
     assert best_unsatisfied_fraction(instance, False) == ref.best_unsatisfied_fraction(instance, False)
+
+
+@st.composite
+def domain_families(draw):
+    """Instances (m <= 10, k in [1, m]) whose constraints are any family of
+    up to five domains.  Each candidate gets one of up to six kinds, and a
+    domain is a union of kinds: candidates of one kind are twins, a union
+    drawn inside an earlier one nests in it, others overlap, and a kind in
+    no union is held by no domain.  Each domain is the one bounded group of
+    an attribute whose other group, its complement, has bound 0."""
+    m = draw(st.integers(1, 10))
+    k = draw(st.just(1) | st.just(m) | st.integers(1, m))
+    kinds = draw(st.lists(st.integers(0, draw(st.integers(0, 5))), min_size=m, max_size=m))
+    unions, attrs, bounds = [], [], {}
+    for a in range(draw(st.integers(0, 5))):
+        outer = draw(st.sampled_from(unions)) if unions and draw(st.booleans()) else sorted(set(kinds))
+        unions.append(sorted(draw(st.sets(st.sampled_from(outer), min_size=1))))
+        members = [c for c in range(m) if kinds[c] in unions[-1]]
+        rest = [c for c in range(m) if kinds[c] not in unions[-1]]
+        attrs.append(Attribute(f"A{a}", {"in": members, "out": rest} if rest else {"in": members}))
+        bounds[(f"A{a}", "in")] = draw(st.integers(1, min(k, len(members))))
+        if rest:
+            bounds[(f"A{a}", "out")] = 0
+    return make_instance(make_profile(m, [list(range(m))]), AttributeScheme(tuple(attrs), ()), k=k,
+                         diversity_bounds=bounds, allow_zero_bounds=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(domain_families())
+def test_fewest_unmet_with_dominance_matches_enumeration(instance):
+    constraints = instance.constraints()
+    expected = ref.best_unsatisfied_fraction(instance, False)[0] * len(constraints)
+    assert _fewest_unmet(instance, constraints) == expected
