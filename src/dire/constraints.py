@@ -226,12 +226,20 @@ class DiReInstance:
 
 
 def holders(domains: Sequence[Iterable[int]], m: int) -> list[tuple[int, ...]]:
-    """For each candidate 0..m-1, the ascending indices of the domains holding it."""
-    held: list[list[int]] = [[] for _ in range(m)]
+    """For each candidate 0..m-1, the ascending indices of the domains
+    holding it, in O(m + incidences): the candidates no domain holds share
+    one empty tuple."""
+    lists: dict[int, list[int]] = {}
     for idx, domain in enumerate(domains):
         for cand in domain:
-            held[cand].append(idx)
-    return [tuple(indices) for indices in held]
+            if cand in lists:
+                lists[cand].append(idx)
+            else:
+                lists[cand] = [idx]
+    held: list[tuple[int, ...]] = [()] * m
+    for cand, indices in lists.items():
+        held[cand] = tuple(indices)
+    return held
 
 
 def fill_seats(members: Iterable[int], order: Callable[[], Sequence[int]], k: int) -> tuple[int, ...]:

@@ -8,7 +8,10 @@ condition; when no constraint fails the first check and no two bounds sum
 above k, no pair can fail and the pairs are not visited.  Stage two,
 :func:`heuristic_backtrack`, is depth-first backtracking that picks the
 tightest unmet constraint and tries its candidates by how many constraints
-they touch.  A failed candidate is excluded from the sibling branches that
+they touch.  Each candidate some domain holds is labelled by its place in
+that value order, and each free domain is one integer bit mask over the
+labels, so the next value is a lowest set bit and a disjointness test an
+AND.  A failed candidate is excluded from the sibling branches that
 follow, with every free candidate of the branching domain that it dominates
 (every domain holding that one holds it too); a seat and availability
 lookahead and a packing bound fail a node whose unmet bounds can no longer
@@ -177,8 +180,8 @@ def preprocess(graph: DiReGraph, deadline: float | None = None) -> str | None:
 def _mfc_order(graph: DiReGraph, held: Sequence[tuple[int, ...]]) -> list[int]:
     """The candidates some domain holds, by descending constraint out-degree
     (most-favorite first), ties by priority rank."""
-    rank = graph.rank
-    return sorted(filter(held.__getitem__, range(graph.m)), key=lambda c: (-len(held[c]), rank[c]))
+    rank, m = graph.rank, graph.m  # rank[c] < m, so one int key orders by (-len(held[c]), rank[c])
+    return sorted(filter(held.__getitem__, range(m)), key=lambda c: rank[c] - m * len(held[c]))
 
 
 @dataclass(frozen=True)
@@ -201,26 +204,37 @@ class FeasibilityResult:
 
 
 class _SearchState:
-    """One search's counters, kept through the holders table: ``inflow[i]``
-    counts the chosen members of D_i and ``free_sets[i]`` holds those
-    neither chosen nor excluded, so a candidate c of D_i is blocked exactly
-    when it is missing from ``free_sets[i]``.  :meth:`scan` is the
-    search's lookahead, which the certified solve of
+    """One search's counters, kept through the holders table.  The
+    candidates some domain holds are labelled in value order: ``order[l]``
+    has label l and ``bits[c]`` is c's bit ``1 << l``, 0 for a candidate no
+    domain holds.  ``inflow[i]`` counts the chosen members of D_i and the
+    bit mask ``free[i]`` holds the labels of those neither chosen nor
+    excluded, so a candidate c of D_i is blocked exactly when its bit is
+    clear in ``free[i]``.  The methods take candidate ids; an id no domain
+    holds is in no mask, so blocking it changes nothing.  :meth:`scan` is
+    the search's lookahead, which the certified solve of
     :func:`~dire.winner.solve_drcwd` borrows."""
 
     def __init__(self, graph: DiReGraph, held: Sequence[tuple[int, ...]]):
         self.k, self.bounds, self.held = graph.k, graph.bounds, held
         self.sizes = [len(domain) for domain in graph.domains]
         self.inflow = [0] * len(self.sizes)
-        self.free_sets = [set(domain) for domain in graph.domains]
+        self.order = _mfc_order(graph, held)
+        self.bits = bits = [0] * graph.m
+        self.free = free = [0] * len(self.sizes)
+        for label, cand in enumerate(self.order):
+            bit = bits[cand] = 1 << label
+            for idx in held[cand]:
+                free[idx] |= bit
         self.chosen: list[int] = []
 
     def add(self, cand: int) -> None:
         """Choose a free candidate; :meth:`remove` leaves it blocked (excluded)."""
         self.chosen.append(cand)
-        free_sets, inflow = self.free_sets, self.inflow
+        free, inflow = self.free, self.inflow
+        keep = ~self.bits[cand]
         for idx in self.held[cand]:
-            free_sets[idx].discard(cand)
+            free[idx] &= keep
             inflow[idx] += 1
 
     def remove(self) -> None:
@@ -229,14 +243,16 @@ class _SearchState:
             inflow[idx] -= 1
 
     def block(self, cand: int) -> None:
-        free_sets = self.free_sets
+        free = self.free
+        keep = ~self.bits[cand]
         for idx in self.held[cand]:
-            free_sets[idx].discard(cand)
+            free[idx] &= keep
 
     def unblock(self, cand: int) -> None:
-        free_sets = self.free_sets
+        free = self.free
+        bit = self.bits[cand]
         for idx in self.held[cand]:
-            free_sets[idx].add(cand)
+            free[idx] |= bit
 
     def scan(self) -> int | None:
         """None when an unmet constraint needs more members than there are
@@ -246,17 +262,17 @@ class _SearchState:
         every bound is met).  One pass over the constraints checks each
         unmet one and lists it for :meth:`packs`."""
         seats = self.k - len(self.chosen)
-        inflow, free_sets = self.inflow, self.free_sets
+        inflow, free = self.inflow, self.free
         unmet: list[tuple[int, int, int]] = []  # (free size, index, missing), in constraint order
         shortfall = 0
         for idx, bound in enumerate(self.bounds):
             missing = bound - inflow[idx]
             if missing > 0:
-                free = len(free_sets[idx])
-                if missing > seats or missing > free:
+                size = free[idx].bit_count()
+                if missing > seats or missing > size:
                     return None
                 shortfall += missing
-                unmet.append((free, idx, missing))
+                unmet.append((size, idx, missing))
         # packing can only fail once the shortfalls together exceed the seats
         if shortfall > seats and not self.packs(unmet, seats):
             return None
@@ -278,12 +294,11 @@ class _SearchState:
         order), and each constraint whose free domain misses those already
         taken is kept.  On a vertex-cover reduction this is the matching
         lower bound: uncovered edges with no free endpoint in common."""
-        free_sets = self.free_sets
-        claimed: set[int] = set()
-        need = 0
+        free = self.free
+        claimed = need = 0
         for _, idx, missing in sorted(unmet):
-            members = free_sets[idx]
-            if claimed.isdisjoint(members):
+            members = free[idx]
+            if not claimed & members:
                 need += missing
                 if need > seats:
                     return False
@@ -300,9 +315,12 @@ def heuristic_backtrack(
 
     Variable choice: the unsatisfied constraint minimizing
     |D_i| / (S_i - inflow), ties by constraint order.
-    Value order: candidates by descending out-degree.  A partial solution
-    is accepted once every constraint's in-flow meets its bound, then
-    padded to exactly k members.
+    Value order: candidates by descending out-degree, ties by priority
+    rank (:func:`_mfc_order`, the labels of :class:`_SearchState`); a node
+    tries next the lowest set bit of the branching domain's free mask above
+    the last label it tried, so it passes over no chosen or excluded value.
+    A partial solution is accepted once every constraint's in-flow meets
+    its bound, then padded to exactly k members.
 
     Below the root the search stops at its first solution.  The root keeps
     the padded first solution of each of its branches, restores the branch
@@ -314,11 +332,12 @@ def heuristic_backtrack(
     The search never re-enters a subtree it has proven empty:
 
     - *sibling exclusion*: once the branch "add c" fails at a node, c is
-      excluded (dropped from the free domains) from the later sibling
+      excluded (its bit cleared in the free masks) from the later sibling
       branches and their subtrees, and restored when the node returns;
-    - *dominance*: every free member d of the branching domain that c
-      dominates (every domain holding d holds c: ``held[c] >= held[d]`` as
-      sets, twins included) is excluded and restored with c;
+    - *dominance*: every free member d of the branching domain (a set bit
+      of its mask) that c dominates (every domain holding d holds c:
+      ``held[c] >= held[d]`` as sets, twins included) is excluded and
+      restored with c;
     - *lookahead*: a node fails at once when an unmet constraint needs more
       members than there are seats left, or than its free domain (neither
       chosen nor excluded) still holds;
@@ -344,10 +363,6 @@ def heuristic_backtrack(
     if deadline is None:
         deadline = time.monotonic() + config.timeout
     held = holders(graph.domains, graph.m)
-    ordered: list[list[int]] = [[] for _ in graph.domains]  # each domain in value order
-    for cand in _mfc_order(graph, held):  # a candidate no domain holds is never a value
-        for idx in held[cand]:
-            ordered[idx].append(cand)
     state = _SearchState(graph, held)
     committees: list[tuple[int, ...]] = []
     found = False  # the outcome of the subtree searched last
@@ -367,12 +382,13 @@ def heuristic_backtrack(
             if committee not in committees:  # two root branches can pad to one committee
                 committees.append(committee)
             return
-        free = state.free_sets[variable]
+        free, order = state.free, state.order
         any_found = False
         excluded: list[int] = []
-        for cand in ordered[variable]:
-            if cand not in free:
-                continue
+        start = 0  # the first label not tried yet
+        while live := free[variable] >> start:
+            start += (live & -live).bit_length()  # one past the next free value's label
+            cand = order[start - 1]
             state.add(cand)
             yield (False,)
             state.remove()
@@ -385,9 +401,15 @@ def heuristic_backtrack(
             # cand stays blocked: excluded, with the free members it dominates
             excluded.append(cand)
             dominator = set(held[cand])
-            for other in [other for other in free if dominator.issuperset(held[other])]:
-                state.block(other)
-                excluded.append(other)
+            rest, label = free[variable], -1  # its set bits, lowest first
+            while rest:
+                step = (rest & -rest).bit_length()
+                rest >>= step
+                label += step
+                other = order[label]
+                if dominator.issuperset(held[other]):
+                    state.block(other)
+                    excluded.append(other)
         for cand in excluded:
             state.unblock(cand)
         found = any_found

@@ -47,7 +47,7 @@ from dire.rules import (
 )
 from dire.solver import (SolverConfig, _SearchState, build_diregraph, heuristic_backtrack, preprocess,
                          solve_feasibility)
-from test_solver import (graph_from_spec, proves_infeasible, reference_lookahead,
+from test_solver import (free_members, graph_from_spec, proves_infeasible, reference_lookahead,
                          reference_pair_loop, reference_preprocess, reference_scan)
 
 
@@ -130,7 +130,7 @@ def test_branch_and_bound_under_the_lookahead_matches_the_feasible_set(instance,
     assert got == (((), threshold) if members is None else (members, score))
     # and leaves the lookahead as it found it
     assert state.chosen == [] and not any(state.inflow)
-    assert state.free_sets == [set(domain) for domain in graph.domains]
+    assert [free_members(state, idx) for idx in range(len(graph.domains))] == [set(domain) for domain in graph.domains]
 
 
 @st.composite
@@ -207,6 +207,49 @@ def test_preprocess_matches_the_reference_fixpoint(graph):
         assert graph.domains == twin.domains
     else:
         assert proves_infeasible(original, reason)
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_graphs(), st.data())
+def test_search_state_tracks_a_last_in_first_out_walk(graph, data):
+    # the operations in the order both searches make them, on every id
+    # 0..m-1, those no domain holds included: a step opens a frame (add an
+    # id, free as in the default search or blocked as in the certified
+    # solve, or block a free id) or closes the latest one; closing an add
+    # removes the id, which stays blocked, as its own frame, when it was
+    # free, and closing a block unblocks the id
+    state = _SearchState(graph, holders(graph.domains, graph.m))
+    frames, chosen, blocked = [], [], set()
+    for _ in range(data.draw(st.integers(0, 24))):
+        free = [c for c in range(graph.m) if c not in chosen and c not in blocked]
+        moves = ["close"] * bool(frames) + ["block"] * bool(free) + ["add"] * (len(chosen) < graph.k)
+        move = data.draw(st.sampled_from(moves))
+        if move == "add":
+            cand = data.draw(st.sampled_from([c for c in range(graph.m) if c not in chosen]))
+            frames.append(("add", cand, cand in blocked))
+            state.add(cand)
+            chosen.append(cand)
+        elif move == "block":
+            cand = data.draw(st.sampled_from(free))
+            frames.append(("block", cand, True))
+            state.block(cand)
+            blocked.add(cand)
+        else:
+            kind, cand, was_blocked = frames.pop()
+            if kind == "add":
+                state.remove()
+                chosen.pop()
+                if not was_blocked:
+                    frames.append(("block", cand, True))
+                    blocked.add(cand)
+            else:
+                state.unblock(cand)
+                blocked.discard(cand)
+        assert state.chosen == chosen
+        for idx, domain in enumerate(graph.domains):
+            assert free_members(state, idx) == domain - set(chosen) - blocked
+            assert state.inflow[idx] == len(domain & set(chosen))
+        assert state.scan() == reference_lookahead(state)
 
 
 @st.composite

@@ -414,6 +414,13 @@ def reference_enumerate(graph, config=None, deadline=None):
     return solver.FeasibilityResult(tuple(committees), timed_out=False)
 
 
+def free_members(state, idx):
+    """The candidates of D_idx that ``state`` holds free, decoded from the
+    bit mask ``state.free[idx]`` over its value-order labels."""
+    mask = state.free[idx]
+    return {cand for label, cand in enumerate(state.order) if mask >> label & 1}
+
+
 def reference_scan(state):
     """The node lookahead without its packing pass: None when one unmet
     constraint needs more members than there are seats left or free in its
@@ -425,7 +432,7 @@ def reference_scan(state):
         missing = bound - state.inflow[idx]
         if missing <= 0:
             continue
-        if missing > seats or missing > len(state.free_sets[idx]):
+        if missing > seats or missing > len(free_members(state, idx)):
             return None
         ratios[idx] = Fraction(state.sizes[idx], missing)
     return min(ratios, key=ratios.__getitem__) if ratios else -1
@@ -437,7 +444,8 @@ def reference_lookahead(state):
     to take the unmet ones by ascending free domain size (ties by constraint
     order) and keep each whose free domain misses those already kept."""
     seats = state.k - len(state.chosen)
-    inflow, free_sets, sizes, bounds = state.inflow, state.free_sets, state.sizes, state.bounds
+    inflow, sizes, bounds = state.inflow, state.sizes, state.bounds
+    free_sets = [free_members(state, idx) for idx in range(len(bounds))]
     best = -1
     best_size = best_missing = shortfall = 0
     for idx, bound in enumerate(bounds):
