@@ -148,9 +148,10 @@ class SatisfactionTable:
     ``voters`` holds distinct ids, defaults to every voter and is kept
     sorted.  ``rows[c][i]`` is the vector entry at candidate c's
     position for the i-th voter, a tuple read off the profile's matrix
-    for the vector (the rows of ``voters``, transposed), ``totals[c]``
-    the row sum and ``vector`` the rule's vector for the profile, which
-    greedy Borda-CC walks along the rankings of the voters.  The rule's
+    for the vector (the rows of ``voters``, transposed), ``voter_rows[i]``
+    the i-th voter's row of that matrix, ``totals[c]`` the row sum and
+    ``vector`` the rule's vector for the profile, which greedy Borda-CC
+    walks along the rankings of the voters.  The rule's
     vector and the voter ids are validated once, here, for every entry
     point that scores.  ``score`` takes distinct candidate ids in any
     order and trusts them to be in range.
@@ -164,9 +165,9 @@ class SatisfactionTable:
         self.voters = list(range(profile.n)) if voters is None else sorted(voters)
         if self.voters and not (0 <= self.voters[0] and self.voters[-1] < profile.n):
             raise RuleError("voter list contains out-of-range voter indices")
-        picked = full if voters is None else list(map(full.__getitem__, self.voters))
+        self.voter_rows = full if voters is None else list(map(full.__getitem__, self.voters))
         # the transpose: one row per candidate; no voters leave m empty rows
-        self.rows = list(zip(*picked)) if picked else [()] * profile.m
+        self.rows = list(zip(*self.voter_rows)) if self.voter_rows else [()] * profile.m
         self.totals = list(map(sum, self.rows))
         if self.kind == MONROE:
             self.orders: list[list[int] | None] = [None] * profile.m  # sorted on first use
@@ -593,17 +594,23 @@ class _Prices:
 
 
 def _inherited_gains(
-    rows: Sequence[Sequence[int]], start: int, parent: tuple[int, Sequence[int], Sequence[tuple[int, int, int]]]
+    voter_rows: Sequence[Sequence[int]], start: int, parent: tuple[int, list[int], Sequence[tuple[int, int, int]]]
 ) -> list[int]:
     """Bound (a)'s gains of the ids >= ``start`` against a prefix P + c,
     from ``parent`` = (P's first id, P's gains from there, and the (voter
-    i, new best a, old best b) of each voter that c raised).  An id x with
-    entry w > b for such a voter gains min(w, a) - b less from it than
-    against P, and as much as against P from every other voter, so each
-    gain costs the raised voters, not all of them."""
+    i, new best a, old best b) of each voter that c raised), with
+    ``voter_rows[i]`` voter i's entries by id.  An id x with entry w > b
+    for such a voter gains min(w, a) - b less from it than against P, and
+    as much as against P from every other voter, so the pass copies P's
+    gains and walks each raised voter's entries once over the ids >=
+    ``start``: it costs the raised voters, not all of them."""
     first, above, raised = parent
-    return [g - sum([(w if w < a else a) - b for i, a, b in raised if (w := row[i]) > b])
-            for g, row in zip(above[start - first:], rows[start:])]
+    gains = above[start - first:]
+    for i, a, b in raised:
+        for x, w in enumerate(voter_rows[i][start:]):
+            if w > b:
+                gains[x] -= (w if w < a else a) - b
+    return gains
 
 
 def _certified_max(
@@ -695,8 +702,11 @@ def _certified_max(
     and under k-Borda they are the totals at every node.  A child is
     yielded only after (a) has been checked for it, so its parent's gains
     exist, and the child takes them less what its new member c takes from
-    the voters c raised (:func:`_inherited_gains`): a pass costs the
-    voters c raised instead of every voter.
+    the voters c raised (:func:`_inherited_gains`).  A pass copies the
+    parent's gains of the later ids and runs one loop per raised voter over
+    those ids, along the voter's row of the profile's matrix
+    (``table.voter_rows``), so it costs the voters c raised instead of
+    every voter.
 
     ``lookahead`` is the feasibility search's state over the instance's
     constraint graph, with nothing chosen or blocked; it restricts the
@@ -707,7 +717,7 @@ def _certified_max(
     only when no completion meets every bound, and at a leaf exactly when
     the leaf misses one.
     """
-    rows, totals, m, kind = table.rows, table.totals, table.profile.m, table.kind
+    rows, voter_rows, totals, m, kind = table.rows, table.voter_rows, table.totals, table.profile.m, table.kind
     if not k:
         return (), 0
     n = len(table.voters)
@@ -728,7 +738,7 @@ def _certified_max(
         Every gain is a total at the root, whose prefix is empty, and under
         k-Borda; a child's come from its parent's (see
         :func:`_inherited_gains`)."""
-        gains = totals[start:] if parent is None else _inherited_gains(rows, start, parent)
+        gains = totals[start:] if parent is None else _inherited_gains(voter_rows, start, parent)
         return gains, _top_sums(gains, seats - 1)
 
     def search(start, seats, best, score, load, parent):

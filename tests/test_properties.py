@@ -443,8 +443,8 @@ def test_monroe_load_bound_holds_below_every_child(election):
 def test_inherited_gains_match_a_fresh_gain_pass(election, data):
     # Down the prefixes of a drawn committee, from the root, whose gains are
     # the totals: each child's gains of the ids after its new member c, taken
-    # from its parent's and the voters c raised, are the gains against the
-    # child's prefix summed over every voter afresh
+    # from its parent's and the voter-major entries of the voters c raised,
+    # are the gains against the child's prefix summed over every voter afresh
     profile, rule, voters, k = election
     table = SatisfactionTable(profile, rule, voters)
     rows, m = table.rows, profile.m
@@ -458,7 +458,7 @@ def test_inherited_gains_match_a_fresh_gain_pass(election, data):
     for c in committee:
         raised = [(i, a, b) for i, (a, b) in enumerate(zip(rows[c], best)) if a > b]
         best = [max(a, b) for a, b in zip(rows[c], best)]
-        gains, start = _inherited_gains(rows, c + 1, (start, gains, raised)), c + 1
+        gains, start = _inherited_gains(table.voter_rows, c + 1, (start, gains, raised)), c + 1
         assert gains == fresh(best, start)
 
 
