@@ -154,6 +154,11 @@ class DiReInstance:
         if not 1 <= self.k <= self.m:
             raise InstanceError(f"committee size {self.k} out of range [1, {self.m}]")
         self.scheme.validate(self.m, self.n)
+        self._validate_bounds()
+
+    def _validate_bounds(self) -> None:
+        """The checks of :meth:`validate` after k and the scheme, which they
+        assume valid: every bound and winning committee."""
         lowest = 0 if self.allow_zero_bounds else 1
         for attr in self.scheme.candidate_attributes:
             for label, members in attr.groups:
@@ -304,7 +309,7 @@ def make_instance(
         winning_committees=computed,
         allow_zero_bounds=allow_zero_bounds,
     )
-    instance.validate()
+    instance._validate_bounds()  # k and the scheme were checked above
     return instance
 
 

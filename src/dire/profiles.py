@@ -93,6 +93,12 @@ class PreferenceProfile:
         return sums
 
     @cached_property
+    def _tables(self) -> dict[tuple[int, ...], object]:
+        # dire.rules keeps here, per vector, what every table of the whole
+        # electorate reads (its ``_Entries``), as long as the profile
+        return {}
+
+    @cached_property
     def _positions(self) -> tuple[tuple[int, ...], ...]:
         # _positions[v][c] is 1-based rank of candidate c for voter v
         return self.satisfaction(range(1, self.m + 1))

@@ -7,7 +7,8 @@ the lookahead, against full enumeration, its inherited gains against a
 fresh gain pass, the profile's shared satisfaction rows and its
 validation on runs of equal ballots against a per-voter build, and the
 best-unsatisfied-fraction search, with and without its candidate
-dominance, against enumeration.
+dominance, against enumeration, and the entry points that share a
+profile's full-electorate table against fresh profiles, in any call order.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -41,6 +42,7 @@ from dire.rules import (
     _suffix_maxima,
     _winner,
     borda_vector,
+    candidate_scores,
     population_winning_committee,
     score_committee,
     unconstrained_winner,
@@ -342,6 +344,37 @@ def table_elections(draw, kinds):
                   | st.lists(st.integers(0, 4), min_size=m, max_size=m).map(lambda v: sorted(v, reverse=True)))
     voters = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     return profile, Rule(draw(st.sampled_from(kinds)), vector), voters, draw(st.integers(1, m))
+
+
+# the entry points that read a table of every voter, each as
+# (profile, rule, voters, k, committee) -> result; a population of None is
+# the whole electorate, given as an explicit voter list
+ENTRY_POINTS = {
+    "unconstrained_winner": lambda profile, rule, voters, k, committee: unconstrained_winner(profile, rule, k),
+    "score_committee": lambda profile, rule, voters, k, committee: score_committee(profile, rule, committee),
+    "candidate_scores": lambda profile, rule, voters, k, committee: candidate_scores(profile, rule.vector(profile.m)),
+    "population_winning_committee": lambda profile, rule, voters, k, committee: population_winning_committee(
+        profile, range(profile.n) if voters is None else voters, rule, k),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_elections(RULE_KINDS), st.data())
+def test_results_do_not_depend_on_call_order(election, data):
+    # every table of the whole electorate reads one set of entries per
+    # profile and vector, built by whichever call comes first; each result
+    # equals that of the same call on a profile with nothing built.  The
+    # committee size varies from call to call, as Monroe's bound tables
+    # depend on it
+    profile, rule, voters, _ = election
+    m = profile.m
+    committee = data.draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+    order = data.draw(st.lists(st.tuples(st.sampled_from(sorted(ENTRY_POINTS)), st.integers(1, m)),
+                               min_size=1, max_size=8))
+    for name, k in order:
+        call = ENTRY_POINTS[name]
+        fresh = PreferenceProfile(m, profile.rankings, profile.priority)
+        assert call(profile, rule, voters, k, committee) == call(fresh, rule, voters, k, committee), (name, k)
 
 
 @settings(max_examples=400, deadline=None)

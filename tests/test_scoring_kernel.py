@@ -2,7 +2,10 @@
 
 ``scoring_reference`` keeps the old per-call scoring; every score, winning
 committee, unconstrained winner, solve and exact unsatisfied fraction
-computed through the table must equal it exactly, ties included.
+computed through the table must equal it exactly, ties included.  The
+tables of every voter share one set of entries per profile and vector;
+the last tests check that no caller can change them and that a
+population of every voter reads them too.
 """
 
 import random
@@ -118,3 +121,55 @@ def test_greedy_unsatisfied_fractions_match_the_reference():
     for seed in range(40):
         instance = random_instance(seed, m=30, n=12, k=6, rule=Rule("kborda"))
         assert best_unsatisfied_fraction(instance, False) == ref.best_unsatisfied_fraction(instance, False)
+
+
+def test_edited_totals_leave_later_results_unchanged():
+    # every table of the whole electorate reads one set of entries per
+    # profile and vector, so the totals each hands out must be its caller's
+    rng = random.Random(3)
+    m, n, k = 6, 8, 3
+    rankings = [rng.sample(range(m), m) for _ in range(n)]
+    for kind in RULE_KINDS:
+        rule = Rule(kind)
+        vector = rule.vector(m)
+
+        def results(profile):
+            return (candidate_scores(profile, vector), score_committee(profile, rule, (0, 2, 4)),
+                    unconstrained_winner(profile, rule, k), population_winning_committee(profile, range(n), rule, k),
+                    SatisfactionTable(profile, rule).totals)
+
+        expected = results(make_profile(m, rankings))
+        profile = make_profile(m, rankings)
+        scores = candidate_scores(profile, vector)
+        scores[0] += 100
+        scores.reverse()
+        SatisfactionTable(profile, rule).totals[:] = [0] * m
+        assert results(profile) == expected, kind
+        scores, table = candidate_scores(profile, vector), SatisfactionTable(profile, rule)
+        scores[1], table.totals[2] = -1, -1
+        assert results(profile) == expected, kind
+
+
+def test_a_population_of_every_voter_shares_the_electorate_entries():
+    # a population listing every voter, in any order, reads the entries of the
+    # tables of every voter, whichever call builds them first, and its winner
+    # is the unconstrained one and that of a profile with no entries built
+    rng = random.Random(7)
+    m, n, k = 7, 6, 3
+    rankings = [rng.sample(range(m), m) for _ in range(n)]
+    everyone = rng.sample(range(n), n)
+    for kind in RULE_KINDS:
+        rule = Rule(kind)
+        for population_first in (True, False):
+            profile = make_profile(m, rankings)
+            if population_first:
+                winner = population_winning_committee(profile, everyone, rule, k)
+                uncon = unconstrained_winner(profile, rule, k)
+            else:
+                uncon = unconstrained_winner(profile, rule, k)
+                winner = population_winning_committee(profile, everyone, rule, k)
+            assert SatisfactionTable(profile, rule, everyone).entries is SatisfactionTable(profile, rule).entries
+            assert winner == uncon.committee
+            assert winner == population_winning_committee(make_profile(m, rankings), everyone, rule, k)
+            assert uncon == unconstrained_winner(make_profile(m, rankings), rule, k)
+            assert SatisfactionTable(profile, rule, everyone[1:]).entries is not SatisfactionTable(profile, rule).entries
