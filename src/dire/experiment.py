@@ -162,9 +162,8 @@ def _fewest_unmet(instance: DiReInstance, constraints) -> int:
     when every domain holding c also holds d.  Twins (equal held sets) then
     sit next to each other, and every candidate comes after the candidates
     that dominate it, its later twins aside.  ``dominator[c]`` is the
-    largest label below c that dominates c: a twin's predecessor, or else,
-    as any other dominator holds more constraints, the top bit of the AND
-    of the held domains' bit masks below the first label holding as few.
+    largest label below c that dominates c: the top bit below c of the AND
+    of the bit masks of the domains holding c.
 
     A node is a prefix P with ``seats`` seats left, and ``need[i]`` is
     bound_i minus the members of domain i in P.  A child P + c meets no
@@ -221,16 +220,9 @@ def _fewest_unmet(instance: DiReInstance, constraints) -> int:
         for i in held:
             digits[i][~j] = ord("1")
     masks = [int(row, 2) for row in digits]
-    # dominator[c]: the largest d < c that dominates c, or -1; a dominator other than a twin
-    # holds more constraints than c, so its label is below ``above``
-    dominator, above = [], 0
-    for c, held in enumerate(holds):
-        if c and held == holds[c - 1]:
-            dominator.append(c - 1)
-        else:
-            if c and len(held) < len(holds[c - 1]):
-                above = c
-            dominator.append(reduce(and_, [masks[i] for i in held], (1 << above) - 1).bit_length() - 1)
+    # dominator[c]: the largest d < c that dominates c, or -1
+    dominator = [reduce(and_, [masks[i] for i in held], (1 << c) - 1).bit_length() - 1
+                 for c, held in enumerate(holds)]
     narrow = sorted(range(len(bounds)), key=lambda i: len(constraints[i].domain))
     need = bounds[:]
     best = len(bounds)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -75,22 +74,6 @@ class PreferenceProfile:
                 rows.append(row)
             matrix = self._matrices[vector] = tuple(rows)
         return matrix
-
-    @cached_property
-    def _sums(self) -> dict[tuple[int, ...], list[list[int]]]:
-        return {}
-
-    def best_sums(self, vector: Sequence[int]) -> list[list[int]]:
-        """``[c][l]``, for l in 0..n: the sum of candidate c's l largest
-        entries of a positional vector over every voter.  Built from
-        :meth:`satisfaction` on the first call per vector and kept as long
-        as the profile; callers must not modify it."""
-        vector = tuple(vector)
-        sums = self._sums.get(vector)
-        if sums is None:
-            sums = self._sums[vector] = [list(accumulate(sorted(column, reverse=True), initial=0))
-                                         for column in zip(*self.satisfaction(vector))]
-        return sums
 
     @cached_property
     def _tables(self) -> dict[tuple[int, ...], object]:

@@ -27,23 +27,23 @@ whose bound can still beat the best found (see :func:`_greedy_monroe`
 for the bound and why it holds).
 
 Every score is read off a :class:`SatisfactionTable` for one (profile,
-rule vector, list of distinct voters): one row per candidate holding
-``vector[pos_v(c) - 1]`` for each voter, the row totals (a candidate's
-positional score, which is all k-Borda needs) and, for Monroe, each
-candidate's voters sorted by (satisfaction descending, voter id) when it
-first claims voters, and the prefix sums of its entries sorted by value,
-which bound what it can take from a given number of voters.  The entries
-come from the profile's per-vector matrix
+rule vector, list of distinct voters), whose :class:`_Entries` hold one
+row per candidate holding ``vector[pos_v(c) - 1]`` for each voter, the
+row totals (a candidate's positional score, which is all k-Borda needs)
+and, for Monroe, each candidate's voters sorted by (satisfaction
+descending, voter id) when it first claims voters, and the prefix sums of
+its entries sorted by value, which bound what it can take from a given
+number of voters.  The entries come from the profile's per-vector matrix
 (:meth:`~dire.profiles.PreferenceProfile.satisfaction`), built once per
-(profile, vector); a population's table is the transpose of that matrix's
-rows for its voters.  The tables of the whole electorate share more: one
-:class:`_Entries` per (profile, vector), kept with the profile, holds the
-transpose, its totals, the Monroe voter orders and the bound tables of
-the winner search, so :func:`score_committee`, :func:`candidate_scores`,
-the unconstrained winner, a population of every voter and the exhaustive
-solve each build a table that costs a lookup, and a certified search
-reuses the bound tables of an earlier one.  A winner search or a scoring
-loop scores every committee it tries through one table.
+(profile, vector); a population's table builds its own from the
+transpose of that matrix's rows for its voters.  The tables of the whole
+electorate share one :class:`_Entries` per (profile, vector), kept with
+the profile, so :func:`score_committee`, :func:`candidate_scores`, the
+unconstrained winner, a population of every voter and the exhaustive
+solve each build a table that costs a lookup, a certified search reuses
+the bound tables of an earlier one, and greedy Monroe bounds a
+population's best-entry sums by the electorate's.  A winner search or a
+scoring loop scores every committee it tries through one table.
 """
 
 from __future__ import annotations
@@ -149,13 +149,15 @@ def monroe(scoring: Sequence[int] | None = None) -> Rule:
 class _Entries:
     """What every rule reads of one (profile, vector, voter list): the
     candidate-major ``rows`` (the transpose of the voters' rows of the
-    profile's matrix), their ``totals``, the Monroe voter ``orders`` (each
-    sorted on first use) and the bound tables of :func:`_certified_max`,
-    built on first use: :attr:`suffix`, :attr:`prices` and ``caps``, a
-    :class:`_LoadCaps` per committee size.  Each is a pure function of the
-    profile, vector and voters, so every table of the whole electorate of
-    one profile and vector reads one, kept with the profile; it refers to
-    no profile, so no reference cycle keeps that profile alive."""
+    profile's matrix), their ``totals``, the Monroe voter ``orders`` and
+    best-entry sums (:meth:`order`, :meth:`sums` and :attr:`best_sums`) and
+    the bound tables of :func:`_certified_max`: :attr:`suffix`,
+    :attr:`prices` and ``caps``, a :class:`_LoadCaps` per committee size,
+    each built on first use.  Each is a pure function of the profile,
+    vector and voters, so every table of the whole electorate of one
+    profile and vector reads one, kept with the profile
+    (:func:`_electorate`); it refers to no profile, so no reference cycle
+    keeps that profile alive."""
 
     def __init__(self, voter_rows: Sequence[tuple[int, ...]], m: int):
         self.n = len(voter_rows)
@@ -165,6 +167,26 @@ class _Entries:
         self.orders: list[list[int] | None] = [None] * m
         self.caps: dict[int, _LoadCaps] = {}
 
+    def order(self, c: int) -> list[int]:
+        """Monroe: candidate c's voters by (satisfaction descending, voter
+        id), sorted on first use."""
+        order = self.orders[c]
+        if order is None:
+            # stable sort: equal satisfaction keeps ascending voter order
+            row = self.rows[c]
+            order = self.orders[c] = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+        return order
+
+    def sums(self, c: int) -> list[int]:
+        """Monroe: ``[l]``, for l in 0..n, the sum of candidate c's l
+        largest entries, the most a member c serving l voters can take."""
+        return list(itertools.accumulate(sorted(self.rows[c], reverse=True), initial=0))
+
+    @cached_property
+    def best_sums(self) -> list[list[int]]:
+        """:meth:`sums` of every candidate, by id."""
+        return list(map(self.sums, range(len(self.rows))))
+
     @cached_property
     def suffix(self) -> list[list[int]]:
         return _suffix_maxima(self.rows, self.n)
@@ -172,6 +194,15 @@ class _Entries:
     @cached_property
     def prices(self) -> _Prices:
         return _Prices(self.rows, self.suffix)
+
+
+def _electorate(profile: PreferenceProfile, vector: tuple[int, ...]) -> _Entries:
+    """The profile's one :class:`_Entries` of every voter for a vector,
+    built on first use."""
+    entries = profile._tables.get(vector)
+    if entries is None:
+        entries = profile._tables[vector] = _Entries(profile.satisfaction(vector), profile.m)
+    return entries
 
 
 class SatisfactionTable:
@@ -185,8 +216,8 @@ class SatisfactionTable:
     the table's caller owns, and ``vector`` the rule's vector for the
     profile, which greedy Borda-CC walks along the rankings of the voters.
     A table of every voter, with ``voters`` omitted or listing them all,
-    reads the profile's one :class:`_Entries` for its vector, built by the
-    first such table; any other table builds its own.  The rule's
+    reads the profile's one :class:`_Entries` for its vector
+    (:func:`_electorate`); any other table builds its own.  The rule's
     vector and the voter ids are validated once, here, for every entry
     point that scores.  ``score`` takes distinct candidate ids in any
     order and trusts them to be in range.
@@ -201,39 +232,12 @@ class SatisfactionTable:
         if self.voters and not (0 <= self.voters[0] and self.voters[-1] < profile.n):
             raise RuleError("voter list contains out-of-range voter indices")
         if voters is None or self.voters == list(range(profile.n)):
-            self.voter_rows = full
-            entries = profile._tables.get(self.vector)
-            if entries is None:
-                entries = profile._tables[self.vector] = _Entries(full, profile.m)
+            self.voter_rows, entries = full, _electorate(profile, self.vector)
         else:
             self.voter_rows = list(map(full.__getitem__, self.voters))
             entries = _Entries(self.voter_rows, profile.m)
         self.entries, self.rows, self.orders = entries, entries.rows, entries.orders
         self.totals = list(entries.totals)
-
-    def _order(self, c: int) -> list[int]:
-        """Monroe: candidate c's voters by (satisfaction descending, voter
-        id), sorted on first use."""
-        order = self.orders[c]
-        if order is None:
-            # stable sort: equal satisfaction keeps ascending voter order
-            row = self.rows[c]
-            order = self.orders[c] = sorted(range(len(row)), key=row.__getitem__, reverse=True)
-        return order
-
-    @cached_property
-    def best_sums(self) -> list[list[int]]:
-        """Monroe: ``best_sums[c][l]``, for l in 0..n, is the sum of
-        candidate c's l largest entries, the most a member c serving l
-        voters can take.  A table of every voter reads the profile's sums
-        for its vector."""
-        if len(self.voters) == self.profile.n:
-            return self.profile.best_sums(self.vector)
-        return list(map(self._sums, range(self.profile.m)))
-
-    def _sums(self, c: int) -> list[int]:
-        """Monroe: row c of :attr:`best_sums`, sorted afresh."""
-        return list(itertools.accumulate(sorted(self.rows[c], reverse=True), initial=0))
 
     def score(self, members: Sequence[int]) -> int:
         """The rule's score of a committee; the empty committee scores 0."""
@@ -255,7 +259,7 @@ class SatisfactionTable:
         for member, load in zip(members, loads):
             if not load:
                 break  # loads never increase
-            row, order = rows[member], orders[member] or self._order(member)
+            row, order = rows[member], orders[member] or self.entries.order(member)
             for i in order:
                 if owner[i] is None:
                     owner[i] = member
@@ -383,26 +387,25 @@ def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> 
     one floor load left out for every t >= e, so two claim runs give every
     B_t and every P_t, the state after the first t claims of its run.
 
-    The sum of c's largest entries is read first off the profile's sums
-    over every voter, which bound a population's, and c's
-    own row is sorted only when that bound does not already lose; a table
-    whose :attr:`~SatisfactionTable.best_sums` exists, or that holds every
-    voter, has the exact sums at once.  Candidates leave a heap of
+    The sum of c's largest entries is read first off the
+    :attr:`~_Entries.best_sums` of the electorate's entries
+    (:func:`_electorate`), which bound a population's, and c's own sums
+    come from the table's entries (:meth:`~_Entries.sums`) only when that
+    bound does not already lose; a table of every voter reads those entries
+    itself, so its sums are exact at once.  Candidates leave a heap of
     (-bound, priority rank), the looser bound replaced by the exact one on
     reaching the top, and are tried exactly until that key passes the best
     (-score, priority rank) found, which then no other candidate can beat:
     the pick is that of scoring every candidate.  The first step needs
     none of this: a lone member claims every voter, so its score is its
     row total."""
-    profile, n = table.profile, len(table.voters)
+    profile, n, entries = table.profile, len(table.voters), table.entries
     rank, priority = profile._priority_rank, profile.priority
-    # by priority rank: the sums of each candidate's largest entries, and
-    # whether they are its own; cached_property keeps best_sums in vars()
-    known = vars(table).get("best_sums")
-    if known is None and n == profile.n:
-        known = table.best_sums
-    by_rank = list(map((known or profile.best_sums(table.vector)).__getitem__, priority))
-    own = [known is not None] * profile.m
+    # by priority rank: the sums of each candidate's largest entries over
+    # every voter, and whether they are its own
+    full = _electorate(profile, table.vector)
+    by_rank = list(map(full.best_sums.__getitem__, priority))
+    own = [entries is full] * profile.m
     members: list[int] = []  # the committee so far, in priority order
     if k:  # a lone member's load n claims every voter: it scores its total
         members.append(priority[min(zip(map(neg, table.totals), rank))[1]])
@@ -432,7 +435,7 @@ def _greedy_monroe(table: SatisfactionTable, k: int, deadline: float | None) -> 
             r = heap[0][1]
             c = priority[r]
             if not own[r]:
-                own[r], row = True, table._sums(c)
+                own[r], row = True, entries.sums(c)
                 by_rank[r] = row
                 heapq.heapreplace(heap, (hi - row[base + 1] if r < cut else lo - row[base], r))
                 continue
@@ -521,7 +524,7 @@ class _LoadCaps:
     """
 
     def __init__(self, table: SatisfactionTable, k: int):
-        n, m, best_sums = len(table.voters), table.profile.m, table.best_sums
+        n, m, best_sums = len(table.voters), table.profile.m, table.entries.best_sums
         self.k, self.extra = k, n % k
         self.lo = [sums[n // k] for sums in best_sums]
         self.hi = [sums[n // k + 1] for sums in best_sums] if self.extra else self.lo

@@ -36,6 +36,7 @@ from dire.rules import (
     _Prices,
     _best_of,
     _certified_max,
+    _electorate,
     _greedy_max,
     _inherited_gains,
     _monroe_loads,
@@ -385,6 +386,21 @@ def test_greedy_search_matches_the_reference(election):
     assert got == ref.greedy_max(profile, rule, k, voters)
 
 
+@settings(max_examples=300, deadline=None)
+@given(table_elections(["monroe"]))
+def test_greedy_monroe_picks_do_not_depend_on_built_sums(election):
+    # greedy Monroe reads the electorate's sums as a bound and a table's own
+    # sums once that bound can win; a table whose exact sums, and the
+    # electorate's, were built before its greedy runs picks as on a profile
+    # with nothing built
+    profile, rule, voters, k = election
+    fresh = PreferenceProfile(profile.m, profile.rankings, profile.priority)
+    expected = _greedy_max(SatisfactionTable(fresh, rule, voters), k)
+    table = SatisfactionTable(profile, rule, voters)
+    table.entries.best_sums, _electorate(profile, table.vector).best_sums  # build both
+    assert _greedy_max(table, k) == expected == ref.greedy_max(profile, rule, k, voters)
+
+
 @settings(max_examples=400, deadline=None)
 @given(table_elections(["monroe"]))
 def test_greedy_monroe_bound_holds_at_every_step(election):
@@ -395,12 +411,12 @@ def test_greedy_monroe_bound_holds_at_every_step(election):
     # and with one floor load left out for every t >= e, so it takes one
     # value in each class, and the assignment P_t of M[:t] is the state
     # after the first t claims of that run.  B_t plus c's L[t] best entries
-    # bounds the score of M + [c], and so does B_t plus the profile's sums
-    # over every voter, which are never below them.
+    # bounds the score of M + [c], and so does B_t plus the electorate's
+    # sums, which are never below them.
     profile, rule, voters, k = election
     table = SatisfactionTable(profile, rule, voters)
     rank, n = profile._priority_rank, len(table.voters)
-    first = profile.best_sums(rule.vector(profile.m))
+    first = _electorate(profile, table.vector).best_sums
     for s in range(k):
         members = sorted(_greedy_max(table, s).members, key=rank.__getitem__)
         loads, extra = list(_monroe_loads(n, s + 1)), n % (s + 1)
@@ -418,7 +434,7 @@ def test_greedy_monroe_bound_holds_at_every_step(election):
         for c in set(range(profile.m)) - set(members):
             t = sum(rank[member] < rank[c] for member in members)
             best = sum(sorted(table.rows[c], reverse=True)[:loads[t]])
-            assert table.best_sums[c][loads[t]] == table._sums(c)[loads[t]] == best
+            assert table.entries.best_sums[c][loads[t]] == table.entries.sums(c)[loads[t]] == best
             score = ref.score_committee(profile, rule, members + [c], voters)
             assert score <= baselines[t] + best <= baselines[t] + first[c][loads[t]]
 
@@ -427,16 +443,18 @@ def test_greedy_monroe_bound_holds_at_every_step(election):
 @given(table_elections(["monroe"]))
 def test_profile_sums_bound_every_table(election):
     # a population's l best entries never exceed the electorate's l best
-    # entries; a table of every voter reads the profile's sums
+    # entries; every table of every voter reads the electorate's sums
     profile, rule, voters, _ = election
     table = SatisfactionTable(profile, rule, voters)
-    first = profile.best_sums(rule.vector(profile.m))
+    first = _electorate(profile, table.vector).best_sums
     for c in range(profile.m):
-        assert len(table.best_sums[c]) == len(table.voters) + 1
-        for load, value in enumerate(table.best_sums[c]):
+        assert len(table.entries.best_sums[c]) == len(table.voters) + 1
+        for load, value in enumerate(table.entries.best_sums[c]):
             assert value <= first[c][load]
     if sorted(table.voters) == list(range(profile.n)):
-        assert table.best_sums is first
+        assert table.entries.best_sums is first
+    assert SatisfactionTable(profile, rule).entries.best_sums is first
+    assert SatisfactionTable(profile, rule, range(profile.n)).entries.best_sums is first
 
 
 @settings(max_examples=400, deadline=None)
@@ -454,7 +472,7 @@ def test_monroe_load_bound_holds_below_every_child(election):
     profile, rule, voters, k = election
     table = SatisfactionTable(profile, rule, voters)
     loads, m, n, rank = _LoadCaps(table, k), profile.m, len(table.voters), profile._priority_rank
-    ceil = [sums[-(-n // k)] for sums in table.best_sums]
+    ceil = [sums[-(-n // k)] for sums in table.entries.best_sums]
     for committee in itertools.combinations(range(m), k):
         score = table.score(committee)
         state = loads.root
