@@ -40,12 +40,6 @@ class Attribute:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.groups)
 
-    def members(self, label: str) -> tuple[int, ...]:
-        for lab, mem in self.groups:
-            if lab == label:
-                return mem
-        raise KeyError(f"attribute {self.name!r} has no group {label!r}")
-
     def validate_partition(self, count: int, entity: str) -> None:
         seen: set[int] = set()
         for label, members in self.groups:

@@ -755,10 +755,10 @@ def _certified_max(
     constraint graph, with nothing chosen or blocked; it restricts the
     search to the committees that meet every bound.  Each node blocks the
     ids it passes over, as no committee below its later children holds
-    them, and unblocks them on return; a child is cut when
-    :meth:`~dire.solver._SearchState.scan` fails on P + c, which happens
-    only when no completion meets every bound, and at a leaf exactly when
-    the leaf misses one.
+    them, and restores the masks it changed on return; a child is cut
+    when :meth:`~dire.solver._SearchState.scan` fails on P + c, which
+    happens only when no completion meets every bound, and at a leaf
+    exactly when the leaf misses one.
     """
     rows, voter_rows, totals, m, kind = table.rows, table.voter_rows, table.totals, table.profile.m, table.kind
     if not k:
@@ -805,6 +805,8 @@ def _certified_max(
             base, excess, ahead = priced
         else:
             gains, after = gain_pass(start, seats, parent)
+        if lookahead is not None:
+            saved = lookahead.free[:]  # restored on return, unblocking every id passed over
         for c in range(start, m - seats + 1):
             if lookahead is not None:
                 lookahead.block(c)  # chosen now, or passed over: no later child's committee holds it
@@ -852,8 +854,7 @@ def _certified_max(
             if lookahead is not None:
                 lookahead.remove()
         if lookahead is not None:
-            for passed in range(start, c + 1):
-                lookahead.unblock(passed)
+            lookahead.free[:] = saved
 
     try:
         _depth_first(search, 0, k, [0] * n, 0, loads.root if kind == MONROE else None, None)

@@ -210,10 +210,11 @@ class _SearchState:
     domain holds.  ``inflow[i]`` counts the chosen members of D_i and the
     bit mask ``free[i]`` holds the labels of those neither chosen nor
     excluded, so a candidate c of D_i is blocked exactly when its bit is
-    clear in ``free[i]``.  The methods take candidate ids; an id no domain
-    holds is in no mask, so blocking it changes nothing.  :meth:`scan` is
-    the search's lookahead, which the certified solve of
-    :func:`~dire.winner.solve_drcwd` borrows."""
+    clear in ``free[i]``.  A search node restores the masks it changed by
+    assigning back a copy of ``free`` taken on entry.  The methods take
+    candidate ids; an id no domain holds is in no mask, so blocking it
+    changes nothing.  :meth:`scan` is the search's lookahead, which the
+    certified solve of :func:`~dire.winner.solve_drcwd` borrows."""
 
     def __init__(self, graph: DiReGraph, held: Sequence[tuple[int, ...]]):
         self.k, self.bounds, self.held = graph.k, graph.bounds, held
@@ -383,8 +384,8 @@ def heuristic_backtrack(
                 committees.append(committee)
             return
         free, order = state.free, state.order
+        saved = free[:]  # restored on return, undoing every exclusion at once
         any_found = False
-        excluded: list[int] = []
         start = 0  # the first label not tried yet
         while live := free[variable] >> start:
             start += (live & -live).bit_length()  # one past the next free value's label
@@ -394,12 +395,11 @@ def heuristic_backtrack(
             state.remove()
             if found:
                 any_found = True
-                state.unblock(cand)  # cand is in a committee, so later root branches may use it
                 if at_root and len(committees) < config.max_committees:
+                    state.unblock(cand)  # cand is in a committee, so later root branches may use it
                     continue
                 break
             # cand stays blocked: excluded, with the free members it dominates
-            excluded.append(cand)
             dominator = set(held[cand])
             rest, label = free[variable], -1  # its set bits, lowest first
             while rest:
@@ -409,9 +409,7 @@ def heuristic_backtrack(
                 other = order[label]
                 if dominator.issuperset(held[other]):
                     state.block(other)
-                    excluded.append(other)
-        for cand in excluded:
-            state.unblock(cand)
+        free[:] = saved
         found = any_found
 
     try:

@@ -1,14 +1,15 @@
-"""Property tests: the feasibility search's harvest against the brute-force
-feasible set and against plain backtracking, its node lookahead
-against brute force below the node, closed-form preprocessing against the
-reference fixpoint and the per-pair reduction loop, the scoring kernel
-against the rescoring reference, the branch-and-bound, with and without
-the lookahead, against full enumeration, its inherited gains against a
-fresh gain pass, the profile's shared satisfaction rows and its
-validation on runs of equal ballots against a per-voter build, and the
-best-unsatisfied-fraction search, with and without its candidate
-dominance, against enumeration, and the entry points that share a
-profile's full-electorate table against fresh profiles, in any call order.
+"""Property tests: the feasibility search's harvest against the
+brute-force feasible set and against plain backtracking, its node
+lookahead against brute force below the node, the state it leaves behind,
+closed-form preprocessing against the reference fixpoint and the per-pair
+reduction loop, the scoring kernel against the rescoring reference, the
+branch-and-bound, with and without the lookahead, against full
+enumeration, its inherited gains against a fresh gain pass, the profile's
+shared satisfaction rows and its validation on runs of equal ballots
+against a per-voter build, and the best-unsatisfied-fraction search, with
+and without its candidate dominance, against enumeration, and the entry
+points that share a profile's full-electorate table against fresh
+profiles, in any call order.
 
 They need hypothesis and are skipped where it is not installed.
 """
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import scoring_reference as ref
 from conftest import brute_force_feasible_set
-from dire import rules
+from dire import rules, solver
 from dire.constraints import Attribute, AttributeScheme, holders, make_instance
 from dire.experiment import _fewest_unmet, best_unsatisfied_fraction
 from dire.profiles import PreferenceProfile, ValidationResult, make_profile, validate_profile
@@ -116,6 +117,26 @@ def test_default_mode_returns_the_committees_of_plain_backtracking(instance, max
     preprocess(graph)
     result = solve_feasibility(instance, SolverConfig(timeout=60, max_committees=max_committees))
     assert result.committees == ref.plain_backtrack(graph, max_committees)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.sampled_from([1, 2, 100_000]))
+def test_default_search_leaves_its_state_as_it_built_it(instance, max_committees):
+    # every node restores the free masks it changed, so after the search,
+    # the root's harvest included, nothing is chosen and every mask is back
+    # to the one __init__ built
+    states = []
+    init = solver._SearchState.__init__
+
+    def spy(state, *args):
+        init(state, *args)
+        states.append((state, state.free[:]))
+
+    with patch.object(solver._SearchState, "__init__", spy):
+        solve_feasibility(instance, SolverConfig(timeout=60, max_committees=max_committees))
+    for state, built in states:  # none when preprocessing proves infeasibility
+        assert state.chosen == [] and not any(state.inflow)
+        assert state.free == built
 
 
 @settings(max_examples=300, deadline=None)
