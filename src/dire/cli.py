@@ -11,24 +11,21 @@ files stay byte-identical across reruns with the same flags and seeds
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from dire import fileio
-from dire.constraints import AttributeScheme, InstanceError, make_instance, satisfies, unsatisfied_fraction
+from dire.constraints import AttributeScheme, make_instance, satisfies, unsatisfied_fraction
 from dire.experiment import ExperimentConfig, run_experiment, write_csv
-from dire.profiles import ProfileError
 from dire.reductions import (
-    ReductionError,
     parse_graph,
     reduce_vc_cc,
     reduce_vc_diversity,
     reduce_vc_representation,
 )
-from dire.rules import Rule, RuleError, RULE_KINDS, score_committee
-from dire.solver import SolverConfig, SolverError, solve_feasibility
-from dire.synth import DEFAULT_K, DEFAULT_M, DEFAULT_N, SYN1, SYN2, GenerationError, gen_syndata
+from dire.rules import Rule, RULE_KINDS, score_committee
+from dire.solver import SolverConfig, solve_feasibility
+from dire.synth import DEFAULT_K, DEFAULT_M, DEFAULT_N, SYN1, SYN2, gen_syndata
 from dire.winner import STATUS_INFEASIBLE, STATUS_TIMEOUT, solve_drcwd
 
 EXIT_OK = 0
@@ -135,28 +132,14 @@ def _cmd_generate(args) -> int:
         if args.mu is None:
             raise UsageError("--mu is required for vc-div")
         artifact = reduce_vc_diversity(graph, args.mu, args.cover_size, seed=args.seed)
-        sidecar = {
-            "target_size": artifact.target_size,
-            "vertex_to_candidate": {str(v): list(c) for v, c in artifact.vertex_to_candidate.items()},
-            "edge_to_groups": {f"{u}-{v}": list(g) for (u, v), g in artifact.edge_to_groups.items()},
-            "attributes_used": artifact.attributes_used,
-        }
     elif args.kind == "vc-rep":
         pi = args.pi if args.pi is not None else 1
         artifact = reduce_vc_representation(graph, pi, args.cover_size)
-        sidecar = {
-            "vertex_to_candidate": {str(v): c for v, c in artifact.vertex_to_candidate.items()},
-            "edge_to_populations": {f"{u}-{v}": list(p) for (u, v), p in artifact.edge_to_populations.items()},
-        }
     else:
         artifact = reduce_vc_cc(graph, args.cover_size)
-        sidecar = {
-            "vertex_to_candidate": {str(v): c for v, c in artifact.vertex_to_candidate.items()},
-            "zero_misrepresentation_score": artifact.zero_misrepresentation_score,
-        }
     fileio.write_instance(artifact.instance, args.out)
     map_path = str(args.out) + ".map.json"
-    Path(map_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    fileio.write_sidecar(artifact, map_path)
     print(f"wrote {args.out} and {map_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -279,8 +262,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (fileio.ParseError, InstanceError, ProfileError, RuleError, SolverError,
-            GenerationError, ReductionError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

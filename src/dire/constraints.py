@@ -144,15 +144,9 @@ class DiReInstance:
     def pi(self) -> int:
         return self.scheme.pi
 
-    def validate(self) -> None:
-        if not 1 <= self.k <= self.m:
-            raise InstanceError(f"committee size {self.k} out of range [1, {self.m}]")
-        self.scheme.validate(self.m, self.n)
-        self._validate_bounds()
-
     def _validate_bounds(self) -> None:
-        """The checks of :meth:`validate` after k and the scheme, which they
-        assume valid: every bound and winning committee."""
+        """Check every bound and winning committee; :func:`make_instance`
+        checks k and the scheme, which these checks assume valid, first."""
         lowest = 0 if self.allow_zero_bounds else 1
         for attr in self.scheme.candidate_attributes:
             for label, members in attr.groups:

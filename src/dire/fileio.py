@@ -7,9 +7,10 @@ which makes generate-twice byte-identical and write-then-parse exact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from dire.constraints import Attribute, AttributeScheme, DiReInstance, make_instance
 from dire.profiles import PreferenceProfile, make_profile
@@ -30,10 +31,8 @@ class ParseError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
-def _expect(data: Any, key: str, kind: type, path: str, optional: bool = False):
+def _expect(data: Any, key: str, kind: type, path: str):
     if key not in data:
-        if optional:
-            return None
         raise ParseError(f"{path}.{key}", "missing required key")
     value = data[key]
     if kind is int and isinstance(value, bool):
@@ -68,19 +67,27 @@ def _parse_attributes(data: Any, key: str, path: str) -> tuple[Attribute, ...]:
     return tuple(attributes)
 
 
-def _parse_bounds(data: Any, key: str, path: str) -> dict[tuple[str, str], int]:
+def _bound(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(path, "expected an integer bound")
+    return value
+
+
+def _read_keyed(data: Any, key: str, path: str,
+                parse_value: Callable[[Any, str], Any]) -> dict[tuple[str, str], Any]:
+    """Read an optional ``{attribute: {label: value}}`` object into a map
+    keyed by (attribute, label), each value through ``parse_value(value, its
+    path)``: the one shape of the bounds and the winning committees."""
     raw = data.get(key, {})
     if not isinstance(raw, dict):
         raise ParseError(f"{path}.{key}", "expected an object keyed by attribute name")
-    bounds = {}
+    keyed = {}
     for attr_name, per_label in raw.items():
         if not isinstance(per_label, dict):
             raise ParseError(f"{path}.{key}.{attr_name}", "expected an object keyed by label")
-        for label, bound in per_label.items():
-            if isinstance(bound, bool) or not isinstance(bound, int):
-                raise ParseError(f"{path}.{key}.{attr_name}.{label}", "expected an integer bound")
-            bounds[(attr_name, label)] = bound
-    return bounds
+        for label, value in per_label.items():
+            keyed[(attr_name, label)] = parse_value(value, f"{path}.{key}.{attr_name}.{label}")
+    return keyed
 
 
 def instance_from_dict(data: dict, rule_override: Rule | None = None) -> DiReInstance:
@@ -122,19 +129,9 @@ def instance_from_dict(data: dict, rule_override: Rule | None = None) -> DiReIns
         candidate_attributes=_parse_attributes(data, "candidate_attributes", path),
         voter_attributes=_parse_attributes(data, "voter_attributes", path),
     )
-    diversity = _parse_bounds(data, "diversity_bounds", path)
-    representation = _parse_bounds(data, "representation_bounds", path)
-    winning = None
-    if "winning_committees" in data:
-        winning = {}
-        raw = _expect(data, "winning_committees", dict, path)
-        for attr_name, per_label in raw.items():
-            if not isinstance(per_label, dict):
-                raise ParseError(f"{path}.winning_committees.{attr_name}", "expected an object")
-            for label, members in per_label.items():
-                winning[(attr_name, label)] = tuple(
-                    _int_list(members, f"{path}.winning_committees.{attr_name}.{label}")
-                )
+    diversity = _read_keyed(data, "diversity_bounds", path, _bound)
+    representation = _read_keyed(data, "representation_bounds", path, _bound)
+    winning = _read_keyed(data, "winning_committees", path, lambda value, at: tuple(_int_list(value, at)))
     allow_zero = data.get("allow_zero_bounds", False)
     if not isinstance(allow_zero, bool):
         raise ParseError(f"{path}.allow_zero_bounds", "expected a boolean")
@@ -157,15 +154,11 @@ def instance_to_dict(instance: DiReInstance) -> dict:
             for attr in attributes
         ]
 
-    def bounds_map(bounds):
-        nested: dict[str, dict[str, int]] = {}
-        for (attr_name, label), bound in bounds.items():
-            nested.setdefault(attr_name, {})[label] = bound
+    def keyed_map(keyed):  # the inverse of _read_keyed
+        nested: dict[str, dict[str, Any]] = {}
+        for (attr_name, label), value in keyed.items():
+            nested.setdefault(attr_name, {})[label] = value
         return nested
-
-    winning: dict[str, dict[str, list[int]]] = {}
-    for (attr_name, label), members in instance.winning_committees.items():
-        winning.setdefault(attr_name, {})[label] = list(members)
 
     data = {
         "m": instance.m,
@@ -176,9 +169,9 @@ def instance_to_dict(instance: DiReInstance) -> dict:
         "rankings": [list(r) for r in instance.profile.rankings],
         "candidate_attributes": attr_list(instance.scheme.candidate_attributes),
         "voter_attributes": attr_list(instance.scheme.voter_attributes),
-        "diversity_bounds": bounds_map(instance.diversity_bounds),
-        "representation_bounds": bounds_map(instance.representation_bounds),
-        "winning_committees": winning,
+        "diversity_bounds": keyed_map(instance.diversity_bounds),
+        "representation_bounds": keyed_map(instance.representation_bounds),
+        "winning_committees": keyed_map({key: list(members) for key, members in instance.winning_committees.items()}),
     }
     if instance.rule.scoring is not None:
         data["scoring"] = list(instance.rule.scoring)
@@ -193,6 +186,23 @@ def dumps_instance(instance: DiReInstance) -> str:
 
 def write_instance(instance: DiReInstance, path: str | Path) -> None:
     Path(path).write_text(dumps_instance(instance), encoding="utf-8")
+
+
+def write_sidecar(reduction: Any, path: str | Path) -> None:
+    """Write a vertex-cover reduction's map back to its graph: every field
+    of the reduction's dataclass but ``instance``, keys sorted."""
+
+    def plain(value):  # vertex keys v become "v", edge keys (u, v) "u-v", tuples lists
+        if isinstance(value, dict):
+            return {"-".join(map(str, key)) if isinstance(key, tuple) else str(key): plain(item)
+                    for key, item in value.items()}
+        if isinstance(value, tuple):
+            return [plain(item) for item in value]
+        return value
+
+    fields = {field.name: plain(getattr(reduction, field.name))
+              for field in dataclasses.fields(reduction) if field.name != "instance"}
+    Path(path).write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def parse_instance(path: str | Path, rule_override: Rule | None = None) -> DiReInstance:

@@ -44,12 +44,13 @@ class InputGraph:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(normalized))
 
-    def degree(self, vertex: int) -> int:
-        return sum(1 for u, v in self.edges if vertex in (u, v))
-
     @property
     def is_3_regular(self) -> bool:
-        return all(self.degree(v) == 3 for v in range(self.vertices))
+        degrees = [0] * self.vertices
+        for edge in self.edges:
+            for vertex in edge:
+                degrees[vertex] += 1
+        return all(degree == 3 for degree in degrees)
 
 
 def parse_graph(text: str) -> InputGraph:

@@ -142,6 +142,29 @@ def test_parse_error_paths(example1):
         fileio.instance_from_dict(data)
 
 
+@pytest.mark.parametrize("key, attr, label", [
+    ("diversity_bounds", "gender", "male"),
+    ("representation_bounds", "state", "CA"),
+    ("winning_committees", "state", "CA"),
+])
+@pytest.mark.parametrize("depth, reason", [
+    (0, "expected an object keyed by attribute name"),
+    (1, "expected an object keyed by label"),
+    (2, "expected an integer bound|expected a list of integers"),
+])
+def test_a_malformed_keyed_map_names_its_path(example1, key, attr, label, depth, reason):
+    # the top level, one attribute's value, or one label's value is a string
+    data = json.loads(fileio.dumps_instance(example1))
+    steps = [key, attr, label][: depth + 1]
+    container = data
+    for step in steps[:-1]:
+        container = container[step]
+    container[steps[-1]] = "x"
+    with pytest.raises(fileio.ParseError, match=f"^[^:]*: ({reason})$") as caught:
+        fileio.instance_from_dict(data)
+    assert caught.value.path == "$." + ".".join(steps)
+
+
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
     # json.loads once raised an uncaught RecursionError on this file
     path = tmp_path / "deep.json"
@@ -462,6 +485,46 @@ def test_cli_generate_reduction_with_sidecar(tmp_path):
     assert sidecar["vertex_to_candidate"] == {"0": 0, "1": 1, "2": 2}
     instance = fileio.parse_instance(out)
     assert instance.k == 2
+
+
+K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+K4_EDGES = ("0-1", "0-2", "0-3", "1-2", "1-3", "2-3")
+K4_VERTICES = {str(v): v for v in range(4)}
+
+
+@pytest.mark.parametrize("flags, sidecar", [
+    (["--kind", "vc-div", "--mu", "3"], {
+        "attributes_used": 3,
+        "edge_to_groups": {edge: [f"edge{a}"] for a, edge in enumerate(K4_EDGES)},
+        "target_size": 3,
+        "vertex_to_candidate": {str(v): [v] for v in range(4)},
+    }),
+    # even mu: each vertex and edge has a twin in the graph's second copy
+    (["--kind", "vc-div", "--mu", "4"], {
+        "attributes_used": 5,
+        "edge_to_groups": {edge: [f"edge{a}", f"edge{a}.twin"] for a, edge in enumerate(K4_EDGES)},
+        "target_size": 38,
+        "vertex_to_candidate": {str(v): [v, v + 4] for v in range(4)},
+    }),
+    (["--kind", "vc-rep", "--pi", "2"], {
+        "edge_to_populations": {
+            edge: [f"vattr1:e{a}m0", f"vattr2:e{a}m0", f"vattr2:e{a}m1"] for a, edge in enumerate(K4_EDGES)
+        },
+        "vertex_to_candidate": K4_VERTICES,
+    }),
+    (["--kind", "vc-cc"], {"vertex_to_candidate": K4_VERTICES, "zero_misrepresentation_score": 18}),
+])
+def test_cli_generate_writes_every_sidecar_field(tmp_path, flags, sidecar):
+    graph = tmp_path / "k4.txt"
+    graph.write_text(K4_TEXT, encoding="utf-8")
+    written = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main(["generate", *flags, "--graph", str(graph), "--cover-size", "3", "--out", str(out)]) == 0
+        map_path = tmp_path / f"{name}.map.json"
+        assert json.loads(map_path.read_text(encoding="utf-8")) == sidecar
+        written.append((out.read_bytes(), map_path.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_cli_generate_requires_graph(tmp_path):

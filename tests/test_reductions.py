@@ -34,6 +34,10 @@ def test_three_regular_flag():
     assert K4.is_3_regular
     assert K33.is_3_regular
     assert not P3.is_3_regular
+    # degree sum 3V, but vertex 4 has degree 4 and vertex 1 degree 2
+    lopsided = InputGraph(6, [edge for edge in K33.edges if edge != (1, 3)] + [(3, 4)])
+    assert sum(len(edge) for edge in lopsided.edges) == 3 * lopsided.vertices
+    assert not lopsided.is_3_regular
 
 
 def test_graph_text_round_trip():
@@ -252,10 +256,11 @@ def test_diversity_reduction_equal_scores():
 
 
 def test_diversity_reduction_attributes_are_partitions():
-    # validated on construction; re-validate explicitly for the bigger case
     artifact = reduce_vc_diversity(K33, mu=5, k=2, seed=9)
-    artifact.instance.validate()
-    assert artifact.attributes_used >= 5
+    attributes = artifact.instance.scheme.candidate_attributes
+    for attr in attributes:
+        assert sorted(c for _, members in attr.groups for c in members) == list(range(artifact.instance.m))
+    assert artifact.attributes_used == len(attributes) >= 5
 
 
 def test_diversity_reduction_deterministic():
