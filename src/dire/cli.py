@@ -63,13 +63,13 @@ def build_parser() -> _Parser:
     gen.add_argument("--mu", type=int)
     gen.add_argument("--pi", type=int)
     gen.add_argument("--phi", type=float)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--graph", help="graph file for the vc-* kinds")
     gen.add_argument("--cover-size", type=int, help="vertex cover budget k for the vc-* kinds")
-    gen.add_argument("--m", type=int, default=DEFAULT_M)
-    gen.add_argument("--n", type=int, default=DEFAULT_N)
-    gen.add_argument("--k", type=int, default=DEFAULT_K)
-    gen.add_argument("--rule", choices=RULE_KINDS, default="kborda")
+    gen.add_argument("--m", type=int)
+    gen.add_argument("--n", type=int)
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--rule", choices=RULE_KINDS)
     gen.add_argument("--out", required=True)
 
     solver_flags = argparse.ArgumentParser(add_help=False)  # shared by feasible and solve
@@ -114,12 +114,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the flags of ``generate`` each kind reads, beyond --kind and --out; the
+# others default to None, so one that is given and not read is an error
+_SYN_FLAGS = ("mu", "pi", "phi", "seed", "m", "n", "k", "rule")
+_GENERATE_FLAGS = {
+    SYN1: _SYN_FLAGS,
+    SYN2: _SYN_FLAGS,
+    "vc-div": ("graph", "cover_size", "mu", "seed"),
+    "vc-rep": ("graph", "cover_size", "pi"),
+    "vc-cc": ("graph", "cover_size"),
+}
+
+
 def _cmd_generate(args) -> int:
-    if args.kind in (SYN1, SYN2):
-        instance = gen_syndata(
-            args.kind, mu=args.mu, pi=args.pi, phi=args.phi, seed=args.seed,
-            m=args.m, n=args.n, k=args.k, rule=Rule(args.rule),
-        )
+    given = {name: value for name in (*_SYN_FLAGS, "graph", "cover_size") if (value := getattr(args, name)) is not None}
+    unread = [name for name in given if name not in _GENERATE_FLAGS[args.kind]]
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise UsageError(f"kind {args.kind} does not read {flags}")
+    if args.kind in (SYN1, SYN2):  # gen_syndata's defaults stand in for the flags not given
+        if "rule" in given:
+            given["rule"] = Rule(given["rule"])
+        instance = gen_syndata(args.kind, **given)
         fileio.write_instance(instance, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
         return EXIT_OK
@@ -131,7 +147,7 @@ def _cmd_generate(args) -> int:
     if args.kind == "vc-div":
         if args.mu is None:
             raise UsageError("--mu is required for vc-div")
-        artifact = reduce_vc_diversity(graph, args.mu, args.cover_size, seed=args.seed)
+        artifact = reduce_vc_diversity(graph, args.mu, args.cover_size, seed=args.seed or 0)
     elif args.kind == "vc-rep":
         pi = args.pi if args.pi is not None else 1
         artifact = reduce_vc_representation(graph, pi, args.cover_size)

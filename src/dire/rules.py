@@ -681,9 +681,11 @@ def _certified_max(
     with R the ids after c, r the seats left after c and gains taken
     against P:
 
-    (a) score(P) + gain(c) + the r largest gains over R.  Gains against P
-        bound gains against any superset, as k-Borda is modular and
-        Borda-CC monotone submodular.
+    (a) k-Borda and Borda-CC: score(P) + gain(c) + the r largest gains
+        over R.  Gains against P bound gains against any superset, as
+        k-Borda is modular and Borda-CC monotone submodular.  Monroe keeps
+        only the leaf case, r = 0: the Borda-CC score of P + c, the sum
+        over voters of max(best_v, w_vc).
     (b) Borda-CC and Monroe: the sum over voters of the best entry among P,
         c and R, read off suffix maxima.  No completion gives a voter more.
     (c) Monroe, with e = n mod k and lo[x], hi[x] the sums of member x's
@@ -723,22 +725,31 @@ def _certified_max(
         voters instead of one over every (voter, later id) pair.
 
     A greedy balanced assignment gives each voter at most its best member's
-    entry, so Monroe scores are bounded by Borda-CC ones and (a) and (b)
-    hold for Monroe too.  Leaves cost no table call under k-Borda and
-    Borda-CC (their score is the bound (a) with r = 0); Monroe leaves are
-    scored only when every bound passes.  A Monroe node runs (a)'s pass
-    over the gains of its later ids only once a child passes (c), and a
-    Borda-CC node with seats left after its children only once a child
-    passes (L); (L) is skipped when Sigma u reaches the incumbent, as it
-    then cuts no child.  Other nodes run (a)'s pass first.  (L) costs one
-    pass over the voters and (a) one over every (raised voter, later id)
-    pair, hence the order.  Single runs on a 2-core VM, before (a)'s gains
-    were inherited: this order took 0.11 s for the exhaustive Borda-CC
-    solve of syn1 mu=1 pi=0 seed 9 at paper scale and 9.8 s for the
-    uncapped Borda-CC winner of syn2 phi 1.0 seed 0; (L) in place of (a)
-    at nodes of three or more seats took 0.24 and 9.7 s, (L) first at the
-    parents of leaves too 0.12 and 11.1 s, and (L) in place of (a) at
-    every node with seats left after its children 0.04 and 14.2 s.
+    entry, so Monroe scores are bounded by Borda-CC ones and (b) and (a)'s
+    leaf case hold for Monroe too; so does an exact balanced assignment
+    (ROADMAP item 4), which also serves each voter from one member.  The
+    leaf case is one pass over the voters, so Monroe runs no gain pass and
+    carries no Borda-CC score or gains down the branch: above the leaves
+    (b) and (c) leave (a) few cuts.  On the seeded m=16, n=20, k=4
+    election of the tests the search visits 221 nodes without (a)'s pass
+    against 200 with it, and the desk-exact benchmark's median operation
+    went from 1.61 to 1.41 ms (2-core VM, Python 3.11), though the m=30,
+    n=100 syn2 phi 0.9 seed 0 winner went from 0.58 to 0.74 s.  Leaves
+    cost no table call under k-Borda and Borda-CC (their score is the
+    bound (a) with r = 0); Monroe leaves are scored only when every bound
+    passes.  A Borda-CC node with seats left after its children runs
+    (a)'s pass over the gains of its later ids only once a child passes
+    (L); (L) is skipped when Sigma u reaches the incumbent, as it then
+    cuts no child.  Other k-Borda and Borda-CC nodes run (a)'s pass
+    first.  (L) costs one pass over the voters and
+    (a) one over every (raised voter, later id) pair, hence the order.
+    Single runs on a 2-core VM, before (a)'s gains were inherited: this
+    order took 0.11 s for the exhaustive Borda-CC solve of syn1 mu=1 pi=0
+    seed 9 at paper scale and 9.8 s for the uncapped Borda-CC winner of
+    syn2 phi 1.0 seed 0; (L) in place of (a) at nodes of three or more
+    seats took 0.24 and 9.7 s, (L) first at the parents of leaves too 0.12
+    and 11.1 s, and (L) in place of (a) at every node with seats left after
+    its children 0.04 and 14.2 s.
 
     (a)'s gains are inherited, not summed afresh.  At the root the prefix
     is empty and entries are nonnegative, so the gains are the totals,
@@ -788,15 +799,16 @@ def _certified_max(
 
     def search(start, seats, best, score, load, parent):
         """Children of the prefix ``members``, whose per-voter best entries,
-        score and Monroe (c) state (else None) are given, with ``seats``
-        seats left to fill from ids >= ``start``, as a node of
-        :func:`_depth_first`; ``parent`` is what :func:`gain_pass` derives
-        the node's gains from, None at the root and under k-Borda."""
+        score (unused under Monroe) and Monroe (c) state (else None) are
+        given, with ``seats`` seats left to fill from ids >= ``start``, as a
+        node of :func:`_depth_first`; ``parent`` is what :func:`gain_pass`
+        derives the node's gains from, None at the root, under k-Borda and
+        under Monroe."""
         nonlocal best_score, best_members
         _check_deadline(deadline)
-        capped = kind == MONROE  # bound (c) applies
+        capped = kind == MONROE  # bound (c) applies, and (a) only at leaves
         priced = kind == BETACC and seats > 1 and prices.bound(best, start, seats, best_score)  # (L)
-        gains = None  # (a)'s pass waits for a child that passes (c) or (L)
+        gains = None  # (a)'s pass waits for a child that passes (L)
         if capped:
             cap, early = load
             own, rest = loads.children(early, seats)
@@ -815,13 +827,17 @@ def _certified_max(
                 if held + rest[c] <= best_score or \
                         slots_open and held + loads.open_slots(members, c) <= best_score:  # (c)
                     continue
-            elif priced and base + excess[c - start] + ahead[c - start] <= best_score:  # (L)
-                continue
-            if gains is None:
-                gains, after = gain_pass(start, seats, parent)
-            gain = gains[c - start]
-            if score + gain + after[c - start] <= best_score:  # (a)
-                continue
+                # (a) at a leaf: its Borda-CC score
+                if seats == 1 and sum([a if a > b else b for a, b in zip(best, rows[c])]) <= best_score:
+                    continue
+            else:
+                if priced and base + excess[c - start] + ahead[c - start] <= best_score:  # (L)
+                    continue
+                if gains is None:
+                    gains, after = gain_pass(start, seats, parent)
+                gain = gains[c - start]
+                if score + gain + after[c - start] <= best_score:  # (a)
+                    continue
             # (b) for c bounds every later child too: their pools lie inside c's
             if seats > 1 and kind != KBORDA and \
                     sum([a if a > b else b for a, b in zip(best, suffix[c])]) <= best_score:
@@ -834,6 +850,8 @@ def _certified_max(
             if seats > 1:
                 if kind == KBORDA:  # no per-voter bests to carry
                     child, inherited = best, None
+                elif capped:  # per-voter bests for (b), and no gains
+                    child, inherited = [a if a > b else b for a, b in zip(rows[c], best)], None
                 else:  # (a) has run, so the gains a child derives its own from exist
                     raised = [(i, a, b) for i, (a, b) in enumerate(zip(rows[c], best)) if a > b]
                     child = best[:]
@@ -841,7 +859,8 @@ def _certified_max(
                         child[i] = a
                     inherited = start, gains, raised
                 members.append(c)
-                yield c + 1, seats - 1, child, score + gain, loads.step(load, c) if capped else None, inherited
+                yield c + 1, seats - 1, child, None if capped else score + gain, \
+                    loads.step(load, c) if capped else None, inherited
                 members.pop()
             else:
                 if capped:

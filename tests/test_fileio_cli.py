@@ -532,6 +532,25 @@ def test_cli_generate_requires_graph(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 1
 
 
+@pytest.mark.parametrize("kind, flags, unread", [
+    ("syn1", ["--mu", "1", "--pi", "0", "--graph", "k4.txt"], "--graph"),
+    ("syn2", ["--phi", "0.8", "--cover-size", "3"], "--cover-size"),
+    ("vc-div", ["--mu", "3", "--graph", "k4.txt", "--cover-size", "3", "--pi", "1", "--k", "3"], "--pi, --k"),
+    ("vc-rep", ["--graph", "k4.txt", "--cover-size", "3", "--k", "5", "--rule", "monroe", "--mu", "7", "--seed", "9"],
+     "--mu, --seed, --k, --rule"),
+    ("vc-rep", ["--graph", "k4.txt", "--cover-size", "3", "--phi", "0.5", "--m", "4", "--n", "6"], "--phi, --m, --n"),
+    ("vc-cc", ["--graph", "k4.txt", "--cover-size", "3", "--seed", "0"], "--seed"),
+    ("vc-cc", ["--graph", "k4.txt", "--cover-size", "3", "--pi", "1"], "--pi"),
+], ids=["syn1-graph", "syn2-cover-size", "vc-div-pi-k", "vc-rep-syn-flags", "vc-rep-phi-m-n", "vc-cc-seed", "vc-cc-pi"])
+def test_cli_generate_rejects_flags_its_kind_does_not_read(kind, flags, unread, tmp_path, monkeypatch, capsys):
+    # a flag that would be silently ignored is a usage error, even at its default value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k4.txt").write_text(K4_TEXT, encoding="utf-8")
+    assert main(["generate", "--kind", kind, *flags, "--out", "x.json"]) == 1
+    assert f"kind {kind} does not read {unread}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_generate_seed_defaults_to_zero(tmp_path, monkeypatch):
     # no environment variable stands in for a missing --seed
     args = ["generate", "--kind", "syn1", "--mu", "1", "--pi", "0",

@@ -4,7 +4,8 @@ lookahead against brute force below the node, the state it leaves behind,
 closed-form preprocessing against the reference fixpoint and the per-pair
 reduction loop, the scoring kernel against the rescoring reference, the
 branch-and-bound, with and without the lookahead, against full
-enumeration, its inherited gains against a fresh gain pass, the profile's
+enumeration, its inherited gains against a fresh gain pass, Monroe
+scores against the Borda-CC scores that bound its leaves, the profile's
 shared satisfaction rows and its validation on runs of equal ballots
 against a per-voter build, and the best-unsatisfied-fraction search, with
 and without its candidate dominance, against enumeration, and the entry
@@ -508,6 +509,21 @@ def test_monroe_load_bound_holds_below_every_child(election):
             state = loads.step(state, c)
             assert state[0] == bound - rest[c]
             assert state[1] == (*sorted(rank[x] for x in committee[:i + 1]), *[m] * n)[:n % k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_elections(["monroe"]))
+def test_monroe_scores_never_exceed_betacc_scores(election):
+    # what the branch-and-bound's Monroe leaf cut rests on: a greedy
+    # balanced assignment gives each voter at most its best member's entry,
+    # so on every table, populations included, every committee of every
+    # size scores at most its Borda-CC score under the same vector
+    profile, rule, voters, _ = election
+    table = SatisfactionTable(profile, rule, voters)
+    betacc_table = SatisfactionTable(profile, Rule("betacc", rule.scoring), voters)
+    for size in range(1, profile.m + 1):
+        for committee in itertools.combinations(range(profile.m), size):
+            assert table.score(committee) <= betacc_table.score(committee)
 
 
 @settings(max_examples=400, deadline=None)

@@ -485,6 +485,30 @@ def test_betacc_prices_cut_whole_subtrees(voters, count, monkeypatch):
     assert len(nodes) == count
 
 
+@pytest.mark.parametrize("voters, scores, count", [(range(8), 10, 23), (range(15), 105, 220), (None, 81, 221)],
+                         ids=["eight-voters", "fifteen-voters", "all-voters"])
+def test_monroe_search_keeps_only_the_leaf_case_of_bound_a(voters, scores, count, monkeypatch):
+    # A Monroe node runs no gain pass: its leaves are cut by their Borda-CC
+    # score, one sum over the voters that bounds the Monroe score, which is
+    # (a) with no seats left.  So the search scores exactly the leaves (and
+    # the greedy seed) that (a) at every node would leave, and visits the
+    # inner nodes that only (a) would cut: with (a) at every node it visits
+    # 22, 193 and 200 nodes.
+    profile = _desk_election()
+    expected = ref.table_max(SatisfactionTable(profile, monroe(), voters), 4)
+    inherited_gains, passes = rules._inherited_gains, []
+
+    def counted(*args):
+        passes.append(args)
+        return inherited_gains(*args)
+
+    monkeypatch.setattr(rules, "_inherited_gains", counted)
+    calls, nodes = _count_scores(monkeypatch), _count_nodes(monkeypatch)
+    assert _certified_max(SatisfactionTable(profile, monroe(), voters), 4) == expected
+    assert not passes
+    assert (len(calls), len(nodes)) == (scores, count)
+
+
 def test_monroe_leaves_keep_to_the_deadline(monkeypatch):
     # A clock that ticks once per table score passes the deadline at the 9th
     # score: the greedy seed's, 6 leaves, then (0, 1, 5, 9) and
