@@ -25,7 +25,7 @@ from dire.reductions import (
 )
 from dire.rules import Rule, RULE_KINDS, score_committee
 from dire.solver import SolverConfig, solve_feasibility
-from dire.synth import DEFAULT_K, DEFAULT_M, DEFAULT_N, SYN1, SYN2, gen_syndata
+from dire.synth import SYN1, SYN2, gen_syndata
 from dire.winner import STATUS_INFEASIBLE, STATUS_TIMEOUT, solve_drcwd
 
 EXIT_OK = 0
@@ -91,18 +91,18 @@ def build_parser() -> _Parser:
 
     exp = sub.add_parser("experiment", help="batch run with CSV metrics")
     exp.add_argument("--dataset", required=True, choices=[SYN1, SYN2, "files"])
-    exp.add_argument("--seeds", type=_int_list, default=[0])
+    exp.add_argument("--seeds", type=_int_list)
     exp.add_argument("--rules", default="kborda", help="comma-separated rule kinds")
     exp.add_argument("--timeout", type=float, default=SolverConfig.timeout)
-    exp.add_argument("--repetitions", type=int, default=1)
+    exp.add_argument("--repetitions", type=int)
     exp.add_argument("--mu-values", type=_int_list)
     exp.add_argument("--pi-values", type=_int_list)
     exp.add_argument("--phi-values", type=_float_list)
-    exp.add_argument("--m", type=int, default=DEFAULT_M)
-    exp.add_argument("--n", type=int, default=DEFAULT_N)
-    exp.add_argument("--k", type=int, default=DEFAULT_K)
+    exp.add_argument("--m", type=int)
+    exp.add_argument("--n", type=int)
+    exp.add_argument("--k", type=int)
     exp.add_argument("--exhaustive", action="store_true")
-    exp.add_argument("--files", nargs="*", default=[])
+    exp.add_argument("--files", nargs="*")
     exp.add_argument("--out", required=True)
 
     conv = sub.add_parser("convert", help="convert a .soc ballot file to an instance skeleton")
@@ -114,28 +114,32 @@ def build_parser() -> _Parser:
     return parser
 
 
-# the flags of ``generate`` each kind reads, beyond --kind and --out; the
-# others default to None, so one that is given and not read is an error
+# the flags each --kind of ``generate`` and each --dataset of ``experiment``
+# reads, beyond those every choice reads; the others default to None, so one
+# that is given and not read is an error (see main)
 _SYN_FLAGS = ("mu", "pi", "phi", "seed", "m", "n", "k", "rule")
-_GENERATE_FLAGS = {
-    SYN1: _SYN_FLAGS,
-    SYN2: _SYN_FLAGS,
-    "vc-div": ("graph", "cover_size", "mu", "seed"),
-    "vc-rep": ("graph", "cover_size", "pi"),
-    "vc-cc": ("graph", "cover_size"),
+_SWEEP_FLAGS = ("seeds", "repetitions", "m", "n", "k")
+_READS = {
+    "generate": ("kind", {
+        SYN1: _SYN_FLAGS,
+        SYN2: _SYN_FLAGS,
+        "vc-div": ("graph", "cover_size", "mu", "seed"),
+        "vc-rep": ("graph", "cover_size", "pi"),
+        "vc-cc": ("graph", "cover_size"),
+    }),
+    "experiment": ("dataset", {
+        SYN1: (*_SWEEP_FLAGS, "mu_values", "pi_values"),
+        SYN2: (*_SWEEP_FLAGS, "phi_values"),
+        "files": ("files",),
+    }),
 }
 
 
 def _cmd_generate(args) -> int:
-    given = {name: value for name in (*_SYN_FLAGS, "graph", "cover_size") if (value := getattr(args, name)) is not None}
-    unread = [name for name in given if name not in _GENERATE_FLAGS[args.kind]]
-    if unread:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
-        raise UsageError(f"kind {args.kind} does not read {flags}")
     if args.kind in (SYN1, SYN2):  # gen_syndata's defaults stand in for the flags not given
-        if "rule" in given:
-            given["rule"] = Rule(given["rule"])
-        instance = gen_syndata(args.kind, **given)
+        if "rule" in args.given:
+            args.given["rule"] = Rule(args.given["rule"])
+        instance = gen_syndata(args.kind, **args.given)
         fileio.write_instance(instance, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
         return EXIT_OK
@@ -222,25 +226,13 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    kwargs = dict(
+    config = ExperimentConfig(  # its defaults stand in for the flags not given
         dataset=args.dataset,
-        seeds=tuple(args.seeds),
         rules=tuple(r.strip() for r in args.rules.split(",") if r.strip()),
         timeout=args.timeout,
-        repetitions=args.repetitions,
-        m=args.m,
-        n=args.n,
-        k=args.k,
-        files=tuple(args.files),
         exhaustive=args.exhaustive,
+        **{name: tuple(value) if isinstance(value, list) else value for name, value in args.given.items()},
     )
-    if args.mu_values:
-        kwargs["mu_values"] = tuple(args.mu_values)
-    if args.pi_values:
-        kwargs["pi_values"] = tuple(args.pi_values)
-    if args.phi_values:
-        kwargs["phi_values"] = tuple(args.phi_values)
-    config = ExperimentConfig(**kwargs)
     rows = run_experiment(config)
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
@@ -274,6 +266,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in _READS:  # args.given: the flags of _READS given, by name
+            key, reads = _READS[args.command]
+            choice = getattr(args, key)
+            names = dict.fromkeys(name for flags in reads.values() for name in flags)
+            args.given = {name: value for name in names if (value := getattr(args, name)) is not None}
+            unread = ", ".join("--" + name.replace("_", "-") for name in args.given if name not in reads[choice])
+            if unread:
+                raise UsageError(f"{key} {choice} does not read {unread}")
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -69,8 +69,8 @@ class ExperimentConfig:
     exhaustive: bool = False
 
     def __post_init__(self):
-        if not self.seeds or not self.rules:
-            raise ExperimentError("seeds and rules must be nonempty")
+        if not (self.seeds and self.rules and self.mu_values and self.pi_values and self.phi_values):
+            raise ExperimentError("seeds, rules, mu, pi and phi values must be nonempty")
         if not self.timeout > 0:  # also rejects NaN
             raise ExperimentError("timeout must be positive")
         if self.repetitions < 1:

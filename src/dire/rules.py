@@ -6,7 +6,7 @@ balanced-assignment Monroe score is not submodular in the committee, as
 every member's load shrinks when the committee grows.  Winner
 determination for both is certified optimal up to the exhaustive-search
 cap, by a branch-and-bound that returns what scoring every committee
-would, ties included (see :func:`_certified_max` for its four bounds and
+would, ties included (see :func:`_certified_max` for its three bounds and
 why they keep the tie-break).  Borda-CC's own bound is a Lagrangian
 relaxation that prices each voter at its second-best entry among the ids
 still to come.  Monroe's bound is load-aware: the greedy
@@ -151,13 +151,12 @@ class _Entries:
     candidate-major ``rows`` (the transpose of the voters' rows of the
     profile's matrix), their ``totals``, the Monroe voter ``orders`` and
     best-entry sums (:meth:`order`, :meth:`sums` and :attr:`best_sums`) and
-    the bound tables of :func:`_certified_max`: :attr:`suffix`,
-    :attr:`prices` and ``caps``, a :class:`_LoadCaps` per committee size,
-    each built on first use.  Each is a pure function of the profile,
-    vector and voters, so every table of the whole electorate of one
-    profile and vector reads one, kept with the profile
-    (:func:`_electorate`); it refers to no profile, so no reference cycle
-    keeps that profile alive."""
+    the bound tables of :func:`_certified_max`: :attr:`prices` and
+    ``caps``, a :class:`_LoadCaps` per committee size, each built on first
+    use.  Each is a pure function of the profile, vector and voters, so
+    every table of the whole electorate of one profile and vector reads
+    one, kept with the profile (:func:`_electorate`); it refers to no
+    profile, so no reference cycle keeps that profile alive."""
 
     def __init__(self, voter_rows: Sequence[tuple[int, ...]], m: int):
         self.n = len(voter_rows)
@@ -188,12 +187,8 @@ class _Entries:
         return list(map(self.sums, range(len(self.rows))))
 
     @cached_property
-    def suffix(self) -> list[list[int]]:
-        return _suffix_maxima(self.rows, self.n)
-
-    @cached_property
     def prices(self) -> _Prices:
-        return _Prices(self.rows, self.suffix)
+        return _Prices(self.rows, self.n)
 
 
 def _electorate(profile: PreferenceProfile, vector: tuple[int, ...]) -> _Entries:
@@ -586,32 +581,24 @@ class _LoadCaps:
         return sum(most[:self.k - size - 1]) + sum(gaps[:self.extra - size - 1])
 
 
-def _suffix_maxima(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """``suffix[c][i]``, for c in 0..m: voter i's best entry among the ids
-    >= c (0 past the last id)."""
-    suffix = [[0] * n] * (len(rows) + 1)
-    for c in range(len(rows) - 1, -1, -1):
-        suffix[c] = [a if a > b else b for a, b in zip(rows[c], suffix[c + 1])]
-    return suffix
-
-
 class _Prices:
-    """Bound (L) of :func:`_certified_max` for Borda-CC.  ``second[c][i]``
-    is voter i's second-best entry among the ids >= c, a tie with the best
-    counting twice, ``holder[c][i]`` an id >= c that holds its best entry
-    ``suffix[c][i]``, and ``floor[c]`` the sum of ``second[c]``, which
-    Sigma u never falls below at a node whose children start at c; all
-    are built once per table's :class:`_Entries`, for every search."""
+    """Bound (L) of :func:`_certified_max` for Borda-CC over the n voters
+    of ``rows``.  For c in 0..m, ``suffix[c][i]`` is voter i's best entry
+    among the ids >= c (0 past the last id), ``second[c][i]`` its second
+    best, a tie with the best counting twice, and ``holder[c][i]`` an id
+    >= c that holds the best; all are built once per table's
+    :class:`_Entries`, for every search."""
 
-    def __init__(self, rows: Sequence[Sequence[int]], suffix: list[list[int]]):
+    def __init__(self, rows: Sequence[Sequence[int]], n: int):
         m = len(rows)
-        second, holder = suffix[:], [[m] * len(suffix[m])] * (m + 1)
+        suffix = [[0] * n] * (m + 1)
+        second, holder = suffix[:], [[m] * n] * (m + 1)
         self.suffix, self.second, self.holder = suffix, second, holder
         for c in range(m - 1, -1, -1):
             row, above = rows[c], suffix[c + 1]
+            suffix[c] = [a if a > b else b for a, b in zip(row, above)]
             second[c] = [b if a >= b else a if a > s else s for a, b, s in zip(row, above, second[c + 1])]
             holder[c] = [c if a >= b else x for a, b, x in zip(row, above, holder[c + 1])]
-        self.floor = list(map(sum, second))
 
     def bound(
         self, best: Sequence[int], start: int, seats: int, incumbent: float
@@ -623,8 +610,6 @@ class _Prices:
         None when Sigma u >= ``incumbent``, as (L) then cuts no child.
         Only voter i's best id from ``start`` can hold an entry above u_i,
         so g(u) takes one pass over the voters."""
-        if self.floor[start] >= incumbent:
-            return None
         prices = [b if b > s else s for b, s in zip(best, self.second[start])]
         base = sum(prices)
         if base >= incumbent:
@@ -686,8 +671,6 @@ def _certified_max(
         k-Borda is modular and Borda-CC monotone submodular.  Monroe keeps
         only the leaf case, r = 0: the Borda-CC score of P + c, the sum
         over voters of max(best_v, w_vc).
-    (b) Borda-CC and Monroe: the sum over voters of the best entry among P,
-        c and R, read off suffix maxima.  No completion gives a voter more.
     (c) Monroe, with e = n mod k and lo[x], hi[x] the sums of member x's
         floor(n/k) and ceil(n/k) best entries:
         cap(P + c), the sum of lo over P + c plus hi - lo over its e
@@ -717,24 +700,25 @@ def _certified_max(
         voters of max(0, w_vx - u_v), Sigma u + g_c(u) + the r largest
         g(u) over R.  A completion gives voter v max(best_v, w_vx over
         its new members x) <= u_v + the sum over them of max(0, w_vx - u_v).
-        u = best gives (a), and u = the suffix maxima from c gives (b).
-        The search takes u_v = max(best_v, second_v), with second_v v's
-        second best entry among the ids >= P's next id (a tie with the
-        best counting twice), read off a second suffix table: only v's
-        best id there then has w_vx > u_v, so g(u) costs one pass over the
-        voters instead of one over every (voter, later id) pair.
+        u = best gives (a).  The search takes u_v = max(best_v, second_v),
+        with second_v v's second best entry among the ids >= P's next id
+        (a tie with the best counting twice), read off the suffix tables
+        of :class:`_Prices`: only v's best id there then has w_vx > u_v, so
+        g(u) costs one pass over the voters instead of one over every
+        (voter, later id) pair.
 
     A greedy balanced assignment gives each voter at most its best member's
-    entry, so Monroe scores are bounded by Borda-CC ones and (b) and (a)'s
-    leaf case hold for Monroe too; so does an exact balanced assignment
+    entry, so Monroe scores are bounded by Borda-CC ones and (a)'s leaf
+    case holds for Monroe too; so does an exact balanced assignment
     (ROADMAP item 4), which also serves each voter from one member.  The
     leaf case is one pass over the voters, so Monroe runs no gain pass and
     carries no Borda-CC score or gains down the branch: above the leaves
-    (b) and (c) leave (a) few cuts.  On the seeded m=16, n=20, k=4
-    election of the tests the search visits 221 nodes without (a)'s pass
-    against 200 with it, and the desk-exact benchmark's median operation
-    went from 1.61 to 1.41 ms (2-core VM, Python 3.11), though the m=30,
-    n=100 syn2 phi 0.9 seed 0 winner went from 0.58 to 0.74 s.  Leaves
+    (c) leaves (a) too few cuts to pay for its pass.  On the seeded m=16,
+    n=20, k=4 election of the tests the search visits 327 nodes without
+    (a)'s pass against 284 with it, and the 270 uncapped Monroe winner
+    searches of the paper-scale syn pool (seed 0, phi <= 0.9) took
+    0.75-0.95 s without it against 1.10-1.45 s with it (best of 3 passes,
+    3 alternating processes, 2-core VM, Python 3.11).  Leaves
     cost no table call under k-Borda and Borda-CC (their score is the
     bound (a) with r = 0); Monroe leaves are scored only when every bound
     passes.  A Borda-CC node with seats left after its children runs
@@ -775,8 +759,6 @@ def _certified_max(
     if not k:
         return (), 0
     n, entries = len(table.voters), table.entries
-    if kind != KBORDA:
-        suffix = entries.suffix
     if kind == BETACC:
         prices = entries.prices
     if kind == MONROE:
@@ -838,10 +820,6 @@ def _certified_max(
                 gain = gains[c - start]
                 if score + gain + after[c - start] <= best_score:  # (a)
                     continue
-            # (b) for c bounds every later child too: their pools lie inside c's
-            if seats > 1 and kind != KBORDA and \
-                    sum([a if a > b else b for a, b in zip(best, suffix[c])]) <= best_score:
-                break
             if lookahead is not None:
                 lookahead.add(c)
                 if lookahead.scan() is None:  # no completion of P + c meets every bound
@@ -850,7 +828,7 @@ def _certified_max(
             if seats > 1:
                 if kind == KBORDA:  # no per-voter bests to carry
                     child, inherited = best, None
-                elif capped:  # per-voter bests for (b), and no gains
+                elif capped:  # per-voter bests for (a)'s leaf case, and no gains
                     child, inherited = [a if a > b else b for a, b in zip(rows[c], best)], None
                 else:  # (a) has run, so the gains a child derives its own from exist
                     raised = [(i, a, b) for i, (a, b) in enumerate(zip(rows[c], best)) if a > b]

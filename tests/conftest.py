@@ -116,8 +116,3 @@ def brute_force_graph_set(graph):
     constraints = list(zip(graph.domains, graph.bounds))
     return [combo for combo in itertools.combinations(range(graph.m), graph.k)
             if all(len(domain.intersection(combo)) >= bound for domain, bound in constraints)]
-
-
-@pytest.fixture
-def make_random_instance():
-    return random_instance

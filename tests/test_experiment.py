@@ -120,8 +120,9 @@ def test_repetitions_multiply_rows():
 
 
 def test_config_validation():
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(dataset="syn1", seeds=())
+    for empty in ("seeds", "mu_values", "pi_values", "phi_values"):  # no rows at all
+        with pytest.raises(ExperimentError, match="must be nonempty"):
+            ExperimentConfig(dataset="syn1", **{empty: ()})
     with pytest.raises(ExperimentError):
         ExperimentConfig(dataset="syn1", rules=("plurality",))
     with pytest.raises(ExperimentError):

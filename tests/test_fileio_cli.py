@@ -1,3 +1,4 @@
+import csv
 import json
 import time
 import tracemalloc
@@ -549,6 +550,39 @@ def test_cli_generate_rejects_flags_its_kind_does_not_read(kind, flags, unread, 
     assert main(["generate", "--kind", kind, *flags, "--out", "x.json"]) == 1
     assert f"kind {kind} does not read {unread}" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("dataset, flags, unread", [
+    ("syn2", ["--mu-values", "3", "--pi-values", "4", "--files", "x.json"], "--mu-values, --pi-values, --files"),
+    ("syn1", ["--mu-values", "0", "--pi-values", "0", "--phi-values", "0.9"], "--phi-values"),
+    ("syn1", ["--files"], "--files"),
+    ("files", ["--files", "x.json", "--seeds", "1,2,3", "--repetitions", "4", "--m", "50", "--k", "9"],
+     "--seeds, --repetitions, --m, --k"),
+    ("files", ["--files", "x.json", "--n", "100", "--phi-values", "0.5"], "--n, --phi-values"),
+], ids=["syn2-syn1-and-files-flags", "syn1-phi", "syn1-empty-files", "files-sweep-flags", "files-n-phi"])
+def test_cli_experiment_rejects_flags_its_dataset_does_not_read(dataset, flags, unread, tmp_path, monkeypatch,
+                                                                 capsys):
+    # a flag that would be silently ignored is a usage error, even at its
+    # default value; --rules, --timeout and --exhaustive apply to every dataset
+    monkeypatch.chdir(tmp_path)
+    args = ["experiment", "--dataset", dataset, *flags, "--rules", "kborda", "--timeout", "5", "--exhaustive"]
+    assert main([*args, "--out", "exp.csv"]) == 1
+    assert f"dataset {dataset} does not read {unread}" in capsys.readouterr().err
+    assert not (tmp_path / "exp.csv").exists()
+
+
+def test_cli_experiment_defaults_are_the_configs(tmp_path):
+    # the flags not given take ExperimentConfig's defaults, so spelling
+    # them out writes the same rows, elapsed times aside
+    defaults = ExperimentConfig("syn2")
+    args = ["experiment", "--dataset", "syn2", "--phi-values", "0.3", "--m", "8", "--n", "6", "--k", "2"]
+    spelled = ["--seeds", ",".join(map(str, defaults.seeds)), "--repetitions", str(defaults.repetitions)]
+    written = []
+    for name, extra in (("a.csv", []), ("b.csv", spelled)):
+        assert main([*args, *extra, "--out", str(tmp_path / name)]) == 0
+        rows = list(csv.DictReader((tmp_path / name).read_text(encoding="utf-8").splitlines()))
+        written.append([{key: value for key, value in row.items() if key != "elapsed_s"} for row in rows])
+    assert written[0] == written[1] and len(written[0]) == 1
 
 
 def test_cli_generate_seed_defaults_to_zero(tmp_path, monkeypatch):

@@ -42,7 +42,6 @@ from dire.rules import (
     _greedy_max,
     _inherited_gains,
     _monroe_loads,
-    _suffix_maxima,
     _winner,
     borda_vector,
     candidate_scores,
@@ -583,7 +582,8 @@ def test_betacc_price_bound_holds_below_every_child(election, data):
     top = max(table.score((*prefix, c, *rest)) for rest in itertools.combinations(range(c + 1, m), seats - 1))
     for u in (best, drawn, own):
         assert top <= bound(u)
-    prices = _Prices(rows, _suffix_maxima(rows, n))
+    prices = _Prices(rows, n)
+    assert prices.suffix[start] == [entries[0] for entries in ranked]
     assert prices.second[start] == [entries[1] for entries in ranked]
     base, g, ahead = prices.bound(best, start, seats, float("inf"))
     assert (base, g) == (sum(own), excess(own)[start:])

@@ -462,8 +462,8 @@ def test_monroe_open_slots_cut_whole_subtrees(voters, limit, monkeypatch):
     # (here, ascending ids) serve a voter more than the last.  Below a prefix
     # P of fewer than 3 members, a later member y after every member of P + c
     # takes that voter only while one of the 3 loads is open, so bound (c)
-    # credits at most 3 - |P| - 1 of them; crediting every one (59 and 196
-    # nodes) keeps whole subtrees that this cuts (4 and 16 nodes).
+    # credits at most 3 - |P| - 1 of them; crediting every one (502 and 413
+    # nodes) keeps whole subtrees that this cuts (4 and 21 nodes).
     profile = _desk_election()
     expected = ref.table_max(SatisfactionTable(profile, monroe(), voters), 4)
     nodes = _count_nodes(monkeypatch)
@@ -471,13 +471,13 @@ def test_monroe_open_slots_cut_whole_subtrees(voters, limit, monkeypatch):
     assert len(nodes) <= limit
 
 
-@pytest.mark.parametrize("voters, count", [(range(3), 4), (range(7), 25), (None, 62)],
+@pytest.mark.parametrize("voters, count", [(range(3), 4), (range(7), 34), (None, 94)],
                          ids=["three-voters", "seven-voters", "all-voters"])
 def test_betacc_prices_cut_whole_subtrees(voters, count, monkeypatch):
     # Bound (L) prices each voter at its second-best entry among the ids
     # still to come, so a prefix whose seats left cannot give the remaining
-    # voters their best is cut before (a)'s gain pass runs.  Bounds (a) and
-    # (b) alone visit 14, 157 and 98 nodes.
+    # voters their best is cut before (a)'s gain pass runs.  Bound (a) alone
+    # visits 230, 324 and 232 nodes.
     profile = _desk_election()
     expected = ref.table_max(SatisfactionTable(profile, betacc(), voters), 4)
     nodes = _count_nodes(monkeypatch)
@@ -485,7 +485,7 @@ def test_betacc_prices_cut_whole_subtrees(voters, count, monkeypatch):
     assert len(nodes) == count
 
 
-@pytest.mark.parametrize("voters, scores, count", [(range(8), 10, 23), (range(15), 105, 220), (None, 81, 221)],
+@pytest.mark.parametrize("voters, scores, count", [(range(8), 10, 23), (range(15), 105, 295), (None, 81, 327)],
                          ids=["eight-voters", "fifteen-voters", "all-voters"])
 def test_monroe_search_keeps_only_the_leaf_case_of_bound_a(voters, scores, count, monkeypatch):
     # A Monroe node runs no gain pass: its leaves are cut by their Borda-CC
@@ -493,7 +493,7 @@ def test_monroe_search_keeps_only_the_leaf_case_of_bound_a(voters, scores, count
     # (a) with no seats left.  So the search scores exactly the leaves (and
     # the greedy seed) that (a) at every node would leave, and visits the
     # inner nodes that only (a) would cut: with (a) at every node it visits
-    # 22, 193 and 200 nodes.
+    # 22, 245 and 284 nodes.
     profile = _desk_election()
     expected = ref.table_max(SatisfactionTable(profile, monroe(), voters), 4)
     inherited_gains, passes = rules._inherited_gains, []
