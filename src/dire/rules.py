@@ -7,7 +7,10 @@ every member's load shrinks when the committee grows.  Winner
 determination for both is certified optimal up to the exhaustive-search
 cap, by a branch-and-bound that returns what scoring every committee
 would, ties included (see :func:`_certified_max` for its three bounds and
-why they keep the tie-break).  Borda-CC's own bound is a Lagrangian
+why they keep the tie-break); before it builds any bound table, a root
+certificate settles each table where the least committee that gives every
+voter its first choice has a closed form (see :func:`_top_choice`).
+Borda-CC's own bound is a Lagrangian
 relaxation that prices each voter at its second-best entry among the ids
 still to come.  Monroe's bound is load-aware: the greedy
 balanced assignment gives ceil(n/k) voters only to the n mod k members
@@ -81,7 +84,9 @@ class SolverTimeout(Exception):
     """A search ran past its deadline (a ``time.monotonic()`` value).
 
     :func:`_certified_max` sets ``incumbent`` to the (members, score) it
-    held when the deadline passed.
+    held when the deadline passed: ``((), threshold)`` while it has found
+    nothing beyond its threshold, which is None until the greedy seed sets
+    one when the caller gave none.
     """
 
 
@@ -641,6 +646,62 @@ def _inherited_gains(
     return gains
 
 
+def _top_choice(table: SatisfactionTable, k: int) -> tuple[tuple[int, ...], int] | None:
+    """The root certificate of :func:`_certified_max`: the highest-scoring
+    k-committee of a Borda-CC or Monroe table and its score, ties to the
+    lexicographically least member tuple, when every voter can take its
+    first choice and the least committee that lets it has a closed form;
+    else None.
+
+    Under both rules each voter takes at most one member's entry, so no
+    committee scores more than n * v0, with n voters and v0 the vector's
+    first entry.  With a strict top, v0 > v1, a voter takes v0 from its
+    first choice and from no other member; T is the set of the voters'
+    first choices.
+
+    - Borda-CC: a committee scores n * v0 exactly when it holds T.  When
+      |T| <= k, those committees are T plus any k - |T| other ids, and T
+      plus the k - |T| least other ids is, in sorted order, pointwise <=
+      every one of them, so its member tuple is the least.
+    - Monroe, when n <= k and the n voters' first choices are distinct
+      (|T| = n): the greedy balanced assignment gives one voter each to the
+      n members earliest in priority order (the n mod k = n ceil loads of 1
+      when n < k, floor loads of 1 when n = k) and none to the others.  A
+      committee scores n * v0 only if those n members serve the n voters
+      their first choices, that is when they are T; and when they are, each
+      member of T in turn finds its own voter still free and worth v0, more
+      than any other voter gives it, and claims it.  So the committees that
+      score n * v0 are T plus k - n ids ranked after every member of T in
+      priority order, and T plus the k - n least such ids is the least of
+      them, as above.  With fewer than k - n such ids none exists.
+
+    When the closed form exists, every committee that scores n * v0 has the
+    stated form, so the committee returned is the first best of
+    ``itertools.combinations(range(m), k)``.  It is scored through the
+    table all the same, and returned only when it reaches n * v0.
+    k-Borda (whose members' totals add up past n * v0), a tied top,
+    Monroe with n > k and every other table get None."""
+    kind, vector, n, m = table.kind, table.vector, len(table.voters), table.profile.m
+    if kind == KBORDA or m < 2 or vector[0] == vector[1] or kind == MONROE and n > k:
+        return None
+    tops = {table.profile.rankings[v][0] for v in table.voters}
+    if kind == BETACC:
+        if len(tops) > k:
+            return None
+        rest = [c for c in range(m) if c not in tops]
+    else:
+        if len(tops) < n:
+            return None
+        rank = table.profile._priority_rank
+        last = max(map(rank.__getitem__, tops), default=-1)
+        rest = [c for c in range(m) if rank[c] > last]
+        if len(rest) < k - n:
+            return None
+    members = tuple(sorted((*tops, *rest[:k - len(tops)])))
+    score = table.score(members)
+    return (members, score) if score == n * vector[0] else None
+
+
 def _certified_max(
     table: SatisfactionTable,
     k: int,
@@ -653,6 +714,21 @@ def _certified_max(
     ``itertools.combinations(range(m), k)``), certified by a depth-first
     branch-and-bound.  Raises :class:`SolverTimeout` once ``deadline`` has
     passed, with the best committee found so far as its ``incumbent``.
+
+    Under Borda-CC and Monroe no committee scores more than n * v0 (n
+    voters, v0 the vector's first entry), so a caller's ``threshold`` at or
+    above it gives ``((), threshold)`` at once.  Before the greedy seed and
+    the bound tables are built, the root certificate of :func:`_top_choice`
+    may settle the table: when every voter can take its first choice and
+    the least committee that lets it has a closed form, that committee is
+    the answer (see :func:`_top_choice` for why every optimal committee has
+    that form, which keeps the tie-break).  Under ``lookahead`` it is
+    returned only when it meets every bound
+    (:meth:`~dire.solver._SearchState.meets`, which leaves the lookahead as
+    it found it); a committee that misses one leaves the decision to the
+    search, as does every table the certificate does not settle.  The
+    deadline is checked first, as at the search root, so a spent budget
+    still raises.
 
     A node is a prefix P of ascending ids; its children add each later id c
     in ascending order, so every leaf not reached yet is lexicographically
@@ -759,14 +835,6 @@ def _certified_max(
     if not k:
         return (), 0
     n, entries = len(table.voters), table.entries
-    if kind == BETACC:
-        prices = entries.prices
-    if kind == MONROE:
-        loads = entries.caps.get(k)
-        if loads is None:
-            loads = entries.caps[k] = _LoadCaps(table, k)
-    if threshold is None:
-        threshold = table.score(_greedy_max(table, k, deadline).members) - 1
     best_score, best_members = threshold, ()
     members: list[int] = []
 
@@ -854,6 +922,21 @@ def _certified_max(
             lookahead.free[:] = saved
 
     try:
+        _check_deadline(deadline)  # a spent budget raises before the certificate can settle the table
+        if kind != KBORDA:
+            if threshold is not None and n * table.vector[0] <= threshold:
+                return (), threshold
+            top = _top_choice(table, k)
+            if top is not None and (lookahead is None or lookahead.meets(top[0])):
+                return top
+        if kind == BETACC:
+            prices = entries.prices
+        if kind == MONROE:
+            loads = entries.caps.get(k)
+            if loads is None:
+                loads = entries.caps[k] = _LoadCaps(table, k)
+        if threshold is None:
+            best_score = table.score(_greedy_max(table, k, deadline).members) - 1
         _depth_first(search, 0, k, [0] * n, 0, loads.root if kind == MONROE else None, None)
     except SolverTimeout as timeout:
         timeout.incumbent = best_members, best_score

@@ -255,6 +255,20 @@ class _SearchState:
         for idx in self.held[cand]:
             free[idx] |= bit
 
+    def meets(self, members: Sequence[int]) -> bool:
+        """Whether a committee of k ``members`` meets every bound, as at a
+        leaf of the certified solve: added, scanned and removed, with the
+        masks that :meth:`add` cleared restored, so the state is left as it
+        was found."""
+        saved = self.free[:]
+        for cand in members:
+            self.add(cand)
+        met = self.scan() is not None
+        for _ in members:
+            self.remove()
+        self.free[:] = saved
+        return met
+
     def scan(self) -> int | None:
         """None when an unmet constraint needs more members than there are
         seats left or than its domain has free, or when the packing bound

@@ -4,6 +4,9 @@ One route, the two-stage solve.  Its feasibility search gives the verdict
 and a harvest of feasible committees, the best of which is the heuristic
 answer; in exhaustive mode a branch-and-bound under the search's own
 lookahead then certifies the optimum at any scale the deadline allows.
+When the committee of the voters' first choices that the branch-and-bound
+certifies at its root (:func:`~dire.rules._top_choice`) meets every bound,
+it is the optimum and the exhaustive solve returns it without a search.
 """
 
 from __future__ import annotations
@@ -105,7 +108,10 @@ def solve_drcwd(
     branch-and-bound of :func:`~dire.rules._certified_max` under the
     search's lookahead, from a threshold one below the harvest's best, and
     reports the optimum it certifies (ties to the lexicographically least
-    member tuple).  Timeouts with nothing found report as timeouts.
+    member tuple); when the top committee that certifies at its root, the
+    least one that gives every voter its first choice, meets every bound,
+    that committee is the optimum and no search runs.  Timeouts with
+    nothing found report as timeouts.
     ``config.timeout`` bounds the whole solve: once it passes, the report
     keeps the best committee found so far (at least one), drops the utility
     ratio if the unconstrained search is unfinished, and is ``timed_out``

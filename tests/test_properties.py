@@ -22,12 +22,12 @@ from unittest.mock import patch
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import scoring_reference as ref
 from conftest import brute_force_feasible_set
 from dire import rules, solver
-from dire.constraints import Attribute, AttributeScheme, holders, make_instance
+from dire.constraints import Attribute, AttributeScheme, holders, make_instance, satisfies
 from dire.experiment import _fewest_unmet, best_unsatisfied_fraction
 from dire.profiles import PreferenceProfile, ValidationResult, make_profile, validate_profile
 from dire.rules import (
@@ -42,6 +42,7 @@ from dire.rules import (
     _greedy_max,
     _inherited_gains,
     _monroe_loads,
+    _top_choice,
     _winner,
     borda_vector,
     candidate_scores,
@@ -51,6 +52,7 @@ from dire.rules import (
 )
 from dire.solver import (SolverConfig, _SearchState, build_diregraph, heuristic_backtrack, preprocess,
                          solve_feasibility)
+from dire.winner import solve_drcwd
 from test_solver import (free_members, graph_from_spec, proves_infeasible, reference_lookahead,
                          reference_pair_loop, reference_preprocess, reference_scan)
 
@@ -597,6 +599,129 @@ def test_branch_and_bound_matches_full_enumeration(election):
     profile, rule, voters, k = election
     got = _certified_max(SatisfactionTable(profile, rule, voters), k)
     assert got == ref.table_max(SatisfactionTable(profile, rule, voters), k)
+
+
+@st.composite
+def first_choice_rankings(draw, m, n):
+    """n rankings of m candidates: uniform ones, or each a few adjacent
+    swaps of one base ranking, whose voters share few first choices as in
+    the paper's concentrated Mallows profiles."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n))
+    base, rankings = draw(st.permutations(range(m))), []
+    for _ in range(n):
+        ranking = list(base)
+        for i in draw(st.lists(st.integers(0, m - 2), max_size=3)):
+            ranking[i], ranking[i + 1] = ranking[i + 1], ranking[i]
+        rankings.append(ranking)
+    return rankings
+
+
+@st.composite
+def top_choice_elections(draw):
+    """A Borda-CC or Monroe election (2 <= m <= 8, n <= 7) with rankings of
+    :func:`first_choice_rankings`, a tie-break order, the Borda vector or a
+    drawn one whose top is strict or tied, every voter (None) or a set of
+    distinct voter ids, and any committee size up to m, so a Monroe table
+    has fewer voters than seats, as many or more."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 7))
+    profile = make_profile(m, draw(first_choice_rankings(m, n)), priority=draw(st.permutations(range(m))))
+    vector = None
+    if draw(st.booleans()):
+        rest = sorted(draw(st.lists(st.integers(0, 4), min_size=m - 1, max_size=m - 1)), reverse=True)
+        vector = (rest[0] + draw(st.integers(0, 2)), *rest)  # a tied top when nothing is added
+    voters = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return profile, Rule(draw(st.sampled_from(["betacc", "monroe"])), vector), voters, draw(st.integers(1, m))
+
+
+@settings(max_examples=500, deadline=None)
+@given(top_choice_elections())
+def test_root_certificate_matches_full_enumeration(election):
+    # with a strict top, the certificate settles every Borda-CC table whose
+    # voters have at most k first choices and every Monroe table of at most
+    # k voters with distinct first choices and k - n ids after them all in
+    # priority order, with the committee and score of full enumeration; it
+    # settles nothing else, and the search matches enumeration either way
+    profile, rule, voters, k = election
+    table = SatisfactionTable(profile, rule, voters)
+    expected = ref.table_max(SatisfactionTable(profile, rule, voters), k)
+    vector, n = rule.vector(profile.m), len(table.voters)
+    firsts = {profile.rankings[v][0] for v in table.voters}
+    after = [c for c in range(profile.m) if all(profile.priority_key(c) > profile.priority_key(t) for t in firsts)]
+    if rule.kind == "betacc":
+        settled = len(firsts) <= k
+    else:
+        settled = n <= k and len(firsts) == n and len(after) >= k - n
+    settled = settled and vector[0] > vector[1]
+    assert _top_choice(table, k) == (expected if settled else None)
+    assert _certified_max(table, k) == expected
+
+
+@st.composite
+def top_choice_instances(draw):
+    """An instance (2 <= m <= 7, n <= 5, k <= 4) whose full electorate the
+    root certificate settles under Borda-CC or Monroe with the Borda
+    vector, rankings of :func:`first_choice_rankings`, one candidate and
+    one voter attribute and zero bounds allowed, with that settled
+    committee and whether it meets every bound: if so no bound asks for
+    more of its domain than the committee holds, else one does."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(4, m)))
+    profile = make_profile(m, draw(first_choice_rankings(m, n)), priority=draw(st.permutations(range(m))))
+    rule = Rule(draw(st.sampled_from(["betacc", "monroe"])))
+    top = _top_choice(SatisfactionTable(profile, rule), k)
+    assume(top is not None)
+    groups, populations = Attribute("A", draw(partitions(m, "g"))), Attribute("B", draw(partitions(n, "p")))
+    domains = {("A", label): members for label, members in groups.groups}
+    for label, voters in populations.groups:
+        domains[("B", label)] = population_winning_committee(profile, voters, rule, k).members
+    held = {key: len(set(top[0]) & set(domain)) for key, domain in domains.items()}
+    most = {key: min(k, len(domain)) for key, domain in domains.items()}
+    meets = draw(st.booleans())
+    bounds = {key: draw(st.integers(0, held[key] if meets else most[key])) for key in domains}
+    if not meets:
+        missable = [key for key in domains if held[key] < most[key]]
+        assume(missable)
+        key = draw(st.sampled_from(missable))
+        bounds[key] = draw(st.integers(held[key] + 1, most[key]))
+    instance = make_instance(
+        profile, AttributeScheme((groups,), (populations,)), k=k, rule=rule,
+        diversity_bounds={key: bound for key, bound in bounds.items() if key[0] == "A"},
+        representation_bounds={key: bound for key, bound in bounds.items() if key[0] == "B"},
+        allow_zero_bounds=True,
+    )
+    return instance, top, meets
+
+
+@settings(max_examples=300, deadline=None)
+@given(top_choice_instances())
+def test_exhaustive_solve_returns_the_settled_committee_only_when_it_meets_every_bound(drawn):
+    # the lookahead's check of the settled committee agrees with the
+    # instance's and leaves the lookahead as it found it, so the search
+    # that runs on it after a committee that misses a bound still returns
+    # the best feasible committee, ties to the least member tuple; the
+    # exhaustive solve returns the settled committee exactly when it meets
+    # every bound
+    instance, top, meets = drawn
+    graph = build_diregraph(instance)
+    state = _SearchState(graph, holders(graph.domains, graph.m))
+    built = state.free[:]
+    assert state.meets(top[0]) == meets == satisfies(instance, top[0]).ok
+    assert state.chosen == [] and not any(state.inflow) and state.free == built
+    table = SatisfactionTable(instance.profile, instance.rule)
+    members, score, _, _ = _best_of(table, brute_force_feasible_set(instance))
+    threshold = -1 if score is None else score - 1
+    expected = ((), threshold) if members is None else (members, score)
+    assert _certified_max(table, instance.k, None, state, threshold) == expected
+    assert state.chosen == [] and not any(state.inflow) and state.free == built
+    report = solve_drcwd(instance, SolverConfig(timeout=60), exhaustive=True)
+    if members is None:
+        assert report.status == "infeasible"
+    else:
+        assert (report.status, report.committee.members, report.score) == ("optimal", members, score)
+    assert (members == top[0]) == meets
 
 
 @st.composite

@@ -19,6 +19,7 @@ from dire.rules import (
     SolverTimeout,
     _certified_max,
     _greedy_max,
+    _top_choice,
     betacc,
     borda_vector,
     candidate_scores,
@@ -430,13 +431,16 @@ def test_branch_and_bound_prunes_monroe_leaves(monkeypatch):
     assert len(calls) < comb(16, 4) / 4
 
 
-@pytest.mark.parametrize("voters", [[0], range(5)], ids=["one-voter", "five-voters"])
+@pytest.mark.parametrize("voters", [[0, 6], range(5)], ids=["two-voters", "five-voters"])
 def test_monroe_load_bound_prunes_small_populations(voters, monkeypatch):
     # fewer voters than seats, or 5 on 4 seats: only the members earliest in
     # priority order take a voter more than the others, so bound (c) is tight
-    # enough that the greedy seed's score and one leaf certify the optimum
+    # enough that the greedy seed's score and one leaf certify the optimum.
+    # Voters 0 and 6 share their first choice, so the root certificate
+    # leaves the table to the search
     profile = _desk_election()
     expected = ref.table_max(SatisfactionTable(profile, monroe(), voters), 4)
+    assert _top_choice(SatisfactionTable(profile, monroe(), voters), 4) is None
     calls = _count_scores(monkeypatch)
     assert _certified_max(SatisfactionTable(profile, monroe(), voters), 4) == expected
     assert len(calls) <= 4
@@ -456,30 +460,36 @@ def _count_nodes(monkeypatch):
     return nodes
 
 
-@pytest.mark.parametrize("voters, limit", [(range(3), 8), (range(7), 32)], ids=["three-voters", "seven-voters"])
+@pytest.mark.parametrize("voters, limit", [([0, 1, 6], 8), (range(7), 32)], ids=["three-voters", "seven-voters"])
 def test_monroe_open_slots_cut_whole_subtrees(voters, limit, monkeypatch):
     # 3 or 7 voters on 4 seats: the 3 members earliest in priority order
     # (here, ascending ids) serve a voter more than the last.  Below a prefix
     # P of fewer than 3 members, a later member y after every member of P + c
     # takes that voter only while one of the 3 loads is open, so bound (c)
-    # credits at most 3 - |P| - 1 of them; crediting every one (502 and 413
-    # nodes) keeps whole subtrees that this cuts (4 and 21 nodes).
+    # credits at most 3 - |P| - 1 of them; crediting every one (437 and 413
+    # nodes) keeps whole subtrees that this cuts (4 and 21 nodes).  Voters 0
+    # and 6 share their first choice, so the root certificate leaves the
+    # three voters' table to the search
     profile = _desk_election()
     expected = ref.table_max(SatisfactionTable(profile, monroe(), voters), 4)
+    assert _top_choice(SatisfactionTable(profile, monroe(), voters), 4) is None
     nodes = _count_nodes(monkeypatch)
     assert _certified_max(SatisfactionTable(profile, monroe(), voters), 4) == expected
     assert len(nodes) <= limit
 
 
-@pytest.mark.parametrize("voters, count", [(range(3), 4), (range(7), 34), (None, 94)],
-                         ids=["three-voters", "seven-voters", "all-voters"])
+@pytest.mark.parametrize("voters, count", [(range(6), 31), (range(7), 34), (None, 94)],
+                         ids=["six-voters", "seven-voters", "all-voters"])
 def test_betacc_prices_cut_whole_subtrees(voters, count, monkeypatch):
     # Bound (L) prices each voter at its second-best entry among the ids
     # still to come, so a prefix whose seats left cannot give the remaining
     # voters their best is cut before (a)'s gain pass runs.  Bound (a) alone
-    # visits 230, 324 and 232 nodes.
+    # visits 324, 324 and 232 nodes.  Each table's voters have more first
+    # choices than the 4 seats, so the root certificate leaves it to the
+    # search
     profile = _desk_election()
     expected = ref.table_max(SatisfactionTable(profile, betacc(), voters), 4)
+    assert _top_choice(SatisfactionTable(profile, betacc(), voters), 4) is None
     nodes = _count_nodes(monkeypatch)
     assert _certified_max(SatisfactionTable(profile, betacc(), voters), 4) == expected
     assert len(nodes) == count
@@ -521,6 +531,62 @@ def test_monroe_leaves_keep_to_the_deadline(monkeypatch):
         _certified_max(SatisfactionTable(profile, monroe()), 4, deadline=8.5)
     assert calls[-1] == (0, 1, 5, 11)
     assert len(calls) == 9
+
+
+@pytest.mark.parametrize("make, voters", [(betacc, range(3)), (betacc, range(5)), (monroe, [0]), (monroe, range(3)),
+                                          (monroe, range(4))],
+                         ids=["betacc-three-voters", "betacc-five-voters", "monroe-one-voter", "monroe-three-voters",
+                              "monroe-four-voters"])
+def test_top_choice_certificate_settles_the_root(make, voters, monkeypatch):
+    # Borda-CC voters with at most 4 first choices, or at most 4 Monroe
+    # voters with distinct first choices and enough ids after them in
+    # priority order for the seats left: the least committee that gives
+    # every voter its first choice scores n * 15, which no committee beats,
+    # so the search returns it with no node, no bound table and one table
+    # score, the certificate's own check
+    profile = _desk_election()
+    expected = ref.table_max(SatisfactionTable(profile, make(), voters), 4)
+    table = SatisfactionTable(profile, make(), voters)
+    calls, nodes = _count_scores(monkeypatch), _count_nodes(monkeypatch)
+    assert _certified_max(table, 4) == expected
+    assert expected[1] == 15 * len(table.voters)
+    assert (len(nodes), len(calls)) == (0, 1)
+    assert "prices" not in vars(table.entries) and not table.entries.caps
+
+
+@pytest.mark.parametrize("rule, voters", [(monroe(), [2, 3]), (monroe(), [0, 6]), (monroe(), range(5)),
+                                          (betacc(), range(6)), (betacc((15, 15, *range(13, -1, -1))), range(3)),
+                                          (kborda(), range(3))],
+                         ids=["too-few-ids-after", "shared-first-choice", "monroe-more-voters-than-seats",
+                              "more-first-choices-than-seats", "tied-top", "kborda"])
+def test_top_choice_certificate_leaves_other_tables_to_the_search(rule, voters):
+    # voters 2 and 3 put 13 and 15 first, after which no id comes in
+    # priority order for the 2 seats left; voters 0 and 6 both put 12
+    # first; voters 0-5 put 5 candidates first; with a tied top no voter's
+    # first choice is the only member it takes 15 from; k-Borda adds up
+    # totals, not one entry per voter
+    profile = _desk_election()
+    table = SatisfactionTable(profile, rule, voters)
+    assert _top_choice(table, 4) is None
+    assert _certified_max(table, 4) == ref.table_max(SatisfactionTable(profile, rule, voters), 4)
+
+
+@pytest.mark.parametrize("voters, settled", [(range(3), True), (range(6), False)], ids=["settled", "searched"])
+def test_an_expired_deadline_raises_before_the_certificate(voters, settled, monkeypatch):
+    # A clock that ticks once per table score reads past the deadline from
+    # the start.  The search raises at once, whether or not the certificate
+    # would settle the table, with nothing found beyond its threshold and
+    # nothing scored, so a spent budget still reports a timeout
+    profile = _desk_election()
+    table = SatisfactionTable(profile, betacc(), voters)
+    assert (_top_choice(table, 4) is not None) == settled
+    calls = _count_scores(monkeypatch)
+    monkeypatch.setattr(rules, "time", types.SimpleNamespace(monotonic=lambda: len(calls)))
+    for threshold in (None, 44):
+        with pytest.raises(SolverTimeout) as raised:
+            _certified_max(table, 4, deadline=-0.5, threshold=threshold)
+        assert raised.value.incumbent == ((), threshold)
+    assert not calls
 
 
 def test_greedy_monroe_rescores_every_candidate():

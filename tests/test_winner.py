@@ -162,6 +162,34 @@ def test_deadline_inside_the_branch_and_bound_keeps_the_best_found(monkeypatch):
     assert 165 <= scores[1] <= scores[2] and scores[2] > 165
 
 
+@pytest.mark.parametrize("seed, settled", [(0, True), (3, False)])
+def test_a_budget_spent_before_the_branch_and_bound_still_times_out(seed, settled, monkeypatch):
+    # syn1 mu=0 pi=0 under Borda-CC at desk scale: seed 0's voters have 4
+    # first choices, whose committee meets every bound, so the root
+    # certificate settles the exhaustive solve; seed 3's have more.  A
+    # budget that runs out just before the certified solve's first reading
+    # reports the harvest's best as a timeout either way
+    instance = gen_syndata("syn1", mu=0, pi=0, seed=seed, m=16, n=20, k=4, rule=betacc())
+    top = rules._top_choice(SatisfactionTable(instance.profile, instance.rule), 4)
+    assert (top is not None) == settled
+    harvest = solve_drcwd(instance)
+    clock = _SharedClock(monkeypatch)
+    search, entered = winner._certified_max, []
+
+    def spy(*args):
+        entered.append(clock.reads)
+        return search(*args)
+
+    monkeypatch.setattr(winner, "_certified_max", spy)
+    report = solve_drcwd(instance, SolverConfig(timeout=1e9), exhaustive=True)
+    assert (report.status, report.timed_out) == ("optimal", False)
+    assert top is None or (report.committee.members, report.score) == top
+    clock.reads = 0
+    report = solve_drcwd(instance, SolverConfig(timeout=entered[0] - 0.5), exhaustive=True)
+    assert (report.status, report.timed_out, report.utility_ratio) == ("feasible-heuristic", True, None)
+    assert (report.committee, report.score) == (harvest.committee, harvest.score)
+
+
 # k-Borda scores are pinned by the mu1-fast reference; the others are the
 # branch-and-bound's own, pinned against regressions
 PAPER_SCALE_OPTIMA = {"kborda": 27402, "betacc": 4900, "monroe": 4748}
